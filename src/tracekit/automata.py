@@ -48,6 +48,14 @@ class _TermType:
 TERM = _TermType()
 
 
+def _iter_bits(mask: int):
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _default_names(n: int) -> Tuple[str, ...]:
     return tuple(f"q{i}" for i in range(n))
 

@@ -8,8 +8,8 @@ sorted transition lists, so parse then serialize is a normal form and
 re-parsing a serialized file gives back the same automaton.
 
 Exit statuses: 0 success, 2 parse error, 3 validation error, 4 budget
-exceeded, 5 law failure, 6 query error (unknown state, unknown law, or a
-method/kind mismatch).
+exceeded, 5 law failure, 6 query error (unknown state, unknown law, a
+method/kind mismatch, a negative --depth, or a --budget below 1).
 """
 
 from __future__ import annotations
@@ -612,6 +612,8 @@ def _write_or_print(path: Optional[str], text: str) -> None:
 
 
 def _cmd_semantics(args) -> int:
+    if args.depth < 0:
+        raise QueryError(f"--depth must be at least 0, got {args.depth}")
     aut, _ = load_file(args.file)
     kind = _kind_of(aut)
     if args.mode is not None and kind != "nfa":
@@ -667,6 +669,8 @@ def _serialize_meaning(result: DetResult, source, meaning) -> Any:
 
 
 def _cmd_determinize(args) -> int:
+    if args.budget is not None and args.budget <= 0:
+        raise QueryError(f"--budget must be positive, got {args.budget}")
     aut, _ = load_file(args.file)
     kind = _kind_of(aut)
     needed = _METHOD_KINDS[args.method]
@@ -677,9 +681,9 @@ def _cmd_determinize(args) -> int:
     elif args.method == "conj":
         result = det_subset(aut, "conj")
     elif args.method == "canonical":
-        result = canonical_det_nfa(aut, bound=args.budget if args.budget else 4)
+        result = canonical_det_nfa(aut, bound=args.budget or 4)
     elif args.method == "weighted":
-        result = det_weighted(aut, budget=args.budget if args.budget else 500)
+        result = det_weighted(aut, budget=args.budget or 500)
     else:
         result = alt_to_nfa(aut)
     if isinstance(result, BudgetExceeded):

@@ -20,6 +20,7 @@ from .automata import (
     AlternatingAut,
     MooreAut,
     WeightedAut,
+    _iter_bits,
     require_valid,
 )
 from .weights import WeightVec, scale, unit, vec_sum
@@ -44,13 +45,6 @@ class BudgetExceeded:
     method: str
     budget: int
     discovered: int
-
-
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _det_names(count: int) -> Tuple[str, ...]:
@@ -153,20 +147,52 @@ def det_weighted(w: WeightedAut, budget: int = 500) -> Union[DetResult, BudgetEx
     return DetResult(machine, embed, meanings, "weighted")
 
 
+def _submask_bits(mask: int) -> int:
+    """A mask over masks: bit v is set iff v is a submask of mask. Built by
+    doubling, one shift per set bit of mask."""
+    out = 1
+    while mask:
+        low = mask & -mask
+        out |= out << low
+        mask ^= low
+    return out
+
+
+def _hitting_bits(members: Sequence[int]) -> int:
+    """The hitting sets of a family of bitmask sets, as a mask over masks.
+
+    Bit v of the result is set iff v is a submask of the members' union and
+    meets every member: each member u clears the submasks of union & ~u,
+    the candidates that miss it.
+    """
+    union = 0
+    for u in members:
+        union |= u
+    hits = _submask_bits(union)
+    for u in members:
+        hits &= ~_submask_bits(union & ~u)
+    return hits
+
+
 def chi_good(family: Iterable[Iterable[Hashable]]) -> frozenset:
     """All subsets of the union that meet every member set.
 
     This is the transformation that turns a set of branch sets into the
     collection of its hitting sets; it commutes with direct images.
+
+    Each element of the union gets a bit position (in any order: the result
+    is a set), so each member is a bitmask. `_hitting_bits` then tests all
+    2^|union| candidate subsets at once on one 2^|union|-bit int, with one
+    shift per union bit and member; frozensets are built only for the
+    hitting sets it returns. Elements need only be hashable.
     """
     fams = frozenset(frozenset(u) for u in family)
-    universe = sorted(set().union(*fams)) if fams else []
-    out = []
-    for mask in range(1 << len(universe)):
-        v = frozenset(universe[i] for i in _iter_bits(mask))
-        if all(v & u for u in fams):
-            out.append(v)
-    return frozenset(out)
+    universe = list(frozenset().union(*fams))
+    bit = {e: 1 << i for i, e in enumerate(universe)}
+    hits = _hitting_bits([sum(bit[e] for e in u) for u in fams])
+    return frozenset(
+        frozenset(universe[i] for i in _iter_bits(v)) for v in _iter_bits(hits)
+    )
 
 
 def chi_wrong(family: Iterable[Iterable[Hashable]]) -> frozenset:

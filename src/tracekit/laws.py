@@ -25,8 +25,8 @@ from itertools import combinations, product
 from operator import and_, or_
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .automata import NFA, AlternatingAut, MooreAut, WeightedAut, require_valid
-from .determinize import BudgetExceeded, DetResult, chi_good, chi_wrong
+from .automata import NFA, AlternatingAut, MooreAut, WeightedAut, _iter_bits, require_valid
+from .determinize import BudgetExceeded, DetResult, _hitting_bits, chi_good, chi_wrong
 from .semantics import format_word, word_at
 from .weights import Semiring, WeightVec, map_weights, monad_mul, unit
 
@@ -68,13 +68,6 @@ def format_report(report: LawReport, max_failures: int = 5) -> str:
     if hidden > 0:
         lines.append(f"... and {hidden} more")
     return "\n".join(lines)
-
-
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _tt(bit) -> str:
@@ -641,6 +634,22 @@ def _diagram_weighted(
     return LawReport("logic-morphism:weighted", count, failures)
 
 
+def _joins_and_meets(ninner: int, full_pred: int) -> Tuple[List[int], List[int]]:
+    """For every set of predicates (a mask over predicate masks below ninner),
+    the join and the meet of its members; the empty meet is full_pred."""
+    join_of = []
+    meet_of = []
+    for im in range(ninner):
+        disj = 0
+        conj = full_pred
+        for phi in _iter_bits(im):
+            disj |= phi
+            conj &= phi
+        join_of.append(disj)
+        meet_of.append(conj)
+    return join_of, meet_of
+
+
 def _diagram_alt(
     max_phi: int,
     alphabet: Tuple[str, ...],
@@ -658,15 +667,13 @@ def _diagram_alt(
         full_pred = (1 << k) - 1
         n_l = 1 + m * k
         full_l = (1 << n_l) - 1
-        members_of = [frozenset(_iter_bits(im)) for im in range(ninner)]
+        join_of, meet_of = _joins_and_meets(ninner, full_pred)
         base = [(o, ts) for o in (0, 1) for ts in product(range(ninner), repeat=m)]
         ones = []
         for o, ts in base:
             lmask = o
             for ai in range(m):
-                disj = 0
-                for phi in members_of[ts[ai]]:
-                    disj |= phi
+                disj = join_of[ts[ai]]
                 for p in range(k):
                     if disj >> p & 1:
                         lmask |= 1 << (1 + ai * k + p)
@@ -677,18 +684,15 @@ def _diagram_alt(
             got = hit_cache.get(famkey)
             if got is None:
                 got = 0
-                for v in chi_good([members_of[im] for im in famkey]):
-                    conj = full_pred
-                    for phi in v:
-                        conj &= phi
-                    got |= conj
+                for v in _iter_bits(_hitting_bits(famkey)):
+                    got |= meet_of[v]
                 hit_cache[famkey] = got
             return got
 
         def fmt_elem(i: int) -> str:
             o, ts = base[i]
             parts = [f"out={_tt(o)}"] + [
-                f"{alphabet[ai]}->{_fmt_predset(members_of[ts[ai]])}"
+                f"{alphabet[ai]}->{_fmt_predset(_iter_bits(ts[ai]))}"
                 for ai in range(m)
             ]
             return "(" + ", ".join(parts) + ")"
@@ -743,13 +747,7 @@ def check_exchange(max_phi: int = 2) -> LawReport:
         nmask = 1 << k
         ninner = 1 << nmask
         full_pred = (1 << k) - 1
-        members_of = [frozenset(_iter_bits(im)) for im in range(ninner)]
-        join_of = []
-        for im in range(ninner):
-            disj = 0
-            for phi in members_of[im]:
-                disj |= phi
-            join_of.append(disj)
+        join_of, meet_of = _joins_and_meets(ninner, full_pred)
         for fam_mask in range(1 << ninner):
             count += 1
             inner_masks = list(_iter_bits(fam_mask))
@@ -757,15 +755,12 @@ def check_exchange(max_phi: int = 2) -> LawReport:
             for im in inner_masks:
                 top &= join_of[im]
             bottom = 0
-            for v in chi_good([members_of[im] for im in inner_masks]):
-                conj = full_pred
-                for phi in v:
-                    conj &= phi
-                bottom |= conj
+            for v in _iter_bits(_hitting_bits(inner_masks)):
+                bottom |= meet_of[v]
             if top != bottom:
                 rendered = (
                     "{"
-                    + ", ".join(_fmt_predset(members_of[im]) for im in inner_masks)
+                    + ", ".join(_fmt_predset(_iter_bits(im)) for im in inner_masks)
                     + "}"
                 )
                 failures.append(

@@ -17,6 +17,7 @@ from .automata import (
     NFA,
     MooreAut,
     ValidationError,
+    _iter_bits,
     check_state,
     require_valid,
     reverse_nfa,
@@ -36,13 +37,6 @@ class ObservableDFA:
     machine: MooreAut
     initial: int
     certificates: Dict[Tuple[int, int], Word]
-
-
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _subset_dfa(n: NFA, seed: Iterable[int]) -> Tuple[MooreAut, int, List[int]]:

@@ -69,6 +69,18 @@ def gps_mass(g: GPS, x: int, word) -> Fraction:
     return total
 
 
+def chi_good_bruteforce(family):
+    """Every subset of the union, kept when it meets every member set."""
+    fams = frozenset(frozenset(u) for u in family)
+    universe = list(frozenset().union(*fams))
+    out = []
+    for keep in product((False, True), repeat=len(universe)):
+        v = frozenset(e for e, k in zip(universe, keep) if k)
+        if all(v & u for u in fams):
+            out.append(v)
+    return frozenset(out)
+
+
 def wta_runs(w: WeightedTreeAut, t: Tree):
     """Every complete run of the tree, as (root state, run weight) pairs.
 

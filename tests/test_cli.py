@@ -242,6 +242,26 @@ def test_determinize_budget_exceeded(tmp_path, capsys):
     assert "4 states discovered" in err
 
 
+def test_semantics_rejects_a_negative_depth(tmp_path, capsys):
+    path = classic_file(tmp_path)
+    assert main(["semantics", "--state", "x", "--depth", "-3", path]) == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--depth must be at least 0, got -3" in captured.err
+
+
+@pytest.mark.parametrize(
+    "method, kind, budget",
+    [("weighted", "weighted", "0"), ("weighted", "weighted", "-5"), ("canonical", "nfa", "0")],
+)
+def test_determinize_rejects_a_non_positive_budget(tmp_path, capsys, method, kind, budget):
+    path = write_doc(tmp_path, f"{kind}.json", KINDS[kind])
+    assert main(["determinize", "--method", method, "--budget", budget, path]) == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--budget must be positive, got {budget}" in captured.err
+
+
 def test_determinize_method_kind_mismatch(tmp_path):
     path = classic_file(tmp_path)
     assert main(["determinize", "--method", "weighted", path]) == 6

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracekit import (
@@ -28,8 +28,9 @@ from tracekit import (
     unit,
     wa_trace,
 )
-from tracekit.determinize import hitting_unions
+from tracekit.determinize import _hitting_bits, hitting_unions
 from tests.corpus import nfa_as_bool_wa, rand_alternating, rand_nfa
+from tests.oracles import chi_good_bruteforce
 
 CLASSIC = NFA(2, ["a"], [(0, "a", 0), (0, "a", 1)], accepting=[1], names=["q0", "q1"])
 
@@ -175,6 +176,27 @@ def test_chi_edge_cases():
     assert chi_good(frozenset({frozenset()})) == frozenset()
     assert chi_wrong(frozenset()) == frozenset({frozenset()})
     assert chi_wrong(frozenset({frozenset()})) == frozenset()
+
+
+MIXED_ELEMENTS = st.sampled_from([0, 1, 2, 3, "a", "b", "c"])
+
+
+@given(st.lists(st.frozensets(MIXED_ELEMENTS, max_size=4), max_size=5))
+@example([])
+@example([frozenset({1, "a"}), frozenset()])
+def test_chi_good_matches_bruteforce(family):
+    assert chi_good(family) == chi_good_bruteforce(family)
+
+
+def _bits(mask):
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+@given(st.lists(st.integers(0, 127), max_size=6))
+def test_hitting_bits_matches_bruteforce(members):
+    hits = _hitting_bits(members)
+    got = frozenset(_bits(v) for v in _bits(hits))
+    assert got == chi_good_bruteforce(_bits(u) for u in members)
 
 
 @given(st.lists(st.sets(st.integers(0, 4), max_size=4), max_size=3))

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import tracekit.laws
 from tracekit import (
     NFA,
     BOOL,
@@ -152,6 +153,14 @@ def test_exchange_is_exhaustive_and_clean():
     report = check_exchange(max_phi=2)
     assert report.ok
     assert report.instances_checked == 20 + 2**16
+
+
+def test_exchange_and_alt_diagram_run_through_the_hitting_set_kernel(monkeypatch):
+    """Negative control: with a kernel that finds no hitting sets, both
+    checks must fail, so neither is a tautology."""
+    monkeypatch.setattr(tracekit.laws, "_hitting_bits", lambda members: 0)
+    assert not check_exchange(max_phi=2).ok
+    assert not check_logic_morphism_diagram("alt").ok
 
 
 def test_correctness_positive():
