@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .weights import BOOL, NAT, RAT, Semiring, WeightVec
 
@@ -283,36 +283,73 @@ class WeightedAut:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tree:
-    """A finite ranked tree; a nullary node has height 0."""
+    """A finite ranked tree; a nullary node has height 0.
+
+    The hash is computed once, at construction, from the children's cached
+    hashes, and equality walks both trees with an explicit stack, so neither
+    recurses on deep trees.
+    """
 
     op: str
     children: Tuple["Tree", ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
+        children = tuple(self.children)
+        object.__setattr__(self, "children", children)
+        # hashing the children reads their cached hashes, so this never recurses
+        object.__setattr__(self, "_hash", hash((self.op, children)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Tree):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            s, o = stack.pop()
+            if s is o:
+                continue
+            if s._hash != o._hash or s.op != o.op or len(s.children) != len(o.children):
+                return False
+            stack.extend(zip(s.children, o.children))
+        return True
 
     def __repr__(self) -> str:
         return format_tree(self)
 
 
+def _fold(t: Tree, f: Callable[[str, List[Any]], Any]) -> Any:
+    """Evaluate t bottom-up: a node's value is f(op, its children's values).
+
+    Children are evaluated left to right, and explicit stacks replace
+    recursion, so deep trees do not overflow the interpreter stack.
+    """
+    # popping children right to left, then reversing, lists the nodes in
+    # left-to-right post-order
+    order = []
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.children)
+    values: List[Any] = []
+    for node in reversed(order):
+        split = len(values) - len(node.children)
+        args = values[split:]
+        del values[split:]
+        values.append(f(node.op, args))
+    return values[0]
+
+
 def format_tree(t: Tree) -> str:
-    if not t.children:
-        return t.op
-    return f"{t.op}({','.join(format_tree(c) for c in t.children)})"
+    return _fold(t, lambda op, args: f"{op}({','.join(args)})" if args else op)
 
 
 def tree_height(t: Tree) -> int:
-    h = 0
-    stack = [(t, 0)]
-    while stack:
-        node, d = stack.pop()
-        if node.children:
-            stack.extend((c, d + 1) for c in node.children)
-        elif d > h:
-            h = d
-    return h
+    return _fold(t, lambda op, heights: 1 + max(heights) if heights else 0)
 
 
 def tree_violations(t: Tree, signature: Iterable[Tuple[str, int]]) -> List[str]:

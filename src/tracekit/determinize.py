@@ -10,10 +10,9 @@ tests can assert against meanings rather than opaque ids.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import product
-from typing import Any, Dict, Hashable, Iterable, List, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .automata import (
     NFA,
@@ -51,6 +50,72 @@ def _det_names(count: int) -> Tuple[str, ...]:
     return tuple(f"d{i}" for i in range(count))
 
 
+class _Overflow(Exception):
+    pass
+
+
+def _explore(
+    seeds: Iterable[Hashable], step: Callable, budget: Optional[int] = None
+) -> Optional[Tuple[List[int], List[Hashable], List[Any]]]:
+    """The reachable part of a lifted coalgebra, breadth first from the seeds.
+
+    States are numbered in discovery order: the seeds first, then each
+    state's successors in the order step interns them. step(s, intern)
+    returns the row of state s, calling intern on a successor to get its
+    number. Returns (seed numbers, states by number, rows by number), or None
+    as soon as a state beyond the first `budget` is discovered.
+    """
+    ids: Dict[Hashable, int] = {}
+    order: List[Hashable] = []
+
+    def intern(s: Hashable) -> int:
+        sid = ids.get(s)
+        if sid is None:
+            if budget is not None and len(order) >= budget:
+                raise _Overflow
+            sid = ids[s] = len(order)
+            order.append(s)
+        return sid
+
+    try:
+        embed = [intern(s) for s in seeds]
+        # iterating `order` while step appends to it is the work queue
+        rows = [step(s, intern) for s in order]
+    except _Overflow:
+        return None
+    return embed, order, rows
+
+
+def _subset_machine(
+    n: NFA, seeds: Iterable[int], mode: str = "disj"
+) -> Tuple[List[int], List[int], MooreAut]:
+    """Reachable powerset construction from bitmask seed subsets.
+
+    A subset steps under a to the union of its members' a-successor sets.
+    Returns the seed numbers, the subset behind each number, and the Moore
+    machine on them, with disjunctive or conjunctive output (see det_subset).
+    """
+    masks = n.succ_masks()
+    letters = range(len(n.alphabet))
+
+    def step(s: int, intern: Callable) -> Tuple[int, ...]:
+        row = []
+        for ai in letters:
+            t = 0
+            for x in _iter_bits(s):
+                t |= masks[x][ai]
+            row.append(intern(t))
+        return tuple(row)
+
+    embed, order, delta = _explore(seeds, step)
+    acc = n.accepting_mask()
+    if mode == "disj":
+        outputs = [bool(s & acc) for s in order]
+    else:
+        outputs = [s & ~acc == 0 for s in order]
+    return embed, order, MooreAut(n.alphabet, outputs, delta, names=_det_names(len(order)))
+
+
 def det_subset(n: NFA, mode: str = "disj") -> DetResult:
     """Powerset construction from the singleton states.
 
@@ -62,39 +127,9 @@ def det_subset(n: NFA, mode: str = "disj") -> DetResult:
     require_valid(n)
     if mode not in BOOL_MODES:
         raise ValueError(f"mode must be 'disj' or 'conj', got {mode!r}")
-    masks = n.succ_masks()
-    acc = n.accepting_mask()
-    ids: Dict[int, int] = {}
-    order: List[int] = []
-    work: deque = deque()
-
-    def intern(mask: int) -> int:
-        sid = ids.get(mask)
-        if sid is None:
-            sid = len(order)
-            ids[mask] = sid
-            order.append(mask)
-            work.append(mask)
-        return sid
-
-    embed = {x: intern(1 << x) for x in range(n.n_states)}
-    delta: List[Tuple[int, ...]] = []
-    while work:
-        s = work.popleft()
-        row = []
-        for ai in range(len(n.alphabet)):
-            t = 0
-            for x in _iter_bits(s):
-                t |= masks[x][ai]
-            row.append(intern(t))
-        delta.append(tuple(row))
-    if mode == "disj":
-        outputs = [bool(s & acc) for s in order]
-    else:
-        outputs = [s & ~acc == 0 for s in order]
-    machine = MooreAut(n.alphabet, outputs, delta, names=_det_names(len(order)))
+    embed, order, machine = _subset_machine(n, [1 << x for x in range(n.n_states)], mode)
     meanings = {i: frozenset(_iter_bits(s)) for i, s in enumerate(order)}
-    return DetResult(machine, embed, meanings, f"subset-{mode}")
+    return DetResult(machine, dict(enumerate(embed)), meanings, f"subset-{mode}")
 
 
 def det_weighted(w: WeightedAut, budget: int = 500) -> Union[DetResult, BudgetExceeded]:
@@ -108,43 +143,23 @@ def det_weighted(w: WeightedAut, budget: int = 500) -> Union[DetResult, BudgetEx
     """
     require_valid(w)
     sr = w.semiring
-    ids: Dict[WeightVec, int] = {}
-    order: List[WeightVec] = []
-    work: deque = deque()
-    overflow = False
+    letters = range(len(w.alphabet))
 
-    def intern(vec: WeightVec) -> int:
-        nonlocal overflow
-        sid = ids.get(vec)
-        if sid is None:
-            if len(order) >= budget:
-                overflow = True
-                return -1
-            sid = len(order)
-            ids[vec] = sid
-            order.append(vec)
-            work.append(vec)
-        return sid
+    def step(v: WeightVec, intern: Callable) -> Tuple[int, ...]:
+        return tuple(
+            intern(vec_sum(sr, (scale(c, w.trans[y][ai]) for y, c in v.items())))
+            for ai in letters
+        )
 
-    embed = {}
-    for x in range(w.n_states):
-        embed[x] = intern(unit(sr, x))
-        if overflow:
-            return BudgetExceeded("weighted", budget, len(order) + 1)
-    delta: List[Tuple[int, ...]] = []
-    while work:
-        v = work.popleft()
-        row = []
-        for ai in range(len(w.alphabet)):
-            succ = vec_sum(sr, (scale(c, w.trans[y][ai]) for y, c in v.items()))
-            row.append(intern(succ))
-            if overflow:
-                return BudgetExceeded("weighted", budget, len(order) + 1)
-        delta.append(tuple(row))
+    found = _explore([unit(sr, x) for x in range(w.n_states)], step, budget)
+    if found is None:
+        # the states within the budget plus the one that overflowed it
+        return BudgetExceeded("weighted", budget, max(budget, 0) + 1)
+    embed, order, delta = found
     outputs = [sr.sum(sr.mul(c, w.out[y]) for y, c in v.items()) for v in order]
     machine = MooreAut(w.alphabet, outputs, delta, semiring=sr, names=_det_names(len(order)))
     meanings = {i: v for i, v in enumerate(order)}
-    return DetResult(machine, embed, meanings, "weighted")
+    return DetResult(machine, dict(enumerate(embed)), meanings, "weighted")
 
 
 def _submask_bits(mask: int) -> int:
@@ -202,8 +217,7 @@ def chi_wrong(family: Iterable[Iterable[Hashable]]) -> frozenset:
     naturality, so it cannot drive a correct determinization.
     """
     fams = frozenset(frozenset(u) for u in family)
-    factors = [sorted(u) for u in fams]
-    return frozenset(frozenset(choice) for choice in product(*factors))
+    return frozenset(frozenset(choice) for choice in product(*fams))
 
 
 def hitting_unions(fams: Sequence[Iterable[int]]) -> frozenset:
@@ -220,15 +234,7 @@ def hitting_unions(fams: Sequence[Iterable[int]]) -> frozenset:
     for f in factors:
         choices = {c | u for c in choices for u in f}
     members = {u for f in factors for u in f}
-    closure = {0}
-    frontier = [0]
-    while frontier:
-        c = frontier.pop()
-        for u in members:
-            nc = c | u
-            if nc not in closure:
-                closure.add(nc)
-                frontier.append(nc)
+    _, closure, _ = _explore([0], lambda c, intern: [intern(c | u) for u in members])
     return frozenset(c | d for c in choices for d in closure)
 
 
@@ -247,32 +253,20 @@ def alt_to_nfa(a: AlternatingAut) -> DetResult:
         for row in a.trans
     ]
     out_mask = sum(1 << x for x in range(a.n_states) if a.outputs[x])
-    ids: Dict[int, int] = {}
-    order: List[int] = []
-    work: deque = deque()
 
-    def intern(mask: int) -> int:
-        sid = ids.get(mask)
-        if sid is None:
-            sid = len(order)
-            ids[mask] = sid
-            order.append(mask)
-            work.append(mask)
-        return sid
+    def step(s: int, intern: Callable) -> List[Tuple[str, int]]:
+        return [
+            (label, intern(t))
+            for ai, label in enumerate(a.alphabet)
+            for t in sorted(hitting_unions([inner[x][ai] for x in _iter_bits(s)]))
+        ]
 
-    embed = {x: intern(1 << x) for x in range(a.n_states)}
-    transitions = set()
-    while work:
-        s = work.popleft()
-        sid = ids[s]
-        for ai, label in enumerate(a.alphabet):
-            fams = [inner[x][ai] for x in _iter_bits(s)]
-            for t in sorted(hitting_unions(fams)):
-                transitions.add((sid, label, intern(t)))
+    embed, order, rows = _explore([1 << x for x in range(a.n_states)], step)
+    transitions = {(sid, label, t) for sid, row in enumerate(rows) for label, t in row}
     accepting = [i for i, s in enumerate(order) if s & ~out_mask == 0]
     machine = NFA(len(order), a.alphabet, transitions, accepting, names=_det_names(len(order)))
     meanings = {i: frozenset(_iter_bits(s)) for i, s in enumerate(order)}
-    return DetResult(machine, embed, meanings, "alt")
+    return DetResult(machine, dict(enumerate(embed)), meanings, "alt")
 
 
 def canonical_det_nfa(n: NFA, bound: int = 4) -> Union[DetResult, BudgetExceeded]:
@@ -298,34 +292,19 @@ def canonical_det_nfa(n: NFA, bound: int = 4) -> Union[DetResult, BudgetExceeded
             for phi in range(npred)
         ])
     acc = n.accepting_mask()
-    ids: Dict[frozenset, int] = {}
-    order: List[frozenset] = []
-    work: deque = deque()
 
-    def intern(q: frozenset) -> int:
-        sid = ids.get(q)
-        if sid is None:
-            sid = len(order)
-            ids[q] = sid
-            order.append(q)
-            work.append(q)
-        return sid
+    def step(q: frozenset, intern: Callable) -> Tuple[int, ...]:
+        return tuple(
+            intern(frozenset(phi for phi in range(npred) if pre_a[phi] in q))
+            for pre_a in pre
+        )
 
-    embed = {
-        x: intern(frozenset(phi for phi in range(npred) if phi >> x & 1))
-        for x in range(nst)
-    }
-    delta: List[Tuple[int, ...]] = []
-    while work:
-        q = work.popleft()
-        row = []
-        for ai in range(len(n.alphabet)):
-            row.append(intern(frozenset(phi for phi in range(npred) if pre[ai][phi] in q)))
-        delta.append(tuple(row))
+    seeds = [frozenset(phi for phi in range(npred) if phi >> x & 1) for x in range(nst)]
+    embed, order, delta = _explore(seeds, step)
     outputs = [acc in q for q in order]
     machine = MooreAut(n.alphabet, outputs, delta, names=_det_names(len(order)))
     meanings = {
         i: frozenset(frozenset(_iter_bits(phi)) for phi in q)
         for i, q in enumerate(order)
     }
-    return DetResult(machine, embed, meanings, "canonical")
+    return DetResult(machine, dict(enumerate(embed)), meanings, "canonical")

@@ -25,9 +25,9 @@ from itertools import combinations, product
 from operator import and_, or_
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .automata import NFA, AlternatingAut, MooreAut, WeightedAut, _iter_bits, require_valid
+from .automata import NFA, AlternatingAut, WeightedAut, _iter_bits, require_valid
 from .determinize import BudgetExceeded, DetResult, _hitting_bits, chi_good, chi_wrong
-from .semantics import format_word, word_at
+from .semantics import _layers, _reader, _recurrence, format_word, word_at
 from .weights import Semiring, WeightVec, map_weights, monad_mul, unit
 
 NAT_SHAPE = "PP=>PP"
@@ -777,112 +777,13 @@ def check_exchange(max_phi: int = 2) -> LawReport:
 # Word-by-word correctness of determinization results
 
 
-def _nfa_word_masks(n: NFA, depth: int, mode: str = "disj") -> List[List[int]]:
-    """rows[k][x] = bitmask over length-k word indices of x's trace values."""
-    succ = n.succ_sets()
-    m = len(n.alphabet)
-    acc = n.accepting
-    rows = [[1 if x in acc else 0 for x in range(n.n_states)]]
-    width = 1
-    for _ in range(depth):
-        prev = rows[-1]
-        full = (1 << width) - 1
-        cur = []
-        for x in range(n.n_states):
-            word_mask = 0
-            for ai in range(m):
-                if mode == "disj":
-                    part = 0
-                    for y in succ[x][ai]:
-                        part |= prev[y]
-                else:
-                    part = full
-                    for y in succ[x][ai]:
-                        part &= prev[y]
-                word_mask |= part << (ai * width)
-            cur.append(word_mask)
-        rows.append(cur)
-        width *= m
-    return rows
-
-
-def _alt_word_masks(a: AlternatingAut, depth: int) -> List[List[int]]:
-    m = len(a.alphabet)
-    rows = [[1 if a.outputs[x] else 0 for x in range(a.n_states)]]
-    width = 1
-    for _ in range(depth):
-        prev = rows[-1]
-        full = (1 << width) - 1
-        cur = []
-        for x in range(a.n_states):
-            word_mask = 0
-            for ai in range(m):
-                part = 0
-                for branch in a.trans[x][ai]:
-                    conj = full
-                    for y in branch:
-                        conj &= prev[y]
-                    part |= conj
-                word_mask |= part << (ai * width)
-            cur.append(word_mask)
-        rows.append(cur)
-        width *= m
-    return rows
-
-
-def _moore_word_masks(d: MooreAut, depth: int) -> List[List[int]]:
-    m = len(d.alphabet)
-    rows = [[1 if d.outputs[q] else 0 for q in range(d.n_states)]]
-    width = 1
-    for _ in range(depth):
-        prev = rows[-1]
-        cur = []
-        for q in range(d.n_states):
-            word_mask = 0
-            for ai in range(m):
-                word_mask |= prev[d.delta[q][ai]] << (ai * width)
-            cur.append(word_mask)
-        rows.append(cur)
-        width *= m
-    return rows
-
-
-def _moore_word_values(d: MooreAut, depth: int) -> List[List[tuple]]:
-    m = len(d.alphabet)
-    rows = [[(d.outputs[q],) for q in range(d.n_states)]]
-    for _ in range(depth):
-        prev = rows[-1]
-        rows.append(
-            [
-                tuple(
-                    v for ai in range(m) for v in prev[d.delta[q][ai]]
-                )
-                for q in range(d.n_states)
-            ]
-        )
-    return rows
-
-
-def _wa_word_values(w: WeightedAut, depth: int) -> List[List[tuple]]:
-    sr = w.semiring
-    m = len(w.alphabet)
-    rows = [[(w.out[x],) for x in range(w.n_states)]]
-    width = 1
-    for _ in range(depth):
-        prev = rows[-1]
-        cur = []
-        for x in range(w.n_states):
-            parts = []
-            for ai in range(m):
-                items = w.trans[x][ai].items()
-                parts.extend(
-                    sr.sum(sr.mul(c, prev[y][j]) for y, c in items)
-                    for j in range(width)
-                )
-            cur.append(tuple(parts))
-        rows.append(cur)
-        width *= m
-    return rows
+_SOURCE_KINDS = {
+    "subset-disj": (NFA, "an NFA"),
+    "subset-conj": (NFA, "an NFA"),
+    "canonical": (NFA, "an NFA"),
+    "alt": (AlternatingAut, "an alternating"),
+    "weighted": (WeightedAut, "a weighted"),
+}
 
 
 def check_correctness(
@@ -891,6 +792,13 @@ def check_correctness(
     """Compare, for every source state and every word up to the given depth,
     the source trace value against the determinized machine's value at the
     embedded state. Equality is exact (Boolean or carrier values).
+
+    Source and machine are both read through their one-step recurrences in
+    `semantics`. The pair (source values, machine values) of a word a.w
+    depends only on a and the pair of w, so a breadth-first sweep over the
+    distinct pairs of the words up to the depth checks every word, and a
+    pair seen before is not stepped again. Word-by-word layers are built
+    only to report failures, in state, length and word order.
     """
     if isinstance(det, BudgetExceeded):
         raise ValueError("a budget-exceeded outcome carries no machine to check")
@@ -899,66 +807,51 @@ def check_correctness(
     if tuple(machine.alphabet) != tuple(source.alphabet):
         raise ValueError("determinized machine alphabet differs from source")
     require_valid(source)
-    boolean = True
-    if method == "subset-disj":
-        if not isinstance(source, NFA):
-            raise TypeError("subset-disj results check against an NFA source")
-        src_rows = _nfa_word_masks(source, depth, "disj")
-        mach_rows = _moore_word_masks(machine, depth)
-    elif method == "subset-conj":
-        if not isinstance(source, NFA):
-            raise TypeError("subset-conj results check against an NFA source")
-        src_rows = _nfa_word_masks(source, depth, "conj")
-        mach_rows = _moore_word_masks(machine, depth)
-    elif method == "canonical":
-        if not isinstance(source, NFA):
-            raise TypeError("canonical results check against an NFA source")
-        src_rows = _nfa_word_masks(source, depth, "disj")
-        mach_rows = _moore_word_masks(machine, depth)
-    elif method == "alt":
-        if not isinstance(source, AlternatingAut):
-            raise TypeError("alt results check against an alternating source")
-        src_rows = _alt_word_masks(source, depth)
-        mach_rows = _nfa_word_masks(machine, depth, "disj")
-    elif method == "weighted":
-        if not isinstance(source, WeightedAut):
-            raise TypeError("weighted results check against a weighted source")
-        if machine.semiring.name != source.semiring.name:
-            raise ValueError("carrier mismatch between source and machine")
-        boolean = False
-        src_rows = _wa_word_values(source, depth)
-        mach_rows = _moore_word_values(machine, depth)
-    else:
+    if method not in _SOURCE_KINDS:
         raise ValueError(f"unknown determinization method {det.method!r}")
+    kind, article = _SOURCE_KINDS[method]
+    if not isinstance(source, kind):
+        raise TypeError(f"{method} results check against {article} source")
+    if method == "weighted" and machine.semiring.name != source.semiring.name:
+        raise ValueError("carrier mismatch between source and machine")
 
-    m = len(source.alphabet)
+    alphabet = source.alphabet
+    letters = range(len(alphabet))
+    src_base, src_step = _recurrence(source, "conj" if method == "subset-conj" else "disj")
+    mach_base, mach_step = _recurrence(machine)
+    readers = [
+        (_reader(src_base, x), _reader(mach_base, det.embed[x]))
+        for x in range(source.n_states)
+    ]
+    name = f"correctness:{method}"
+    count = source.n_states * sum(len(alphabet) ** k for k in range(depth + 1))
+
+    seen = {(src_base, mach_base)}
+    frontier = set(seen)
+    for _ in range(depth):
+        frontier = {(src_step(ai, s), mach_step(ai, t)) for s, t in frontier for ai in letters}
+        frontier -= seen
+        seen |= frontier
+    if all(src(s) == mach(t) for s, t in seen for src, mach in readers):
+        return LawReport(name, count, [])
+
+    render = str if method == "weighted" else _tt
+    src_layers = _layers(alphabet, src_base, src_step, depth)
+    mach_layers = _layers(alphabet, mach_base, mach_step, depth)
     failures: List[LawFailure] = []
-    count = 0
-
-    def record(x: int, k: int, i: int, lhs, rhs) -> None:
-        word = format_word(word_at(source.alphabet, k, i))
-        failures.append(
-            LawFailure(
-                f"state {source.names[x]}, word {word}",
-                f"source trace: {lhs}",
-                f"determinized trace: {rhs}",
-            )
-        )
-
-    for x in range(source.n_states):
-        q = det.embed[x]
+    for x, (src, mach) in enumerate(readers):
         for k in range(depth + 1):
-            count += m ** k
-            a, b = src_rows[k][x], mach_rows[k][q]
-            if a == b:
-                continue
-            if boolean:
-                for i in _iter_bits(a ^ b):
-                    if len(failures) >= max_failures:
-                        break
-                    record(x, k, i, _tt(a >> i & 1), _tt(b >> i & 1))
-            else:
-                for i, (va, vb) in enumerate(zip(a, b)):
-                    if va != vb and len(failures) < max_failures:
-                        record(x, k, i, va, vb)
-    return LawReport(f"correctness:{method}", count, failures)
+            for i, (s, t) in enumerate(zip(src_layers[k], mach_layers[k])):
+                lhs, rhs = src(s), mach(t)
+                if lhs == rhs:
+                    continue
+                if len(failures) >= max_failures:
+                    return LawReport(name, count, failures)
+                failures.append(
+                    LawFailure(
+                        f"state {source.names[x]}, word {format_word(word_at(alphabet, k, i))}",
+                        f"source trace: {render(lhs)}",
+                        f"determinized trace: {render(rhs)}",
+                    )
+                )
+    return LawReport(name, count, failures)

@@ -9,9 +9,8 @@ rather than searched for pairwise.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .automata import (
     NFA,
@@ -22,6 +21,7 @@ from .automata import (
     require_valid,
     reverse_nfa,
 )
+from .determinize import _explore, _subset_machine
 
 Word = Tuple[str, ...]
 
@@ -39,66 +39,20 @@ class ObservableDFA:
     certificates: Dict[Tuple[int, int], Word]
 
 
-def _subset_dfa(n: NFA, seed: Iterable[int]) -> Tuple[MooreAut, int, List[int]]:
-    """Reachable subset construction from a single seed set.
+def _first_words(alphabet: Iterable[str], seed, successors: Callable) -> Dict:
+    """Every state reachable from seed, in breadth-first discovery order,
+    with the word that first discovered it: its lexicographically least
+    shortest word. successors(s) lists s's successor per letter."""
+    words = {seed: ()}
 
-    Accepts on overlap with n's accepting states. Returns the machine, the
-    id of the seed state, and the subset (as a bitmask) behind each state id.
-    """
-    masks = n.succ_masks()
-    acc = n.accepting_mask()
-    ids: Dict[int, int] = {}
-    order: List[int] = []
-    work: deque = deque()
-
-    def intern(mask: int) -> int:
-        sid = ids.get(mask)
-        if sid is None:
-            sid = len(order)
-            ids[mask] = sid
-            order.append(mask)
-            work.append(mask)
-        return sid
-
-    seed_mask = 0
-    for x in seed:
-        seed_mask |= 1 << x
-    init = intern(seed_mask)
-    delta: List[Tuple[int, ...]] = []
-    while work:
-        s = work.popleft()
-        row = []
-        for ai in range(len(n.alphabet)):
-            t = 0
-            for x in _iter_bits(s):
-                t |= masks[x][ai]
-            row.append(intern(t))
-        delta.append(tuple(row))
-    outputs = [bool(s & acc) for s in order]
-    names = tuple(f"s{i}" for i in range(len(order)))
-    return MooreAut(n.alphabet, outputs, delta, names=names), init, order
-
-
-def _shortest_words(d: MooreAut, initial: int) -> List[Word]:
-    """Lexicographically least shortest word from `initial` to every state.
-
-    Every state must be reachable; the subset constructions above guarantee
-    that for their own output.
-    """
-    words: List[Optional[Word]] = [None] * d.n_states
-    words[initial] = ()
-    queue = deque([initial])
-    while queue:
-        s = queue.popleft()
-        for ai, label in enumerate(d.alphabet):
-            t = d.delta[s][ai]
-            if words[t] is None:
+    def step(s, intern) -> None:
+        for label, t in zip(alphabet, successors(s)):
+            if t not in words:
                 words[t] = words[s] + (label,)
-                queue.append(t)
-    missing = [i for i, w in enumerate(words) if w is None]
-    if missing:
-        raise ValueError(f"states {missing} unreachable from {initial}")
-    return words  # type: ignore[return-value]
+                intern(t)
+
+    _explore([seed], step)
+    return words
 
 
 def brzozowski_observable(n: NFA, initial: Iterable[int]) -> ObservableDFA:
@@ -115,16 +69,16 @@ def brzozowski_observable(n: NFA, initial: Iterable[int]) -> ObservableDFA:
     for x in init:
         check_state(n, x)
     rev, rev_start = reverse_nfa(n, init)
-    d1, d1_init, _ = _subset_dfa(rev, sorted(rev_start))
-    reach = _shortest_words(d1, d1_init)
+    (d1_init,), _, d1 = _subset_machine(rev, [sum(1 << x for x in rev_start)])
+    reach = _first_words(d1.alphabet, d1_init, d1.delta.__getitem__)
 
     back = set()
     for s in range(d1.n_states):
         for ai, label in enumerate(d1.alphabet):
             back.add((d1.delta[s][ai], label, s))
     rev2 = NFA(d1.n_states, d1.alphabet, back, accepting=(d1_init,))
-    seed2 = [s for s in range(d1.n_states) if d1.outputs[s]]
-    d2, d2_init, meanings = _subset_dfa(rev2, seed2)
+    seed2 = sum(1 << s for s in range(d1.n_states) if d1.outputs[s])
+    (d2_init,), meanings, d2 = _subset_machine(rev2, [seed2])
 
     certificates: Dict[Tuple[int, int], Word] = {}
     for p in range(d2.n_states):
@@ -143,21 +97,8 @@ def brzozowski_observable(n: NFA, initial: Iterable[int]) -> ObservableDFA:
 
 def _restrict_reachable(d: MooreAut, initial: int) -> Tuple[MooreAut, int, Dict[int, int]]:
     """Drop states unreachable from `initial`, renumbering in visit order."""
-    old_order: List[int] = [initial]
-    seen = {initial}
-    queue = deque([initial])
-    while queue:
-        s = queue.popleft()
-        for t in d.delta[s]:
-            if t not in seen:
-                seen.add(t)
-                old_order.append(t)
-                queue.append(t)
+    _, old_order, delta = _explore([initial], lambda s, intern: tuple(map(intern, d.delta[s])))
     remap = {old: new for new, old in enumerate(old_order)}
-    delta = tuple(
-        tuple(remap[d.delta[old][ai]] for ai in range(len(d.alphabet)))
-        for old in old_order
-    )
     outputs = [d.outputs[old] for old in old_order]
     names = tuple(d.names[old] for old in old_order)
     machine = MooreAut(d.alphabet, outputs, delta, semiring=d.semiring, names=names)
@@ -240,27 +181,16 @@ def dfa_equiv(
         raise ValidationError(
             f"output carriers differ: {d1.semiring.name} vs {d2.semiring.name}"
         )
-    start = (i1, i2)
-    parent: Dict[Tuple[int, int], Optional[Tuple[Tuple[int, int], str]]] = {start: None}
-    queue = deque([start])
+    differ = []
 
-    def word_to(pair: Tuple[int, int]) -> Word:
-        out: List[str] = []
-        cur = parent[pair]
-        while cur is not None:
-            prev, label = cur
-            out.append(label)
-            cur = parent[prev]
-        return tuple(reversed(out))
-
-    while queue:
-        pair = queue.popleft()
+    def successors(pair):
+        # the walk stops expanding at the first pair whose outputs differ
         p, q = pair
-        if d1.outputs[p] != d2.outputs[q]:
-            return False, word_to(pair)
-        for ai, label in enumerate(d1.alphabet):
-            nxt = (d1.delta[p][ai], d2.delta[q][ai])
-            if nxt not in parent:
-                parent[nxt] = (pair, label)
-                queue.append(nxt)
+        if not differ and d1.outputs[p] != d2.outputs[q]:
+            differ.append(pair)
+        return () if differ else zip(d1.delta[p], d2.delta[q])
+
+    words = _first_words(d1.alphabet, (i1, i2), successors)
+    if differ:
+        return False, words[differ[0]]
     return True, None

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
 from .automata import (
@@ -23,12 +24,12 @@ from .automata import (
     Tree,
     WeightedAut,
     WeightedTreeAut,
+    _fold,
     all_trees,
     check_state,
     require_valid,
-    tree_violations,
 )
-from .weights import BOOL, PartialProb, Semiring, WeightVec
+from .weights import RAT, PartialProb, Semiring, WeightVec
 
 Word = Tuple[str, ...]
 
@@ -90,64 +91,155 @@ def format_word(word: Sequence[str]) -> str:
     return "·".join(word)
 
 
-def _mask_table(aut, layers: List[List[int]], x: int, depth: int) -> LanguageTable:
-    entries: Dict[Word, bool] = {}
-    alphabet = aut.alphabet
-    for k, layer in enumerate(layers):
-        for i, mask in enumerate(layer):
-            entries[word_at(alphabet, k, i)] = bool(mask >> x & 1)
-    return LanguageTable(depth, entries)
+def _layers(alphabet: Sequence[str], base, step: Callable, depth: int) -> List[list]:
+    """Unfold a one-step recurrence by word length.
 
-
-def _value_table(aut, layers: List[List[tuple]], x: int, depth: int) -> LanguageTable:
-    entries: Dict[Word, Any] = {}
-    alphabet = aut.alphabet
-    for k, layer in enumerate(layers):
-        for i, values in enumerate(layer):
-            entries[word_at(alphabet, k, i)] = values[x]
-    return LanguageTable(depth, entries)
-
-
-def _extend_layers(alphabet, layers, memos, step):
-    """Append one layer: new word a.w sits at index (a * len(prev) + index of w)."""
-    prev = layers[-1]
-    cur = []
-    for ai in range(len(alphabet)):
-        memo = memos[ai]
-        for pm in prev:
-            nm = memo.get(pm)
-            if nm is None:
-                nm = step(ai, pm)
-                memo[pm] = nm
-            cur.append(nm)
-    layers.append(cur)
-
-
-def nfa_layers(n: NFA, depth: int) -> List[List[int]]:
-    """Acceptance bitmasks per word: bit x is set iff x accepts the word."""
-    require_valid(n)
-    masks = n.succ_masks()
-    nst = n.n_states
-    layers = [[n.accepting_mask()]]
-    memos: List[dict] = [{} for _ in n.alphabet]
-
-    def step(ai: int, pm: int) -> int:
-        nm = 0
-        for x in range(nst):
-            if masks[x][ai] & pm:
-                nm |= 1 << x
-        return nm
-
+    layers[k][i] is the value, for all states at once, of the length-k word
+    with index i; layers[0] is [base]. The word a.w sits at index
+    (a * len(layers[k - 1]) + index of w), and its value is step(a, value of
+    w). Many words share a value, so step results are memoized per letter.
+    """
+    layers = [[base]]
+    memos: List[dict] = [{} for _ in alphabet]
     for _ in range(depth):
-        _extend_layers(n.alphabet, layers, memos, step)
+        cur = []
+        for ai, memo in enumerate(memos):
+            for v in layers[-1]:
+                nv = memo.get(v)
+                if nv is None:
+                    nv = memo[v] = step(ai, v)
+                cur.append(nv)
+        layers.append(cur)
     return layers
+
+
+def _mask_step(masks: Sequence[Sequence[int]], conj: bool = False) -> Callable[[int, int], int]:
+    """Boolean successor-mask step over bitmasks of states.
+
+    masks[x][ai] is x's a-successor set. Bit x of step(ai, p) is set iff some
+    a-successor of x is in p, or, when conj, every one is (vacuously so for
+    none): the conjunctive step is the disjunctive one on complements.
+    """
+    full = (1 << len(masks)) - 1
+
+    def some(ai: int, p: int) -> int:
+        q = 0
+        for x, row in enumerate(masks):
+            if row[ai] & p:
+                q |= 1 << x
+        return q
+
+    if conj:
+        return lambda ai, p: full ^ some(ai, full ^ p)
+    return some
+
+
+def _alt_step(fams: Sequence[Sequence[Sequence[int]]]) -> Callable[[int, int], int]:
+    """Bit x of step(ai, p) is set iff some a-branch set of x (a bitmask in
+    fams[x][ai]) lies inside p."""
+
+    def step(ai: int, p: int) -> int:
+        miss = ~p
+        q = 0
+        for x, row in enumerate(fams):
+            for inner in row[ai]:
+                if not inner & miss:
+                    q |= 1 << x
+                    break
+        return q
+
+    return step
+
+
+def _linear_step(rows: Sequence[Sequence[Sequence[Tuple[int, Any]]]], sr: Semiring) -> Callable:
+    """Entry x of step(ai, v) is the sum over the (y, weight) pairs of
+    rows[x][ai] of weight * v[y], in the semiring sr."""
+    add, mul, zero = sr.add, sr.mul, sr.zero
+
+    def step(ai: int, v: tuple) -> tuple:
+        out = []
+        for row in rows:
+            acc = zero
+            for y, wt in row[ai]:
+                acc = add(acc, mul(wt, v[y]))
+            out.append(acc)
+        return tuple(out)
+
+    return step
+
+
+def _recurrence(aut, mode: str = "disj") -> Tuple[Any, Callable]:
+    """The empty-word values and the one-step function of a word automaton.
+
+    Values are bitmasks over states for the Boolean kinds (NFA in `mode`,
+    LTS as an NFA whose every state accepts, alternating) and tuples over
+    states for the carrier kinds (weighted, GPS over RAT, and Moore as a
+    weighted automaton whose a-row is weight one on the a-successor).
+    """
+    if isinstance(aut, NFA):
+        if mode not in ("disj", "conj"):
+            raise ValueError(f"mode must be 'disj' or 'conj', got {mode!r}")
+        return aut.accepting_mask(), _mask_step(aut.succ_masks(), mode == "conj")
+    if isinstance(aut, LTS):
+        masks = [[sum(1 << y for y in succ) for succ in row] for row in aut.trans]
+        return (1 << aut.n_states) - 1, _mask_step(masks)
+    if isinstance(aut, AlternatingAut):
+        fams = [
+            [tuple(sum(1 << y for y in inner) for inner in fam) for fam in row]
+            for row in aut.trans
+        ]
+        return sum(1 << x for x in range(aut.n_states) if aut.outputs[x]), _alt_step(fams)
+    if isinstance(aut, WeightedAut):
+        rows = [[vec.items() for vec in row] for row in aut.trans]
+        return tuple(aut.out), _linear_step(rows, aut.semiring)
+    if isinstance(aut, GPS):
+        aidx = {a: i for i, a in enumerate(aut.alphabet)}
+        moves: List[List[List[Tuple[int, Fraction]]]] = [
+            [[] for _ in aut.alphabet] for _ in aut.dist
+        ]
+        for x, d in enumerate(aut.dist):
+            for k, p in d.items():
+                if k is not TERM:
+                    moves[x][aidx[k[0]]].append((k[1], p))
+        return tuple(d.get(TERM, RAT.zero) for d in aut.dist), _linear_step(moves, RAT)
+    if isinstance(aut, MooreAut):
+        one = aut.semiring.one
+        rows = [[((t, one),) for t in row] for row in aut.delta]
+        return aut.outputs, _linear_step(rows, aut.semiring)
+    raise TypeError(f"not a word automaton: {aut!r}")
+
+
+def _reader(base, x: int) -> Callable[[Any], Any]:
+    """Read state x's entry off a layer value shaped like base."""
+    if isinstance(base, int):
+        return lambda mask: bool(mask >> x & 1)
+    return itemgetter(x)
+
+
+def _table(alphabet: Sequence[str], layers: List[list], read: Callable) -> Dict[Word, Any]:
+    """One entry per word up to the depth, by length and then index: read
+    applied to the word's value in the layers."""
+    entries: Dict[Word, Any] = {}
+    words: List[Word] = [()]
+    for k, layer in enumerate(layers):
+        if k:
+            words = [(a,) + w for a in alphabet for w in words]
+        entries.update(zip(words, map(read, layer)))
+    return entries
+
+
+def _trace(aut, x: int, depth: int, mode: str = "disj") -> Dict[Word, Any]:
+    """x's value on every word up to the depth, from aut's recurrence."""
+    check_state(aut, x)
+    require_valid(aut)
+    base, step = _recurrence(aut, mode)
+    return _table(aut.alphabet, _layers(aut.alphabet, base, step, depth), _reader(base, x))
 
 
 def nfa_trace(n: NFA, x: int, depth: int) -> LanguageTable:
     """Language of x up to the depth: the empty word iff x accepts, and a.w
     iff some a-successor of x accepts w."""
-    check_state(n, x)
-    return _mask_table(n, nfa_layers(n, depth), x, depth)
+    return LanguageTable(depth, _trace(n, x, depth))
 
 
 def length_semantics(n: NFA, x: int, depth: int) -> Dict[int, bool]:
@@ -168,173 +260,39 @@ def length_semantics(n: NFA, x: int, depth: int) -> Dict[int, bool]:
     return out
 
 
-def bt_layers(n: NFA, depth: int, mode: str) -> List[List[int]]:
-    """Layers for the successor-function view of an NFA.
+def bt_nfa_trace(n: NFA, x: int, depth: int, mode: str = "disj") -> LanguageTable:
+    """Trace table for the successor-function view, in either branching mode.
 
     Disjunctive mode asks for some successor to accept the rest of the word;
     conjunctive mode asks for all successors to accept it, which is vacuously
-    true when the successor set is empty. This walks explicit successor sets,
-    deliberately not sharing the bitmask stepping of `nfa_layers`, so the two
-    can serve as cross-checks.
+    true when the successor set is empty.
     """
-    require_valid(n)
-    if mode not in ("disj", "conj"):
-        raise ValueError(f"mode must be 'disj' or 'conj', got {mode!r}")
-    succ = n.succ_sets()
-    nst = n.n_states
-    conj = mode == "conj"
-    layers = [[n.accepting_mask()]]
-    memos: List[dict] = [{} for _ in n.alphabet]
-
-    def step(ai: int, pm: int) -> int:
-        holds = {y for y in range(nst) if pm >> y & 1}
-        nm = 0
-        for x in range(nst):
-            ys = succ[x][ai]
-            ok = ys <= holds if conj else any(y in holds for y in ys)
-            if ok:
-                nm |= 1 << x
-        return nm
-
-    for _ in range(depth):
-        _extend_layers(n.alphabet, layers, memos, step)
-    return layers
-
-
-def bt_nfa_trace(n: NFA, x: int, depth: int, mode: str = "disj") -> LanguageTable:
-    """Trace table for the successor-function view, in either branching mode."""
-    check_state(n, x)
-    return _mask_table(n, bt_layers(n, depth, mode), x, depth)
-
-
-def lts_layers(l: LTS, depth: int) -> List[List[int]]:
-    require_valid(l)
-    nst = l.n_states
-    masks = [
-        [sum(1 << y for y in succ) for succ in row]
-        for row in l.trans
-    ]
-    layers = [[(1 << nst) - 1 if nst else 0]]
-    memos: List[dict] = [{} for _ in l.alphabet]
-
-    def step(ai: int, pm: int) -> int:
-        nm = 0
-        for x in range(nst):
-            if masks[x][ai] & pm:
-                nm |= 1 << x
-        return nm
-
-    for _ in range(depth):
-        _extend_layers(l.alphabet, layers, memos, step)
-    return layers
+    return LanguageTable(depth, _trace(n, x, depth, mode))
 
 
 def lts_traces(l: LTS, x: int, depth: int) -> LanguageTable:
     """Finite traces: the empty word always holds, a.w holds iff some
     a-successor can do w."""
-    check_state(l, x)
-    return _mask_table(l, lts_layers(l, depth), x, depth)
-
-
-def alt_layers(a: AlternatingAut, depth: int) -> List[List[int]]:
-    require_valid(a)
-    nst = a.n_states
-    fams = [
-        [tuple(sum(1 << y for y in inner) for inner in fam) for fam in row]
-        for row in a.trans
-    ]
-    base = sum(1 << x for x in range(nst) if a.outputs[x])
-    layers = [[base]]
-    memos: List[dict] = [{} for _ in a.alphabet]
-
-    def step(ai: int, pm: int) -> int:
-        nm = 0
-        for x in range(nst):
-            for inner in fams[x][ai]:
-                if inner & ~pm == 0:
-                    nm |= 1 << x
-                    break
-        return nm
-
-    for _ in range(depth):
-        _extend_layers(a.alphabet, layers, memos, step)
-    return layers
+    return LanguageTable(depth, _trace(l, x, depth))
 
 
 def alt_trace(a: AlternatingAut, x: int, depth: int) -> LanguageTable:
     """a.w holds iff some branch set for a has all members accepting w."""
-    check_state(a, x)
-    return _mask_table(a, alt_layers(a, depth), x, depth)
-
-
-def wa_layers(w: WeightedAut, depth: int) -> List[List[tuple]]:
-    """Per word, the tuple of carrier values of all states."""
-    require_valid(w)
-    sr = w.semiring
-    add, mul, zero = sr.add, sr.mul, sr.zero
-    rows = [[vec.items() for vec in row] for row in w.trans]
-    nst = w.n_states
-    layers = [[tuple(w.out)]]
-    memos: List[dict] = [{} for _ in w.alphabet]
-
-    def step(ai: int, pv: tuple) -> tuple:
-        cur = []
-        for x in range(nst):
-            acc = zero
-            for y, wt in rows[x][ai]:
-                acc = add(acc, mul(wt, pv[y]))
-            cur.append(acc)
-        return tuple(cur)
-
-    for _ in range(depth):
-        _extend_layers(w.alphabet, layers, memos, step)
-    return layers
+    return LanguageTable(depth, _trace(a, x, depth))
 
 
 def wa_trace(w: WeightedAut, x: int, depth: int) -> LanguageTable:
     """Weighted language: out(x) on the empty word, and on a.w the sum over
     successors y of the transition weight times the value of w at y."""
-    check_state(w, x)
-    return _value_table(w, wa_layers(w, depth), x, depth)
-
-
-def gps_layers(g: GPS, depth: int) -> List[List[tuple]]:
-    require_valid(g)
-    aidx = {a: i for i, a in enumerate(g.alphabet)}
-    nst = g.n_states
-    moves: List[List[List[Tuple[int, Fraction]]]] = [
-        [[] for _ in g.alphabet] for _ in range(nst)
-    ]
-    for x, d in enumerate(g.dist):
-        for k, p in d.items():
-            if k is not TERM:
-                a, y = k
-                moves[x][aidx[a]].append((y, p))
-    zero = Fraction(0)
-    base = tuple(d.get(TERM, zero) for d in g.dist)
-    layers = [[base]]
-    memos: List[dict] = [{} for _ in g.alphabet]
-
-    def step(ai: int, pv: tuple) -> tuple:
-        return tuple(
-            sum((p * pv[y] for y, p in moves[x][ai]), zero) for x in range(nst)
-        )
-
-    for _ in range(depth):
-        _extend_layers(g.alphabet, layers, memos, step)
-    return layers
+    return LanguageTable(depth, _trace(w, x, depth))
 
 
 def gps_trace(g: GPS, x: int, depth: int) -> TraceDist:
     """Probability of each complete trace: termination mass on the empty word,
     and on a.w the sum over (a, y) moves of their probability times y's value
     at w. Entries of pairwise distinct words never sum above 1."""
-    check_state(g, x)
-    entries: Dict[Word, PartialProb] = {}
-    for k, layer in enumerate(gps_layers(g, depth)):
-        for i, values in enumerate(layer):
-            entries[word_at(g.alphabet, k, i)] = PartialProb(values[x])
-    return TraceDist(depth, entries)
+    entries = _trace(g, x, depth)
+    return TraceDist(depth, {w: PartialProb(p) for w, p in entries.items()})
 
 
 def moore_trace(m: MooreAut, x: int, depth: int) -> LanguageTable:
@@ -342,20 +300,11 @@ def moore_trace(m: MooreAut, x: int, depth: int) -> LanguageTable:
     output of the state reached by reading w."""
     require_valid(m)
     check_state(m, x)
-    entries: Dict[Word, Any] = {(): m.outputs[x]}
-    frontier = [x]
-    words: List[Word] = [()]
+    # layers[k][i]: the state that the length-k word of index i leads x to
+    layers = [[x]]
     for _ in range(depth):
-        nxt: List[int] = []
-        nwords: List[Word] = []
-        for s, wd in zip(frontier, words):
-            for ai, a in enumerate(m.alphabet):
-                t = m.delta[s][ai]
-                nxt.append(t)
-                nwords.append(wd + (a,))
-                entries[nwords[-1]] = m.outputs[t]
-        frontier, words = nxt, nwords
-    return LanguageTable(depth, entries)
+        layers.append([t for s in layers[-1] for t in m.delta[s]])
+    return LanguageTable(depth, _table(m.alphabet, layers, m.outputs.__getitem__))
 
 
 def wta_trace(w: WeightedTreeAut, x: int, depth: int) -> TreeLanguageTable:
@@ -422,4 +371,5 @@ def bottom_up_algebra(w: WeightedTreeAut) -> Callable[[str, Sequence[WeightVec]]
 
 
 def fold_tree(evaluator: Callable[[str, Sequence[WeightVec]], WeightVec], t: Tree) -> WeightVec:
-    return evaluator(t.op, [fold_tree(evaluator, c) for c in t.children])
+    """Evaluate t bottom-up through the evaluator, without recursion."""
+    return _fold(t, evaluator)

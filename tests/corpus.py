@@ -17,6 +17,7 @@ from tracekit import (
     AlternatingAut,
     BOOL,
     MooreAut,
+    NAT,
     WeightedAut,
     WeightedTreeAut,
 )
@@ -54,6 +55,21 @@ def rand_weighted_rat(rng: random.Random, max_states: int = 5) -> WeightedAut:
                 trans[(x, a)] = row
     out = [rng.choice(RAT_POOL) if rng.random() < 0.7 else Fraction(0) for _ in range(n)]
     return WeightedAut(n, alphabet, RAT, out, trans)
+
+
+def rand_weighted_nat(rng: random.Random, max_states: int = 4) -> WeightedAut:
+    """Natural-weighted automaton with cycles allowed: traces only, no
+    determinization."""
+    n = rng.randint(1, max_states)
+    alphabet = LETTERS[: rng.randint(1, 2)]
+    trans = {}
+    for x in range(n):
+        for a in alphabet:
+            row = {y: rng.randint(1, 3) for y in range(n) if rng.random() < 0.4}
+            if row:
+                trans[(x, a)] = row
+    out = [rng.randint(0, 2) for _ in range(n)]
+    return WeightedAut(n, alphabet, NAT, out, trans)
 
 
 def rand_alternating(rng: random.Random, max_states: int = 4) -> AlternatingAut:

@@ -58,6 +58,13 @@ def wa_value(w: WeightedAut, x: int, word):
     return total
 
 
+def moore_value(m, x: int, word):
+    """Follow delta one letter at a time and read the output where it ends."""
+    for label in word:
+        x = m.delta[x][m.alphabet.index(label)]
+    return m.outputs[x]
+
+
 def gps_mass(g: GPS, x: int, word) -> Fraction:
     if not word:
         return g.dist[x].get(TERM, Fraction(0))

@@ -89,6 +89,36 @@ def test_tree_shape_and_formatting():
     assert tree_height(Tree("c")) == 0
 
 
+DEEP = 3000
+
+
+def _chain(height: int, leaf: str = "c") -> Tree:
+    t = Tree(leaf)
+    for _ in range(height):
+        t = Tree("u", (t,))
+    return t
+
+
+def test_deep_tree_hash():
+    t = _chain(DEEP)
+    assert hash(t) == hash(_chain(DEEP))
+    assert t in {_chain(DEEP): 1}
+
+
+def test_deep_tree_repr():
+    t = _chain(DEEP)
+    assert repr(t) == format_tree(t) == "u(" * DEEP + "c" + ")" * DEEP
+    assert format_tree(Tree("b", (Tree("c"), _chain(2, "d")))) == "b(c,u(u(d)))"
+
+
+def test_deep_tree_equality():
+    t, twin = _chain(DEEP), _chain(DEEP)
+    assert t is not twin and t == twin
+    assert t != _chain(DEEP, "d")
+    assert t != _chain(DEEP - 1)
+    assert Tree("b", (Tree("c"), Tree("d"))) != Tree("b", (Tree("d"), Tree("c")))
+
+
 def test_all_trees_counts():
     assert len(all_trees((("c", 0), ("u", 1)), 3)) == 4
     trees = all_trees((("c", 0), ("d", 0), ("b", 2)), 2)

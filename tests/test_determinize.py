@@ -178,6 +178,12 @@ def test_chi_edge_cases():
     assert chi_wrong(frozenset({frozenset()})) == frozenset()
 
 
+def test_chi_wrong_on_mixed_element_types():
+    assert chi_wrong([[1, "a"], [2]]) == frozenset(
+        {frozenset({1, 2}), frozenset({"a", 2})}
+    )
+
+
 MIXED_ELEMENTS = st.sampled_from([0, 1, 2, 3, "a", "b", "c"])
 
 

@@ -1,6 +1,7 @@
 """Law reports: naturality, actions, monad morphisms, diagrams, correctness."""
 
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from tracekit import (
     MooreAut,
     PredicateAction,
     SemiringAction,
+    WeightedAut,
     alt_to_nfa,
     canonical_det_nfa,
     check_action_laws,
@@ -193,6 +195,89 @@ def test_correctness_catches_a_flipped_output():
     assert "state x" in first.instance and "word ε" in first.instance
     assert first.lhs == "source trace: ff"
     assert first.rhs == "determinized trace: tt"
+
+
+def _with_outputs(result, outputs):
+    machine = result.machine
+    changed = MooreAut(
+        machine.alphabet, outputs, machine.delta, semiring=machine.semiring, names=machine.names
+    )
+    return DetResult(changed, result.embed, result.state_meaning, result.method)
+
+
+def _failure_texts(report):
+    return [(f.instance, f.lhs, f.rhs) for f in report.failures]
+
+
+def test_correctness_report_for_a_flipped_subset_state():
+    n = NFA(2, ["a"], [(0, "a", 0), (0, "a", 1)], accepting=[1], names=["x", "y"])
+    result = det_subset(n)
+    both = {m: i for i, m in result.state_meaning.items()}[frozenset({0, 1})]
+    outputs = list(result.machine.outputs)
+    outputs[both] = False
+    report = check_correctness(n, _with_outputs(result, outputs), 3)
+    assert report.law_name == "correctness:subset-disj"
+    assert report.instances_checked == 2 * 4
+    assert _failure_texts(report) == [
+        (f"state x, word {w}", "source trace: tt", "determinized trace: ff")
+        for w in ("a", "aa", "aaa")
+    ]
+
+
+def test_correctness_report_for_a_changed_weighted_output():
+    w = WeightedAut(
+        2,
+        ["a", "b"],
+        RAT,
+        [Fraction(1), Fraction(1, 2)],
+        {(0, "a"): {1: Fraction(2)}, (0, "b"): {1: Fraction(1, 3)}},
+        names=["x", "y"],
+    )
+    result = det_weighted(w)
+    sink = next(i for i, v in result.state_meaning.items() if not v.support)
+    outputs = list(result.machine.outputs)
+    outputs[sink] = Fraction(1, 4)
+    broken = _with_outputs(result, outputs)
+    report = check_correctness(w, broken, 2)
+    assert report.law_name == "correctness:weighted"
+    assert report.instances_checked == 2 * 7
+    words = [("x", word) for word in ("aa", "ab", "ba", "bb")] + [
+        ("y", word) for word in ("a", "b", "aa", "ab", "ba", "bb")
+    ]
+    assert _failure_texts(report) == [
+        (f"state {x}, word {word}", "source trace: 0", "determinized trace: 1/4")
+        for x, word in words
+    ]
+    capped = check_correctness(w, broken, 2, max_failures=3)
+    assert capped.instances_checked == 2 * 7
+    assert _failure_texts(capped) == _failure_texts(report)[:3]
+
+
+def test_correctness_report_for_a_changed_alt_acceptance():
+    a = AlternatingAut(
+        3,
+        ["a", "b"],
+        [False, True, False],
+        {(0, "a"): [[1], [2]], (0, "b"): [[1, 2]], (1, "a"): [[1]]},
+        names=["x", "y", "z"],
+    )
+    result = alt_to_nfa(a)
+    m = result.machine
+    accepting = set(m.accepting) ^ {result.embed[1]}
+    broken = DetResult(
+        NFA(m.n_states, m.alphabet, m.transitions, accepting, names=m.names),
+        result.embed,
+        result.state_meaning,
+        result.method,
+    )
+    report = check_correctness(a, broken, 2)
+    assert report.law_name == "correctness:alt"
+    assert report.instances_checked == 3 * 7
+    words = [("x", "a"), ("x", "aa"), ("y", "ε"), ("y", "a"), ("y", "aa")]
+    assert _failure_texts(report) == [
+        (f"state {x}, word {w}", "source trace: tt", "determinized trace: ff")
+        for x, w in words
+    ]
 
 
 def test_correctness_weighted_and_alt():

@@ -14,6 +14,7 @@ from tracekit import (
     NAT,
     TERM,
     AlternatingAut,
+    BudgetExceeded,
     MooreAut,
     Tree,
     UnknownStateError,
@@ -23,6 +24,7 @@ from tracekit import (
     alt_trace,
     bottom_up_algebra,
     bt_nfa_trace,
+    det_weighted,
     fold_tree,
     format_word,
     gps_trace,
@@ -35,7 +37,14 @@ from tracekit import (
     wta_trace,
 )
 from tests import oracles
-from tests.corpus import nfa_as_bool_wa, rand_gps, rand_nfa
+from tests.corpus import (
+    nfa_as_bool_wa,
+    rand_gps,
+    rand_moore_bool,
+    rand_nfa,
+    rand_weighted_nat,
+    rand_weighted_rat,
+)
 
 CLASSIC = NFA(2, ["a"], [(0, "a", 0), (0, "a", 1)], accepting=[1], names=["x", "y"])
 
@@ -201,6 +210,72 @@ def test_gps_trace_matches_oracle_and_mass(seed):
         assert total <= 1
 
 
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40)
+def test_nfa_trace_matches_oracle(seed):
+    n = rand_nfa(random.Random(seed), max_states=4, max_letters=2)
+    for x in range(n.n_states):
+        for word, value in nfa_trace(n, x, 4).entries.items():
+            assert value == oracles.nfa_accepts(n, x, word)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40)
+def test_conjunctive_trace_matches_oracle(seed):
+    n = rand_nfa(random.Random(seed), max_states=4, max_letters=2)
+    for x in range(n.n_states):
+        for word, value in bt_nfa_trace(n, x, 4, "conj").entries.items():
+            assert value == oracles.nfa_conj_value(n, x, word)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40)
+def test_lts_traces_match_the_all_accepting_nfa(seed):
+    n = rand_nfa(random.Random(seed), max_states=4, max_letters=2)
+    lts = LTS(
+        n.n_states,
+        n.alphabet,
+        {
+            (x, n.alphabet[i]): succ
+            for x, row in enumerate(n.succ_sets())
+            for i, succ in enumerate(row)
+        },
+    )
+    everywhere = NFA(n.n_states, n.alphabet, n.transitions, range(n.n_states))
+    for x in range(n.n_states):
+        for word, value in lts_traces(lts, x, 4).entries.items():
+            assert value == oracles.nfa_accepts(everywhere, x, word)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(("bool", "nat", "rat")))
+@settings(max_examples=60)
+def test_wa_trace_matches_oracle(seed, carrier):
+    rng = random.Random(seed)
+    if carrier == "bool":
+        w = nfa_as_bool_wa(rand_nfa(rng, max_states=4, max_letters=2))
+    elif carrier == "nat":
+        w = rand_weighted_nat(rng)
+    else:
+        w = rand_weighted_rat(rng, max_states=4)
+    for x in range(w.n_states):
+        for word, value in wa_trace(w, x, 4).entries.items():
+            assert value == oracles.wa_value(w, x, word)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40)
+def test_moore_trace_matches_oracle(seed):
+    rng = random.Random(seed)
+    machines = [rand_moore_bool(rng)]
+    weighted = det_weighted(rand_weighted_rat(rng, max_states=4))
+    if not isinstance(weighted, BudgetExceeded):
+        machines.append(weighted.machine)
+    for m in machines:
+        for x in range(m.n_states):
+            for word, value in moore_trace(m, x, 4).entries.items():
+                assert value == oracles.moore_value(m, x, word)
+
+
 def test_wta_trace_single_term():
     w = WeightedTreeAut(
         1, [("b", 2), ("c", 0)], NAT, {(0, "c", ()): 3, (0, "b", (0, 0)): 2}, names=["x"]
@@ -224,6 +299,17 @@ def test_bottom_up_algebra_transpose():
     assert evaluator("c", [])(0) == 3
     folded = fold_tree(evaluator, Tree("b", (Tree("c"), Tree("c"))))
     assert folded(0) == 18
+
+
+def test_fold_tree_on_a_deep_tree():
+    w = WeightedTreeAut(
+        2, [("c", 0), ("u", 1)], NAT, {(0, "c", ()): 2, (1, "u", (0,)): 3, (0, "u", (1,)): 1}
+    )
+    t = Tree("c")
+    for _ in range(3000):
+        t = Tree("u", (t,))
+    folded = fold_tree(bottom_up_algebra(w), t)
+    assert (folded(0), folded(1)) == (3**1500 * 2, 0)
 
 
 def test_monotone_refinement():
