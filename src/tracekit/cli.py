@@ -593,7 +593,7 @@ def _json_value(value: Any) -> Any:
 def _resolve_cli_state(aut, spec: str) -> int:
     if spec in aut.names:
         return aut.names.index(spec)
-    if spec.isdigit():
+    if spec.isdecimal():
         x = int(spec)
         if 0 <= x < aut.n_states:
             return x

@@ -25,7 +25,7 @@ from itertools import combinations, product
 from operator import and_, or_
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .automata import NFA, AlternatingAut, WeightedAut, _iter_bits, require_valid
+from .automata import NFA, AlternatingAut, ValidationError, WeightedAut, _iter_bits, require_valid
 from .determinize import BudgetExceeded, DetResult, _hitting_bits, chi_good, chi_wrong
 from .semantics import _layers, _reader, _recurrence, format_word, word_at
 from .weights import Semiring, WeightVec, map_weights, monad_mul, unit
@@ -314,11 +314,9 @@ def _action_laws_bool(
         full = (1 << k) - 1
         nfam = 1 << (1 << k)
         fold_of = [action.fold(_iter_bits(fm), full) for fm in range(nfam)]
-        check_mult(k, (), ())
-        for fm in range(nfam):
-            check_mult(k, (fm,), (fold_of[fm],))
-        for fa, fb in combinations(range(nfam), 2):
-            check_mult(k, (fa, fb), (fold_of[fa], fold_of[fb]))
+        for r in range(3):
+            for fams in combinations(range(nfam), r):
+                check_mult(k, fams, [fold_of[fm] for fm in fams])
         rng = random.Random(seed)
         for _ in range(samples):
             fams = [rng.randrange(nfam) for _ in range(rng.randint(3, 6))]
@@ -379,29 +377,17 @@ def _action_laws_semiring(
             )
 
     if sr.name == "bool":
-        for k in range(min(max_phi, 1) + 1):
+        for k in range(min(max_phi, 2) + 1):
             preds = list(product(pool, repeat=k))
             vecs = [
                 WeightVec(sr, {p: True for p in chosen})
                 for r in range(len(preds) + 1)
                 for chosen in combinations(preds, r)
             ]
-            for r in range(len(vecs) + 1):
+            # every outer family up to 1 point; at 2 points, up to two members
+            for r in range(len(vecs) + 1 if k < 2 else 3):
                 for chosen in combinations(vecs, r):
                     check_mult(k, WeightVec(sr, {v: True for v in chosen}))
-        if max_phi >= 2:
-            k = 2
-            preds = list(product(pool, repeat=k))
-            vecs = [
-                WeightVec(sr, {p: True for p in chosen})
-                for r in range(len(preds) + 1)
-                for chosen in combinations(preds, r)
-            ]
-            check_mult(k, WeightVec(sr, {}))
-            for v in vecs:
-                check_mult(k, WeightVec(sr, {v: True}))
-            for va, vb in combinations(vecs, 2):
-                check_mult(k, WeightVec(sr, {va: True, vb: True}))
     rng = random.Random(seed)
     for _ in range(samples):
         k = rng.randint(0, max_phi)
@@ -481,7 +467,7 @@ _MUTATIONS = (None, "flip-output")
 
 def _fmt_lpred(mask: int, alphabet: Sequence[str], k: int) -> str:
     names = ["ε"]
-    for ai, label in enumerate(alphabet):
+    for label in alphabet:
         for p in range(k):
             names.append(f"({label},{p})")
     return "{" + ", ".join(names[i] for i in _iter_bits(mask)) + "}"
@@ -508,79 +494,9 @@ def check_logic_morphism_diagram(
         raise ValueError(f"unknown diagram {which!r}; expected one of {DIAGRAMS}")
     if mutate not in _MUTATIONS:
         raise ValueError(f"unknown mutation {mutate!r}")
-    if which in ("subset", "conj"):
-        return _diagram_powerset(which, max_phi, tuple(alphabet), samples, seed, mutate)
     if which == "weighted":
         return _diagram_weighted(max_phi, tuple(alphabet), mutate)
-    return _diagram_alt(max_phi, tuple(alphabet), samples, seed, mutate)
-
-
-def _diagram_powerset(
-    which: str,
-    max_phi: int,
-    alphabet: Tuple[str, ...],
-    samples: int,
-    seed: int,
-    mutate: Optional[str],
-) -> LawReport:
-    act = DIAMOND if which == "subset" else BOX
-    m = len(alphabet)
-    failures: List[LawFailure] = []
-    count = 0
-    rng = random.Random(seed)
-    for k in range(max_phi + 1):
-        nmask = 1 << k
-        full_pred = nmask - 1
-        n_l = 1 + m * k
-        full_l = (1 << n_l) - 1
-        base = [(o, ts) for o in (0, 1) for ts in product(range(nmask), repeat=m)]
-        ones = []
-        for o, ts in base:
-            lmask = o
-            for ai in range(m):
-                for p in range(k):
-                    if ts[ai] >> p & 1:
-                        lmask |= 1 << (1 + ai * k + p)
-            ones.append(lmask)
-
-        def fmt_elem(i: int) -> str:
-            o, ts = base[i]
-            parts = [f"out={_tt(o)}"] + [
-                f"{alphabet[ai]}->{_fmt_points(ts[ai])}" for ai in range(m)
-            ]
-            return "(" + ", ".join(parts) + ")"
-
-        def check_family(idxs: Sequence[int]) -> None:
-            nonlocal count
-            count += 1
-            top = act.fold((ones[i] for i in idxs), full_l)
-            out = act.fold((base[i][0] for i in idxs), 1)
-            if mutate == "flip-output":
-                out ^= 1
-            bottom = out
-            for ai in range(m):
-                folded = act.fold({base[i][1][ai] for i in idxs}, full_pred)
-                for p in range(k):
-                    if folded >> p & 1:
-                        bottom |= 1 << (1 + ai * k + p)
-            if top != bottom:
-                fam = "[" + "; ".join(fmt_elem(i) for i in idxs) + "]"
-                failures.append(
-                    LawFailure(
-                        f"|Phi|={k}, machine family {fam}",
-                        f"resolve of one-step predicates: {_fmt_lpred(top, alphabet, k)}",
-                        f"one-step of aggregate: {_fmt_lpred(bottom, alphabet, k)}",
-                    )
-                )
-
-        for r in range(min(3, len(base)) + 1):
-            for idxs in combinations(range(len(base)), r):
-                check_family(idxs)
-        if len(base) > 4:
-            for _ in range(samples):
-                r = rng.randint(4, min(8, len(base)))
-                check_family(tuple(rng.sample(range(len(base)), r)))
-    return LawReport(f"logic-morphism:{which}", count, failures)
+    return _diagram_branching(which, max_phi, tuple(alphabet), samples, seed, mutate)
 
 
 def _diagram_weighted(
@@ -592,14 +508,7 @@ def _diagram_weighted(
     for k in range(max_phi + 1):
         nmask = 1 << k
         points = 1 + m * nmask
-        rho = [1]
-        for ai in range(m):
-            for phi in range(nmask):
-                lmask = 0
-                for p in range(k):
-                    if phi >> p & 1:
-                        lmask |= 1 << (1 + ai * k + p)
-                rho.append(lmask)
+        rho = [1] + [phi << (1 + ai * k) for ai in range(m) for phi in range(nmask)]
         for psi in range(1 << points):
             count += 1
             top = 0
@@ -614,9 +523,7 @@ def _diagram_weighted(
                 for phi in range(nmask):
                     if psi >> (1 + ai * nmask + phi) & 1:
                         orphi |= phi
-                for p in range(k):
-                    if orphi >> p & 1:
-                        bottom |= 1 << (1 + ai * k + p)
+                bottom |= orphi << (1 + ai * k)
             if top != bottom:
                 names = ["*"] + [
                     f"({alphabet[ai]},{_fmt_points(phi)})"
@@ -650,71 +557,75 @@ def _joins_and_meets(ninner: int, full_pred: int) -> Tuple[List[int], List[int]]
     return join_of, meet_of
 
 
-def _diagram_alt(
+def _hitting_meet(members: Iterable[int], meet_of: Sequence[int]) -> int:
+    """The join, over the hitting sets of a family of predicate sets, of
+    each hitting set's meet (meet_of as from `_joins_and_meets`)."""
+    got = 0
+    for v in _iter_bits(_hitting_bits(members)):
+        got |= meet_of[v]
+    return got
+
+
+def _diagram_branching(
+    which: str,
     max_phi: int,
     alphabet: Tuple[str, ...],
     samples: int,
     seed: int,
     mutate: Optional[str],
 ) -> LawReport:
-    m = len(alphabet)
+    """The powerset-like squares. An element is an output bit plus one part
+    per letter: a predicate (subset, conj) or a set of predicates read as
+    its join (alt). The top path folds the elements' one-step predicates;
+    the bottom path folds the outputs and aggregates each letter's parts,
+    by the same fold, or, for alt, as the join of their hitting-set meets.
+    """
+    alt = which == "alt"
+    fold = (DIAMOND if which == "subset" else BOX).fold
+    # families: all of fewer than lo elements, then samples of lo..hi of them
+    lo, hi = (3, 4) if alt else (4, 8)
     failures: List[LawFailure] = []
     count = 0
     rng = random.Random(seed)
     for k in range(max_phi + 1):
-        nmask = 1 << k
-        ninner = 1 << nmask
         full_pred = (1 << k) - 1
-        n_l = 1 + m * k
-        full_l = (1 << n_l) - 1
-        join_of, meet_of = _joins_and_meets(ninner, full_pred)
-        base = [(o, ts) for o in (0, 1) for ts in product(range(ninner), repeat=m)]
-        ones = []
-        for o, ts in base:
-            lmask = o
-            for ai in range(m):
-                disj = join_of[ts[ai]]
-                for p in range(k):
-                    if disj >> p & 1:
-                        lmask |= 1 << (1 + ai * k + p)
-            ones.append(lmask)
-        hit_cache: Dict[Tuple[int, ...], int] = {}
+        shifts = [1 + ai * k for ai in range(len(alphabet))]
+        full_l = (1 << (1 + len(alphabet) * k)) - 1
+        if alt:
+            pred_of, meet_of = _joins_and_meets(1 << (1 << k), full_pred)
+            fmt_part = lambda t: _fmt_predset(_iter_bits(t))
+            memo: Dict[frozenset, int] = {}
 
-        def hitting_pred(famkey: Tuple[int, ...]) -> int:
-            got = hit_cache.get(famkey)
-            if got is None:
-                got = 0
-                for v in _iter_bits(_hitting_bits(famkey)):
-                    got |= meet_of[v]
-                hit_cache[famkey] = got
-            return got
+            def aggregate(parts: List[int]) -> int:
+                key = frozenset(parts)
+                got = memo.get(key)
+                if got is None:
+                    got = memo[key] = _hitting_meet(key, meet_of)
+                return got
+
+        else:
+            pred_of = range(1 << k)
+            fmt_part = _fmt_points
+            aggregate = lambda parts: fold(parts, full_pred)
+        base = [(o, ts) for o in (0, 1) for ts in product(range(len(pred_of)), repeat=len(alphabet))]
+        ones = [o | sum(pred_of[t] << s for t, s in zip(ts, shifts)) for o, ts in base]
 
         def fmt_elem(i: int) -> str:
             o, ts = base[i]
             parts = [f"out={_tt(o)}"] + [
-                f"{alphabet[ai]}->{_fmt_predset(_iter_bits(ts[ai]))}"
-                for ai in range(m)
+                f"{label}->{fmt_part(t)}" for label, t in zip(alphabet, ts)
             ]
             return "(" + ", ".join(parts) + ")"
 
         def check_family(idxs: Sequence[int]) -> None:
             nonlocal count
             count += 1
-            top = full_l
-            for i in idxs:
-                top &= ones[i]
-            out = 1
-            for i in idxs:
-                out &= base[i][0]
+            top = fold([ones[i] for i in idxs], full_l)
+            bottom = fold([base[i][0] for i in idxs], 1)
             if mutate == "flip-output":
-                out ^= 1
-            bottom = out
-            for ai in range(m):
-                famkey = tuple(sorted({base[i][1][ai] for i in idxs}))
-                folded = hitting_pred(famkey)
-                for p in range(k):
-                    if folded >> p & 1:
-                        bottom |= 1 << (1 + ai * k + p)
+                bottom ^= 1
+            for ai, s in enumerate(shifts):
+                bottom |= aggregate([base[i][1][ai] for i in idxs]) << s
             if top != bottom:
                 fam = "[" + "; ".join(fmt_elem(i) for i in idxs) + "]"
                 failures.append(
@@ -725,14 +636,14 @@ def _diagram_alt(
                     )
                 )
 
-        for r in range(min(2, len(base)) + 1):
+        for r in range(lo):
             for idxs in combinations(range(len(base)), r):
                 check_family(idxs)
-        if len(base) > 3:
+        if len(base) > lo:
             for _ in range(samples):
-                r = rng.randint(3, min(4, len(base)))
+                r = rng.randint(lo, min(hi, len(base)))
                 check_family(tuple(rng.sample(range(len(base)), r)))
-    return LawReport("logic-morphism:alt", count, failures)
+    return LawReport(f"logic-morphism:{which}", count, failures)
 
 
 def check_exchange(max_phi: int = 2) -> LawReport:
@@ -754,9 +665,7 @@ def check_exchange(max_phi: int = 2) -> LawReport:
             top = full_pred
             for im in inner_masks:
                 top &= join_of[im]
-            bottom = 0
-            for v in _iter_bits(_hitting_bits(inner_masks)):
-                bottom |= meet_of[v]
+            bottom = _hitting_meet(inner_masks, meet_of)
             if top != bottom:
                 rendered = (
                     "{"
@@ -798,7 +707,9 @@ def check_correctness(
     depends only on a and the pair of w, so a breadth-first sweep over the
     distinct pairs of the words up to the depth checks every word, and a
     pair seen before is not stepped again. Word-by-word layers are built
-    only to report failures, in state, length and word order.
+    only to report failures, in state, length and word order. An invalid
+    machine, or an embedding that misses a machine state, raises
+    ValidationError.
     """
     if isinstance(det, BudgetExceeded):
         raise ValueError("a budget-exceeded outcome carries no machine to check")
@@ -814,6 +725,11 @@ def check_correctness(
         raise TypeError(f"{method} results check against {article} source")
     if method == "weighted" and machine.semiring.name != source.semiring.name:
         raise ValueError("carrier mismatch between source and machine")
+    require_valid(machine)
+    for x in range(source.n_states):
+        t = det.embed.get(x)
+        if not (isinstance(t, int) and 0 <= t < machine.n_states):
+            raise ValidationError(f"embedding sends source state {x} to {t!r}, not a machine state")
 
     alphabet = source.alphabet
     letters = range(len(alphabet))

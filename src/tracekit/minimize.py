@@ -1,7 +1,8 @@
 """Minimization of boolean-output machines by double reversal.
 
 The pipeline determinizes the reversed automaton, reverses the result, and
-determinizes again, keeping only states reached from the embedded start set.
+determinizes again. Both passes explore forward from one start state, so the
+result holds only reachable states and needs no restriction afterwards.
 Each run also produces certificates: for every pair of distinct result states
 a shortest word on which they disagree, read off the first-pass machine
 rather than searched for pairwise.
@@ -95,31 +96,23 @@ def brzozowski_observable(n: NFA, initial: Iterable[int]) -> ObservableDFA:
     return ObservableDFA(named, d2_init, certificates)
 
 
-def _restrict_reachable(d: MooreAut, initial: int) -> Tuple[MooreAut, int, Dict[int, int]]:
-    """Drop states unreachable from `initial`, renumbering in visit order."""
+def _restrict_reachable(d: MooreAut, initial: int) -> MooreAut:
+    """Drop states unreachable from `initial`, renumbering in visit order,
+    so that `initial` becomes state 0."""
     _, old_order, delta = _explore([initial], lambda s, intern: tuple(map(intern, d.delta[s])))
-    remap = {old: new for new, old in enumerate(old_order)}
     outputs = [d.outputs[old] for old in old_order]
     names = tuple(d.names[old] for old in old_order)
-    machine = MooreAut(d.alphabet, outputs, delta, semiring=d.semiring, names=names)
-    return machine, remap[initial], remap
+    return MooreAut(d.alphabet, outputs, delta, semiring=d.semiring, names=names)
 
 
 def brzozowski_minimal(n: NFA, initial: Iterable[int]) -> ObservableDFA:
-    """The observable machine restricted to its reachable part.
+    """The minimal deterministic machine: `brzozowski_observable`'s result.
 
-    The double-reversal pipeline only ever constructs reachable states, so
-    the restriction is expected to keep everything; it is applied anyway so
-    the result is minimal by construction, not by argument.
+    That result is observable (its certificates tell every pair of states
+    apart) and reachable (the second pass interns only states it reaches
+    from its one seed), hence minimal.
     """
-    obs = brzozowski_observable(n, initial)
-    machine, init, remap = _restrict_reachable(obs.machine, obs.initial)
-    certificates = {}
-    for (p, q), word in obs.certificates.items():
-        if p in remap and q in remap:
-            a, b = sorted((remap[p], remap[q]))
-            certificates[(a, b)] = word
-    return ObservableDFA(machine, init, certificates)
+    return brzozowski_observable(n, initial)
 
 
 def partition_refine(d: MooreAut, initial: int) -> Tuple[MooreAut, int]:
@@ -131,7 +124,7 @@ def partition_refine(d: MooreAut, initial: int) -> Tuple[MooreAut, int]:
     """
     require_valid(d)
     check_state(d, initial)
-    d, initial, _ = _restrict_reachable(d, initial)
+    d, initial = _restrict_reachable(d, initial), 0
     m = len(d.alphabet)
     block: List[int] = []
     keys = {}

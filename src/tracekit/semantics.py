@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from functools import reduce
+from operator import itemgetter, or_
 from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
 from .automata import (
@@ -243,21 +244,15 @@ def nfa_trace(n: NFA, x: int, depth: int) -> LanguageTable:
 
 
 def length_semantics(n: NFA, x: int, depth: int) -> Dict[int, bool]:
-    """Whether x accepts some word of each length up to the depth."""
+    """Whether x accepts some word of each length up to the depth: the
+    language of n with every letter read as one, whose successor set is the
+    union of the letters' successor sets."""
     require_valid(n)
     check_state(n, x)
-    masks = n.succ_masks()
-    nst = n.n_states
-    any_succ = [0] * nst
-    for s in range(nst):
-        for m in masks[s]:
-            any_succ[s] |= m
-    cur = n.accepting_mask()
-    out = {0: bool(cur >> x & 1)}
-    for k in range(1, depth + 1):
-        cur = sum(1 << s for s in range(nst) if any_succ[s] & cur)
-        out[k] = bool(cur >> x & 1)
-    return out
+    rows = [[reduce(or_, row, 0)] for row in n.succ_masks()]
+    base = n.accepting_mask()
+    read = _reader(base, x)
+    return {k: read(v) for k, (v,) in enumerate(_layers(("*",), base, _mask_step(rows), depth))}
 
 
 def bt_nfa_trace(n: NFA, x: int, depth: int, mode: str = "disj") -> LanguageTable:

@@ -204,6 +204,24 @@ def test_semantics_query_errors(tmp_path):
     assert main(["semantics", "--state", "1", "--depth", "1", path]) == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["semantics", "--state", "²", "--depth", "1"],
+        ["minimize", "--initial", "x,²"],
+        ["equiv", "--initial1", "²"],
+    ],
+)
+def test_non_ascii_digits_are_unknown_states(tmp_path, capsys, argv):
+    """A superscript two passes str.isdigit but not int(): it names no state."""
+    if argv[0] == "equiv":
+        files = [write_doc(tmp_path, "m.json", KINDS["moore"])] * 2
+    else:
+        files = [classic_file(tmp_path)]
+    assert main(argv + files) == 6
+    assert "unknown state '²'" in capsys.readouterr().err
+
+
 # --- determinize ---------------------------------------------------------
 
 

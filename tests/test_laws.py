@@ -1,6 +1,7 @@
 """Law reports: naturality, actions, monad morphisms, diagrams, correctness."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from tracekit import (
     MooreAut,
     PredicateAction,
     SemiringAction,
+    ValidationError,
     WeightedAut,
     alt_to_nfa,
     canonical_det_nfa,
@@ -195,6 +197,15 @@ def test_correctness_catches_a_flipped_output():
     assert "state x" in first.instance and "word ε" in first.instance
     assert first.lhs == "source trace: ff"
     assert first.rhs == "determinized trace: tt"
+
+
+def test_correctness_rejects_an_invalid_machine_or_embedding():
+    n = NFA(1, ["a"], [(0, "a", 0)], accepting=[0])
+    result = det_subset(n)
+    out_of_range = replace(result, machine=MooreAut(["a"], [True], [[5]]))
+    for broken in (out_of_range, replace(result, embed={0: 7}), replace(result, embed={})):
+        with pytest.raises(ValidationError):
+            check_correctness(n, broken, 2)
 
 
 def _with_outputs(result, outputs):

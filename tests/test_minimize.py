@@ -155,6 +155,21 @@ def test_pipeline_matches_subset_and_oracle(seed):
 
 
 @given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_minimal_result_is_reachable_from_its_initial_state(seed):
+    rng = random.Random(seed)
+    n = rand_nfa(rng, max_states=6, max_letters=3)
+    initial = sorted({rng.randrange(n.n_states) for _ in range(rng.randint(1, 3))})
+    minimal = brzozowski_minimal(n, initial)
+    seen = {minimal.initial}
+    frontier = [minimal.initial]
+    while frontier:
+        frontier = [t for s in frontier for t in minimal.machine.delta[s] if t not in seen]
+        seen.update(frontier)
+    assert seen == set(range(minimal.machine.n_states))
+
+
+@given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_single_initial_pipeline_and_idempotence(seed):
     rng = random.Random(seed)
