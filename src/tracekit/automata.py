@@ -56,22 +56,16 @@ def _iter_bits(mask: int):
         mask ^= low
 
 
-def _default_names(n: int) -> Tuple[str, ...]:
-    return tuple(f"q{i}" for i in range(n))
-
-
 def _common_violations(aut) -> List[str]:
     out = []
     if len(aut.names) != aut.n_states:
         out.append(f"name table has {len(aut.names)} entries for {aut.n_states} states")
     elif len(set(aut.names)) != aut.n_states:
         out.append("state names are not unique")
-    alphabet = getattr(aut, "alphabet", None)
-    if alphabet is not None:
-        if len(set(alphabet)) != len(alphabet):
-            out.append("alphabet labels are not unique")
-        if any(not isinstance(a, str) or not a for a in alphabet):
-            out.append("alphabet labels must be nonempty strings")
+    if len(set(aut.alphabet)) != len(aut.alphabet):
+        out.append("alphabet labels are not unique")
+    if any(not isinstance(a, str) or not a for a in aut.alphabet):
+        out.append("alphabet labels must be nonempty strings")
     return out
 
 
@@ -91,7 +85,30 @@ def _check_value(semiring: Semiring, v: Any) -> bool:
     return True
 
 
-class NFA:
+class _Machine:
+    """A state space 0..n_states-1 with its name table and its alphabet.
+
+    Names default to q0, q1, ...; a tree automaton has the empty alphabet.
+    """
+
+    def __init__(self, n_states: int, alphabet: Iterable[Label], names: Optional[Sequence[str]]):
+        self.n_states = int(n_states)
+        self.alphabet = tuple(alphabet)
+        self.names = tuple(names) if names is not None else tuple(f"q{i}" for i in range(self.n_states))
+        self._aidx = {a: i for i, a in enumerate(self.alphabet)}
+
+    def letter_index(self) -> Dict[Label, int]:
+        return self._aidx
+
+    def _rows(self, trans: Mapping[Tuple[int, Label], Any], empty: Callable[[], Any], convert: Callable[[Any], Any]):
+        """The dense [state][letter index] table of trans; absent pairs hold empty()."""
+        rows = [[empty() for _ in self.alphabet] for _ in range(self.n_states)]
+        for (x, a), entry in trans.items():
+            rows[x][self._aidx[a]] = convert(entry)
+        return tuple(tuple(row) for row in rows)
+
+
+class NFA(_Machine):
     """Nondeterministic finite automaton: a transition set plus accepting set."""
 
     def __init__(
@@ -102,11 +119,9 @@ class NFA:
         accepting: Iterable[int] = (),
         names: Optional[Sequence[str]] = None,
     ):
-        self.n_states = int(n_states)
-        self.alphabet = tuple(alphabet)
+        super().__init__(n_states, alphabet, names)
         self.transitions = frozenset((p, a, q) for p, a, q in transitions)
         self.accepting = frozenset(accepting)
-        self.names = tuple(names) if names is not None else _default_names(self.n_states)
         self._cache: Dict[str, Any] = {}
 
     def __eq__(self, other: object) -> bool:
@@ -126,13 +141,6 @@ class NFA:
             f"NFA({self.n_states} states, alphabet {''.join(self.alphabet)!r}, "
             f"{len(self.transitions)} transitions, accepting {sorted(self.accepting)})"
         )
-
-    def letter_index(self) -> Dict[Label, int]:
-        idx = self._cache.get("aidx")
-        if idx is None:
-            idx = {a: i for i, a in enumerate(self.alphabet)}
-            self._cache["aidx"] = idx
-        return idx
 
     def succ_sets(self) -> List[List[frozenset]]:
         """Per state, per letter index, the successor set (the BT-style view)."""
@@ -175,7 +183,7 @@ class NFA:
         return out
 
 
-class MooreAut:
+class MooreAut(_Machine):
     """Deterministic Moore machine: per-state output, total transition table.
 
     `delta` is a dense table indexed [state][letter index], which makes
@@ -191,20 +199,11 @@ class MooreAut:
         semiring: Semiring = BOOL,
         names: Optional[Sequence[str]] = None,
     ):
-        self.alphabet = tuple(alphabet)
         self.outputs = tuple(outputs)
+        super().__init__(len(self.outputs), alphabet, names)
         self.delta = tuple(tuple(row) for row in delta)
         self.semiring = semiring
-        self.n_states = len(self.outputs)
-        self.names = tuple(names) if names is not None else _default_names(self.n_states)
         self._cache: Dict[str, Any] = {}
-
-    def letter_index(self) -> Dict[Label, int]:
-        idx = self._cache.get("aidx")
-        if idx is None:
-            idx = {a: i for i, a in enumerate(self.alphabet)}
-            self._cache["aidx"] = idx
-        return idx
 
     def step(self, x: int, word: Iterable[Label]) -> int:
         aidx = self.letter_index()
@@ -232,7 +231,7 @@ class MooreAut:
         return out
 
 
-class WeightedAut:
+class WeightedAut(_Machine):
     """Semiring-weighted automaton: termination weight plus weighted successors."""
 
     def __init__(
@@ -244,21 +243,14 @@ class WeightedAut:
         trans: Mapping[Tuple[int, Label], Any],
         names: Optional[Sequence[str]] = None,
     ):
-        self.n_states = int(n_states)
-        self.alphabet = tuple(alphabet)
+        super().__init__(n_states, alphabet, names)
         self.semiring = semiring
         self.out = tuple(out)
-        aidx = {a: i for i, a in enumerate(self.alphabet)}
-        rows: List[List[WeightVec]] = [
-            [WeightVec(semiring) for _ in self.alphabet] for _ in range(self.n_states)
-        ]
-        for (x, a) in trans:
-            v = trans[(x, a)]
-            if not isinstance(v, WeightVec):
-                v = WeightVec(semiring, v)
-            rows[x][aidx[a]] = v
-        self.trans = tuple(tuple(row) for row in rows)
-        self.names = tuple(names) if names is not None else _default_names(self.n_states)
+        self.trans = self._rows(
+            trans,
+            lambda: WeightVec(semiring),
+            lambda v: v if isinstance(v, WeightVec) else WeightVec(semiring, v),
+        )
 
     def __repr__(self) -> str:
         return f"WeightedAut({self.n_states} states, alphabet {''.join(self.alphabet)!r}, {self.semiring.name})"
@@ -395,7 +387,7 @@ def all_trees(signature: Iterable[Tuple[str, int]], max_height: int) -> List[Tre
     return result
 
 
-class WeightedTreeAut:
+class WeightedTreeAut(_Machine):
     """Top-down weighted tree automaton: finitely many weighted flat rules.
 
     A rule maps a state and a flat term op(x1..xn) to a nonzero weight;
@@ -410,7 +402,7 @@ class WeightedTreeAut:
         rules: Mapping[Tuple[int, str, Tuple[int, ...]], Any],
         names: Optional[Sequence[str]] = None,
     ):
-        self.n_states = int(n_states)
+        super().__init__(n_states, (), names)
         self.signature = tuple(sorted(signature))
         self.semiring = semiring
         per_state: List[Dict[Tuple[str, Tuple[int, ...]], Any]] = [
@@ -421,7 +413,6 @@ class WeightedTreeAut:
                 continue
             per_state[x][(op, tuple(children))] = w
         self.rules = tuple(per_state)
-        self.names = tuple(names) if names is not None else _default_names(self.n_states)
 
     def arity(self) -> Dict[str, int]:
         return dict(self.signature)
@@ -452,7 +443,7 @@ class WeightedTreeAut:
         return out
 
 
-class AlternatingAut:
+class AlternatingAut(_Machine):
     """Alternating automaton: per letter, a finite set of finite state sets."""
 
     def __init__(
@@ -463,17 +454,9 @@ class AlternatingAut:
         trans: Mapping[Tuple[int, Label], Iterable[Iterable[int]]],
         names: Optional[Sequence[str]] = None,
     ):
-        self.n_states = int(n_states)
-        self.alphabet = tuple(alphabet)
+        super().__init__(n_states, alphabet, names)
         self.outputs = tuple(outputs)
-        aidx = {a: i for i, a in enumerate(self.alphabet)}
-        rows: List[List[frozenset]] = [
-            [frozenset() for _ in self.alphabet] for _ in range(self.n_states)
-        ]
-        for (x, a), fam in trans.items():
-            rows[x][aidx[a]] = frozenset(frozenset(s) for s in fam)
-        self.trans = tuple(tuple(row) for row in rows)
-        self.names = tuple(names) if names is not None else _default_names(self.n_states)
+        self.trans = self._rows(trans, frozenset, lambda fam: frozenset(frozenset(s) for s in fam))
 
     def __repr__(self) -> str:
         return f"AlternatingAut({self.n_states} states, alphabet {''.join(self.alphabet)!r})"
@@ -494,7 +477,7 @@ class AlternatingAut:
         return out
 
 
-class LTS:
+class LTS(_Machine):
     """Labelled transition system: per letter, a finite successor set."""
 
     def __init__(
@@ -504,16 +487,8 @@ class LTS:
         trans: Mapping[Tuple[int, Label], Iterable[int]],
         names: Optional[Sequence[str]] = None,
     ):
-        self.n_states = int(n_states)
-        self.alphabet = tuple(alphabet)
-        aidx = {a: i for i, a in enumerate(self.alphabet)}
-        rows: List[List[frozenset]] = [
-            [frozenset() for _ in self.alphabet] for _ in range(self.n_states)
-        ]
-        for (x, a), succ in trans.items():
-            rows[x][aidx[a]] = frozenset(succ)
-        self.trans = tuple(tuple(row) for row in rows)
-        self.names = tuple(names) if names is not None else _default_names(self.n_states)
+        super().__init__(n_states, alphabet, names)
+        self.trans = self._rows(trans, frozenset, frozenset)
 
     def __repr__(self) -> str:
         return f"LTS({self.n_states} states, alphabet {''.join(self.alphabet)!r})"
@@ -528,7 +503,7 @@ class LTS:
         return out
 
 
-class GPS:
+class GPS(_Machine):
     """Generative probabilistic system: one full distribution per state.
 
     Each state's distribution assigns exact rational probabilities to the
@@ -543,13 +518,11 @@ class GPS:
         dist: Mapping[int, Mapping[Any, Any]],
         names: Optional[Sequence[str]] = None,
     ):
-        self.n_states = int(n_states)
-        self.alphabet = tuple(alphabet)
+        super().__init__(n_states, alphabet, names)
         rows: List[Dict[Any, Fraction]] = [{} for _ in range(self.n_states)]
         for x, d in dist.items():
             rows[x] = {k: Fraction(v) for k, v in d.items()}
         self.dist = tuple(rows)
-        self.names = tuple(names) if names is not None else _default_names(self.n_states)
 
     def __repr__(self) -> str:
         return f"GPS({self.n_states} states, alphabet {''.join(self.alphabet)!r})"
@@ -578,12 +551,9 @@ class GPS:
         return out
 
 
-Automaton = (NFA, MooreAut, WeightedAut, WeightedTreeAut, AlternatingAut, LTS, GPS)
-
-
 def validate(aut) -> List[str]:
     """Structural invariant check; the empty list means the automaton is well formed."""
-    if not isinstance(aut, Automaton):
+    if not isinstance(aut, _Machine):
         raise TypeError(f"not an automaton: {aut!r}")
     return aut._violations()
 

@@ -79,8 +79,6 @@ EXIT_BUDGET = 4
 EXIT_LAW = 5
 EXIT_QUERY = 6
 
-KINDS = ("nfa", "moore", "weighted", "wta", "alternating", "lts", "gps")
-
 
 class ParseError(ValueError):
     """The input file is not a well-formed automaton document."""
@@ -170,6 +168,26 @@ def _resolve_state(name: Any, index: Dict[str, int], where: str) -> int:
     return index[name]
 
 
+def _by_state(doc: Dict[str, Any], key: str, index: Dict[str, int], where: str):
+    """Check that doc[key] is an object keyed by state name, then yield
+    (x, name, value) for its entries, resolving each name as it is reached."""
+    raw = _expect(doc, key, dict, where)
+    return ((_resolve_state(name, index, f"{where}: {key}"), name, value) for name, value in raw.items())
+
+
+def _by_label(doc: Dict[str, Any], key: str, index: Dict[str, int], alphabet: Sequence[str], where: str):
+    """_by_state over an object of per-label objects: yield (x, name, label, value)."""
+
+    def entries(states):
+        for x, name, row in states:
+            if not isinstance(row, dict):
+                raise ParseError(f"{where}: {key} of {name} must be an object")
+            for label, value in row.items():
+                yield x, name, _resolve_label(label, alphabet, f"{where}: {key} of {name}"), value
+
+    return entries(_by_state(doc, key, index, where))
+
+
 def _resolve_label(label: Any, alphabet: Sequence[str], where: str) -> str:
     if not isinstance(label, str) or label not in alphabet:
         raise ValidationError(f"{where}: unknown label {label!r}")
@@ -245,21 +263,15 @@ def _load_moore(doc):
     alphabet = _alphabet(doc, where)
     semiring = _semiring(doc, where)
     names, index = _state_names(doc, where)
-    raw_outputs = _expect(doc, "outputs", dict, where)
-    raw_delta = _expect(doc, "delta", dict, where)
+    # both objects are type-checked before either one's entries are read
+    raw_outputs = _by_state(doc, "outputs", index, where)
+    raw_delta = _by_label(doc, "delta", index, alphabet, where)
     outputs = [semiring.zero] * len(names)
-    for name, value in raw_outputs.items():
-        x = _resolve_state(name, index, f"{where}: outputs")
+    for x, name, value in raw_outputs:
         outputs[x] = decode_weight(semiring.name, value, f"{where}: output of {name}")
     delta = [[-1] * len(alphabet) for _ in names]
-    aidx = {a: i for i, a in enumerate(alphabet)}
-    for name, row in raw_delta.items():
-        x = _resolve_state(name, index, f"{where}: delta")
-        if not isinstance(row, dict):
-            raise ParseError(f"{where}: delta of {name} must be an object")
-        for label, target in row.items():
-            _resolve_label(label, alphabet, f"{where}: delta of {name}")
-            delta[x][aidx[label]] = _resolve_state(target, index, f"{where}: delta of {name}")
+    for x, name, label, target in raw_delta:
+        delta[x][alphabet.index(label)] = _resolve_state(target, index, f"{where}: delta of {name}")
     for x, row in enumerate(delta):
         for i, target in enumerate(row):
             if target < 0:
@@ -274,27 +286,19 @@ def _load_weighted(doc):
     alphabet = _alphabet(doc, where)
     semiring = _semiring(doc, where)
     names, index = _state_names(doc, where)
-    raw_out = _expect(doc, "out", dict, where)
     out = [semiring.zero] * len(names)
-    for name, value in raw_out.items():
-        x = _resolve_state(name, index, f"{where}: out")
+    for x, name, value in _by_state(doc, "out", index, where):
         out[x] = decode_weight(semiring.name, value, f"{where}: out of {name}")
     trans: Dict[Tuple[int, str], Dict[int, Any]] = {}
-    raw_trans = _expect(doc, "transitions", dict, where)
-    for name, row in raw_trans.items():
-        x = _resolve_state(name, index, f"{where}: transitions")
-        if not isinstance(row, dict):
-            raise ParseError(f"{where}: transitions of {name} must be an object")
-        for label, vec in row.items():
-            _resolve_label(label, alphabet, f"{where}: transitions of {name}")
-            if not isinstance(vec, dict):
-                raise ParseError(f"{where}: successor weights of ({name}, {label}) must be an object")
-            trans[(x, label)] = {
-                _resolve_state(target, index, f"{where}: transitions of {name}"): decode_weight(
-                    semiring.name, value, f"{where}: weight at ({name}, {label}, {target})"
-                )
-                for target, value in vec.items()
-            }
+    for x, name, label, vec in _by_label(doc, "transitions", index, alphabet, where):
+        if not isinstance(vec, dict):
+            raise ParseError(f"{where}: successor weights of ({name}, {label}) must be an object")
+        trans[(x, label)] = {
+            _resolve_state(target, index, f"{where}: transitions of {name}"): decode_weight(
+                semiring.name, value, f"{where}: weight at ({name}, {label}, {target})"
+            )
+            for target, value in vec.items()
+        }
     aut = WeightedAut(len(names), alphabet, semiring, out, trans, names=names)
     return aut, None
 
@@ -342,30 +346,19 @@ def _load_alternating(doc):
     _reject_extra(doc, ("kind", "alphabet", "states", "outputs", "transitions"), where)
     alphabet = _alphabet(doc, where)
     names, index = _state_names(doc, where)
-    raw_outputs = _expect(doc, "outputs", dict, where)
     outputs = [False] * len(names)
-    for name, value in raw_outputs.items():
-        x = _resolve_state(name, index, f"{where}: outputs")
+    for x, name, value in _by_state(doc, "outputs", index, where):
         outputs[x] = decode_weight("bool", value, f"{where}: output of {name}")
     trans: Dict[Tuple[int, str], List[List[int]]] = {}
-    raw_trans = _expect(doc, "transitions", dict, where)
-    for name, row in raw_trans.items():
-        x = _resolve_state(name, index, f"{where}: transitions")
-        if not isinstance(row, dict):
-            raise ParseError(f"{where}: transitions of {name} must be an object")
-        for label, family in row.items():
-            _resolve_label(label, alphabet, f"{where}: transitions of {name}")
-            if not isinstance(family, list):
+    for x, name, label, family in _by_label(doc, "transitions", index, alphabet, where):
+        if not isinstance(family, list):
+            raise ParseError(f"{where}: branch family of ({name}, {label}) must be a list of lists")
+        sets = []
+        for member in family:
+            if not isinstance(member, list):
                 raise ParseError(f"{where}: branch family of ({name}, {label}) must be a list of lists")
-            sets = []
-            for member in family:
-                if not isinstance(member, list):
-                    raise ParseError(f"{where}: branch family of ({name}, {label}) must be a list of lists")
-                sets.append([
-                    _resolve_state(target, index, f"{where}: transitions of {name}")
-                    for target in member
-                ])
-            trans[(x, label)] = sets
+            sets.append([_resolve_state(target, index, f"{where}: transitions of {name}") for target in member])
+        trans[(x, label)] = sets
     aut = AlternatingAut(len(names), alphabet, outputs, trans, names=names)
     return aut, None
 
@@ -388,10 +381,8 @@ def _load_gps(doc):
     _reject_extra(doc, ("kind", "alphabet", "states", "dist"), where)
     alphabet = _alphabet(doc, where)
     names, index = _state_names(doc, where)
-    raw_dist = _expect(doc, "dist", dict, where)
     dist: Dict[int, Dict[Any, Fraction]] = {}
-    for name, row in raw_dist.items():
-        x = _resolve_state(name, index, f"{where}: dist")
+    for x, name, row in _by_state(doc, "dist", index, where):
         if not isinstance(row, dict):
             raise ParseError(f"{where}: distribution of {name} must be an object")
         _reject_extra(row, ("term", "moves"), f"{where}: distribution of {name}")
@@ -400,7 +391,10 @@ def _load_gps(doc):
             p = _decode_fraction(row["term"], f"{where}: term of {name}")
             if p != 0:
                 entries[TERM] = p
-        for move in row.get("moves", ()):
+        moves = row.get("moves", [])
+        if not isinstance(moves, list):
+            raise ParseError(f"{where}: moves of {name} must be objects")
+        for move in moves:
             if not isinstance(move, dict):
                 raise ParseError(f"{where}: moves of {name} must be objects")
             _reject_extra(move, ("label", "to", "prob"), f"{where}: move of {name}")
@@ -416,15 +410,20 @@ def _load_gps(doc):
     return aut, None
 
 
-_LOADERS = {
-    "nfa": _load_nfa,
-    "moore": _load_moore,
-    "weighted": _load_weighted,
-    "wta": _load_wta,
-    "alternating": _load_alternating,
-    "lts": _load_lts,
-    "gps": _load_gps,
+# kind -> (class, loader, trace function of (automaton, state, depth)). The
+# trace functions are called through lambdas, so the module global is looked
+# up at each call and a wrapper bound over it later (bench/spans.py) is seen.
+_KINDS = {
+    "nfa": (NFA, _load_nfa, lambda *query: nfa_trace(*query)),
+    "moore": (MooreAut, _load_moore, lambda *query: moore_trace(*query)),
+    "weighted": (WeightedAut, _load_weighted, lambda *query: wa_trace(*query)),
+    "wta": (WeightedTreeAut, _load_wta, lambda *query: wta_trace(*query)),
+    "alternating": (AlternatingAut, _load_alternating, lambda *query: alt_trace(*query)),
+    "lts": (LTS, _load_lts, lambda *query: lts_traces(*query)),
+    "gps": (GPS, _load_gps, lambda *query: gps_trace(*query)),
 }
+KINDS = tuple(_KINDS)
+_KIND_OF = {cls: kind for kind, (cls, _, _) in _KINDS.items()}
 
 
 def load_automaton(doc: Any):
@@ -436,10 +435,9 @@ def load_automaton(doc: Any):
     if not isinstance(doc, dict):
         raise ParseError("the document must be a JSON object")
     kind = _expect(doc, "kind", str, "document")
-    loader = _LOADERS.get(kind)
-    if loader is None:
+    if kind not in _KINDS:
         raise ParseError(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
-    aut, initial = loader(doc)
+    aut, initial = _KINDS[kind][1](doc)
     require_valid(aut)
     return aut, initial
 
@@ -447,14 +445,14 @@ def load_automaton(doc: Any):
 def parse_document(text: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ParseError(f"not valid JSON: {exc}") from exc
 
 
 def load_file(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return load_automaton(parse_document(text))
 
@@ -463,21 +461,20 @@ def load_file(path: str):
 # dumpers, one per kind
 
 
-def _kind_of(aut) -> str:
-    return {
-        NFA: "nfa",
-        MooreAut: "moore",
-        WeightedAut: "weighted",
-        WeightedTreeAut: "wta",
-        AlternatingAut: "alternating",
-        LTS: "lts",
-        GPS: "gps",
-    }[type(aut)]
+def _label_rows(aut, rows, encode) -> Dict[str, Dict[str, Any]]:
+    """The state -> label -> entry object of a dense [state][letter] table,
+    with encode applied to each nonempty entry and empty entries left out."""
+    doc: Dict[str, Dict[str, Any]] = {}
+    for x, row in enumerate(rows):
+        for i, entry in enumerate(row):
+            if entry:
+                doc.setdefault(aut.names[x], {})[aut.alphabet[i]] = encode(entry)
+    return doc
 
 
 def dump_automaton(aut, initial: Optional[Sequence[int]] = None) -> Dict[str, Any]:
     """Serialize an automaton to its canonical document."""
-    kind = _kind_of(aut)
+    kind = _KIND_OF[type(aut)]
     names = aut.names
     doc: Dict[str, Any] = {"kind": kind, "states": list(names)}
     if kind == "wta":
@@ -504,15 +501,9 @@ def dump_automaton(aut, initial: Optional[Sequence[int]] = None) -> Dict[str, An
         doc["out"] = {
             names[x]: encode_weight(aut.semiring.name, o) for x, o in enumerate(aut.out)
         }
-        trans: Dict[str, Dict[str, Dict[str, Any]]] = {}
-        for x, row in enumerate(aut.trans):
-            for i, vec in enumerate(row):
-                if vec.is_zero():
-                    continue
-                trans.setdefault(names[x], {})[aut.alphabet[i]] = {
-                    names[y]: encode_weight(aut.semiring.name, w) for y, w in vec.items()
-                }
-        doc["transitions"] = trans
+        doc["transitions"] = _label_rows(
+            aut, aut.trans, lambda vec: {names[y]: encode_weight(aut.semiring.name, w) for y, w in vec.items()}
+        )
     elif kind == "wta":
         doc["semiring"] = aut.semiring.name
         rules = []
@@ -530,15 +521,9 @@ def dump_automaton(aut, initial: Optional[Sequence[int]] = None) -> Dict[str, An
         doc["rules"] = rules
     elif kind == "alternating":
         doc["outputs"] = {names[x]: bool(o) for x, o in enumerate(aut.outputs)}
-        trans = {}
-        for x, row in enumerate(aut.trans):
-            for i, family in enumerate(row):
-                if not family:
-                    continue
-                trans.setdefault(names[x], {})[aut.alphabet[i]] = sorted(
-                    [names[y] for y in sorted(member)] for member in family
-                )
-        doc["transitions"] = trans
+        doc["transitions"] = _label_rows(
+            aut, aut.trans, lambda family: sorted([names[y] for y in sorted(member)] for member in family)
+        )
     elif kind == "lts":
         doc["transitions"] = sorted(
             [names[x], aut.alphabet[i], names[y]]
@@ -593,18 +578,21 @@ def _json_value(value: Any) -> Any:
 def _resolve_cli_state(aut, spec: str) -> int:
     if spec in aut.names:
         return aut.names.index(spec)
-    if spec.isdecimal():
+    if spec.isascii() and spec.isdecimal():
         x = int(spec)
         if 0 <= x < aut.n_states:
             return x
     raise UnknownStateError(f"unknown state {spec!r}")
 
 
-def _write_or_print(path: Optional[str], text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
+def _emit(out: Optional[str], machine_doc: Any, key: str, side_doc: Any, suffix: str) -> None:
+    """Print {"machine": machine_doc, key: side_doc}; with --out, write the
+    machine to out and side_doc to out with its suffix replaced by suffix."""
+    if out:
+        Path(out).write_text(serialize_document(machine_doc), encoding="utf-8")
+        Path(out).with_suffix(suffix).write_text(serialize_document(side_doc), encoding="utf-8")
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        sys.stdout.write(serialize_document({"machine": machine_doc, key: side_doc}))
 
 
 # ---------------------------------------------------------------------------
@@ -615,45 +603,35 @@ def _cmd_semantics(args) -> int:
     if args.depth < 0:
         raise QueryError(f"--depth must be at least 0, got {args.depth}")
     aut, _ = load_file(args.file)
-    kind = _kind_of(aut)
+    kind = _KIND_OF[type(aut)]
     if args.mode is not None and kind != "nfa":
         raise QueryError(f"--mode applies to nfa files only, not {kind}")
     x = _resolve_cli_state(aut, args.state)
-    depth = args.depth
-    if kind == "nfa":
-        table = bt_nfa_trace(aut, x, depth, args.mode) if args.mode else nfa_trace(aut, x, depth)
-    elif kind == "moore":
-        table = moore_trace(aut, x, depth)
-    elif kind == "weighted":
-        table = wa_trace(aut, x, depth)
-    elif kind == "wta":
-        table = wta_trace(aut, x, depth)
-    elif kind == "alternating":
-        table = alt_trace(aut, x, depth)
-    elif kind == "lts":
-        table = lts_traces(aut, x, depth)
+    if args.mode:
+        table = bt_nfa_trace(aut, x, args.depth, args.mode)
     else:
-        table = gps_trace(aut, x, depth)
-    rows = []
+        table = _KINDS[kind][2](aut, x, args.depth)
+    wta = kind == "wta"
     for key, value in table.entries.items():
-        label = format_tree(key) if kind == "wta" else format_word(key)
-        print(f"{label}\t{render_value(value)}")
-        if kind == "wta":
-            rows.append({"tree": label, "value": _json_value(value)})
-        else:
-            rows.append({"word": list(key), "value": _json_value(value)})
+        print(f"{format_tree(key) if wta else format_word(key)}\t{render_value(value)}")
     if args.out:
-        doc = {"state": aut.names[x], "depth": depth, "rows": rows}
+        rows = [
+            {"tree": format_tree(key), "value": _json_value(value)} if wta
+            else {"word": list(key), "value": _json_value(value)}
+            for key, value in table.entries.items()
+        ]
+        doc = {"state": aut.names[x], "depth": args.depth, "rows": rows}
         Path(args.out).write_text(serialize_document(doc), encoding="utf-8")
     return EXIT_OK
 
 
-_METHOD_KINDS = {
-    "subset": "nfa",
-    "conj": "nfa",
-    "canonical": "nfa",
-    "weighted": "weighted",
-    "alt": "alternating",
+# method -> (kind of the source file, construction of (automaton, --budget))
+_METHODS = {
+    "subset": ("nfa", lambda aut, budget: det_subset(aut, "disj")),
+    "conj": ("nfa", lambda aut, budget: det_subset(aut, "conj")),
+    "canonical": ("nfa", lambda aut, budget: canonical_det_nfa(aut, bound=budget or 4)),
+    "weighted": ("weighted", lambda aut, budget: det_weighted(aut, budget=budget or 500)),
+    "alt": ("alternating", lambda aut, budget: alt_to_nfa(aut)),
 }
 
 
@@ -672,20 +650,11 @@ def _cmd_determinize(args) -> int:
     if args.budget is not None and args.budget <= 0:
         raise QueryError(f"--budget must be positive, got {args.budget}")
     aut, _ = load_file(args.file)
-    kind = _kind_of(aut)
-    needed = _METHOD_KINDS[args.method]
+    kind = _KIND_OF[type(aut)]
+    needed, construct = _METHODS[args.method]
     if kind != needed:
         raise QueryError(f"method {args.method!r} needs a {needed} file, got {kind}")
-    if args.method == "subset":
-        result = det_subset(aut, "disj")
-    elif args.method == "conj":
-        result = det_subset(aut, "conj")
-    elif args.method == "canonical":
-        result = canonical_det_nfa(aut, bound=args.budget or 4)
-    elif args.method == "weighted":
-        result = det_weighted(aut, budget=args.budget or 500)
-    else:
-        result = alt_to_nfa(aut)
+    result = construct(aut, args.budget)
     if isinstance(result, BudgetExceeded):
         print(
             f"budget exceeded: {result.method} determinization passed "
@@ -703,18 +672,13 @@ def _cmd_determinize(args) -> int:
             for i, meaning in result.state_meaning.items()
         },
     }
-    if args.out:
-        Path(args.out).write_text(serialize_document(machine_doc), encoding="utf-8")
-        sidecar = Path(args.out).with_suffix(".embed.json")
-        sidecar.write_text(serialize_document(embedding), encoding="utf-8")
-    else:
-        sys.stdout.write(serialize_document({"machine": machine_doc, "embedding": embedding}))
+    _emit(args.out, machine_doc, "embedding", embedding, ".embed.json")
     return EXIT_OK
 
 
 def _cmd_minimize(args) -> int:
     aut, file_initial = load_file(args.file)
-    kind = _kind_of(aut)
+    kind = _KIND_OF[type(aut)]
     if kind not in ("nfa", "moore"):
         raise QueryError(f"minimize needs an nfa or moore file, got {kind}")
     if args.initial is not None:
@@ -740,14 +704,7 @@ def _cmd_minimize(args) -> int:
         {"pair": [machine.names[p], machine.names[q]], "word": list(word)}
         for (p, q), word in sorted(certificates.items())
     ]
-    if args.out:
-        Path(args.out).write_text(serialize_document(machine_doc), encoding="utf-8")
-        sidecar = Path(args.out).with_suffix(".certs.json")
-        sidecar.write_text(serialize_document(cert_doc), encoding="utf-8")
-    else:
-        sys.stdout.write(
-            serialize_document({"machine": machine_doc, "certificates": cert_doc})
-        )
+    _emit(args.out, machine_doc, "certificates", cert_doc, ".certs.json")
     return EXIT_OK
 
 
@@ -763,8 +720,8 @@ def _cmd_equiv(args) -> int:
     left, left_initial = load_file(args.file1)
     right, right_initial = load_file(args.file2)
     for aut, path in ((left, args.file1), (right, args.file2)):
-        if _kind_of(aut) != "moore":
-            raise QueryError(f"equiv compares moore files; {path} is {_kind_of(aut)}")
+        if _KIND_OF[type(aut)] != "moore":
+            raise QueryError(f"equiv compares moore files; {path} is {_KIND_OF[type(aut)]}")
     i1 = _single_initial(left, args.initial1, left_initial, "initial1")
     i2 = _single_initial(right, args.initial2, right_initial, "initial2")
     same, witness = dfa_equiv(left, right, i1, i2)
@@ -844,7 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("determinize", help="determinize and report the state embedding")
     p.add_argument("file")
-    p.add_argument("--method", required=True, choices=sorted(_METHOD_KINDS))
+    p.add_argument("--method", required=True, choices=sorted(_METHODS))
     p.add_argument("--budget", type=int, help="state budget (weighted) or input-size bound (canonical)")
     p.add_argument("--out", help="write the machine here and the embedding to <out>.embed.json")
     p.set_defaults(func=_cmd_determinize)

@@ -194,7 +194,7 @@ def _recurrence(aut, mode: str = "disj") -> Tuple[Any, Callable]:
         rows = [[vec.items() for vec in row] for row in aut.trans]
         return tuple(aut.out), _linear_step(rows, aut.semiring)
     if isinstance(aut, GPS):
-        aidx = {a: i for i, a in enumerate(aut.alphabet)}
+        aidx = aut.letter_index()
         moves: List[List[List[Tuple[int, Fraction]]]] = [
             [[] for _ in aut.alphabet] for _ in aut.dist
         ]

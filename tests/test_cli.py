@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tracekit import (
     GPS,
@@ -28,6 +30,7 @@ from tracekit.cli import (
 )
 
 GOLDEN = Path(__file__).parent / "data" / "chi_wrong_counterexample.txt"
+EXAMPLES = Path(__file__).parent.parent / "docs" / "examples"
 
 
 def write_doc(tmp_path, name, doc):
@@ -155,6 +158,66 @@ def test_parse_errors_exit_2(tmp_path):
     assert main(["semantics", "--state", "x", "--depth", "1", listing]) == 2
 
 
+def _gps_with_moves(moves):
+    doc = {"kind": "gps", "alphabet": ["a"], "states": ["x"], "dist": {"x": {"term": "1", "moves": moves}}}
+    return json.dumps(doc).encode()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"\xff\xfe{}",
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"kind": "nfa", "states": [' + b"1" * 5000 + b"]}",
+        _gps_with_moves(5),
+        _gps_with_moves(None),
+    ],
+    ids=["not-utf8", "nested-too-deep", "integer-too-long", "gps-moves-int", "gps-moves-null"],
+)
+def test_malformed_inputs_are_parse_errors(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["semantics", "--state", "x", "--depth", "1", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("parse error: ")
+
+
+def _paths(doc, prefix=()):
+    """Every path into a JSON value, the root () included."""
+    yield prefix
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in children:
+        yield from _paths(value, prefix + (key,))
+
+
+EXAMPLE_DOCS = {path.name: json.loads(path.read_text(encoding="utf-8")) for path in sorted(EXAMPLES.glob("*.json"))}
+EXAMPLE_PATHS = [(name, path) for name, doc in EXAMPLE_DOCS.items() for path in _paths(doc)]
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@given(case=st.sampled_from(EXAMPLE_PATHS), junk=JUNK)
+@example(case=("gps-geometric.json", ("dist", "x", "moves")), junk=5)
+@settings(max_examples=100, deadline=None)
+def test_junk_anywhere_in_a_document_gets_an_exit_status(tmp_path_factory, case, junk):
+    """One value of a shipped example replaced by junk: never a traceback."""
+    name, path = case
+    doc = json.loads(json.dumps(EXAMPLE_DOCS[name]))
+    if path:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = junk
+    else:
+        doc = junk
+    target = tmp_path_factory.getbasetemp() / "junk.json"
+    target.write_text(json.dumps(doc), encoding="utf-8")
+    state = EXAMPLE_DOCS[name]["states"][0]
+    assert main(["semantics", "--state", state, "--depth", "2", str(target)]) in (0, 2, 3, 4, 6)
+
+
 # --- semantics -----------------------------------------------------------
 
 
@@ -210,16 +273,19 @@ def test_semantics_query_errors(tmp_path):
         ["semantics", "--state", "²", "--depth", "1"],
         ["minimize", "--initial", "x,²"],
         ["equiv", "--initial1", "²"],
+        ["semantics", "--state", "١", "--depth", "0"],
     ],
 )
 def test_non_ascii_digits_are_unknown_states(tmp_path, capsys, argv):
-    """A superscript two passes str.isdigit but not int(): it names no state."""
+    """A superscript two passes str.isdigit but not int(), and an Arabic-Indic
+    one passes int(); only ASCII digits index a state."""
     if argv[0] == "equiv":
         files = [write_doc(tmp_path, "m.json", KINDS["moore"])] * 2
     else:
         files = [classic_file(tmp_path)]
+    spec = "١" if "١" in argv else "²"
     assert main(argv + files) == 6
-    assert "unknown state '²'" in capsys.readouterr().err
+    assert f"unknown state {spec!r}" in capsys.readouterr().err
 
 
 # --- determinize ---------------------------------------------------------
@@ -409,8 +475,7 @@ def test_check_unknown_law_lists_the_registry(capsys):
 
 
 def test_shipped_fixtures_are_canonical():
-    examples = Path(__file__).parent.parent / "docs" / "examples"
-    fixtures = sorted(examples.glob("*.json"))
+    fixtures = sorted(EXAMPLES.glob("*.json"))
     assert len(fixtures) >= 7
     kinds = set()
     for path in fixtures:
