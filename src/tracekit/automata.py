@@ -344,20 +344,6 @@ def tree_height(t: Tree) -> int:
     return _fold(t, lambda op, heights: 1 + max(heights) if heights else 0)
 
 
-def tree_violations(t: Tree, signature: Iterable[Tuple[str, int]]) -> List[str]:
-    arity = dict(signature)
-    out: List[str] = []
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if node.op not in arity:
-            out.append(f"unknown operator {node.op!r}")
-        elif len(node.children) != arity[node.op]:
-            out.append(f"operator {node.op!r} applied to {len(node.children)} children, arity is {arity[node.op]}")
-        stack.extend(node.children)
-    return out
-
-
 def all_trees(signature: Iterable[Tuple[str, int]], max_height: int) -> List[Tree]:
     """Every arity-correct tree of height at most max_height, by height then shape."""
     sig = sorted(signature)

@@ -9,7 +9,8 @@ re-parsing a serialized file gives back the same automaton.
 
 Exit statuses: 0 success, 2 parse error, 3 validation error, 4 budget
 exceeded, 5 law failure, 6 query error (unknown state, unknown law, a
-method/kind mismatch, a negative --depth, or a --budget below 1).
+method/kind mismatch, a negative --depth, or a --budget below 1), 7 a
+computed value too long to print.
 """
 
 from __future__ import annotations
@@ -78,6 +79,11 @@ EXIT_VALIDATION = 3
 EXIT_BUDGET = 4
 EXIT_LAW = 5
 EXIT_QUERY = 6
+EXIT_OUTPUT = 7
+
+# Python's default cap on the digits of an int converted to or from decimal text
+MAX_DIGITS = 4300
+_TOO_LONG = 10**MAX_DIGITS
 
 
 class ParseError(ValueError):
@@ -88,6 +94,21 @@ class QueryError(ValueError):
     """The request itself is bad: unknown law, or method/kind mismatch."""
 
 
+class OutputError(ValueError):
+    """A computed value is too long to print."""
+
+
+def _printable(value: Any) -> Any:
+    """The int or Fraction behind value (a PartialProb's probability), once
+    its numerator and denominator are known to print in MAX_DIGITS digits;
+    past that, str and json.dumps would raise."""
+    if isinstance(value, PartialProb):
+        value = value.value
+    if max(abs(value.numerator), value.denominator) >= _TOO_LONG:
+        raise OutputError(f"a computed value has more than {MAX_DIGITS} digits and is not printed")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # weight encoding
 
@@ -96,8 +117,8 @@ def encode_weight(semiring_name: str, value: Any) -> Any:
     if semiring_name == "bool":
         return bool(value)
     if semiring_name == "nat":
-        return int(value)
-    return str(Fraction(value))
+        return _printable(int(value))
+    return str(_printable(Fraction(value)))
 
 
 def decode_weight(semiring_name: str, value: Any, where: str) -> Any:
@@ -121,10 +142,27 @@ def _decode_fraction(value: Any, where: str) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
+            if _spelled_digits(value) > MAX_DIGITS:
+                raise ValueError(f"numerator or denominator passes {MAX_DIGITS} digits")
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"{where}: not a rational: {value!r} ({exc})") from exc
     raise ParseError(f"{where}: expected a \"num/den\" string, got {value!r}")
+
+
+def _spelled_digits(text: str) -> int:
+    """The digits of the longer of the numerator and denominator that a
+    Fraction string spells out, found without expanding its exponent: p/q
+    as written, and m.f e k as (m f) * 10^k / 10^len(f)."""
+    digits = lambda part: sum(map(str.isdigit, part))
+    body, _, exp = text.lower().partition("e")
+    num, _, den = body.partition("/")
+    whole, _, frac = num.partition(".")
+    try:
+        shift = int(exp or 0) - digits(frac)
+    except ValueError:  # not an exponent: Fraction rejects the string itself
+        return 0
+    return max(digits(whole + frac) + max(shift, 0), digits(den) + max(-shift, 0) + (shift < 0))
 
 
 # ---------------------------------------------------------------------------
@@ -536,9 +574,9 @@ def dump_automaton(aut, initial: Optional[Sequence[int]] = None) -> Dict[str, An
         for x, row in enumerate(aut.dist):
             entry: Dict[str, Any] = {}
             if TERM in row:
-                entry["term"] = str(row[TERM])
+                entry["term"] = encode_weight("rat", row[TERM])
             moves = [
-                {"label": a, "to": names[y], "prob": str(p)}
+                {"label": a, "to": names[y], "prob": encode_weight("rat", p)}
                 for (a, y), p in ((k, v) for k, v in row.items() if k is not TERM)
             ]
             moves.sort(key=lambda m: (m["label"], m["to"]))
@@ -562,17 +600,14 @@ def serialize_document(doc: Any) -> str:
 def render_value(value: Any) -> str:
     if isinstance(value, bool):
         return "tt" if value else "ff"
-    if isinstance(value, PartialProb):
-        return str(value.value)
-    return str(value)
+    return str(_printable(value))
 
 
 def _json_value(value: Any) -> Any:
-    if isinstance(value, (bool, int)):
+    if isinstance(value, bool):
         return value
-    if isinstance(value, PartialProb):
-        return str(value.value)
-    return str(value)
+    value = _printable(value)
+    return value if isinstance(value, int) else str(value)
 
 
 def _resolve_cli_state(aut, spec: str) -> int:
@@ -612,8 +647,11 @@ def _cmd_semantics(args) -> int:
     else:
         table = _KINDS[kind][2](aut, x, args.depth)
     wta = kind == "wta"
-    for key, value in table.entries.items():
-        print(f"{format_tree(key) if wta else format_word(key)}\t{render_value(value)}")
+    # rendered in full first, so a value too long to print leaves stdout empty
+    text = "".join(
+        f"{format_tree(key) if wta else format_word(key)}\t{render_value(value)}\n"
+        for key, value in table.entries.items()
+    )
     if args.out:
         rows = [
             {"tree": format_tree(key), "value": _json_value(value)} if wta
@@ -622,6 +660,7 @@ def _cmd_semantics(args) -> int:
         ]
         doc = {"state": aut.names[x], "depth": args.depth, "rows": rows}
         Path(args.out).write_text(serialize_document(doc), encoding="utf-8")
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -843,6 +882,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (UnknownStateError, QueryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_QUERY
+    except OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
 
 
 def run() -> None:

@@ -87,33 +87,20 @@ def _explore(
 
 
 def _subset_machine(
-    n: NFA, seeds: Iterable[int], mode: str = "disj"
+    alphabet: Sequence[str],
+    seeds: Iterable[int],
+    step: Callable[[int, int], int],
+    output: Callable[[int], bool],
 ) -> Tuple[List[int], List[int], MooreAut]:
-    """Reachable powerset construction from bitmask seed subsets.
+    """The reachable Boolean lifted machine on bitmask states.
 
-    A subset steps under a to the union of its members' a-successor sets.
-    Returns the seed numbers, the subset behind each number, and the Moore
-    machine on them, with disjunctive or conjunctive output (see det_subset).
+    A state s steps under the letter of index ai to step(ai, s) and outputs
+    output(s). Returns the seed numbers, the state behind each number, and
+    the Moore machine on them.
     """
-    masks = n.succ_masks()
-    letters = range(len(n.alphabet))
-
-    def step(s: int, intern: Callable) -> Tuple[int, ...]:
-        row = []
-        for ai in letters:
-            t = 0
-            for x in _iter_bits(s):
-                t |= masks[x][ai]
-            row.append(intern(t))
-        return tuple(row)
-
-    embed, order, delta = _explore(seeds, step)
-    acc = n.accepting_mask()
-    if mode == "disj":
-        outputs = [bool(s & acc) for s in order]
-    else:
-        outputs = [s & ~acc == 0 for s in order]
-    return embed, order, MooreAut(n.alphabet, outputs, delta, names=_det_names(len(order)))
+    letters = range(len(alphabet))
+    embed, order, delta = _explore(seeds, lambda s, intern: tuple(intern(step(ai, s)) for ai in letters))
+    return embed, order, MooreAut(alphabet, list(map(output, order)), delta, names=_det_names(len(order)))
 
 
 def det_subset(n: NFA, mode: str = "disj") -> DetResult:
@@ -127,7 +114,17 @@ def det_subset(n: NFA, mode: str = "disj") -> DetResult:
     require_valid(n)
     if mode not in BOOL_MODES:
         raise ValueError(f"mode must be 'disj' or 'conj', got {mode!r}")
-    embed, order, machine = _subset_machine(n, [1 << x for x in range(n.n_states)], mode)
+    masks = n.succ_masks()
+    acc = n.accepting_mask()
+
+    def post(ai: int, s: int) -> int:
+        t = 0
+        for x in _iter_bits(s):
+            t |= masks[x][ai]
+        return t
+
+    output = (lambda s: bool(s & acc)) if mode == "disj" else (lambda s: s & ~acc == 0)
+    embed, order, machine = _subset_machine(n.alphabet, [1 << x for x in range(n.n_states)], post, output)
     meanings = {i: frozenset(_iter_bits(s)) for i, s in enumerate(order)}
     return DetResult(machine, dict(enumerate(embed)), meanings, f"subset-{mode}")
 
@@ -275,36 +272,16 @@ def canonical_det_nfa(n: NFA, bound: int = 4) -> Union[DetResult, BudgetExceeded
     A state x embeds as the set of predicates holding at x. A predicate
     belongs to the a-successor of Q iff its a-preimage (the states with some
     a-successor satisfying it) belongs to Q, and Q outputs true iff the
-    acceptance predicate belongs to Q. Reachable states are therefore bounded
-    by 2^(2^|states|), and the input size is capped by `bound`.
+    acceptance predicate belongs to Q. So Q is the up-set {phi : phi meets
+    S} of a subset S, stepping to the up-set of S's successor set: the
+    machine is the disjunctive subset machine, with up-sets as meanings.
+    `bound` caps the input size, as a meaning lists up to 2^|states|
+    predicates.
     """
     require_valid(n)
     if n.n_states > bound:
         return BudgetExceeded("canonical", bound, n.n_states)
-    nst = n.n_states
-    masks = n.succ_masks()
-    npred = 1 << nst
-    pre: List[List[int]] = []
-    for ai in range(len(n.alphabet)):
-        col = [masks[x][ai] for x in range(nst)]
-        pre.append([
-            sum(1 << x for x in range(nst) if col[x] & phi)
-            for phi in range(npred)
-        ])
-    acc = n.accepting_mask()
-
-    def step(q: frozenset, intern: Callable) -> Tuple[int, ...]:
-        return tuple(
-            intern(frozenset(phi for phi in range(npred) if pre_a[phi] in q))
-            for pre_a in pre
-        )
-
-    seeds = [frozenset(phi for phi in range(npred) if phi >> x & 1) for x in range(nst)]
-    embed, order, delta = _explore(seeds, step)
-    outputs = [acc in q for q in order]
-    machine = MooreAut(n.alphabet, outputs, delta, names=_det_names(len(order)))
-    meanings = {
-        i: frozenset(frozenset(_iter_bits(phi)) for phi in q)
-        for i, q in enumerate(order)
-    }
-    return DetResult(machine, dict(enumerate(embed)), meanings, "canonical")
+    subsets = det_subset(n)
+    preds = [frozenset(_iter_bits(phi)) for phi in range(1 << n.n_states)]
+    meanings = {i: frozenset(phi for phi in preds if phi & s) for i, s in subsets.state_meaning.items()}
+    return DetResult(subsets.machine, subsets.embed, meanings, "canonical")

@@ -1,11 +1,10 @@
-"""Minimization of boolean-output machines by double reversal.
+"""Minimization of boolean-output machines by Brzozowski's two passes.
 
-The pipeline determinizes the reversed automaton, reverses the result, and
-determinizes again. Both passes explore forward from one start state, so the
+Each pass explores a preimage step on bitmask states from one seed, so the
 result holds only reachable states and needs no restriction afterwards.
-Each run also produces certificates: for every pair of distinct result states
-a shortest word on which they disagree, read off the first-pass machine
-rather than searched for pairwise.
+Each run also produces certificates: for every pair of distinct result
+states a shortest word on which they disagree, read off the first-pass
+machine rather than searched for pairwise.
 """
 
 from __future__ import annotations
@@ -13,16 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from .automata import (
-    NFA,
-    MooreAut,
-    ValidationError,
-    _iter_bits,
-    check_state,
-    require_valid,
-    reverse_nfa,
-)
+from .automata import NFA, MooreAut, ValidationError, _iter_bits, check_state, require_valid
 from .determinize import _explore, _subset_machine
+from .semantics import _mask_step, _recurrence
 
 Word = Tuple[str, ...]
 
@@ -42,8 +34,9 @@ class ObservableDFA:
 
 def _first_words(alphabet: Iterable[str], seed, successors: Callable) -> Dict:
     """Every state reachable from seed, in breadth-first discovery order,
-    with the word that first discovered it: its lexicographically least
-    shortest word. successors(s) lists s's successor per letter."""
+    with the word that first discovered it: its least shortest word, letters
+    ordered as the alphabet declares them. successors(s) lists s's successor
+    per letter."""
     words = {seed: ()}
 
     def step(s, intern) -> None:
@@ -57,29 +50,31 @@ def _first_words(alphabet: Iterable[str], seed, successors: Callable) -> Dict:
 
 
 def brzozowski_observable(n: NFA, initial: Iterable[int]) -> ObservableDFA:
-    """Determinize and minimize by double reversal.
+    """Determinize and minimize by two explored preimage passes.
 
-    The first pass determinizes the reversal of n; reading a word w into the
-    second-pass machine tracks, per first-pass state q, whether reversed(w)
-    leads from the first pass's start to q. Two second-pass states therefore
-    disagree exactly on the words reversed(u) for u reaching a first-pass
-    state in their symmetric difference, which yields the certificates.
+    The first pass explores the predicates definable from the acceptance
+    predicate by a-preimages (`semantics._recurrence`): u reaches the states
+    accepting reversed(u). The second is canonical determinization over
+    those predicates: a state holds the first-pass states whose predicate
+    meets the current subset of n's states, and steps by the first pass's
+    preimage. Reading w into it therefore tracks, per first-pass state q,
+    whether reversed(w) leads from the first pass's start to q. Two
+    second-pass states disagree exactly on the words reversed(u) for u
+    reaching a first-pass state in their symmetric difference, which yields
+    the certificates.
     """
     require_valid(n)
     init = frozenset(initial)
     for x in init:
         check_state(n, x)
-    rev, rev_start = reverse_nfa(n, init)
-    (d1_init,), _, d1 = _subset_machine(rev, [sum(1 << x for x in rev_start)])
+    init_mask = sum(1 << x for x in init)
+    base, pre = _recurrence(n)
+    (d1_init,), _, d1 = _subset_machine(n.alphabet, [base], pre, lambda s: bool(s & init_mask))
     reach = _first_words(d1.alphabet, d1_init, d1.delta.__getitem__)
 
-    back = set()
-    for s in range(d1.n_states):
-        for ai, label in enumerate(d1.alphabet):
-            back.add((d1.delta[s][ai], label, s))
-    rev2 = NFA(d1.n_states, d1.alphabet, back, accepting=(d1_init,))
+    pre1 = _mask_step([[1 << t for t in row] for row in d1.delta])
     seed2 = sum(1 << s for s in range(d1.n_states) if d1.outputs[s])
-    (d2_init,), meanings, d2 = _subset_machine(rev2, [seed2])
+    (d2_init,), meanings, d2 = _subset_machine(d1.alphabet, [seed2], pre1, lambda s: bool(s >> d1_init & 1))
 
     certificates: Dict[Tuple[int, int], Word] = {}
     for p in range(d2.n_states):
@@ -87,12 +82,7 @@ def brzozowski_observable(n: NFA, initial: Iterable[int]) -> ObservableDFA:
             diff = meanings[p] ^ meanings[q]
             r = min(_iter_bits(diff), key=lambda s: (len(reach[s]), reach[s]))
             certificates[(p, q)] = tuple(reversed(reach[r]))
-    named = MooreAut(
-        d2.alphabet,
-        d2.outputs,
-        d2.delta,
-        names=tuple(f"b{i}" for i in range(d2.n_states)),
-    )
+    named = MooreAut(d2.alphabet, d2.outputs, d2.delta, names=[f"b{i}" for i in range(d2.n_states)])
     return ObservableDFA(named, d2_init, certificates)
 
 
@@ -160,7 +150,8 @@ def dfa_equiv(
     """Decide language equality of two deterministic machines.
 
     Runs a breadth-first product walk, so a negative answer comes with a
-    lexicographically least shortest word on which the outputs differ.
+    shortest word on which the outputs differ, the least of them with letters
+    ordered as the alphabet declares them (not by their text).
     """
     require_valid(d1)
     require_valid(d2)

@@ -6,7 +6,7 @@ enumerates complete runs one at a time. Slow and obvious beats fast here.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from tracekit import GPS, NFA, TERM, AlternatingAut, Tree, WeightedAut, WeightedTreeAut
 
@@ -86,6 +86,56 @@ def chi_good_bruteforce(family):
         if all(v & u for u in fams):
             out.append(v)
     return frozenset(out)
+
+
+def double_dual(n: NFA, logic: str) -> dict:
+    """Canonical determinization of n for the diamond or the box logic,
+    built literally on sets of predicates.
+
+    A predicate is a frozenset of states, and a state is a frozenset of
+    predicates. State x embeds as the predicates holding at x. The
+    predicate phi belongs to the a-successor of Q iff phi's a-preimage
+    belongs to Q: the states with some a-successor in phi (diamond), or
+    with every a-successor in phi (box). Q outputs whether the acceptance
+    predicate belongs to it. States are numbered breadth first: the
+    embedded ones by source state, then each state's successors letter by
+    letter, named d0, d1, ...
+    """
+    states = range(n.n_states)
+    preds = [frozenset(c) for r in range(n.n_states + 1) for c in combinations(states, r)]
+    succ = {
+        (x, a): frozenset(q for p, b, q in n.transitions if p == x and b == a)
+        for x in states
+        for a in n.alphabet
+    }
+
+    def preimage(a, phi):
+        if logic == "diamond":
+            return frozenset(x for x in states if succ[x, a] & phi)
+        return frozenset(x for x in states if succ[x, a] <= phi)
+
+    order = []
+
+    def number(q):
+        if q not in order:
+            order.append(q)
+        return order.index(q)
+
+    embed = {x: number(frozenset(phi for phi in preds if x in phi)) for x in states}
+    delta = []
+    while len(delta) < len(order):
+        q = order[len(delta)]
+        delta.append(tuple(
+            number(frozenset(phi for phi in preds if preimage(a, phi) in q))
+            for a in n.alphabet
+        ))
+    return {
+        "delta": tuple(delta),
+        "outputs": tuple(frozenset(n.accepting) in q for q in order),
+        "names": tuple(f"d{i}" for i in range(len(order))),
+        "embed": embed,
+        "meanings": dict(enumerate(order)),
+    }
 
 
 def wta_runs(w: WeightedTreeAut, t: Tree):

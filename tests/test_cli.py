@@ -163,6 +163,12 @@ def _gps_with_moves(moves):
     return json.dumps(doc).encode()
 
 
+def _rat_out(value):
+    doc = {"kind": "weighted", "semiring": "rat", "states": ["x"], "alphabet": ["a"],
+           "out": {"x": value}, "transitions": {}}
+    return json.dumps(doc).encode()
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -171,14 +177,59 @@ def _gps_with_moves(moves):
         b'{"kind": "nfa", "states": [' + b"1" * 5000 + b"]}",
         _gps_with_moves(5),
         _gps_with_moves(None),
+        _rat_out("1e-10000000"),
+        _rat_out("1e5000"),
     ],
-    ids=["not-utf8", "nested-too-deep", "integer-too-long", "gps-moves-int", "gps-moves-null"],
+    ids=[
+        "not-utf8", "nested-too-deep", "integer-too-long", "gps-moves-int", "gps-moves-null",
+        "rat-exponent-negative", "rat-exponent-positive",
+    ],
 )
 def test_malformed_inputs_are_parse_errors(tmp_path, capsys, content):
     path = tmp_path / "bad.json"
     path.write_bytes(content)
     assert main(["semantics", "--state", "x", "--depth", "1", str(path)]) == 2
     assert capsys.readouterr().err.startswith("parse error: ")
+
+
+@pytest.mark.parametrize(
+    "value, printed",
+    [("1e4299", "1" + "0" * 4299), ("2.5e-3", "1/400"), ("-3/6", "-1/2"), (" 1E+2 ", "100")],
+)
+def test_rat_strings_within_the_digit_cap_load(tmp_path, capsys, value, printed):
+    path = tmp_path / "rat.json"
+    path.write_bytes(_rat_out(value))
+    assert main(["semantics", "--state", "x", "--depth", "0", str(path)]) == 0
+    assert capsys.readouterr().out == f"ε\t{printed}\n"
+
+
+def _nat_weighted(states, out, transitions):
+    return {"kind": "weighted", "semiring": "nat", "states": states, "alphabet": ["a"],
+            "out": out, "transitions": transitions}
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["semantics", "--state", "x", "--depth", "1000"],
+         _nat_weighted(["x"], {"x": 1}, {"x": {"a": {"x": 100000}}})),
+        (["semantics", "--state", "x", "--depth", "1000", "--out", "rows.json"],
+         _nat_weighted(["x"], {"x": 1}, {"x": {"a": {"x": 100000}}})),
+        # the one-state loop exits 4 at any budget, so the vector 10**5000
+        # comes from a chain of two weights of 10**2500
+        (["determinize", "--method", "weighted"],
+         _nat_weighted(["x", "y", "z"], {"z": 1},
+                       {"x": {"a": {"y": 10**2500}}, "y": {"a": {"z": 10**2500}}})),
+    ],
+    ids=["semantics", "semantics-out", "determinize-weighted"],
+)
+def test_values_too_long_to_print_exit_7(tmp_path, capsys, monkeypatch, argv, doc):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + [write_doc(tmp_path, "big.json", doc)]) == 7
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a computed value has more than 4300 digits and is not printed\n"
+    assert not (tmp_path / "rows.json").exists()
 
 
 def _paths(doc, prefix=()):

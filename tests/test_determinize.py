@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +31,7 @@ from tracekit import (
 )
 from tracekit.determinize import _hitting_bits, hitting_unions
 from tests.corpus import nfa_as_bool_wa, rand_alternating, rand_nfa
-from tests.oracles import chi_good_bruteforce
+from tests.oracles import chi_good_bruteforce, double_dual
 
 CLASSIC = NFA(2, ["a"], [(0, "a", 0), (0, "a", 1)], accepting=[1], names=["q0", "q1"])
 
@@ -311,6 +312,36 @@ def test_canonical_matches_source_language(seed):
     for x in range(n.n_states):
         got = moore_trace(result.machine, result.embed[x], 5).entries
         assert got == nfa_trace(n, x, 5).entries
+
+
+def _double_dual_of(result, meanings):
+    return {
+        "delta": tuple(map(tuple, result.machine.delta)),
+        "outputs": tuple(result.machine.outputs),
+        "names": tuple(result.machine.names),
+        "embed": result.embed,
+        "meanings": meanings,
+    }
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_canonical_is_the_diamond_double_dual(seed):
+    n = rand_nfa(random.Random(seed), max_states=3, max_letters=3)
+    result = canonical_det_nfa(n)
+    assert _double_dual_of(result, result.state_meaning) == double_dual(n, "diamond")
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_box_double_dual_is_the_conjunctive_subset_machine(seed):
+    """Over the box logic, the double dual of a subset S is the principal
+    filter {phi : S <= phi}, and the machine is det_subset's conj one."""
+    n = rand_nfa(random.Random(seed), max_states=3, max_letters=3)
+    result = det_subset(n, "conj")
+    preds = [frozenset(c) for r in range(n.n_states + 1) for c in combinations(range(n.n_states), r)]
+    filters = {i: frozenset(phi for phi in preds if s <= phi) for i, s in result.state_meaning.items()}
+    assert _double_dual_of(result, filters) == double_dual(n, "box")
 
 
 def test_canonical_two_state_meaning_bound():

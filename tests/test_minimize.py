@@ -1,4 +1,4 @@
-"""Double-reversal minimization against the partition-refinement oracle."""
+"""Brzozowski minimization against the partition-refinement oracle."""
 
 import random
 
@@ -118,6 +118,24 @@ def test_dfa_equiv_counterexample():
     )
     assert not same
     assert word == ("a", "b")
+
+
+def test_dfa_equiv_words_follow_the_declared_letter_order():
+    # both letters tell states 0 and 1 apart; "b" is declared first
+    d = MooreAut(["b", "a"], [False, False, True, False], [[2, 2], [3, 3], [2, 2], [3, 3]])
+    assert dfa_equiv(d, d, 0, 1) == (False, ("b",))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_certificates_are_shortest(seed):
+    rng = random.Random(seed)
+    n = rand_nfa(rng, max_states=4, max_letters=3)
+    initial = sorted({rng.randrange(n.n_states) for _ in range(rng.randint(1, 3))})
+    obs = brzozowski_observable(n, initial)
+    for (p, q), word in obs.certificates.items():
+        same, shortest = dfa_equiv(obs.machine, obs.machine, p, q)
+        assert not same and len(word) == len(shortest)
 
 
 def test_dfa_equiv_rejects_mismatched_alphabets():
