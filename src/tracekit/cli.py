@@ -113,12 +113,13 @@ def _printable(value: Any) -> Any:
 # weight encoding
 
 
-def encode_weight(semiring_name: str, value: Any) -> Any:
-    if semiring_name == "bool":
-        return bool(value)
-    if semiring_name == "nat":
-        return _printable(int(value))
-    return str(_printable(Fraction(value)))
+def encode_weight(value: Any) -> Any:
+    """The JSON value of a carrier value: a bool or an int as itself, a
+    Fraction (or a PartialProb's probability) as its string."""
+    if isinstance(value, bool):
+        return value
+    value = _printable(value)
+    return value if isinstance(value, int) else str(value)
 
 
 def decode_weight(semiring_name: str, value: Any, where: str) -> Any:
@@ -527,20 +528,16 @@ def dump_automaton(aut, initial: Optional[Sequence[int]] = None) -> Dict[str, An
         ]
     elif kind == "moore":
         doc["semiring"] = aut.semiring.name
-        doc["outputs"] = {
-            names[x]: encode_weight(aut.semiring.name, o) for x, o in enumerate(aut.outputs)
-        }
+        doc["outputs"] = {names[x]: encode_weight(o) for x, o in enumerate(aut.outputs)}
         doc["delta"] = {
             names[x]: {a: names[row[i]] for i, a in enumerate(aut.alphabet)}
             for x, row in enumerate(aut.delta)
         }
     elif kind == "weighted":
         doc["semiring"] = aut.semiring.name
-        doc["out"] = {
-            names[x]: encode_weight(aut.semiring.name, o) for x, o in enumerate(aut.out)
-        }
+        doc["out"] = {names[x]: encode_weight(o) for x, o in enumerate(aut.out)}
         doc["transitions"] = _label_rows(
-            aut, aut.trans, lambda vec: {names[y]: encode_weight(aut.semiring.name, w) for y, w in vec.items()}
+            aut, aut.trans, lambda vec: {names[y]: encode_weight(w) for y, w in vec.items()}
         )
     elif kind == "wta":
         doc["semiring"] = aut.semiring.name
@@ -552,7 +549,7 @@ def dump_automaton(aut, initial: Optional[Sequence[int]] = None) -> Dict[str, An
                         "state": names[x],
                         "op": op,
                         "children": [names[c] for c in children],
-                        "weight": encode_weight(aut.semiring.name, w),
+                        "weight": encode_weight(w),
                     }
                 )
         rules.sort(key=lambda r: (r["state"], r["op"], r["children"]))
@@ -574,9 +571,9 @@ def dump_automaton(aut, initial: Optional[Sequence[int]] = None) -> Dict[str, An
         for x, row in enumerate(aut.dist):
             entry: Dict[str, Any] = {}
             if TERM in row:
-                entry["term"] = encode_weight("rat", row[TERM])
+                entry["term"] = encode_weight(row[TERM])
             moves = [
-                {"label": a, "to": names[y], "prob": encode_weight("rat", p)}
+                {"label": a, "to": names[y], "prob": encode_weight(p)}
                 for (a, y), p in ((k, v) for k, v in row.items() if k is not TERM)
             ]
             moves.sort(key=lambda m: (m["label"], m["to"]))
@@ -601,13 +598,6 @@ def render_value(value: Any) -> str:
     if isinstance(value, bool):
         return "tt" if value else "ff"
     return str(_printable(value))
-
-
-def _json_value(value: Any) -> Any:
-    if isinstance(value, bool):
-        return value
-    value = _printable(value)
-    return value if isinstance(value, int) else str(value)
 
 
 def _resolve_cli_state(aut, spec: str) -> int:
@@ -654,8 +644,8 @@ def _cmd_semantics(args) -> int:
     )
     if args.out:
         rows = [
-            {"tree": format_tree(key), "value": _json_value(value)} if wta
-            else {"word": list(key), "value": _json_value(value)}
+            {"tree": format_tree(key), "value": encode_weight(value)} if wta
+            else {"word": list(key), "value": encode_weight(value)}
             for key, value in table.entries.items()
         ]
         doc = {"state": aut.names[x], "depth": args.depth, "rows": rows}
@@ -677,9 +667,7 @@ _METHODS = {
 def _serialize_meaning(result: DetResult, source, meaning) -> Any:
     names = source.names
     if result.method == "weighted":
-        return {
-            names[y]: encode_weight(source.semiring.name, w) for y, w in meaning.items()
-        }
+        return {names[y]: encode_weight(w) for y, w in meaning.items()}
     if result.method == "canonical":
         return sorted(sorted(names[y] for y in phi) for phi in meaning)
     return sorted(names[y] for y in meaning)
@@ -741,7 +729,7 @@ def _cmd_minimize(args) -> int:
     machine_doc = dump_automaton(machine, initial=[init])
     cert_doc = [
         {"pair": [machine.names[p], machine.names[q]], "word": list(word)}
-        for (p, q), word in sorted(certificates.items())
+        for (p, q), word in certificates.items()
     ]
     _emit(args.out, machine_doc, "certificates", cert_doc, ".certs.json")
     return EXIT_OK

@@ -10,9 +10,9 @@ machine rather than searched for pairwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
-from .automata import NFA, MooreAut, ValidationError, _iter_bits, check_state, require_valid
+from .automata import NFA, MooreAut, ValidationError, check_state, require_valid
 from .determinize import _explore, _subset_machine
 from .semantics import _mask_step, _recurrence
 
@@ -23,8 +23,11 @@ Word = Tuple[str, ...]
 class ObservableDFA:
     """A reachable deterministic machine with pairwise-distinguished states.
 
-    certificates maps each pair (p, q) with p < q to a shortest word whose
-    acceptance differs from p and from q.
+    certificates maps each pair (p, q) with p < q, inserted in (p, q) order,
+    to a shortest word whose acceptance differs from p and from q: the
+    reversal of the least first-pass word, shortest first and then with
+    letters ordered as the alphabet declares them, that reaches a first-pass
+    state on which p and q differ.
     """
 
     machine: MooreAut
@@ -50,7 +53,7 @@ def _first_words(alphabet: Iterable[str], seed, successors: Callable) -> Dict:
 
 
 def brzozowski_observable(n: NFA, initial: Iterable[int]) -> ObservableDFA:
-    """Determinize and minimize by two explored preimage passes.
+    """The minimal deterministic machine, by two explored preimage passes.
 
     The first pass explores the predicates definable from the acceptance
     predicate by a-preimages (`semantics._recurrence`): u reaches the states
@@ -60,8 +63,11 @@ def brzozowski_observable(n: NFA, initial: Iterable[int]) -> ObservableDFA:
     preimage. Reading w into it therefore tracks, per first-pass state q,
     whether reversed(w) leads from the first pass's start to q. Two
     second-pass states disagree exactly on the words reversed(u) for u
-    reaching a first-pass state in their symmetric difference, which yields
-    the certificates.
+    reaching a first-pass state in their symmetric difference. The first
+    pass numbers its states breadth first, so the least such state carries
+    the certificate. The result is observable (its certificates tell every
+    pair of states apart) and reachable (the second pass interns only states
+    it reaches from its one seed), hence minimal.
     """
     require_valid(n)
     init = frozenset(initial)
@@ -70,7 +76,9 @@ def brzozowski_observable(n: NFA, initial: Iterable[int]) -> ObservableDFA:
     init_mask = sum(1 << x for x in init)
     base, pre = _recurrence(n)
     (d1_init,), _, d1 = _subset_machine(n.alphabet, [base], pre, lambda s: bool(s & init_mask))
-    reach = _first_words(d1.alphabet, d1_init, d1.delta.__getitem__)
+    # _first_words discovers d1's states in d1's own numbering order
+    words = _first_words(d1.alphabet, d1_init, d1.delta.__getitem__)
+    back = [tuple(reversed(u)) for u in words.values()]
 
     pre1 = _mask_step([[1 << t for t in row] for row in d1.delta])
     seed2 = sum(1 << s for s in range(d1.n_states) if d1.outputs[s])
@@ -80,10 +88,12 @@ def brzozowski_observable(n: NFA, initial: Iterable[int]) -> ObservableDFA:
     for p in range(d2.n_states):
         for q in range(p + 1, d2.n_states):
             diff = meanings[p] ^ meanings[q]
-            r = min(_iter_bits(diff), key=lambda s: (len(reach[s]), reach[s]))
-            certificates[(p, q)] = tuple(reversed(reach[r]))
+            certificates[(p, q)] = back[(diff & -diff).bit_length() - 1]
     named = MooreAut(d2.alphabet, d2.outputs, d2.delta, names=[f"b{i}" for i in range(d2.n_states)])
     return ObservableDFA(named, d2_init, certificates)
+
+
+brzozowski_minimal = brzozowski_observable
 
 
 def _restrict_reachable(d: MooreAut, initial: int) -> MooreAut:
@@ -95,53 +105,38 @@ def _restrict_reachable(d: MooreAut, initial: int) -> MooreAut:
     return MooreAut(d.alphabet, outputs, delta, semiring=d.semiring, names=names)
 
 
-def brzozowski_minimal(n: NFA, initial: Iterable[int]) -> ObservableDFA:
-    """The minimal deterministic machine: `brzozowski_observable`'s result.
-
-    That result is observable (its certificates tell every pair of states
-    apart) and reachable (the second pass interns only states it reaches
-    from its one seed), hence minimal.
-    """
-    return brzozowski_observable(n, initial)
-
-
 def partition_refine(d: MooreAut, initial: int) -> Tuple[MooreAut, int]:
     """Quotient the reachable part of a deterministic machine by behaviour.
 
     Starts from the output partition and splits blocks until successor
     blocks are constant on every block, then rebuilds the machine on blocks.
-    Blocks are numbered by their least member, so the result is reproducible.
+    Blocks are numbered by their least member in the breadth-first numbering
+    of the reachable part, so the result is reproducible and is itself
+    numbered breadth first from its initial state 0.
     """
     require_valid(d)
     check_state(d, initial)
     d, initial = _restrict_reachable(d, initial), 0
-    m = len(d.alphabet)
-    block: List[int] = []
-    keys = {}
-    for s in range(d.n_states):
-        k = keys.setdefault(d.outputs[s], len(keys))
-        block.append(k)
+    keys: Dict = {}
+    block = [keys.setdefault(o, len(keys)) for o in d.outputs]
     while True:
         sigs: Dict[Tuple, int] = {}
-        new_block = []
-        for s in range(d.n_states):
-            sig = (block[s],) + tuple(block[d.delta[s][ai]] for ai in range(m))
-            new_block.append(sigs.setdefault(sig, len(sigs)))
+        new_block = [
+            sigs.setdefault((block[s],) + tuple(block[t] for t in row), len(sigs))
+            for s, row in enumerate(d.delta)
+        ]
         if new_block == block:
             break
         block = new_block
+    # each scan numbers blocks by first appearance, hence by least member
     reps: Dict[int, int] = {}
-    for s in range(d.n_states):
-        reps.setdefault(block[s], s)
-    ordered = sorted(reps.values())
-    renum = {block[s]: i for i, s in enumerate(ordered)}
-    delta = tuple(
-        tuple(renum[block[d.delta[s][ai]]] for ai in range(m)) for s in ordered
-    )
-    outputs = [d.outputs[s] for s in ordered]
-    names = tuple(f"m{i}" for i in range(len(ordered)))
+    for s, b in enumerate(block):
+        reps.setdefault(b, s)
+    delta = tuple(tuple(block[t] for t in d.delta[s]) for s in reps.values())
+    outputs = [d.outputs[s] for s in reps.values()]
+    names = tuple(f"m{i}" for i in range(len(reps)))
     machine = MooreAut(d.alphabet, outputs, delta, semiring=d.semiring, names=names)
-    return machine, renum[block[initial]]
+    return machine, block[initial]
 
 
 def dfa_equiv(

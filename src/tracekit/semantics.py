@@ -302,31 +302,45 @@ def moore_trace(m: MooreAut, x: int, depth: int) -> LanguageTable:
     return LanguageTable(depth, _table(m.alphabet, layers, m.outputs.__getitem__))
 
 
+def _tree_step(w: WeightedTreeAut) -> Callable[[str, Sequence[Callable[[int], Any]]], List[Any]]:
+    """One bottom-up step of w: op and one value function per child go to the
+    list whose x entry is the sum over rules op(x1..xn) of x of the rule
+    weight times the product of the args[i](xi)."""
+    sr = w.semiring
+    add, mul, zero = sr.add, sr.mul, sr.zero
+    by_op: List[Dict[str, List[Tuple[Tuple[int, ...], Any]]]] = [{} for _ in range(w.n_states)]
+    for s, rules in enumerate(w.rules):
+        for (op, children), wt in rules.items():
+            by_op[s].setdefault(op, []).append((children, wt))
+
+    def step(op: str, args: Sequence[Callable[[int], Any]]) -> List[Any]:
+        values = []
+        for rules in by_op:
+            acc = zero
+            for children, wt in rules.get(op, ()):
+                term = wt
+                for c, arg in zip(children, args):
+                    term = mul(term, arg(c))
+                    if term == zero:
+                        break
+                acc = add(acc, term)
+            values.append(acc)
+        return values
+
+    return step
+
+
 def wta_trace(w: WeightedTreeAut, x: int, depth: int) -> TreeLanguageTable:
     """Tree series of x: on op(t1..tn), the sum over rules op(x1..xn) of the
     rule weight times the product of the xi values at ti, bottom-up by height."""
     require_valid(w)
     check_state(w, x)
-    sr = w.semiring
-    add, mul, zero, one = sr.add, sr.mul, sr.zero, sr.one
-    by_op: List[Dict[str, List[Tuple[Tuple[int, ...], Any]]]] = [{} for _ in range(w.n_states)]
-    for s, rules in enumerate(w.rules):
-        for (op, children), wt in rules.items():
-            by_op[s].setdefault(op, []).append((children, wt))
-    trees = all_trees(w.signature, depth)
-    memo: Dict[Tuple[int, Tree], Any] = {}
-    for t in trees:
-        for s in range(w.n_states):
-            acc = zero
-            for children, wt in by_op[s].get(t.op, ()):
-                term = wt
-                for cs, ct in zip(children, t.children):
-                    term = mul(term, memo[(cs, ct)])
-                    if term == zero:
-                        break
-                acc = add(acc, term)
-            memo[(s, t)] = acc
-    return TreeLanguageTable(depth, {t: memo[(x, t)] for t in trees})
+    step = _tree_step(w)
+    # values[t][s]: the weight of t at state s; children come before parents
+    values: Dict[Tree, List[Any]] = {}
+    for t in all_trees(w.signature, depth):
+        values[t] = step(t.op, [values[c].__getitem__ for c in t.children])
+    return TreeLanguageTable(depth, {t: v[x] for t, v in values.items()})
 
 
 def bottom_up_algebra(w: WeightedTreeAut) -> Callable[[str, Sequence[WeightVec]], WeightVec]:
@@ -334,13 +348,12 @@ def bottom_up_algebra(w: WeightedTreeAut) -> Callable[[str, Sequence[WeightVec]]
 
     The returned evaluator sends an operator and one weight vector per child
     to the vector whose x entry is the sum over rules op(x1..xn) of x of the
-    rule weight times the product of the child vectors at the xi. Folding a
-    tree through the evaluator and reading off coordinate x agrees with
-    `wta_trace`.
+    rule weight times the product of the child vectors at the xi. It runs
+    the same step as `wta_trace`, so folding a tree through it and reading
+    off coordinate x gives `wta_trace`'s value.
     """
     require_valid(w)
-    sr = w.semiring
-    mul, zero = sr.mul, sr.zero
+    step = _tree_step(w)
     arity = w.arity()
 
     def evaluator(op: str, args: Sequence[WeightVec]) -> WeightVec:
@@ -348,19 +361,7 @@ def bottom_up_algebra(w: WeightedTreeAut) -> Callable[[str, Sequence[WeightVec]]
             raise ValueError(f"unknown operator {op!r}")
         if len(args) != arity[op]:
             raise ValueError(f"operator {op!r} expects {arity[op]} arguments, got {len(args)}")
-        pairs = []
-        for s, rules in enumerate(w.rules):
-            for (rop, children), wt in rules.items():
-                if rop != op:
-                    continue
-                term = wt
-                for i, c in enumerate(children):
-                    term = mul(term, args[i](c))
-                    if term == zero:
-                        break
-                if term != zero:
-                    pairs.append((s, term))
-        return WeightVec(sr, pairs)
+        return WeightVec(w.semiring, enumerate(step(op, args)))
 
     return evaluator
 

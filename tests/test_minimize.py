@@ -18,6 +18,7 @@ from tracekit import (
     nfa_trace,
     partition_refine,
 )
+from tracekit.minimize import _restrict_reachable
 from tests.corpus import rand_moore_bool, rand_nfa
 
 ENDS_IN_A = NFA(
@@ -136,6 +137,35 @@ def test_certificates_are_shortest(seed):
     for (p, q), word in obs.certificates.items():
         same, shortest = dfa_equiv(obs.machine, obs.machine, p, q)
         assert not same and len(word) == len(shortest)
+
+
+def test_certificates_follow_the_declared_letter_order():
+    # "b" and "a" both tell states 0 and 2 apart; "b" is declared first
+    m = NFA(2, ("b", "a"), [(0, "a", 1), (1, "b", 0)], [0, 1])
+    obs = brzozowski_observable(m, [0])
+    assert brzozowski_minimal is brzozowski_observable
+    assert obs.certificates[(0, 2)] == ("b",) == dfa_equiv(obs.machine, obs.machine, 0, 2)[1]
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_certificates_come_in_pair_order(seed):
+    rng = random.Random(seed)
+    n = rand_nfa(rng, max_states=5, max_letters=3)
+    initial = sorted({rng.randrange(n.n_states) for _ in range(rng.randint(0, 3))})
+    obs = brzozowski_observable(n, initial)
+    assert list(obs.certificates) == sorted(obs.certificates)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_partition_refine_numbers_breadth_first(seed):
+    rng = random.Random(seed)
+    d = rand_moore_bool(rng, max_states=7)
+    machine, initial = partition_refine(d, rng.randrange(d.n_states))
+    assert initial == 0
+    again = _restrict_reachable(machine, 0)
+    assert again.delta == machine.delta and again.outputs == machine.outputs
 
 
 def test_dfa_equiv_rejects_mismatched_alphabets():
