@@ -7,12 +7,17 @@ one-step exchange squares must commute, and the determinized machine must
 agree with the source semantics word by word. Each checker enumerates a
 declared finite fragment exhaustively (plus optional seeded samples above
 the exhaustive bound) and returns a LawReport. A clean report is a finite
-proof over that fragment, nothing more; bounds are chosen as the largest
-sizes with runs well under a second.
+proof over that fragment, nothing more. Naturality is exhaustive on
+carriers of up to three points and the Boolean action laws on predicates
+over up to two, each sampled beyond. Exchange and the alternating square
+enumerate every family of predicate sets; on three points there are 2^256
+of them, so both refuse max_phi above 2.
 
 Predicates over a finite set of size k are bitmasks over k points, so a
 predicate doubles as its own index; sets of predicates and families of such
-sets are masks over masks. Rendering expands all of this back to braces.
+sets are masks over masks. Both sides of a law are compared as masks, read
+from tables indexed by a family mask, or by each of its bytes, rather than
+bit by bit. Rendering expands all of this back to braces.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import combinations, product
+from functools import lru_cache, reduce
+from itertools import chain, combinations, product
 from operator import and_, or_
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -72,6 +77,21 @@ def format_report(report: LawReport, max_failures: int = 5) -> str:
 
 def _tt(bit) -> str:
     return "tt" if bit else "ff"
+
+
+def _fold_table(values: Sequence, op: Callable, start) -> list:
+    """out[m] folds values[i] by op from start over the set bits i of m, for
+    every m below 2 ** len(values)."""
+    out = [start]
+    for v in values:
+        out += [op(x, v) for x in out]
+    return out
+
+
+def _halves(values: Sequence, op: Callable, start) -> Tuple[list, list]:
+    """`_fold_table` for masks of up to 16 bits, one table of at most 256
+    entries per byte: lo for m & 0xFF, hi for m >> 8."""
+    return _fold_table(values[:8], op, start), _fold_table(values[8:16], op, start)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +171,15 @@ def known_counterexample(t: FiniteNatTrans = CHI_WRONG) -> Optional[LawFailure]:
     return naturality_instance(t, _KNOWN_NX, _KNOWN_NY, _KNOWN_F, _KNOWN_FAMILY)
 
 
+def _image(m: Sequence[int], mask: int) -> int:
+    """The direct image of a mask under the index map m: a subset mask under
+    a carrier map, or a family mask under its members' image table."""
+    out = 0
+    for i in _iter_bits(mask):
+        out |= 1 << m[i]
+    return out
+
+
 def check_naturality(
     t: FiniteNatTrans,
     shape: str = NAT_SHAPE,
@@ -162,23 +191,43 @@ def check_naturality(
     f between carriers of size up to max_size and all family arguments.
 
     The enumeration is exhaustive up to carrier size 3; sizes above that are
-    covered by seeded random sampling.
+    covered by seeded random sampling. Families are masks over subset masks,
+    and the square is compared on masks: `t.apply` runs once per distinct
+    family (on frozensets, its result read back as a mask), so t must be a
+    function of its argument. A failing square is rendered by
+    `naturality_instance`.
     """
     if shape != NAT_SHAPE:
         raise ValueError(f"unsupported shape {shape!r}; only {NAT_SHAPE!r} is known")
     failures: List[LawFailure] = []
     count = 0
+    memo: Dict[int, int] = {}
+
+    def t_of(fam: int) -> int:
+        got = memo.get(fam)
+        if got is None:
+            got = 0
+            for v in t.apply(frozenset(frozenset(_iter_bits(u)) for u in _iter_bits(fam))):
+                got |= 1 << sum(1 << x for x in v)
+            memo[fam] = got
+        return got
+
+    def check(nx: int, ny: int, f: Sequence[int], lift: Callable[[int], int], fam: int) -> None:
+        nonlocal count
+        count += 1
+        if lift(t_of(fam)) != t_of(lift(fam)):
+            failure = naturality_instance(t, nx, ny, f, [_iter_bits(u) for u in _iter_bits(fam)])
+            if failure is not None:
+                failures.append(failure)
+
     limit = min(max_size, 3)
     for nx in range(limit + 1):
         for ny in range(limit + 1):
-            subsets = [frozenset(_iter_bits(m)) for m in range(1 << nx)]
             for f in product(range(ny), repeat=nx):
-                for fam_mask in range(1 << (1 << nx)):
-                    fam = frozenset(subsets[j] for j in _iter_bits(fam_mask))
-                    count += 1
-                    failure = naturality_instance(t, nx, ny, f, fam)
-                    if failure is not None:
-                        failures.append(failure)
+                img = [_image(f, u) for u in range(1 << nx)]
+                lifted = [_image(img, fam) for fam in range(1 << (1 << nx))]
+                for fam in range(len(lifted)):
+                    check(nx, ny, f, lifted.__getitem__, fam)
     if max_size > 3:
         rng = random.Random(seed)
         for _ in range(samples):
@@ -187,14 +236,11 @@ def check_naturality(
             if max(nx, ny) <= 3:
                 nx = max_size
             f = tuple(rng.randrange(ny) for _ in range(nx))
-            fam = frozenset(
-                frozenset(_iter_bits(rng.randrange(1 << nx)))
-                for _ in range(rng.randint(0, 4))
-            )
-            count += 1
-            failure = naturality_instance(t, nx, ny, f, fam)
-            if failure is not None:
-                failures.append(failure)
+            fam = 0
+            for _ in range(rng.randint(0, 4)):
+                fam |= 1 << rng.randrange(1 << nx)
+            img = [_image(f, u) for u in range(1 << nx)]
+            check(nx, ny, f, lambda g: _image(img, g), fam)
     return LawReport(f"naturality:{t.name}", count, failures)
 
 
@@ -283,44 +329,45 @@ def _action_laws_bool(
                     )
                 )
 
-    def check_mult(k: int, fam_masks: Sequence[int], resolved: Sequence[int]) -> None:
-        nonlocal count
-        count += 1
-        full = (1 << k) - 1
-        union = reduce(or_, fam_masks, 0)
-        lhs = action.fold(_iter_bits(union), full)
-        rhs = action.fold(resolved, full)
-        if lhs != rhs:
-            rendered = (
-                "{" + ", ".join(_fmt_predset(_iter_bits(fm)) for fm in fam_masks) + "}"
-            )
-            failures.append(
-                LawFailure(
-                    f"|Phi|={k}, family of predicate sets {rendered}",
-                    f"resolve of union: {_fmt_points(lhs)}",
-                    f"resolve of resolutions: {_fmt_points(rhs)}",
-                )
-            )
+    fmt_inner = lru_cache(maxsize=None)(lambda fm: _fmt_predset(_iter_bits(fm)))
 
+    def mult_failure(k: int, fam_masks: Iterable[int], lhs: int, rhs: int) -> LawFailure:
+        rendered = "{" + ", ".join(map(fmt_inner, fam_masks)) + "}"
+        return LawFailure(
+            f"|Phi|={k}, family of predicate sets {rendered}",
+            f"resolve of union: {_fmt_points(lhs)}",
+            f"resolve of resolutions: {_fmt_points(rhs)}",
+        )
+
+    # the union side folds fold_of's own call; the resolution side calls
+    # action.fold on the whole list, as a fold need not be associative
     for k in range(min(max_phi, 2) + 1):
-        npred = 1 << k
         full = (1 << k) - 1
-        fold_of = [action.fold(_iter_bits(fm), full) for fm in range(1 << npred)]
-        for outer in range(1 << (1 << npred)):
-            fams = list(_iter_bits(outer))
-            check_mult(k, fams, [fold_of[fm] for fm in fams])
+        fold_of = [action.fold(_iter_bits(fm), full) for fm in range(1 << (1 << k))]
+        # every outer family, as a mask over the predicate sets fm
+        res_lo, res_hi = _halves(fold_of, lambda acc, r: acc + [r], [])
+        union_lo, union_hi = _halves(range(len(fold_of)), or_, 0)
+        for outer in range(1 << len(fold_of)):
+            lo, hi = outer & 0xFF, outer >> 8
+            lhs = fold_of[union_lo[lo] | union_hi[hi]]
+            rhs = action.fold(res_lo[lo] + res_hi[hi], full)
+            if lhs != rhs:
+                failures.append(mult_failure(k, _iter_bits(outer), lhs, rhs))
+        count += 1 << len(fold_of)
     if max_phi >= 3:
         k = 3
         full = (1 << k) - 1
         nfam = 1 << (1 << k)
         fold_of = [action.fold(_iter_bits(fm), full) for fm in range(nfam)]
-        for r in range(3):
-            for fams in combinations(range(nfam), r):
-                check_mult(k, fams, [fold_of[fm] for fm in fams])
+        # outer families of up to two members, then samples with repeats
         rng = random.Random(seed)
-        for _ in range(samples):
-            fams = [rng.randrange(nfam) for _ in range(rng.randint(3, 6))]
-            check_mult(k, fams, [fold_of[fm] for fm in fams])
+        sampled = ([rng.randrange(nfam) for _ in range(rng.randint(3, 6))] for _ in range(samples))
+        for fams in chain(*(combinations(range(nfam), r) for r in range(3)), sampled):
+            count += 1
+            lhs = fold_of[reduce(or_, fams, 0)]
+            rhs = action.fold([fold_of[fm] for fm in fams], full)
+            if lhs != rhs:
+                failures.append(mult_failure(k, fams, lhs, rhs))
     return LawReport(f"action-laws:{action.name}", count, failures)
 
 
@@ -465,11 +512,13 @@ DIAGRAMS = ("subset", "conj", "weighted", "alt")
 _MUTATIONS = (None, "flip-output")
 
 
-def _fmt_lpred(mask: int, alphabet: Sequence[str], k: int) -> str:
-    names = ["ε"]
-    for label in alphabet:
-        for p in range(k):
-            names.append(f"({label},{p})")
+def _lpred_names(alphabet: Sequence[str], k: int) -> List[str]:
+    """The formulas a one-step predicate's bits stand for: ε, then each
+    letter with each point."""
+    return ["ε"] + [f"({label},{p})" for label in alphabet for p in range(k)]
+
+
+def _fmt_lpred(mask: int, names: Sequence[str]) -> str:
     return "{" + ", ".join(names[i] for i in _iter_bits(mask)) + "}"
 
 
@@ -489,6 +538,8 @@ def check_logic_morphism_diagram(
     the bottom path aggregates the machine elements first and takes the
     one-step predicate of the aggregate. `mutate="flip-output"` corrupts the
     bottom path's output aggregation, as a negative control for the checker.
+    The alt square aggregates through every family of predicate sets, so it
+    raises ValueError for max_phi above 2.
     """
     if which not in DIAGRAMS:
         raise ValueError(f"unknown diagram {which!r}; expected one of {DIAGRAMS}")
@@ -496,6 +547,8 @@ def check_logic_morphism_diagram(
         raise ValueError(f"unknown mutation {mutate!r}")
     if which == "weighted":
         return _diagram_weighted(max_phi, tuple(alphabet), mutate)
+    if which == "alt" and max_phi > 2:
+        raise ValueError(f"the alt diagram is exhaustible only up to max_phi=2, got {max_phi}")
     return _diagram_branching(which, max_phi, tuple(alphabet), samples, seed, mutate)
 
 
@@ -509,6 +562,7 @@ def _diagram_weighted(
         nmask = 1 << k
         points = 1 + m * nmask
         rho = [1] + [phi << (1 + ai * k) for ai in range(m) for phi in range(nmask)]
+        lnames = _lpred_names(alphabet, k)
         for psi in range(1 << points):
             count += 1
             top = 0
@@ -534,36 +588,40 @@ def _diagram_weighted(
                 failures.append(
                     LawFailure(
                         f"|Phi|={k}, weighted one-step bag {rendered}",
-                        f"resolve of one-step predicates: {_fmt_lpred(top, alphabet, k)}",
-                        f"one-step of aggregate: {_fmt_lpred(bottom, alphabet, k)}",
+                        f"resolve of one-step predicates: {_fmt_lpred(top, lnames)}",
+                        f"one-step of aggregate: {_fmt_lpred(bottom, lnames)}",
                     )
                 )
     return LawReport("logic-morphism:weighted", count, failures)
 
 
-def _joins_and_meets(ninner: int, full_pred: int) -> Tuple[List[int], List[int]]:
-    """For every set of predicates (a mask over predicate masks below ninner),
-    the join and the meet of its members; the empty meet is full_pred."""
-    join_of = []
-    meet_of = []
-    for im in range(ninner):
-        disj = 0
-        conj = full_pred
-        for phi in _iter_bits(im):
-            disj |= phi
-            conj &= phi
-        join_of.append(disj)
-        meet_of.append(conj)
-    return join_of, meet_of
+def _exchange_sides(k: int) -> Tuple[List[int], Callable[[int], int], Callable[[int], int]]:
+    """For predicates on k <= 2 points: the join of each predicate set, and
+    both sides of the exchange law as lookups on a family of predicate sets
+    (a mask over predicate-set masks): the meet of the members' joins, and
+    the join of the meets of the family's hitting sets.
 
+    Hitting sets are taken among all predicate sets, not only within the
+    family's union. The extra ones are supersets of those within it, with
+    smaller meets, so the join is the same.
+    """
+    full_pred = (1 << k) - 1
+    preds = range(1 << k)
+    everything = (1 << len(preds)) - 1  # the set of all predicates
+    join_of, meet_of = _fold_table(preds, or_, 0), _fold_table(preds, and_, full_pred)
+    top_lo, top_hi = _halves(join_of, and_, full_pred)
+    hit1 = [_hitting_bits((u, everything)) for u in range(everything + 1)]
+    hits_lo, hits_hi = _halves(hit1, and_, (1 << (everything + 1)) - 1)
+    join_lo, join_hi = _halves(meet_of, or_, 0)
 
-def _hitting_meet(members: Iterable[int], meet_of: Sequence[int]) -> int:
-    """The join, over the hitting sets of a family of predicate sets, of
-    each hitting set's meet (meet_of as from `_joins_and_meets`)."""
-    got = 0
-    for v in _iter_bits(_hitting_bits(members)):
-        got |= meet_of[v]
-    return got
+    def top(fam: int) -> int:
+        return top_lo[fam & 0xFF] & top_hi[fam >> 8]
+
+    def bottom(fam: int) -> int:
+        hits = hits_lo[fam & 0xFF] & hits_hi[fam >> 8]
+        return join_lo[hits & 0xFF] | join_hi[hits >> 8]
+
+    return join_of, top, bottom
 
 
 def _diagram_branching(
@@ -592,16 +650,14 @@ def _diagram_branching(
         shifts = [1 + ai * k for ai in range(len(alphabet))]
         full_l = (1 << (1 + len(alphabet) * k)) - 1
         if alt:
-            pred_of, meet_of = _joins_and_meets(1 << (1 << k), full_pred)
+            pred_of, _, hitting_meet = _exchange_sides(k)
             fmt_part = lambda t: _fmt_predset(_iter_bits(t))
-            memo: Dict[frozenset, int] = {}
 
             def aggregate(parts: List[int]) -> int:
-                key = frozenset(parts)
-                got = memo.get(key)
-                if got is None:
-                    got = memo[key] = _hitting_meet(key, meet_of)
-                return got
+                fam = 0
+                for t in parts:
+                    fam |= 1 << t
+                return hitting_meet(fam)
 
         else:
             pred_of = range(1 << k)
@@ -609,7 +665,9 @@ def _diagram_branching(
             aggregate = lambda parts: fold(parts, full_pred)
         base = [(o, ts) for o in (0, 1) for ts in product(range(len(pred_of)), repeat=len(alphabet))]
         ones = [o | sum(pred_of[t] << s for t, s in zip(ts, shifts)) for o, ts in base]
+        lnames = _lpred_names(alphabet, k)
 
+        @lru_cache(maxsize=None)
         def fmt_elem(i: int) -> str:
             o, ts = base[i]
             parts = [f"out={_tt(o)}"] + [
@@ -631,8 +689,8 @@ def _diagram_branching(
                 failures.append(
                     LawFailure(
                         f"|Phi|={k}, machine family {fam}",
-                        f"resolve of one-step predicates: {_fmt_lpred(top, alphabet, k)}",
-                        f"one-step of aggregate: {_fmt_lpred(bottom, alphabet, k)}",
+                        f"resolve of one-step predicates: {_fmt_lpred(top, lnames)}",
+                        f"one-step of aggregate: {_fmt_lpred(bottom, lnames)}",
                     )
                 )
 
@@ -650,27 +708,22 @@ def check_exchange(max_phi: int = 2) -> LawReport:
     """Conjunction-over-disjunction exchange: on any family of predicate
     sets, the meet of the members' joins equals the join, over all hitting
     sets of the family, of the hitting set's meet. This is the pointwise law
-    that makes the alternating translation work.
+    that makes the alternating translation work. Every family is checked,
+    so max_phi above 2 (2^256 families) raises ValueError.
     """
+    if max_phi > 2:
+        raise ValueError(f"check_exchange is exhaustible only up to max_phi=2, got {max_phi}")
     failures: List[LawFailure] = []
     count = 0
     for k in range(max_phi + 1):
-        nmask = 1 << k
-        ninner = 1 << nmask
-        full_pred = (1 << k) - 1
-        join_of, meet_of = _joins_and_meets(ninner, full_pred)
-        for fam_mask in range(1 << ninner):
-            count += 1
-            inner_masks = list(_iter_bits(fam_mask))
-            top = full_pred
-            for im in inner_masks:
-                top &= join_of[im]
-            bottom = _hitting_meet(inner_masks, meet_of)
+        _, meet_of_joins, join_of_meets = _exchange_sides(k)
+        nfam = 1 << (1 << (1 << k))
+        for fam in range(nfam):
+            top = meet_of_joins(fam)
+            bottom = join_of_meets(fam)
             if top != bottom:
                 rendered = (
-                    "{"
-                    + ", ".join(_fmt_predset(_iter_bits(im)) for im in inner_masks)
-                    + "}"
+                    "{" + ", ".join(_fmt_predset(_iter_bits(im)) for im in _iter_bits(fam)) + "}"
                 )
                 failures.append(
                     LawFailure(
@@ -679,6 +732,7 @@ def check_exchange(max_phi: int = 2) -> LawReport:
                         f"join of hitting-set meets: {_fmt_points(bottom)}",
                     )
                 )
+        count += nfam
     return LawReport("exchange:conjunction-over-disjunction", count, failures)
 
 

@@ -1,8 +1,12 @@
 """Law reports: naturality, actions, monad morphisms, diagrams, correctness."""
 
+import hashlib
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
+from operator import and_, or_, xor
 from pathlib import Path
 
 import pytest
@@ -34,10 +38,24 @@ from tracekit import (
     format_report,
     known_counterexample,
 )
-from tracekit.laws import CHI_GOOD, CHI_WRONG, IDENTITY_NAT, LawFailure, LawReport
+from tracekit.automata import _iter_bits
+from tracekit.cli import _clamped, _law_checks
+from tracekit.laws import (
+    CHI_GOOD,
+    CHI_WRONG,
+    DIAGRAMS,
+    IDENTITY_NAT,
+    FiniteNatTrans,
+    LawFailure,
+    LawReport,
+    _exchange_sides,
+)
 from tests.corpus import rand_nfa
+from tests.oracles import chi_good_bruteforce
 
 GOLDEN = Path(__file__).parent / "data" / "chi_wrong_counterexample.txt"
+# sha256 of every pinned report, rendered with all of its failures
+LAW_DIGESTS = json.loads((Path(__file__).parent / "data" / "law_report_digests.json").read_text())
 
 
 def test_report_formatting():
@@ -84,6 +102,88 @@ def test_naturality_sampling_above_exhaustive_range():
     assert report.ok
     bad = check_naturality(CHI_WRONG, max_size=5, samples=80, seed=5)
     assert not bad.ok
+
+
+def test_naturality_refutes_a_user_transformation():
+    """Keeping only the singleton members is not natural: gluing the two
+    points of a pair turns it into a singleton."""
+    singletons = FiniteNatTrans(
+        "singletons", lambda fam: frozenset(frozenset(u) for u in fam if len(frozenset(u)) == 1)
+    )
+    report = check_naturality(singletons, max_size=3)
+    assert report.instances_checked == 9472
+    assert not report.ok
+    assert report.failures[0].instance == "X={a,b}, Y={c}, f=[a->c, b->c], S={{a,b}}"
+
+
+def test_naturality_applies_the_transformation_once_per_family():
+    calls = []
+
+    def counting(fam):
+        calls.append(fam)
+        return CHI_GOOD.apply(fam)
+
+    report = check_naturality(FiniteNatTrans("chi-good", counting), max_size=3)
+    assert report.ok
+    assert report.instances_checked == 9472
+    assert len(calls) <= 278
+    assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_exchange_sides_match_the_bruteforce_hitting_sets(k):
+    """On every family of predicate sets, the meet of joins and the join of
+    hitting-set meets agree with chi_good_bruteforce's hitting sets."""
+    full_pred = (1 << k) - 1
+    _, meet_of_joins, join_of_meets = _exchange_sides(k)
+    for fam in range(1 << (1 << (1 << k))):
+        members = [frozenset(_iter_bits(u)) for u in _iter_bits(fam)]
+        joins = [reduce(or_, u, 0) for u in members]
+        assert meet_of_joins(fam) == reduce(and_, joins, full_pred)
+        meets = [reduce(and_, v, full_pred) for v in chi_good_bruteforce(members)]
+        assert join_of_meets(fam) == reduce(or_, meets, 0)
+
+
+def _digest(report):
+    text = format_report(report, max_failures=len(report.failures))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("law", sorted(_law_checks(None)))
+def test_law_reports_at_every_cli_size_are_pinned(law):
+    """`tracekit check LAW` with --max-size unset and 1..6 (larger sizes
+    clamp to 6): every report, all failures rendered, hashes as pinned."""
+    cap = 6 if law in ("chi-good", "chi-wrong", "identity-nat") else 3 if law.startswith(("action-", "monad-")) else 2
+    got = {}
+    by_bound = {}
+    for size in (None, 1, 2, 3, 4, 5, 6):
+        bound = _clamped(size, min(cap, 3), cap)
+        if bound not in by_bound:
+            by_bound[bound] = _digest(_law_checks(size)[law]())
+        got[f"cli:{law}@{size}"] = by_bound[bound]
+    assert got == {key: LAW_DIGESTS[key] for key in got}
+
+
+def test_negative_control_and_diagram_reports_are_pinned():
+    """The diagrams at every size, mutated or not, on one and two letters;
+    the parity and constant-0 folds; exchange at 0..2."""
+    parity = PredicateAction("parity", lambda masks, full: reduce(xor, masks, 0))
+    zero = PredicateAction("zero", lambda masks, full: 0)
+    got = {}
+    for which in DIAGRAMS:
+        for phi in range(3):
+            for mutate in (None, "flip-output"):
+                for alphabet in (("a", "b"), ("a",)):
+                    report = check_logic_morphism_diagram(which, max_phi=phi, alphabet=alphabet, mutate=mutate)
+                    got[f"diagram:{which}:{phi}:{mutate}:{''.join(alphabet)}"] = _digest(report)
+    for action in (parity, zero):
+        for n in (1, 2, 3):
+            got[f"action:{action.name}:{n}"] = _digest(check_action_laws(action, max_phi=n))
+            got[f"monad:{action.name}:{n}"] = _digest(check_monad_morphism(action, max_size=n))
+    for phi in range(3):
+        got[f"exchange:{phi}"] = _digest(check_exchange(max_phi=phi))
+    assert got == {key: LAW_DIGESTS[key] for key in got}
+    assert len(got) + 15 * 7 == len(LAW_DIGESTS)
 
 
 def test_naturality_rejects_unknown_shape():
@@ -157,6 +257,16 @@ def test_exchange_is_exhaustive_and_clean():
     report = check_exchange(max_phi=2)
     assert report.ok
     assert report.instances_checked == 20 + 2**16
+
+
+def test_exchange_rejects_sizes_beyond_the_exhaustible_bound():
+    with pytest.raises(ValueError, match="max_phi=2"):
+        check_exchange(max_phi=3)
+
+
+def test_alt_diagram_rejects_sizes_beyond_the_exhaustible_bound():
+    with pytest.raises(ValueError, match="max_phi=2"):
+        check_logic_morphism_diagram("alt", max_phi=3)
 
 
 def test_exchange_and_alt_diagram_run_through_the_hitting_set_kernel(monkeypatch):
