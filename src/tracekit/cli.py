@@ -19,8 +19,9 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .automata import (
     GPS,
@@ -610,14 +611,24 @@ def _resolve_cli_state(aut, spec: str) -> int:
     raise UnknownStateError(f"unknown state {spec!r}")
 
 
-def _emit(out: Optional[str], machine_doc: Any, key: str, side_doc: Any, suffix: str) -> None:
-    """Print {"machine": machine_doc, key: side_doc}; with --out, write the
-    machine to out and side_doc to out with its suffix replaced by suffix."""
+def _nested(text: str) -> str:
+    """A serialized document as the value of a key at the top level: a JSON
+    string holds no raw newline, so this indents each line after the first."""
+    return text[:-1].replace("\n", "\n  ")
+
+
+def _emit(out: Optional[str], machine_doc: Any, key: str, side_text: str, suffix: str) -> None:
+    """Print {"machine": machine_doc, key: side} as serialize_document would,
+    where side_text is the serialized side document; with --out, write the
+    machine to out and side_text to out with its suffix replaced by suffix.
+    Everything is rendered before the first write."""
+    machine_text = serialize_document(machine_doc)
     if out:
-        Path(out).write_text(serialize_document(machine_doc), encoding="utf-8")
-        Path(out).with_suffix(suffix).write_text(serialize_document(side_doc), encoding="utf-8")
+        Path(out).write_text(machine_text, encoding="utf-8")
+        Path(out).with_suffix(suffix).write_text(side_text, encoding="utf-8")
     else:
-        sys.stdout.write(serialize_document({"machine": machine_doc, key: side_doc}))
+        # key ("certificates" or "embedding") sorts before "machine"
+        sys.stdout.write(f'{{\n  "{key}": {_nested(side_text)},\n  "machine": {_nested(machine_text)}\n}}\n')
 
 
 # ---------------------------------------------------------------------------
@@ -699,8 +710,26 @@ def _cmd_determinize(args) -> int:
             for i, meaning in result.state_meaning.items()
         },
     }
-    _emit(args.out, machine_doc, "embedding", embedding, ".embed.json")
+    _emit(args.out, machine_doc, "embedding", serialize_document(embedding), ".embed.json")
     return EXIT_OK
+
+
+def _certificate_text(names: Sequence[str], certificates: Mapping[Tuple[int, int], Tuple[str, ...]]) -> str:
+    """The text serialize_document writes for the list of
+    {"pair": [p, q], "word": [...]} objects, one per certificate in (p, q)
+    order, written without building those objects: each state name is
+    encoded once, and each word once per distinct word."""
+    if not certificates:
+        return "[]\n"
+    quoted = list(map(encode_basestring, names))
+    words: Dict[Tuple[str, ...], str] = {}
+    chunks = []
+    for (p, q), word in certificates.items():
+        text = words.get(word)
+        if text is None:
+            text = words[word] = ("[\n      " + ",\n      ".join(map(encode_basestring, word)) + "\n    ]") if word else "[]"
+        chunks.append(f'{{\n    "pair": [\n      {quoted[p]},\n      {quoted[q]}\n    ],\n    "word": {text}\n  }}')
+    return "[\n  " + ",\n  ".join(chunks) + "\n]\n"
 
 
 def _cmd_minimize(args) -> int:
@@ -727,11 +756,7 @@ def _cmd_minimize(args) -> int:
         machine, init = partition_refine(aut, initial[0])
         certificates = {}
     machine_doc = dump_automaton(machine, initial=[init])
-    cert_doc = [
-        {"pair": [machine.names[p], machine.names[q]], "word": list(word)}
-        for (p, q), word in certificates.items()
-    ]
-    _emit(args.out, machine_doc, "certificates", cert_doc, ".certs.json")
+    _emit(args.out, machine_doc, "certificates", _certificate_text(machine.names, certificates), ".certs.json")
     return EXIT_OK
 
 

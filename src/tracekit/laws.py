@@ -11,7 +11,9 @@ proof over that fragment, nothing more. Naturality is exhaustive on
 carriers of up to three points and the Boolean action laws on predicates
 over up to two, each sampled beyond. Exchange and the alternating square
 enumerate every family of predicate sets; on three points there are 2^256
-of them, so both refuse max_phi above 2.
+of them, so both refuse max_phi above 2. The monad-morphism law enumerates
+every family of subsets; on five points there are 2^32 of them, so it
+refuses max_size above 4.
 
 Predicates over a finite set of size k are bitmasks over k points, so a
 predicate doubles as its own index; sets of predicates and families of such
@@ -458,8 +460,11 @@ def check_monad_morphism(action: PredicateAction, max_size: int = 3) -> LawRepor
     dagger(U) obtained by folding, over x in U, the set of predicates
     holding at x. Unit law: dagger({x}) is evaluation at x. Multiplication
     law: a predicate lies in dagger(union of a family) iff the fold over
-    members U of its membership in dagger(U) holds.
+    members U of its membership in dagger(U) holds. Every family is checked,
+    so max_size above 4 (2^32 families) raises ValueError.
     """
+    if max_size > 4:
+        raise ValueError(f"check_monad_morphism is exhaustible only up to max_size=4, got {max_size}")
     failures: List[LawFailure] = []
     count = 0
     for n in range(max_size + 1):

@@ -4,13 +4,14 @@ Each pass explores a preimage step on bitmask states from one seed, so the
 result holds only reachable states and needs no restriction afterwards.
 Each run also produces certificates: for every pair of distinct result
 states a shortest word on which they disagree, read off the first-pass
-machine rather than searched for pairwise.
+machine rather than searched for pairwise, and computed only when read.
 """
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .automata import NFA, MooreAut, ValidationError, check_state, require_valid
 from .determinize import _explore, _subset_machine
@@ -19,20 +20,63 @@ from .semantics import _mask_step, _recurrence
 Word = Tuple[str, ...]
 
 
+class Certificates(Mapping):
+    """The read-only mapping from each pair (p, q) with 0 <= p < q < n to the
+    certificate of p and q, computed on access: back[r] for r the lowest set
+    bit of meanings[p] ^ meanings[q]. It has n(n-1)/2 pairs, iterates them
+    in (p, q) order, and compares equal to the dict of its items."""
+
+    __slots__ = ("_meanings", "_back")
+
+    def __init__(self, meanings: Sequence[int], back: Sequence[Word]):
+        self._meanings = meanings
+        self._back = back
+
+    def __getitem__(self, pair: Tuple[int, int]) -> Word:
+        if isinstance(pair, tuple) and len(pair) == 2:
+            p, q = pair
+            if isinstance(p, int) and isinstance(q, int) and 0 <= p < q < len(self._meanings):
+                diff = self._meanings[p] ^ self._meanings[q]
+                return self._back[(diff & -diff).bit_length() - 1]
+        raise KeyError(pair)
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        n = len(self._meanings)
+        return ((p, q) for p in range(n) for q in range(p + 1, n))
+
+    def __len__(self) -> int:
+        n = len(self._meanings)
+        return n * (n - 1) // 2
+
+    def items(self) -> ItemsView:
+        return _CertificateItems(self)
+
+
+class _CertificateItems(ItemsView):
+    def __iter__(self):
+        meanings, back = self._mapping._meanings, self._mapping._back
+        n = len(meanings)
+        for p, mp in enumerate(meanings):
+            for q in range(p + 1, n):
+                diff = mp ^ meanings[q]
+                yield (p, q), back[(diff & -diff).bit_length() - 1]
+
+
 @dataclass
 class ObservableDFA:
     """A reachable deterministic machine with pairwise-distinguished states.
 
-    certificates maps each pair (p, q) with p < q, inserted in (p, q) order,
-    to a shortest word whose acceptance differs from p and from q: the
-    reversal of the least first-pass word, shortest first and then with
-    letters ordered as the alphabet declares them, that reaches a first-pass
-    state on which p and q differ.
+    certificates is a read-only mapping (`Certificates`), computed on
+    access, from each pair (p, q) with p < q, iterated in (p, q) order, to a
+    shortest word whose acceptance differs from p and from q: the reversal
+    of the least first-pass word, shortest first and then with letters
+    ordered as the alphabet declares them, that reaches a first-pass state
+    on which p and q differ.
     """
 
     machine: MooreAut
     initial: int
-    certificates: Dict[Tuple[int, int], Word]
+    certificates: Certificates
 
 
 def _first_words(alphabet: Iterable[str], seed, successors: Callable) -> Dict:
@@ -84,13 +128,8 @@ def brzozowski_observable(n: NFA, initial: Iterable[int]) -> ObservableDFA:
     seed2 = sum(1 << s for s in range(d1.n_states) if d1.outputs[s])
     (d2_init,), meanings, d2 = _subset_machine(d1.alphabet, [seed2], pre1, lambda s: bool(s >> d1_init & 1))
 
-    certificates: Dict[Tuple[int, int], Word] = {}
-    for p in range(d2.n_states):
-        for q in range(p + 1, d2.n_states):
-            diff = meanings[p] ^ meanings[q]
-            certificates[(p, q)] = back[(diff & -diff).bit_length() - 1]
     named = MooreAut(d2.alphabet, d2.outputs, d2.delta, names=[f"b{i}" for i in range(d2.n_states)])
-    return ObservableDFA(named, d2_init, certificates)
+    return ObservableDFA(named, d2_init, Certificates(meanings, back))
 
 
 brzozowski_minimal = brzozowski_observable

@@ -1,6 +1,9 @@
 """Command-line interface: file format round-trips, commands, exit statuses."""
 
+import contextlib
+import io
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -20,6 +23,8 @@ from tracekit import (
     MooreAut,
     WeightedAut,
     WeightedTreeAut,
+    brzozowski_minimal,
+    partition_refine,
 )
 from tracekit.automata import TERM
 from tracekit.cli import (
@@ -452,6 +457,66 @@ def test_minimize_requires_an_initial_state(tmp_path):
     doc = dump_automaton(CLASSIC)
     path = write_doc(tmp_path, "bare.json", doc)
     assert main(["minimize", path]) == 6
+
+
+# letters that JSON escapes, or that a careless encoder would mangle
+ODD_LETTERS = ('"', "\\", "\n", "\u2028", "é", "\x07", "a")
+
+
+def minimize_oracle(aut, initial):
+    """The machine and certificate documents that the CLI printed when it
+    built one {"pair", "word"} object per certificate and json.dumps'ed them."""
+    if isinstance(aut, NFA):
+        obs = brzozowski_minimal(aut, initial)
+        machine, init, certificates = obs.machine, obs.initial, obs.certificates
+    else:
+        (x,) = initial
+        (machine, init), certificates = partition_refine(aut, x), {}
+    certs = [
+        {"pair": [machine.names[p], machine.names[q]], "word": list(word)}
+        for (p, q), word in certificates.items()
+    ]
+    return dump_automaton(machine, initial=[init]), certs
+
+
+def json_text(doc):
+    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+@given(seed=st.integers(0, 2**32 - 1), letters=st.lists(st.sampled_from(ODD_LETTERS), min_size=1, max_size=4, unique=True),
+       moore=st.booleans())
+@example(seed=0, letters=list(ODD_LETTERS), moore=False)
+@settings(max_examples=60, deadline=None)
+def test_minimize_output_is_byte_identical_to_json_dumps(tmp_path_factory, seed, letters, moore):
+    rng = random.Random(seed)
+    size = rng.randint(1, 6)
+    if moore:
+        aut = MooreAut(letters, [rng.random() < 0.5 for _ in range(size)],
+                       [[rng.randrange(size) for _ in letters] for _ in range(size)])
+        initial = [rng.randrange(size)]
+    else:
+        trans = {(rng.randrange(size), rng.choice(letters), rng.randrange(size))
+                 for _ in range(rng.randint(0, 2 * size * len(letters)))}
+        aut = NFA(size, letters, trans, [x for x in range(size) if rng.random() < 0.4])
+        initial = sorted({rng.randrange(size) for _ in range(rng.randint(1, 3))})
+    machine_doc, certs = minimize_oracle(aut, initial)
+    if moore:
+        assert certs == []
+    base = tmp_path_factory.mktemp("parity")
+    path = base / "in.json"
+    path.write_text(serialize_document(dump_automaton(aut, initial=initial)), encoding="utf-8")
+
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["minimize", str(path)]) == 0
+    assert stdout.getvalue() == json_text({"machine": machine_doc, "certificates": certs})
+
+    out = base / "min.json"
+    with contextlib.redirect_stdout(io.StringIO()) as quiet:
+        assert main(["minimize", "--out", str(out), str(path)]) == 0
+    assert quiet.getvalue() == ""
+    assert out.read_bytes() == json_text(machine_doc).encode("utf-8")
+    assert (base / "min.certs.json").read_bytes() == json_text(certs).encode("utf-8")
 
 
 def test_equiv(tmp_path, capsys):

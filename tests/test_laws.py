@@ -264,6 +264,13 @@ def test_exchange_rejects_sizes_beyond_the_exhaustible_bound():
         check_exchange(max_phi=3)
 
 
+def test_monad_morphism_rejects_sizes_beyond_the_exhaustible_bound():
+    from tracekit.laws import DIAMOND
+
+    with pytest.raises(ValueError, match="max_size=4"):
+        check_monad_morphism(DIAMOND, max_size=5)
+
+
 def test_alt_diagram_rejects_sizes_beyond_the_exhaustible_bound():
     with pytest.raises(ValueError, match="max_phi=2"):
         check_logic_morphism_diagram("alt", max_phi=3)

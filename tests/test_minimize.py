@@ -1,6 +1,7 @@
 """Brzozowski minimization against the partition-refinement oracle."""
 
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from tracekit import (
     nfa_trace,
     partition_refine,
 )
-from tracekit.minimize import _restrict_reachable
+from tracekit.minimize import Certificates, _restrict_reachable
 from tests.corpus import rand_moore_bool, rand_nfa
 
 ENDS_IN_A = NFA(
@@ -155,6 +156,58 @@ def test_certificates_come_in_pair_order(seed):
     initial = sorted({rng.randrange(n.n_states) for _ in range(rng.randint(0, 3))})
     obs = brzozowski_observable(n, initial)
     assert list(obs.certificates) == sorted(obs.certificates)
+
+
+def nth_letter_nfa(n):
+    """Accepts the words whose n-th letter from the end is a; its minimal
+    DFA has 2^n states."""
+    trans = [(0, "a", 0), (0, "b", 0), (0, "a", 1)]
+    trans += [(i, a, i + 1) for i in range(1, n) for a in "ab"]
+    return NFA(n + 1, ["a", "b"], trans, accepting=[n])
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_certificate_view_keeps_the_dict_contract(seed):
+    rng = random.Random(seed)
+    n = rand_nfa(rng, max_states=5, max_letters=3)
+    initial = sorted({rng.randrange(n.n_states) for _ in range(rng.randint(1, 3))})
+    obs = brzozowski_observable(n, initial)
+    certs, size = obs.certificates, obs.machine.n_states
+    assert isinstance(certs, Certificates)
+    # the eager table, filled by the loop the view replaces
+    eager = {}
+    for p in range(size):
+        for q in range(p + 1, size):
+            eager[(p, q)] = certs[(p, q)]
+    assert len(certs) == len(eager) == comb(size, 2)
+    assert list(certs) == list(eager)
+    assert list(certs.items()) == list(eager.items())
+    assert list(certs.values()) == list(eager.values())
+    assert certs == eager and eager == certs
+    assert all(pair in certs for pair in eager)
+    assert all((pair, word) in certs.items() for pair, word in eager.items())
+    outside = [(size, size + 1), (-1, 0), (0, size), (0,), (0, 1, 2), "01", None]
+    outside += [(q, p) for p, q in eager] + [(p, p) for p in range(size)]
+    for pair in outside:
+        assert pair not in certs
+        with pytest.raises(KeyError):
+            certs[pair]
+    with pytest.raises(TypeError):
+        certs[(0, 1)] = ()
+
+
+def test_certificates_at_sixteen_thousand_states_are_read_on_demand():
+    obs = brzozowski_minimal(nth_letter_nfa(14), [0])
+    machine = obs.machine
+    assert machine.n_states == 1 << 14
+    assert len(obs.certificates) == comb(1 << 14, 2)
+    rng = random.Random(14)
+    pairs = [(0, 1), (machine.n_states - 2, machine.n_states - 1)]
+    pairs += [tuple(sorted(rng.sample(range(machine.n_states), 2))) for _ in range(50)]
+    for p, q in pairs:
+        word = obs.certificates[(p, q)]
+        assert machine.outputs[machine.step(p, word)] != machine.outputs[machine.step(q, word)]
 
 
 @given(st.integers(0, 2**32 - 1))
