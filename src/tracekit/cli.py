@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -836,6 +837,8 @@ def _cmd_check(args) -> int:
 # argument parsing
 
 
+# parsing a command line leaves the tree as it was, so one tree serves every call
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tracekit",
@@ -879,9 +882,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

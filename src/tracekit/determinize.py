@@ -55,7 +55,7 @@ class _Overflow(Exception):
 
 
 def _explore(
-    seeds: Iterable[Hashable], step: Callable, budget: Optional[int] = None
+    seeds: Iterable[Hashable], step: Callable, budget: Optional[int] = None, depth: Optional[int] = None
 ) -> Optional[Tuple[List[int], List[Hashable], List[Any]]]:
     """The reachable part of a lifted coalgebra, breadth first from the seeds.
 
@@ -63,7 +63,9 @@ def _explore(
     state's successors in the order step interns them. step(s, intern)
     returns the row of state s, calling intern on a successor to get its
     number. Returns (seed numbers, states by number, rows by number), or None
-    as soon as a state beyond the first `budget` is discovered.
+    as soon as a state beyond the first `budget` is discovered. With a depth
+    d, only the states within d - 1 steps of a seed are stepped, so exactly
+    those within d steps are numbered and rows covers the stepped prefix.
     """
     ids: Dict[Hashable, int] = {}
     order: List[Hashable] = []
@@ -79,8 +81,11 @@ def _explore(
 
     try:
         embed = [intern(s) for s in seeds]
-        # iterating `order` while step appends to it is the work queue
-        rows = [step(s, intern) for s in order]
+        # iterating `order` while step appends to it is the work queue; with
+        # a depth, a round steps one level: the states numbered before it
+        rows = [step(s, intern) for s in order] if depth is None else []
+        for _ in range(depth or 0):
+            rows += [step(s, intern) for s in order[len(rows):]]
     except _Overflow:
         return None
     return embed, order, rows

@@ -28,13 +28,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain, combinations, product
+from itertools import chain, combinations, islice, product
 from operator import and_, or_
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .automata import NFA, AlternatingAut, ValidationError, WeightedAut, _iter_bits, require_valid
 from .determinize import BudgetExceeded, DetResult, _hitting_bits, chi_good, chi_wrong
-from .semantics import _layers, _reader, _recurrence, format_word, word_at
+from .semantics import _reader, _recurrence, _table, _unfold, format_word
 from .weights import Semiring, WeightVec, map_weights, monad_mul, unit
 
 NAT_SHAPE = "PP=>PP"
@@ -114,8 +114,6 @@ CHI_WRONG = FiniteNatTrans("chi-wrong", chi_wrong)
 IDENTITY_NAT = FiniteNatTrans(
     "identity", lambda fam: frozenset(frozenset(u) for u in fam)
 )
-
-NAT_TRANSFORMS = {t.name: t for t in (CHI_GOOD, CHI_WRONG, IDENTITY_NAT)}
 
 
 def _carrier_names(nx: int, ny: int) -> Tuple[List[str], List[str]]:
@@ -763,12 +761,12 @@ def check_correctness(
 
     Source and machine are both read through their one-step recurrences in
     `semantics`. The pair (source values, machine values) of a word a.w
-    depends only on a and the pair of w, so a breadth-first sweep over the
-    distinct pairs of the words up to the depth checks every word, and a
-    pair seen before is not stepped again. Word-by-word layers are built
-    only to report failures, in state, length and word order. An invalid
-    machine, or an embedding that misses a machine state, raises
-    ValidationError.
+    depends only on a and the pair of w, so the pair machine explored to
+    the depth (`semantics._unfold`) holds the pair of every word, each
+    distinct pair stepped once. Failures are listed, in state, length and
+    word order, by walking the words over its rows. An invalid machine, or
+    an embedding that misses a machine state, raises ValidationError, and a
+    negative depth ValueError.
     """
     if isinstance(det, BudgetExceeded):
         raise ValueError("a budget-exceeded outcome carries no machine to check")
@@ -791,42 +789,27 @@ def check_correctness(
             raise ValidationError(f"embedding sends source state {x} to {t!r}, not a machine state")
 
     alphabet = source.alphabet
-    letters = range(len(alphabet))
     src_base, src_step = _recurrence(source, "conj" if method == "subset-conj" else "disj")
     mach_base, mach_step = _recurrence(machine)
-    readers = [
-        (_reader(src_base, x), _reader(mach_base, det.embed[x]))
-        for x in range(source.n_states)
-    ]
-    name = f"correctness:{method}"
     count = source.n_states * sum(len(alphabet) ** k for k in range(depth + 1))
-
-    seen = {(src_base, mach_base)}
-    frontier = set(seen)
-    for _ in range(depth):
-        frontier = {(src_step(ai, s), mach_step(ai, t)) for s, t in frontier for ai in letters}
-        frontier -= seen
-        seen |= frontier
-    if all(src(s) == mach(t) for s, t in seen for src, mach in readers):
-        return LawReport(name, count, [])
-
+    pairs, layers = _unfold(
+        alphabet, (src_base, mach_base), lambda ai, p: (src_step(ai, p[0]), mach_step(ai, p[1])), depth
+    )
+    # per source state, both sides' values on each distinct pair
+    sides = []
+    for x in range(source.n_states):
+        src, mach = _reader(src_base, x), _reader(mach_base, det.embed[x])
+        sides.append([(src(s), mach(t)) for s, t in pairs])
     render = str if method == "weighted" else _tt
-    src_layers = _layers(alphabet, src_base, src_step, depth)
-    mach_layers = _layers(alphabet, mach_base, mach_step, depth)
-    failures: List[LawFailure] = []
-    for x, (src, mach) in enumerate(readers):
-        for k in range(depth + 1):
-            for i, (s, t) in enumerate(zip(src_layers[k], mach_layers[k])):
-                lhs, rhs = src(s), mach(t)
-                if lhs == rhs:
-                    continue
-                if len(failures) >= max_failures:
-                    return LawReport(name, count, failures)
-                failures.append(
-                    LawFailure(
-                        f"state {source.names[x]}, word {format_word(word_at(alphabet, k, i))}",
-                        f"source trace: {render(lhs)}",
-                        f"determinized trace: {render(rhs)}",
-                    )
-                )
-    return LawReport(name, count, failures)
+    failures = (
+        LawFailure(
+            f"state {source.names[x]}, word {format_word(word)}",
+            f"source trace: {render(lhs)}",
+            f"determinized trace: {render(rhs)}",
+        )
+        for x, side in enumerate(sides)
+        if any(lhs != rhs for lhs, rhs in side)
+        for word, (lhs, rhs) in _table(alphabet, layers(), side.__getitem__).items()
+        if lhs != rhs
+    )
+    return LawReport(f"correctness:{method}", count, list(islice(failures, max(max_failures, 0))))

@@ -1,19 +1,21 @@
 """Depth-bounded trace semantics for every automaton kind.
 
-Each machine kind comes with a one-step recurrence; the functions here unfold
-it by dynamic programming over word length (tree height for tree automata).
-Layer k+1 depends only on layer k and the recurrences couple all states, so
-the tables for every state are produced in one pass and each table is total on
-all words (trees) within the requested depth.
+Each word automaton kind comes with a one-step recurrence: a base value, for
+all states at once, and a step that takes the value of w to that of a.w.
+`determinize._explore` explores the recurrence from its base to the depth,
+so each distinct value is stepped once per letter however many words share
+it; the table then walks the words over the explored rows as value numbers.
+Tree automata are unfolded bottom-up by tree height. Each table is total on
+all words (trees) within the requested depth, and a negative depth raises
+ValueError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import itemgetter, or_
-from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from .automata import (
     GPS,
@@ -30,6 +32,7 @@ from .automata import (
     check_state,
     require_valid,
 )
+from .determinize import _explore
 from .weights import RAT, PartialProb, Semiring, WeightVec
 
 Word = Tuple[str, ...]
@@ -92,26 +95,33 @@ def format_word(word: Sequence[str]) -> str:
     return "·".join(word)
 
 
-def _layers(alphabet: Sequence[str], base, step: Callable, depth: int) -> List[list]:
-    """Unfold a one-step recurrence by word length.
+def _check_depth(depth: int) -> None:
+    if depth < 0:
+        raise ValueError(f"depth must be at least 0, got {depth}")
 
-    layers[k][i] is the value, for all states at once, of the length-k word
-    with index i; layers[0] is [base]. The word a.w sits at index
-    (a * len(layers[k - 1]) + index of w), and its value is step(a, value of
-    w). Many words share a value, so step results are memoized per letter.
+
+def _unfold(alphabet: Sequence[str], base, step: Callable, depth: int) -> Tuple[List[Any], Callable]:
+    """Explore a one-step recurrence from its base to the depth.
+
+    Returns the distinct values of the words up to the depth, numbered
+    breadth first, and a function yielding, per length k, the value numbers
+    of the length-k words by index. The word a.w sits at index (a * number
+    of length-(k - 1) words + index of w) and gets the a-entry of the
+    explored row of w's value, so each distinct value is stepped once per
+    letter. A negative depth raises ValueError.
     """
-    layers = [[base]]
-    memos: List[dict] = [{} for _ in alphabet]
-    for _ in range(depth):
-        cur = []
-        for ai, memo in enumerate(memos):
-            for v in layers[-1]:
-                nv = memo.get(v)
-                if nv is None:
-                    nv = memo[v] = step(ai, v)
-                cur.append(nv)
-        layers.append(cur)
-    return layers
+    _check_depth(depth)
+    letters = range(len(alphabet))
+    _, values, rows = _explore([base], lambda v, intern: [intern(step(ai, v)) for ai in letters], depth=depth)
+
+    def layers() -> Iterator[List[int]]:
+        layer = [0]
+        for _ in range(depth):
+            yield layer
+            layer = [rows[i][ai] for ai in letters for i in layer]
+        yield layer
+
+    return values, layers
 
 
 def _mask_step(masks: Sequence[Sequence[int]], conj: bool = False) -> Callable[[int, int], int]:
@@ -211,13 +221,13 @@ def _recurrence(aut, mode: str = "disj") -> Tuple[Any, Callable]:
 
 
 def _reader(base, x: int) -> Callable[[Any], Any]:
-    """Read state x's entry off a layer value shaped like base."""
+    """Read state x's entry off a value shaped like base."""
     if isinstance(base, int):
         return lambda mask: bool(mask >> x & 1)
     return itemgetter(x)
 
 
-def _table(alphabet: Sequence[str], layers: List[list], read: Callable) -> Dict[Word, Any]:
+def _table(alphabet: Sequence[str], layers: Iterable[list], read: Callable) -> Dict[Word, Any]:
     """One entry per word up to the depth, by length and then index: read
     applied to the word's value in the layers."""
     entries: Dict[Word, Any] = {}
@@ -234,7 +244,8 @@ def _trace(aut, x: int, depth: int, mode: str = "disj") -> Dict[Word, Any]:
     check_state(aut, x)
     require_valid(aut)
     base, step = _recurrence(aut, mode)
-    return _table(aut.alphabet, _layers(aut.alphabet, base, step, depth), _reader(base, x))
+    values, layers = _unfold(aut.alphabet, base, step, depth)
+    return _table(aut.alphabet, layers(), list(map(_reader(base, x), values)).__getitem__)
 
 
 def nfa_trace(n: NFA, x: int, depth: int) -> LanguageTable:
@@ -245,14 +256,10 @@ def nfa_trace(n: NFA, x: int, depth: int) -> LanguageTable:
 
 def length_semantics(n: NFA, x: int, depth: int) -> Dict[int, bool]:
     """Whether x accepts some word of each length up to the depth: the
-    language of n with every letter read as one, whose successor set is the
-    union of the letters' successor sets."""
+    language of n with every letter read as one letter *."""
     require_valid(n)
-    check_state(n, x)
-    rows = [[reduce(or_, row, 0)] for row in n.succ_masks()]
-    base = n.accepting_mask()
-    read = _reader(base, x)
-    return {k: read(v) for k, (v,) in enumerate(_layers(("*",), base, _mask_step(rows), depth))}
+    star = NFA(n.n_states, ["*"], [(p, "*", q) for p, _, q in n.transitions], n.accepting, n.names)
+    return {len(w): v for w, v in _trace(star, x, depth).items()}
 
 
 def bt_nfa_trace(n: NFA, x: int, depth: int, mode: str = "disj") -> LanguageTable:
@@ -293,6 +300,7 @@ def gps_trace(g: GPS, x: int, depth: int) -> TraceDist:
 def moore_trace(m: MooreAut, x: int, depth: int) -> LanguageTable:
     """Observed outputs of a deterministic machine: the value at w is the
     output of the state reached by reading w."""
+    _check_depth(depth)
     require_valid(m)
     check_state(m, x)
     # layers[k][i]: the state that the length-k word of index i leads x to
@@ -333,6 +341,7 @@ def _tree_step(w: WeightedTreeAut) -> Callable[[str, Sequence[Callable[[int], An
 def wta_trace(w: WeightedTreeAut, x: int, depth: int) -> TreeLanguageTable:
     """Tree series of x: on op(t1..tn), the sum over rules op(x1..xn) of the
     rule weight times the product of the xi values at ti, bottom-up by height."""
+    _check_depth(depth)
     require_valid(w)
     check_state(w, x)
     step = _tree_step(w)

@@ -26,6 +26,7 @@ from tracekit import (
     brzozowski_minimal,
     partition_refine,
 )
+from tracekit import cli
 from tracekit.automata import TERM
 from tracekit.cli import (
     dump_automaton,
@@ -612,3 +613,32 @@ def test_cli_entry_point_runs_as_a_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "ε\tff\na\ttt\n"
+
+
+def test_one_parser_serves_every_call(capsys):
+    """main builds its argparse tree once; every call prints the usage,
+    errors and help, and returns the exit status, of a freshly built tree."""
+    argvs = [
+        [],
+        ["semantics"],
+        ["semantics", "f.json", "--state", "x", "--depth", "two"],
+        ["determinize", "f.json", "--method", "nope"],
+        ["check", "--help"],
+        ["--help"],
+        ["check", "no-such-law"],
+        ["semantics", str(EXAMPLES / "nfa-classic.json"), "--state", "x", "--depth", "2"],
+    ]
+
+    def run(argv):
+        status = main(argv)
+        captured = capsys.readouterr()
+        return status, captured.out, captured.err
+
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    cli.build_parser.cache_clear()
+    assert [run(argv) for argv in argvs + argvs] == fresh + fresh
+    assert cli.build_parser.cache_info().misses == 1
+    assert {status for status, _, _ in fresh} == {0, 2, 6}

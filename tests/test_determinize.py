@@ -29,7 +29,7 @@ from tracekit import (
     unit,
     wa_trace,
 )
-from tracekit.determinize import _hitting_bits, hitting_unions
+from tracekit.determinize import _explore, _hitting_bits, hitting_unions
 from tests.corpus import nfa_as_bool_wa, rand_alternating, rand_nfa
 from tests.oracles import chi_good_bruteforce, double_dual
 
@@ -348,3 +348,35 @@ def test_canonical_two_state_meaning_bound():
     n = NFA(2, ["a", "b"], [(0, "a", 1), (1, "b", 0)], accepting=[1])
     result = canonical_det_nfa(n)
     assert len(result.state_meaning) <= 16
+
+
+@st.composite
+def _graphs(draw):
+    n = draw(st.integers(1, 8))
+    adjacency = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=3), min_size=n, max_size=n))
+    seeds = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+    return adjacency, seeds
+
+
+@given(_graphs())
+def test_explore_to_a_depth_numbers_the_states_within_it(graph):
+    adjacency, seeds = graph
+    step = lambda s, intern: [intern(t) for t in adjacency[s]]
+    # breadth-first distances from the seeds
+    distance = {}
+    frontier, level = list(dict.fromkeys(seeds)), 0
+    while frontier:
+        distance.update(dict.fromkeys(frontier, level))
+        frontier = list(dict.fromkeys(t for s in frontier for t in adjacency[s] if t not in distance))
+        level += 1
+    full = _explore(seeds, step)
+    assert set(full[1]) == set(distance)
+    for depth in range(5):
+        embed, order, rows = _explore(seeds, step, depth=depth)
+        assert set(order) == {s for s, d in distance.items() if d <= depth}
+        assert set(order[: len(rows)]) == {s for s, d in distance.items() if d < depth}
+        # a breadth-first prefix of the unbounded exploration
+        assert embed == full[0]
+        assert order == full[1][: len(order)]
+        assert rows == full[2][: len(rows)]
+    assert _explore(seeds, step, depth=len(adjacency) + 1) == full

@@ -1,6 +1,8 @@
 """Depth-bounded trace tables for every machine kind, against slow oracles."""
 
 import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from tracekit import (
     LTS,
     NFA,
     NAT,
+    RAT,
     TERM,
     AlternatingAut,
     BudgetExceeded,
@@ -24,6 +27,8 @@ from tracekit import (
     alt_trace,
     bottom_up_algebra,
     bt_nfa_trace,
+    check_correctness,
+    det_subset,
     det_weighted,
     fold_tree,
     format_word,
@@ -36,6 +41,7 @@ from tracekit import (
     word_at,
     wta_trace,
 )
+from tracekit import semantics
 from tests import oracles
 from tests.corpus import (
     nfa_as_bool_wa,
@@ -379,3 +385,72 @@ def test_tables_are_total_and_ordered():
     table = nfa_trace(two, 0, 2)
     m = len(two.alphabet)
     assert len(table.entries) == 1 + m + m * m
+
+
+_NEGATIVE_DEPTH_CALLS = {
+    "nfa_trace": lambda d: nfa_trace(CLASSIC, 0, d),
+    "bt_nfa_trace": lambda d: bt_nfa_trace(CLASSIC, 0, d, "conj"),
+    "length_semantics": lambda d: length_semantics(CLASSIC, 0, d),
+    "lts_traces": lambda d: lts_traces(LTS(1, ["a"], {(0, "a"): [0]}), 0, d),
+    "alt_trace": lambda d: alt_trace(AlternatingAut(1, ["a"], [True], {}), 0, d),
+    "wa_trace": lambda d: wa_trace(WeightedAut(1, ["a"], NAT, [1], {}), 0, d),
+    "gps_trace": lambda d: gps_trace(GPS(1, ["a"], {0: {TERM: Fraction(1)}}), 0, d),
+    "moore_trace": lambda d: moore_trace(MooreAut(["a"], [True], [[0]]), 0, d),
+    "wta_trace": lambda d: wta_trace(WeightedTreeAut(1, [("c", 0)], NAT, {(0, "c", ()): 1}), 0, d),
+    # a machine with flipped outputs fails on the empty word at depth 0
+    "check_correctness": lambda d: check_correctness(
+        CLASSIC, _flipped(det_subset(CLASSIC)), d
+    ),
+}
+
+
+def _flipped(result):
+    m = result.machine
+    flipped = MooreAut(m.alphabet, [not o for o in m.outputs], m.delta, names=m.names)
+    return replace(result, machine=flipped)
+
+
+@pytest.mark.parametrize("name", sorted(_NEGATIVE_DEPTH_CALLS))
+def test_a_negative_depth_raises(name):
+    call = _NEGATIVE_DEPTH_CALLS[name]
+    call(0)
+    with pytest.raises(ValueError, match="depth must be at least 0, got -1"):
+        call(-1)
+
+
+def test_each_distinct_value_is_stepped_once_per_letter(monkeypatch):
+    """Every word of length k has the same value here (both letters act
+    alike), so 127 words up to depth 6 share 4 values; the trace steps each
+    value within depth - 1 letters once per letter, and no other."""
+    w = WeightedAut(
+        3,
+        ["a", "b"],
+        RAT,
+        [Fraction(0), Fraction(0), Fraction(1)],
+        {
+            (0, "a"): {1: Fraction(1)},
+            (0, "b"): {1: Fraction(1)},
+            (1, "a"): {2: Fraction(1, 2)},
+            (1, "b"): {2: Fraction(1, 2)},
+        },
+    )
+    stepped = Counter()
+    recurrence = semantics._recurrence
+
+    def counting(aut, mode="disj"):
+        base, step = recurrence(aut, mode)
+
+        def counted(ai, v):
+            stepped[ai, v] += 1
+            return step(ai, v)
+
+        return base, counted
+
+    monkeypatch.setattr(semantics, "_recurrence", counting)
+    depth = 6
+    tables = [wa_trace(w, x, depth) for x in range(w.n_states)]
+    assert len(tables[0].entries) == 127
+    distinct = {tuple(t[word] for t in tables) for word in tables[0].entries if len(word) < depth}
+    assert len(distinct) == 4
+    # three tables, each from its own unfolding
+    assert stepped == Counter({(ai, v): 3 for ai in range(2) for v in distinct})
