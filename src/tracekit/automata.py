@@ -89,6 +89,7 @@ class _Machine:
     """A state space 0..n_states-1 with its name table and its alphabet.
 
     Names default to q0, q1, ...; a tree automaton has the empty alphabet.
+    `_cache` holds derived tables and a clean `require_valid` result.
     """
 
     def __init__(self, n_states: int, alphabet: Iterable[Label], names: Optional[Sequence[str]]):
@@ -96,6 +97,7 @@ class _Machine:
         self.alphabet = tuple(alphabet)
         self.names = tuple(names) if names is not None else tuple(f"q{i}" for i in range(self.n_states))
         self._aidx = {a: i for i, a in enumerate(self.alphabet)}
+        self._cache: Dict[str, Any] = {}
 
     def letter_index(self) -> Dict[Label, int]:
         return self._aidx
@@ -122,7 +124,6 @@ class NFA(_Machine):
         super().__init__(n_states, alphabet, names)
         self.transitions = frozenset((p, a, q) for p, a, q in transitions)
         self.accepting = frozenset(accepting)
-        self._cache: Dict[str, Any] = {}
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, NFA) and (
@@ -203,7 +204,6 @@ class MooreAut(_Machine):
         super().__init__(len(self.outputs), alphabet, names)
         self.delta = tuple(tuple(row) for row in delta)
         self.semiring = semiring
-        self._cache: Dict[str, Any] = {}
 
     def step(self, x: int, word: Iterable[Label]) -> int:
         aidx = self.letter_index()
@@ -546,14 +546,12 @@ def validate(aut) -> List[str]:
 
 def require_valid(aut) -> None:
     """Raise ValidationError unless `validate` is clean (result is cached)."""
-    cache = getattr(aut, "_cache", None)
-    if cache is not None and cache.get("valid"):
+    if isinstance(aut, _Machine) and aut._cache.get("valid"):
         return
     problems = validate(aut)
     if problems:
         raise ValidationError("; ".join(problems[:5]))
-    if cache is not None:
-        cache["valid"] = True
+    aut._cache["valid"] = True
 
 
 def check_state(aut, x: int) -> None:

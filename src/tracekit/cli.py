@@ -39,6 +39,7 @@ from .automata import (
     require_valid,
 )
 from .determinize import (
+    BOOL_MODES,
     BudgetExceeded,
     DetResult,
     alt_to_nfa,
@@ -850,7 +851,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--state", required=True, help="state name (or numeric index)")
     p.add_argument("--depth", type=int, required=True, help="maximum word length (tree height for wta files)")
-    p.add_argument("--mode", choices=["disj", "conj"], help="branching-time reading for nfa files")
+    p.add_argument("--mode", choices=BOOL_MODES, help="branching-time reading for nfa files")
     p.add_argument("--out", help="also write the rows to a JSON file")
     p.set_defaults(func=_cmd_semantics)
 

@@ -3,9 +3,11 @@
 All constructions materialize only the part of the lifted state space that is
 reachable from the embedded original states, by deterministic breadth-first
 frontier exploration (states are numbered in discovery order, so results are
-reproducible). Every result keeps `state_meaning`, the underlying value of
-each new state (a state set, a weight vector, or a set of predicates), so
-tests can assert against meanings rather than opaque ids.
+reproducible); `_lifted_machine` builds the Moore machine of the subset,
+conjunctive, weighted and canonical ones, of both Brzozowski passes and of
+`partition_refine`'s reachable part. Every result keeps `state_meaning`, the
+underlying value of each new state (a state set, a weight vector, or a set
+of predicates), so tests can assert against meanings rather than opaque ids.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .automata import (
     _iter_bits,
     require_valid,
 )
-from .weights import WeightVec, scale, unit, vec_sum
+from .weights import BOOL, Semiring, WeightVec, scale, unit, vec_sum
 
 BOOL_MODES = ("disj", "conj")
 
@@ -44,10 +46,6 @@ class BudgetExceeded:
     method: str
     budget: int
     discovered: int
-
-
-def _det_names(count: int) -> Tuple[str, ...]:
-    return tuple(f"d{i}" for i in range(count))
 
 
 class _Overflow(Exception):
@@ -91,21 +89,30 @@ def _explore(
     return embed, order, rows
 
 
-def _subset_machine(
-    alphabet: Sequence[str],
-    seeds: Iterable[int],
-    step: Callable[[int, int], int],
-    output: Callable[[int], bool],
-) -> Tuple[List[int], List[int], MooreAut]:
-    """The reachable Boolean lifted machine on bitmask states.
+def _lifted_machine(
+    alphabet: Sequence[str], seeds: Iterable[Hashable], step: Callable[[int, Any], Hashable],
+    output: Callable[[Any], Any], semiring: Semiring = BOOL, budget: Optional[int] = None,
+) -> Optional[Tuple[List[int], List[Any], MooreAut]]:
+    """The reachable lifted machine from the seeds, on states d0, d1, ...
 
     A state s steps under the letter of index ai to step(ai, s) and outputs
-    output(s). Returns the seed numbers, the state behind each number, and
-    the Moore machine on them.
+    output(s) in the semiring. Returns the seed numbers, the state behind
+    each number and the Moore machine, or None past the budget. It builds
+    det_subset (so canonical_det_nfa), det_weighted, both Brzozowski passes
+    and the reachable part of partition_refine.
     """
     letters = range(len(alphabet))
-    embed, order, delta = _explore(seeds, lambda s, intern: tuple(intern(step(ai, s)) for ai in letters))
-    return embed, order, MooreAut(alphabet, list(map(output, order)), delta, names=_det_names(len(order)))
+    found = _explore(seeds, lambda s, intern: tuple(intern(step(ai, s)) for ai in letters), budget)
+    if found is None:
+        return None
+    embed, order, delta = found
+    names = [f"d{i}" for i in range(len(order))]
+    return embed, order, MooreAut(alphabet, list(map(output, order)), delta, semiring=semiring, names=names)
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in BOOL_MODES:
+        raise ValueError(f"mode must be 'disj' or 'conj', got {mode!r}")
 
 
 def det_subset(n: NFA, mode: str = "disj") -> DetResult:
@@ -117,8 +124,7 @@ def det_subset(n: NFA, mode: str = "disj") -> DetResult:
     contained in it (so the empty subset accepts).
     """
     require_valid(n)
-    if mode not in BOOL_MODES:
-        raise ValueError(f"mode must be 'disj' or 'conj', got {mode!r}")
+    _check_mode(mode)
     masks = n.succ_masks()
     acc = n.accepting_mask()
 
@@ -129,7 +135,7 @@ def det_subset(n: NFA, mode: str = "disj") -> DetResult:
         return t
 
     output = (lambda s: bool(s & acc)) if mode == "disj" else (lambda s: s & ~acc == 0)
-    embed, order, machine = _subset_machine(n.alphabet, [1 << x for x in range(n.n_states)], post, output)
+    embed, order, machine = _lifted_machine(n.alphabet, [1 << x for x in range(n.n_states)], post, output)
     meanings = {i: frozenset(_iter_bits(s)) for i, s in enumerate(order)}
     return DetResult(machine, dict(enumerate(embed)), meanings, f"subset-{mode}")
 
@@ -145,23 +151,17 @@ def det_weighted(w: WeightedAut, budget: int = 500) -> Union[DetResult, BudgetEx
     """
     require_valid(w)
     sr = w.semiring
-    letters = range(len(w.alphabet))
 
-    def step(v: WeightVec, intern: Callable) -> Tuple[int, ...]:
-        return tuple(
-            intern(vec_sum(sr, (scale(c, w.trans[y][ai]) for y, c in v.items())))
-            for ai in letters
-        )
+    def step(ai: int, v: WeightVec) -> WeightVec:
+        return vec_sum(sr, (scale(c, w.trans[y][ai]) for y, c in v.items()))
 
-    found = _explore([unit(sr, x) for x in range(w.n_states)], step, budget)
+    output = lambda v: sr.sum(sr.mul(c, w.out[y]) for y, c in v.items())
+    found = _lifted_machine(w.alphabet, [unit(sr, x) for x in range(w.n_states)], step, output, sr, budget)
     if found is None:
         # the states within the budget plus the one that overflowed it
         return BudgetExceeded("weighted", budget, max(budget, 0) + 1)
-    embed, order, delta = found
-    outputs = [sr.sum(sr.mul(c, w.out[y]) for y, c in v.items()) for v in order]
-    machine = MooreAut(w.alphabet, outputs, delta, semiring=sr, names=_det_names(len(order)))
-    meanings = {i: v for i, v in enumerate(order)}
-    return DetResult(machine, dict(enumerate(embed)), meanings, "weighted")
+    embed, order, machine = found
+    return DetResult(machine, dict(enumerate(embed)), dict(enumerate(order)), "weighted")
 
 
 def _submask_bits(mask: int) -> int:
@@ -240,6 +240,12 @@ def hitting_unions(fams: Sequence[Iterable[int]]) -> frozenset:
     return frozenset(c | d for c in choices for d in closure)
 
 
+def _alt_masks(a: AlternatingAut) -> Tuple[int, List[List[Tuple[int, ...]]]]:
+    """a's accepting states, and its branch sets per state and letter index, as bitmasks."""
+    fams = [[tuple(sum(1 << y for y in inner) for inner in fam) for fam in row] for row in a.trans]
+    return sum(1 << x for x in range(a.n_states) if a.outputs[x]), fams
+
+
 def alt_to_nfa(a: AlternatingAut) -> DetResult:
     """Translate an alternating automaton to an NFA on state subsets.
 
@@ -250,11 +256,7 @@ def alt_to_nfa(a: AlternatingAut) -> DetResult:
     deliberately not attempted.
     """
     require_valid(a)
-    inner = [
-        [tuple(sum(1 << y for y in s) for s in fam) for fam in row]
-        for row in a.trans
-    ]
-    out_mask = sum(1 << x for x in range(a.n_states) if a.outputs[x])
+    out_mask, inner = _alt_masks(a)
 
     def step(s: int, intern: Callable) -> List[Tuple[str, int]]:
         return [
@@ -266,7 +268,7 @@ def alt_to_nfa(a: AlternatingAut) -> DetResult:
     embed, order, rows = _explore([1 << x for x in range(a.n_states)], step)
     transitions = {(sid, label, t) for sid, row in enumerate(rows) for label, t in row}
     accepting = [i for i, s in enumerate(order) if s & ~out_mask == 0]
-    machine = NFA(len(order), a.alphabet, transitions, accepting, names=_det_names(len(order)))
+    machine = NFA(len(order), a.alphabet, transitions, accepting, names=[f"d{i}" for i in range(len(order))])
     meanings = {i: frozenset(_iter_bits(s)) for i, s in enumerate(order)}
     return DetResult(machine, dict(enumerate(embed)), meanings, "alt")
 

@@ -64,6 +64,8 @@ class LawReport:
 
 
 def format_report(report: LawReport, max_failures: int = 5) -> str:
+    if max_failures < 0:
+        raise ValueError(f"max_failures must be at least 0, got {max_failures}")
     lines = [
         f"law: {report.law_name}",
         f"instances checked: {report.instances_checked}",
@@ -764,12 +766,15 @@ def check_correctness(
     depends only on a and the pair of w, so the pair machine explored to
     the depth (`semantics._unfold`) holds the pair of every word, each
     distinct pair stepped once. Failures are listed, in state, length and
-    word order, by walking the words over its rows. An invalid machine, or
-    an embedding that misses a machine state, raises ValidationError, and a
-    negative depth ValueError.
+    word order, by walking the words over its rows; the first max_failures
+    are kept. An invalid machine, or an embedding that misses a machine
+    state, raises ValidationError, and a negative depth or a max_failures
+    below 1 ValueError.
     """
     if isinstance(det, BudgetExceeded):
         raise ValueError("a budget-exceeded outcome carries no machine to check")
+    if max_failures < 1:
+        raise ValueError(f"max_failures must be at least 1, got {max_failures}")
     machine = det.machine
     method = det.method
     if tuple(machine.alphabet) != tuple(source.alphabet):
@@ -812,4 +817,4 @@ def check_correctness(
         for word, (lhs, rhs) in _table(alphabet, layers(), side.__getitem__).items()
         if lhs != rhs
     )
-    return LawReport(f"correctness:{method}", count, list(islice(failures, max(max_failures, 0))))
+    return LawReport(f"correctness:{method}", count, list(islice(failures, max_failures)))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .automata import NFA, MooreAut, ValidationError, check_state, require_valid
-from .determinize import _explore, _subset_machine
+from .determinize import _explore, _lifted_machine
 from .semantics import _mask_step, _recurrence
 
 Word = Tuple[str, ...]
@@ -119,29 +119,20 @@ def brzozowski_observable(n: NFA, initial: Iterable[int]) -> ObservableDFA:
         check_state(n, x)
     init_mask = sum(1 << x for x in init)
     base, pre = _recurrence(n)
-    (d1_init,), _, d1 = _subset_machine(n.alphabet, [base], pre, lambda s: bool(s & init_mask))
+    (d1_init,), _, d1 = _lifted_machine(n.alphabet, [base], pre, lambda s: bool(s & init_mask))
     # _first_words discovers d1's states in d1's own numbering order
     words = _first_words(d1.alphabet, d1_init, d1.delta.__getitem__)
     back = [tuple(reversed(u)) for u in words.values()]
 
     pre1 = _mask_step([[1 << t for t in row] for row in d1.delta])
     seed2 = sum(1 << s for s in range(d1.n_states) if d1.outputs[s])
-    (d2_init,), meanings, d2 = _subset_machine(d1.alphabet, [seed2], pre1, lambda s: bool(s >> d1_init & 1))
+    (d2_init,), meanings, d2 = _lifted_machine(d1.alphabet, [seed2], pre1, lambda s: bool(s >> d1_init & 1))
 
     named = MooreAut(d2.alphabet, d2.outputs, d2.delta, names=[f"b{i}" for i in range(d2.n_states)])
     return ObservableDFA(named, d2_init, Certificates(meanings, back))
 
 
 brzozowski_minimal = brzozowski_observable
-
-
-def _restrict_reachable(d: MooreAut, initial: int) -> MooreAut:
-    """Drop states unreachable from `initial`, renumbering in visit order,
-    so that `initial` becomes state 0."""
-    _, old_order, delta = _explore([initial], lambda s, intern: tuple(map(intern, d.delta[s])))
-    outputs = [d.outputs[old] for old in old_order]
-    names = tuple(d.names[old] for old in old_order)
-    return MooreAut(d.alphabet, outputs, delta, semiring=d.semiring, names=names)
 
 
 def partition_refine(d: MooreAut, initial: int) -> Tuple[MooreAut, int]:
@@ -155,7 +146,10 @@ def partition_refine(d: MooreAut, initial: int) -> Tuple[MooreAut, int]:
     """
     require_valid(d)
     check_state(d, initial)
-    d, initial = _restrict_reachable(d, initial), 0
+    rows = d.delta
+    (initial,), _, d = _lifted_machine(
+        d.alphabet, [initial], lambda ai, s: rows[s][ai], d.outputs.__getitem__, d.semiring
+    )
     keys: Dict = {}
     block = [keys.setdefault(o, len(keys)) for o in d.outputs]
     while True:

@@ -32,7 +32,7 @@ from .automata import (
     check_state,
     require_valid,
 )
-from .determinize import _explore
+from .determinize import _alt_masks, _check_mode, _explore
 from .weights import RAT, PartialProb, Semiring, WeightVec
 
 Word = Tuple[str, ...]
@@ -188,18 +188,14 @@ def _recurrence(aut, mode: str = "disj") -> Tuple[Any, Callable]:
     weighted automaton whose a-row is weight one on the a-successor).
     """
     if isinstance(aut, NFA):
-        if mode not in ("disj", "conj"):
-            raise ValueError(f"mode must be 'disj' or 'conj', got {mode!r}")
+        _check_mode(mode)
         return aut.accepting_mask(), _mask_step(aut.succ_masks(), mode == "conj")
     if isinstance(aut, LTS):
         masks = [[sum(1 << y for y in succ) for succ in row] for row in aut.trans]
         return (1 << aut.n_states) - 1, _mask_step(masks)
     if isinstance(aut, AlternatingAut):
-        fams = [
-            [tuple(sum(1 << y for y in inner) for inner in fam) for fam in row]
-            for row in aut.trans
-        ]
-        return sum(1 << x for x in range(aut.n_states) if aut.outputs[x]), _alt_step(fams)
+        out_mask, fams = _alt_masks(aut)
+        return out_mask, _alt_step(fams)
     if isinstance(aut, WeightedAut):
         rows = [[vec.items() for vec in row] for row in aut.trans]
         return tuple(aut.out), _linear_step(rows, aut.semiring)

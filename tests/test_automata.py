@@ -26,6 +26,7 @@ from tracekit import (
     reverse_nfa,
     tree_height,
     validate,
+    wa_trace,
 )
 from tests.corpus import rand_nfa
 
@@ -178,3 +179,44 @@ def test_reverse_is_an_involution(seed):
     assert back.transitions == n.transitions
     assert back.accepting == n.accepting
     assert back_init == initial
+
+
+def _fresh_machines():
+    """One machine of each kind, none of them validated yet."""
+    return [
+        NFA(2, ["a"], [(0, "a", 1)], accepting=[1]),
+        MooreAut(["a"], [True, False], [[1], [0]]),
+        WeightedAut(2, ["a"], NAT, [1, 0], {(0, "a"): {1: 2}}),
+        WeightedTreeAut(1, [("c", 0), ("b", 2)], NAT, {(0, "b", (0, 0)): 2, (0, "c", ()): 1}),
+        AlternatingAut(2, ["a"], [False, True], {(0, "a"): [[1], [0, 1]]}),
+        LTS(2, ["a"], {(0, "a"): [1]}),
+        GPS(1, ["a"], {0: {TERM: Fraction(1, 2), ("a", 0): Fraction(1, 2)}}),
+    ]
+
+
+def _count_violations(monkeypatch, cls):
+    calls = []
+    violations = cls._violations
+    monkeypatch.setattr(cls, "_violations", lambda self: calls.append(self) or violations(self))
+    return calls
+
+
+@pytest.mark.parametrize("index", range(7), ids=[type(aut).__name__ for aut in _fresh_machines()])
+def test_require_valid_checks_each_machine_once(monkeypatch, index):
+    aut = _fresh_machines()[index]
+    calls = _count_violations(monkeypatch, type(aut))
+    require_valid(aut)
+    require_valid(aut)
+    assert len(calls) == 1
+    # validate itself never reads the cache
+    assert validate(aut) == [] and len(calls) == 2
+
+
+def test_weighted_traces_validate_once(monkeypatch):
+    w = WeightedAut(2, ["a"], NAT, [1, 0], {(0, "a"): {1: 2}})
+    calls = _count_violations(monkeypatch, WeightedAut)
+    wa_trace(w, 0, 2)
+    wa_trace(w, 1, 2)
+    assert len(calls) == 1
+    with pytest.raises(TypeError, match="not an automaton"):
+        require_valid("nfa")

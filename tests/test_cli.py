@@ -1,6 +1,7 @@
 """Command-line interface: file format round-trips, commands, exit statuses."""
 
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -381,6 +382,43 @@ def test_determinize_budget_exceeded(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "budget exceeded: weighted determinization passed 3" in err
     assert "4 states discovered" in err
+
+
+# acyclic, so the weight vectors are finite; digests of stdout, the --out
+# machine and its .embed.json, measured before det_weighted ran on the
+# shared lifted-machine builder
+WEIGHTED_DETERMINIZE = {
+    "nat": (
+        WeightedAut(3, ["a", "b"], NAT, [0, 1, 2],
+                    {(0, "a"): {1: 2, 2: 1}, (0, "b"): {2: 3}, (1, "a"): {2: 1}}, names=["x", "y", "z"]),
+        {"y": 2, "z": 1},
+        ("bc98a99117ba24d3d9831cab3dcd52db613feca63b24ca6fa27a6f94ba29b99e",
+         "811b91d4deb0bfa26d71bbdfe38ad2968ebbc1a1f2adde08daa226e6cef9599b",
+         "21c709a5645e957744bad8c34ab9377d02d5ecfa6e2228ac543da2aa3328bdbe"),
+    ),
+    "rat": (
+        WeightedAut(3, ["a", "b"], RAT, [Fraction(0), Fraction(1, 2), Fraction(3)],
+                    {(0, "a"): {1: Fraction(2, 3), 2: Fraction(1, 4)}, (1, "b"): {2: Fraction(-1, 2)}},
+                    names=["x", "y", "z"]),
+        {"y": "2/3", "z": "1/4"},
+        ("6f552e7296c41acf5c290f681a34621cf05febd777639f0ae15eafdd4bdd88f4",
+         "35be9536540ca4277cfd8cfc39bda6e5082d75d3e3f26fe9f382820c20e15e0b",
+         "01bbd99e8c4c80a8d1563ee15b57aa436b366097ba29f97171184ab1d7274619"),
+    ),
+}
+
+
+@pytest.mark.parametrize("carrier", sorted(WEIGHTED_DETERMINIZE))
+def test_determinize_weighted_output_is_pinned(tmp_path, capsys, carrier):
+    aut, d3, digests = WEIGHTED_DETERMINIZE[carrier]
+    path = write_doc(tmp_path, f"{carrier}.json", dump_automaton(aut))
+    assert main(["determinize", "--method", "weighted", path]) == 0
+    stdout = capsys.readouterr().out
+    assert json.loads(stdout)["embedding"]["stateMeaning"]["d3"] == d3
+    out = tmp_path / "det.json"
+    assert main(["determinize", "--method", "weighted", "--out", str(out), path]) == 0
+    texts = (stdout, out.read_text(encoding="utf-8"), (tmp_path / "det.embed.json").read_text(encoding="utf-8"))
+    assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == digests
 
 
 def test_semantics_rejects_a_negative_depth(tmp_path, capsys):

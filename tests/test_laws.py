@@ -6,7 +6,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
-from operator import and_, or_, xor
+from operator import add, and_, mul, or_, xor
 from pathlib import Path
 
 import pytest
@@ -22,6 +22,7 @@ from tracekit import (
     DetResult,
     MooreAut,
     PredicateAction,
+    Semiring,
     SemiringAction,
     ValidationError,
     WeightedAut,
@@ -217,6 +218,26 @@ def test_constant_fold_fails_the_unit_law():
     assert any("singleton" in f.lhs for f in report.failures)
 
 
+@pytest.mark.parametrize(
+    "name, sr, counts, digest",
+    [
+        # the declared one, 2, is no unit: resolving a singleton doubles it
+        ("bad-unit", Semiring("nat", 0, 2, add, mul), (18, 0),
+         "7950b0807132e4783426a4c1077bf4e4db4965b78ea17120465d9c854579adef"),
+        # a product of two factors above 1 gains 1, which breaks the multiplication law
+        ("bad-mult", Semiring("nat", 0, 1, add, lambda a, b: a * b + (a > 1 and b > 1)), (0, 54),
+         "62fc4bfa0f7091b540f2a175118cb7a8541f28e93fa16f9bf366b9376baba6f8"),
+    ],
+)
+def test_semiring_action_law_failures_are_pinned(name, sr, counts, digest):
+    report = check_action_laws(SemiringAction(name, sr), max_phi=2)
+    assert report.instances_checked == 321
+    unit_failures = sum("singleton" in f.lhs for f in report.failures)
+    assert (unit_failures, len(report.failures) - unit_failures) == counts
+    text = format_report(report, max_failures=len(report.failures))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_monad_morphism_holds_for_both_actions():
     from tracekit.laws import BOX, DIAMOND
 
@@ -350,6 +371,26 @@ def test_correctness_report_for_a_flipped_subset_state():
         (f"state x, word {w}", "source trace: tt", "determinized trace: ff")
         for w in ("a", "aa", "aaa")
     ]
+
+
+@pytest.mark.parametrize(
+    "call, cap, floor",
+    [("check_correctness", 0, 1), ("check_correctness", -1, 1), ("format_report", -1, 0)],
+)
+def test_failure_caps_below_their_floor_raise(call, cap, floor):
+    n = NFA(2, ["a"], [(0, "a", 0), (0, "a", 1)], accepting=[1], names=["x", "y"])
+    result = det_subset(n)
+    broken = _with_outputs(result, [not o for o in result.machine.outputs])
+    report = check_correctness(n, broken, 2)
+    assert len(report.failures) == 6
+    # at the floor, a capped report still fails and the render counts the rest
+    assert not check_correctness(n, broken, 2, max_failures=1).ok
+    assert format_report(report, max_failures=0).endswith("failures: 6\n... and 6 more")
+    with pytest.raises(ValueError, match=f"max_failures must be at least {floor}, got {cap}"):
+        if call == "check_correctness":
+            check_correctness(n, broken, 2, max_failures=cap)
+        else:
+            format_report(report, max_failures=cap)
 
 
 def test_correctness_report_for_a_changed_weighted_output():

@@ -19,7 +19,8 @@ from tracekit import (
     nfa_trace,
     partition_refine,
 )
-from tracekit.minimize import Certificates, _restrict_reachable
+from tracekit.determinize import _lifted_machine
+from tracekit.minimize import Certificates
 from tests.corpus import rand_moore_bool, rand_nfa
 
 ENDS_IN_A = NFA(
@@ -217,7 +218,11 @@ def test_partition_refine_numbers_breadth_first(seed):
     d = rand_moore_bool(rng, max_states=7)
     machine, initial = partition_refine(d, rng.randrange(d.n_states))
     assert initial == 0
-    again = _restrict_reachable(machine, 0)
+    # exploring the result breadth first from 0 renumbers nothing
+    _, order, again = _lifted_machine(
+        machine.alphabet, [0], lambda ai, s: machine.delta[s][ai], machine.outputs.__getitem__
+    )
+    assert order == list(range(machine.n_states))
     assert again.delta == machine.delta and again.outputs == machine.outputs
 
 
