@@ -256,7 +256,10 @@ def _initial_list(
     if "initial" not in doc:
         return None
     raw = _expect(doc, "initial", list, where)
-    return [_resolve_state(name, index, f"{where}: initial") for name in raw]
+    initial = [_resolve_state(name, index, f"{where}: initial") for name in raw]
+    if len(set(initial)) != len(initial):
+        raise ParseError(f"{where}: duplicate initial states")
+    return initial
 
 
 def _triples(
@@ -741,6 +744,8 @@ def _cmd_minimize(args) -> int:
         raise QueryError(f"minimize needs an nfa or moore file, got {kind}")
     if args.initial is not None:
         initial = [_resolve_cli_state(aut, part) for part in args.initial.split(",")]
+        if len(set(initial)) != len(initial):
+            raise QueryError("--initial names a state twice")
     elif file_initial is not None:
         initial = file_initial
     else:

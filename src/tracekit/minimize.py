@@ -1,17 +1,17 @@
-"""Minimization of boolean-output machines by Brzozowski's two passes.
+"""Minimization by Brzozowski's two passes (boolean-output NFAs) and by
+Hopcroft's refinement (deterministic machines over any output carrier).
 
-Each pass explores a preimage step on bitmask states from one seed, so the
-result holds only reachable states and needs no restriction afterwards.
-Each run also produces certificates: for every pair of distinct result
-states a shortest word on which they disagree, read off the first-pass
-machine rather than searched for pairwise, and computed only when read.
+Each Brzozowski pass explores a preimage step on bitmask states from one
+seed, so its result holds only reachable states. Each run also produces
+certificates: for every pair of distinct result states a shortest word on
+which they disagree, read off the first-pass machine, computed when read.
 """
 
 from __future__ import annotations
 
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .automata import NFA, MooreAut, ValidationError, check_state, require_valid
 from .determinize import _explore, _lifted_machine
@@ -79,21 +79,22 @@ class ObservableDFA:
     certificates: Certificates
 
 
-def _first_words(alphabet: Iterable[str], seed, successors: Callable) -> Dict:
+def _first_links(alphabet: Iterable[str], seed, successors: Callable) -> Dict:
     """Every state reachable from seed, in breadth-first discovery order,
-    with the word that first discovered it: its least shortest word, letters
-    ordered as the alphabet declares them. successors(s) lists s's successor
-    per letter."""
-    words = {seed: ()}
+    mapped to the (state, letter) step that first discovered it (None for the
+    seed): following them back spells its least shortest word in reverse,
+    letters ordered as the alphabet declares them. successors(s) lists s's
+    successor per letter."""
+    links = {seed: None}
 
     def step(s, intern) -> None:
         for label, t in zip(alphabet, successors(s)):
-            if t not in words:
-                words[t] = words[s] + (label,)
+            if t not in links:
+                links[t] = (s, label)
                 intern(t)
 
     _explore([seed], step)
-    return words
+    return links
 
 
 def brzozowski_observable(n: NFA, initial: Iterable[int]) -> ObservableDFA:
@@ -120,9 +121,11 @@ def brzozowski_observable(n: NFA, initial: Iterable[int]) -> ObservableDFA:
     init_mask = sum(1 << x for x in init)
     base, pre = _recurrence(n)
     (d1_init,), _, d1 = _lifted_machine(n.alphabet, [base], pre, lambda s: bool(s & init_mask))
-    # _first_words discovers d1's states in d1's own numbering order
-    words = _first_words(d1.alphabet, d1_init, d1.delta.__getitem__)
-    back = [tuple(reversed(u)) for u in words.values()]
+    # _first_links discovers d1's states in d1's own numbering order
+    links = _first_links(d1.alphabet, d1_init, d1.delta.__getitem__)
+    back: List[Word] = []
+    for link in links.values():
+        back.append(() if link is None else (link[1],) + back[link[0]])
 
     pre1 = _mask_step([[1 << t for t in row] for row in d1.delta])
     seed2 = sum(1 << s for s in range(d1.n_states) if d1.outputs[s])
@@ -138,11 +141,14 @@ brzozowski_minimal = brzozowski_observable
 def partition_refine(d: MooreAut, initial: int) -> Tuple[MooreAut, int]:
     """Quotient the reachable part of a deterministic machine by behaviour.
 
-    Starts from the output partition and splits blocks until successor
-    blocks are constant on every block, then rebuilds the machine on blocks.
-    Blocks are numbered by their least member in the breadth-first numbering
-    of the reachable part, so the result is reproducible and is itself
-    numbered breadth first from its initial state 0.
+    Refines the partition by output value by Hopcroft's algorithm, in
+    O(m log n) for m transitions on n states: a pending block, copied when
+    popped, splits every block by its preimage under each letter in turn, in
+    time linear in that preimage. A split moves the smaller half to a new
+    pending block, and the rest keeps the old number: both halves of a
+    pending block stay pending. Blocks are numbered by their least member in
+    the breadth-first numbering of the reachable part, so the result is
+    reproducible and is itself numbered breadth first from its initial 0.
     """
     require_valid(d)
     check_state(d, initial)
@@ -152,24 +158,38 @@ def partition_refine(d: MooreAut, initial: int) -> Tuple[MooreAut, int]:
     )
     keys: Dict = {}
     block = [keys.setdefault(o, len(keys)) for o in d.outputs]
-    while True:
-        sigs: Dict[Tuple, int] = {}
-        new_block = [
-            sigs.setdefault((block[s],) + tuple(block[t] for t in row), len(sigs))
-            for s, row in enumerate(d.delta)
-        ]
-        if new_block == block:
-            break
-        block = new_block
-    # each scan numbers blocks by first appearance, hence by least member
+    blocks: List[set] = [set() for _ in keys]
+    preimages = [[[] for _ in block] for _ in d.alphabet]
+    for s, row in enumerate(d.delta):
+        blocks[block[s]].add(s)
+        for into, t in zip(preimages, row):
+            into[t].append(s)
+    pending = list(range(len(blocks)))
+    while pending:
+        splitter = tuple(blocks[pending.pop()])
+        for into in preimages:
+            hit: Dict[int, List[int]] = {}
+            for t in splitter:
+                for s in into[t]:
+                    hit.setdefault(block[s], []).append(s)
+            for b, part in hit.items():
+                whole = blocks[b]
+                if len(part) < len(whole):
+                    moved = set(part) if 2 * len(part) <= len(whole) else whole.difference(part)
+                    whole -= moved
+                    for s in moved:
+                        block[s] = len(blocks)
+                    pending.append(len(blocks))
+                    blocks.append(moved)
     reps: Dict[int, int] = {}
     for s, b in enumerate(block):
         reps.setdefault(b, s)
-    delta = tuple(tuple(block[t] for t in d.delta[s]) for s in reps.values())
+    number = {b: i for i, b in enumerate(reps)}
+    delta = tuple(tuple(number[block[t]] for t in d.delta[s]) for s in reps.values())
     outputs = [d.outputs[s] for s in reps.values()]
     names = tuple(f"m{i}" for i in range(len(reps)))
     machine = MooreAut(d.alphabet, outputs, delta, semiring=d.semiring, names=names)
-    return machine, block[initial]
+    return machine, number[block[initial]]
 
 
 def dfa_equiv(
@@ -202,7 +222,11 @@ def dfa_equiv(
             differ.append(pair)
         return () if differ else zip(d1.delta[p], d2.delta[q])
 
-    words = _first_words(d1.alphabet, (i1, i2), successors)
-    if differ:
-        return False, words[differ[0]]
-    return True, None
+    links = _first_links(d1.alphabet, (i1, i2), successors)
+    if not differ:
+        return True, None
+    word, pair = [], differ[0]
+    while links[pair] is not None:
+        pair, label = links[pair]
+        word.append(label)
+    return False, tuple(reversed(word))

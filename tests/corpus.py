@@ -159,3 +159,18 @@ def rand_moore_bool(rng: random.Random, max_states: int = 5) -> MooreAut:
     delta = [[rng.randrange(n) for _ in alphabet] for _ in range(n)]
     outputs = [rng.random() < 0.5 for _ in range(n)]
     return MooreAut(alphabet, outputs, delta)
+
+
+MOORE_OUTPUTS = {"bool": (False, True), "nat": (0, 1, 3), "rat": (Fraction(0), Fraction(1, 2), Fraction(-2, 3))}
+
+
+def rand_moore(rng: random.Random, semiring, max_states: int = 30) -> MooreAut:
+    """A Moore machine over BOOL, NAT or RAT with outputs drawn from at most
+    three values, so refinement starts from few large blocks and splits them
+    often."""
+    n = rng.randint(1, max_states)
+    alphabet = LETTERS[: rng.randint(1, 3)]
+    delta = [[rng.randrange(n) for _ in alphabet] for _ in range(n)]
+    values = MOORE_OUTPUTS[semiring.name][: rng.randint(1, 3)]
+    outputs = [rng.choice(values) for _ in range(n)]
+    return MooreAut(alphabet, outputs, delta, semiring=semiring)

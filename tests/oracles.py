@@ -8,7 +8,7 @@ enumerates complete runs one at a time. Slow and obvious beats fast here.
 from fractions import Fraction
 from itertools import combinations, product
 
-from tracekit import GPS, NFA, TERM, AlternatingAut, Tree, WeightedAut, WeightedTreeAut
+from tracekit import GPS, NFA, TERM, AlternatingAut, MooreAut, Tree, WeightedAut, WeightedTreeAut
 
 
 def nfa_accepts(n: NFA, x: int, word) -> bool:
@@ -63,6 +63,47 @@ def moore_value(m, x: int, word):
     for label in word:
         x = m.delta[x][m.alphabet.index(label)]
     return m.outputs[x]
+
+
+def refine_rounds(m: MooreAut, initial: int):
+    """Round-based partition refinement of the part of m reachable from
+    initial, the reference for partition_refine.
+
+    The reachable states are numbered breadth first, successors letter by
+    letter. Each round gives every state the signature (its block, its
+    successors' blocks) and numbers the signatures by first appearance,
+    until a round changes nothing; so blocks end numbered by least member.
+    A chain needs about one round per state, so this is quadratic.
+    """
+    order, index = [initial], {initial: 0}
+    for x in order:
+        for y in m.delta[x]:
+            if y not in index:
+                index[y] = len(order)
+                order.append(y)
+    delta = [[index[y] for y in m.delta[x]] for x in order]
+    keys = {}
+    block = [keys.setdefault(m.outputs[x], len(keys)) for x in order]
+    while True:
+        sigs = {}
+        new_block = [
+            sigs.setdefault((block[s],) + tuple(block[t] for t in row), len(sigs))
+            for s, row in enumerate(delta)
+        ]
+        if new_block == block:
+            break
+        block = new_block
+    reps = {}
+    for s, b in enumerate(block):
+        reps.setdefault(b, s)
+    machine = MooreAut(
+        m.alphabet,
+        [m.outputs[order[s]] for s in reps.values()],
+        [[block[t] for t in delta[s]] for s in reps.values()],
+        semiring=m.semiring,
+        names=[f"m{i}" for i in range(len(reps))],
+    )
+    return machine, block[0]
 
 
 def gps_mass(g: GPS, x: int, word) -> Fraction:

@@ -498,6 +498,34 @@ def test_minimize_requires_an_initial_state(tmp_path):
     assert main(["minimize", path]) == 6
 
 
+DUPLICATE_INITIAL = {
+    "nfa": (dump_automaton(CLASSIC), "x"),
+    "moore": (dump_automaton(MooreAut(["a"], [True, False], [[1], [0]], names=["e", "o"])), "e"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DUPLICATE_INITIAL))
+@pytest.mark.parametrize("spelling", ["{0},{0}", "{0},0"])
+def test_minimize_rejects_an_initial_flag_naming_a_state_twice(tmp_path, capsys, kind, spelling):
+    doc, state = DUPLICATE_INITIAL[kind]
+    path = write_doc(tmp_path, "m.json", doc)
+    assert main(["minimize", "--initial", spelling.format(state), path]) == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --initial names a state twice\n"
+
+
+@pytest.mark.parametrize("kind", sorted(DUPLICATE_INITIAL))
+@pytest.mark.parametrize("command", ["minimize", "equiv"])
+def test_files_listing_an_initial_state_twice_exit_2(tmp_path, capsys, kind, command):
+    doc, state = DUPLICATE_INITIAL[kind]
+    path = write_doc(tmp_path, "m.json", dict(doc, initial=[state, state]))
+    assert main([command, path] if command == "minimize" else [command, path, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parse error: {kind}: duplicate initial states\n"
+
+
 # letters that JSON escapes, or that a careless encoder would mangle
 ODD_LETTERS = ('"', "\\", "\n", "\u2028", "é", "\x07", "a")
 

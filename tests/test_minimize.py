@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracekit import (
+    BOOL,
+    NAT,
     NFA,
+    RAT,
     MooreAut,
     ValidationError,
     brzozowski_minimal,
@@ -21,7 +24,8 @@ from tracekit import (
 )
 from tracekit.determinize import _lifted_machine
 from tracekit.minimize import Certificates
-from tests.corpus import rand_moore_bool, rand_nfa
+from tests.corpus import rand_moore, rand_moore_bool, rand_nfa
+from tests.oracles import refine_rounds
 
 ENDS_IN_A = NFA(
     3,
@@ -224,6 +228,78 @@ def test_partition_refine_numbers_breadth_first(seed):
     )
     assert order == list(range(machine.n_states))
     assert again.delta == machine.delta and again.outputs == machine.outputs
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([BOOL, NAT, RAT]))
+@settings(max_examples=200, deadline=None)
+def test_partition_refine_equals_the_round_based_oracle(seed, semiring):
+    rng = random.Random(seed)
+    d = rand_moore(rng, semiring)
+    x = rng.randrange(d.n_states)
+    machine, initial = partition_refine(d, x)
+    oracle, oracle_initial = refine_rounds(d, x)
+    assert machine.delta == oracle.delta
+    assert machine.outputs == oracle.outputs
+    assert machine.names == oracle.names
+    assert machine.semiring is oracle.semiring is semiring
+    assert initial == oracle_initial == 0
+
+
+def chain_rows(n):
+    """a walks a chain of n states and stays at its end; b resets to 0."""
+    return [[min(i + 1, n - 1), 0] for i in range(n)]
+
+
+def shuffled(outputs, delta, rng):
+    """The machine on ("a", "b") with its states renumbered at random, and
+    the new number of state 0."""
+    perm = list(range(len(outputs)))
+    rng.shuffle(perm)
+    new_outputs, new_delta = [None] * len(perm), [None] * len(perm)
+    for x, y in enumerate(perm):
+        new_outputs[y] = outputs[x]
+        new_delta[y] = [perm[t] for t in delta[x]]
+    return MooreAut(["a", "b"], new_outputs, new_delta), perm[0]
+
+
+@pytest.mark.parametrize("shape", ["chain", "counter"])
+def test_two_thousand_distinct_states_come_back_numbered_breadth_first(shape):
+    n = 2000
+    if shape == "chain":
+        outputs, delta = [i == n - 1 for i in range(n)], chain_rows(n)
+    else:
+        # a advances a mod-n counter, b resets it; true at 0
+        outputs, delta = [i == 0 for i in range(n)], [[(i + 1) % n, 0] for i in range(n)]
+    d, x = shuffled(outputs, delta, random.Random(n))
+    machine, initial = partition_refine(d, x)
+    # breadth first from 0, "a" before "b", numbers the state a^i as i
+    assert initial == 0
+    assert machine.delta == tuple(map(tuple, delta))
+    assert machine.outputs == tuple(outputs)
+    assert machine.names == tuple(f"m{i}" for i in range(n))
+
+
+def test_chain_with_a_duplicated_tail_collapses_to_the_chain():
+    n, k = 2000, 1000
+    # states n .. n+k-1 copy the chain's last k states, entered by b from 0
+    delta = chain_rows(n) + [[min(j + 1, n + k - 1), 0] for j in range(n, n + k)]
+    delta[0][1] = n
+    outputs = [i == n - 1 for i in range(n)] + [j == n + k - 1 for j in range(n, n + k)]
+    d, x = shuffled(outputs, delta, random.Random(k))
+    machine, initial = partition_refine(d, x)
+    assert machine.n_states == n
+    # the chain itself, with b from 0 entering the state the copy starts at
+    rows = chain_rows(n)
+    rows[0][1] = n - k
+    quotient = MooreAut(["a", "b"], outputs[:n], rows)
+    assert dfa_equiv(machine, quotient, initial, 0) == (True, None)
+
+
+def test_dfa_equiv_spells_a_three_thousand_letter_witness():
+    n = 3000
+    chain = MooreAut(["a", "b"], [i == n - 1 for i in range(n)], chain_rows(n))
+    flipped = MooreAut(["a", "b"], [False] * n, chain_rows(n))
+    assert dfa_equiv(chain, flipped, 0, 0) == (False, ("a",) * (n - 1))
 
 
 def test_dfa_equiv_rejects_mismatched_alphabets():
