@@ -7,19 +7,22 @@ one-step exchange squares must commute, and the determinized machine must
 agree with the source semantics word by word. Each checker enumerates a
 declared finite fragment exhaustively (plus optional seeded samples above
 the exhaustive bound) and returns a LawReport. A clean report is a finite
-proof over that fragment, nothing more. Naturality is exhaustive on
-carriers of up to three points and the Boolean action laws on predicates
-over up to two, each sampled beyond. Exchange and the alternating square
-enumerate every family of predicate sets; on three points there are 2^256
-of them, so both refuse max_phi above 2. The monad-morphism law enumerates
-every family of subsets; on five points there are 2^32 of them, so it
-refuses max_size above 4.
+proof over that fragment, nothing more, so a negative size or sample count
+raises ValueError. Naturality is exhaustive on carriers of up to three
+points and the Boolean action laws on predicates over up to two, each
+sampled beyond. Exchange and the alternating square enumerate every family
+of predicate sets; on three points there are 2^256 of them, so both refuse
+max_phi above 2. The monad-morphism law enumerates every family of
+subsets; on five points there are 2^32 of them, so it refuses max_size
+above 4.
 
 Predicates over a finite set of size k are bitmasks over k points, so a
 predicate doubles as its own index; sets of predicates and families of such
 sets are masks over masks. Both sides of a law are compared as masks, read
 from tables indexed by a family mask, or by each of its bytes, rather than
-bit by bit. Rendering expands all of this back to braces.
+bit by bit; the branching one-step squares, as they fold bitwise,
+idempotently and commutatively over disjoint fields, field by field.
+Rendering expands all of this back to braces.
 """
 
 from __future__ import annotations
@@ -29,12 +32,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain, combinations, islice, product
-from operator import and_, or_
+from operator import and_, ne, or_
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .automata import NFA, AlternatingAut, ValidationError, WeightedAut, _iter_bits, require_valid
 from .determinize import BudgetExceeded, DetResult, _hitting_bits, chi_good, chi_wrong
-from .semantics import _reader, _recurrence, _table, _unfold, format_word
+from .semantics import _at_least, _reader, _recurrence, _table, _unfold, format_word
 from .weights import Semiring, WeightVec, map_weights, monad_mul, unit
 
 NAT_SHAPE = "PP=>PP"
@@ -64,8 +67,7 @@ class LawReport:
 
 
 def format_report(report: LawReport, max_failures: int = 5) -> str:
-    if max_failures < 0:
-        raise ValueError(f"max_failures must be at least 0, got {max_failures}")
+    _at_least(0, max_failures=max_failures)
     lines = [
         f"law: {report.law_name}",
         f"instances checked: {report.instances_checked}",
@@ -201,6 +203,7 @@ def check_naturality(
     """
     if shape != NAT_SHAPE:
         raise ValueError(f"unsupported shape {shape!r}; only {NAT_SHAPE!r} is known")
+    _at_least(0, max_size=max_size, samples=samples)
     failures: List[LawFailure] = []
     count = 0
     memo: Dict[int, int] = {}
@@ -304,6 +307,7 @@ def check_action_laws(
     exhaustive over Boolean vectors on at most 1 point plus bounded/sampled
     fragments beyond that.
     """
+    _at_least(0, max_phi=max_phi, samples=samples)
     if isinstance(action, PredicateAction):
         return _action_laws_bool(action, max_phi, samples, seed)
     if isinstance(action, SemiringAction):
@@ -463,6 +467,7 @@ def check_monad_morphism(action: PredicateAction, max_size: int = 3) -> LawRepor
     members U of its membership in dagger(U) holds. Every family is checked,
     so max_size above 4 (2^32 families) raises ValueError.
     """
+    _at_least(0, max_size=max_size)
     if max_size > 4:
         raise ValueError(f"check_monad_morphism is exhaustible only up to max_size=4, got {max_size}")
     failures: List[LawFailure] = []
@@ -550,6 +555,7 @@ def check_logic_morphism_diagram(
         raise ValueError(f"unknown diagram {which!r}; expected one of {DIAGRAMS}")
     if mutate not in _MUTATIONS:
         raise ValueError(f"unknown mutation {mutate!r}")
+    _at_least(0, max_phi=max_phi, samples=samples)
     if which == "weighted":
         return _diagram_weighted(max_phi, tuple(alphabet), mutate)
     if which == "alt" and max_phi > 2:
@@ -600,11 +606,11 @@ def _diagram_weighted(
     return LawReport("logic-morphism:weighted", count, failures)
 
 
-def _exchange_sides(k: int) -> Tuple[List[int], Callable[[int], int], Callable[[int], int]]:
-    """For predicates on k <= 2 points: the join of each predicate set, and
-    both sides of the exchange law as lookups on a family of predicate sets
-    (a mask over predicate-set masks): the meet of the members' joins, and
-    the join of the meets of the family's hitting sets.
+def _exchange_sides(k: int) -> Tuple[Callable[[int], int], Callable[[int], int]]:
+    """For predicates on k <= 2 points: both sides of the exchange law as
+    lookups on a family of predicate sets (a mask over predicate-set masks):
+    the meet of the members' joins, and the join of the meets of the
+    family's hitting sets.
 
     Hitting sets are taken among all predicate sets, not only within the
     family's union. The extra ones are supersets of those within it, with
@@ -626,7 +632,7 @@ def _exchange_sides(k: int) -> Tuple[List[int], Callable[[int], int], Callable[[
         hits = hits_lo[fam & 0xFF] & hits_hi[fam >> 8]
         return join_lo[hits & 0xFF] | join_hi[hits >> 8]
 
-    return join_of, top, bottom
+    return top, bottom
 
 
 def _diagram_branching(
@@ -642,9 +648,15 @@ def _diagram_branching(
     its join (alt). The top path folds the elements' one-step predicates;
     the bottom path folds the outputs and aggregates each letter's parts,
     by the same fold, or, for alt, as the join of their hitting-set meets.
+    Both fold bitwise, idempotently and commutatively over disjoint fields,
+    so a letter's two fields depend only on the set of its parts (for alt,
+    the exchange law's sides on it), judged once per set. In `combinations`
+    order, a family's head (all but its last member) gives the part bits
+    that break the square: one AND per family.
     """
     alt = which == "alt"
     fold = (DIAMOND if which == "subset" else BOX).fold
+    flip = mutate == "flip-output"
     # families: all of fewer than lo elements, then samples of lo..hi of them
     lo, hi = (3, 4) if alt else (4, 8)
     failures: List[LawFailure] = []
@@ -652,25 +664,19 @@ def _diagram_branching(
     rng = random.Random(seed)
     for k in range(max_phi + 1):
         full_pred = (1 << k) - 1
-        shifts = [1 + ai * k for ai in range(len(alphabet))]
-        full_l = (1 << (1 + len(alphabet) * k)) - 1
         if alt:
-            pred_of, _, hitting_meet = _exchange_sides(k)
+            top_of, bottom_of = _exchange_sides(k)
             fmt_part = lambda t: _fmt_predset(_iter_bits(t))
-
-            def aggregate(parts: List[int]) -> int:
-                fam = 0
-                for t in parts:
-                    fam |= 1 << t
-                return hitting_meet(fam)
-
         else:
-            pred_of = range(1 << k)
             fmt_part = _fmt_points
-            aggregate = lambda parts: fold(parts, full_pred)
-        base = [(o, ts) for o in (0, 1) for ts in product(range(len(pred_of)), repeat=len(alphabet))]
-        ones = [o | sum(pred_of[t] << s for t, s in zip(ts, shifts)) for o, ts in base]
+            top_of = bottom_of = lambda pf: fold(_iter_bits(pf), full_pred)
+        nparts, shifts = 1 << (1 << k if alt else k), [1 + ai * k for ai in range(len(alphabet))]
+        # packed masks: the output one-hot in bits 0..1, then each letter's part one-hot
+        offsets, part_full = [2 + ai * nparts for ai in range(len(alphabet))], (1 << nparts) - 1
+        base = [(o, ts) for o in (0, 1) for ts in product(range(nparts), repeat=len(alphabet))]
+        packed = [1 << o | sum(1 << t + w for t, w in zip(ts, offsets)) for o, ts in base]
         lnames = _lpred_names(alphabet, k)
+        judged = lru_cache(maxsize=None)(lambda pf: (top_of(pf), bottom_of(pf)))  # a part-family's two fields
 
         @lru_cache(maxsize=None)
         def fmt_elem(i: int) -> str:
@@ -680,15 +686,12 @@ def _diagram_branching(
             ]
             return "(" + ", ".join(parts) + ")"
 
-        def check_family(idxs: Sequence[int]) -> None:
-            nonlocal count
-            count += 1
-            top = fold([ones[i] for i in idxs], full_l)
-            bottom = fold([base[i][0] for i in idxs], 1)
-            if mutate == "flip-output":
-                bottom ^= 1
-            for ai, s in enumerate(shifts):
-                bottom |= aggregate([base[i][1][ai] for i in idxs]) << s
+        def report(idxs: Sequence[int], pk: int) -> None:
+            top = bottom = fold(_iter_bits(pk & 3), 1)
+            bottom ^= flip
+            for w, s in zip(offsets, shifts):
+                top_f, bottom_f = judged(pk >> w & part_full)
+                top, bottom = top | top_f << s, bottom | bottom_f << s
             if top != bottom:
                 fam = "[" + "; ".join(fmt_elem(i) for i in idxs) + "]"
                 failures.append(
@@ -699,13 +702,21 @@ def _diagram_branching(
                     )
                 )
 
-        for r in range(lo):
-            for idxs in combinations(range(len(base)), r):
-                check_family(idxs)
-        if len(base) > lo:
-            for _ in range(samples):
-                r = rng.randint(lo, min(hi, len(base)))
-                check_family(tuple(rng.sample(range(len(base)), r)))
+        n = len(base)
+        count += 1
+        report((), 0)  # the one family without a last member
+        heads = (head for r in range(lo - 1) for head in combinations(range(n), r))
+        sampled = (rng.sample(range(n), rng.randint(lo, min(hi, n))) for _ in range(samples if n > lo else 0))
+        for head, tails in chain(
+            ((head, range(head[-1] + 1 if head else 0, n)) for head in heads),
+            ((tuple(idxs[:-1]), idxs[-1:]) for idxs in sampled),
+        ):
+            pk0 = reduce(or_, map(packed.__getitem__, head), 0)
+            bad = sum(1 << t + w for w in offsets for t in range(nparts) if ne(*judged(pk0 >> w & part_full | 1 << t)))
+            for j in tails:
+                count += 1
+                if flip or packed[j] & bad:
+                    report(head + (j,), pk0 | packed[j])
     return LawReport(f"logic-morphism:{which}", count, failures)
 
 
@@ -716,12 +727,13 @@ def check_exchange(max_phi: int = 2) -> LawReport:
     that makes the alternating translation work. Every family is checked,
     so max_phi above 2 (2^256 families) raises ValueError.
     """
+    _at_least(0, max_phi=max_phi)
     if max_phi > 2:
         raise ValueError(f"check_exchange is exhaustible only up to max_phi=2, got {max_phi}")
     failures: List[LawFailure] = []
     count = 0
     for k in range(max_phi + 1):
-        _, meet_of_joins, join_of_meets = _exchange_sides(k)
+        meet_of_joins, join_of_meets = _exchange_sides(k)
         nfam = 1 << (1 << (1 << k))
         for fam in range(nfam):
             top = meet_of_joins(fam)
@@ -773,8 +785,7 @@ def check_correctness(
     """
     if isinstance(det, BudgetExceeded):
         raise ValueError("a budget-exceeded outcome carries no machine to check")
-    if max_failures < 1:
-        raise ValueError(f"max_failures must be at least 1, got {max_failures}")
+    _at_least(1, max_failures=max_failures)
     machine = det.machine
     method = det.method
     if tuple(machine.alphabet) != tuple(source.alphabet):

@@ -95,9 +95,10 @@ def format_word(word: Sequence[str]) -> str:
     return "·".join(word)
 
 
-def _check_depth(depth: int) -> None:
-    if depth < 0:
-        raise ValueError(f"depth must be at least 0, got {depth}")
+def _at_least(floor: int, **values: int) -> None:
+    for name, value in values.items():
+        if value < floor:
+            raise ValueError(f"{name} must be at least {floor}, got {value}")
 
 
 def _unfold(alphabet: Sequence[str], base, step: Callable, depth: int) -> Tuple[List[Any], Callable]:
@@ -110,7 +111,7 @@ def _unfold(alphabet: Sequence[str], base, step: Callable, depth: int) -> Tuple[
     explored row of w's value, so each distinct value is stepped once per
     letter. A negative depth raises ValueError.
     """
-    _check_depth(depth)
+    _at_least(0, depth=depth)
     letters = range(len(alphabet))
     _, values, rows = _explore([base], lambda v, intern: [intern(step(ai, v)) for ai in letters], depth=depth)
 
@@ -296,7 +297,7 @@ def gps_trace(g: GPS, x: int, depth: int) -> TraceDist:
 def moore_trace(m: MooreAut, x: int, depth: int) -> LanguageTable:
     """Observed outputs of a deterministic machine: the value at w is the
     output of the state reached by reading w."""
-    _check_depth(depth)
+    _at_least(0, depth=depth)
     require_valid(m)
     check_state(m, x)
     # layers[k][i]: the state that the length-k word of index i leads x to
@@ -337,7 +338,7 @@ def _tree_step(w: WeightedTreeAut) -> Callable[[str, Sequence[Callable[[int], An
 def wta_trace(w: WeightedTreeAut, x: int, depth: int) -> TreeLanguageTable:
     """Tree series of x: on op(t1..tn), the sum over rules op(x1..xn) of the
     rule weight times the product of the xi values at ti, bottom-up by height."""
-    _check_depth(depth)
+    _at_least(0, depth=depth)
     require_valid(w)
     check_state(w, x)
     step = _tree_step(w)

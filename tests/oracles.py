@@ -5,9 +5,11 @@ word oracles walk transition relations per word, and the tree oracle
 enumerates complete runs one at a time. Slow and obvious beats fast here.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
+import tracekit.laws
 from tracekit import GPS, NFA, TERM, AlternatingAut, MooreAut, Tree, WeightedAut, WeightedTreeAut
 
 
@@ -209,3 +211,96 @@ def wta_value(w: WeightedTreeAut, x: int, t: Tree):
         if run_x == x:
             total = sr.add(total, run_w)
     return total
+
+
+def branching_diagram(which, max_phi, alphabet, samples=200, seed=2026, mutate=None):
+    """The subset, conj or alt one-step square, checked one family at a
+    time, the reference for the letter-wise judge of
+    check_logic_morphism_diagram.
+
+    An element is an output bit and one part per letter: a predicate, or
+    for alt a predicate set. The top path packs each member's one-step
+    predicate (the output bit, then per letter the part, or its join for
+    alt, in k bits) and folds the packed masks: OR for subset, AND
+    otherwise. The bottom path folds the outputs and, letter by letter,
+    aggregates the members' parts: by the same fold, or for alt as the join
+    of the meets of their hitting sets among all predicate sets, found by
+    `tracekit.laws._hitting_bits` so that a patched kernel reaches both
+    sides. Families: every one of fewer than 3 (alt) or 4 elements
+    in `combinations` order, then seeded samples of 3..4 or 4..8. Returns
+    the instance count and (instance, lhs, rhs) of every failure.
+    """
+    alt = which == "alt"
+    lo, hi = (3, 4) if alt else (4, 8)
+    rng = random.Random(seed)
+
+    def fold(values, full):
+        out = 0 if which == "subset" else full
+        for v in values:
+            out = out | v if which == "subset" else out & v
+        return out
+
+    def bits(mask):
+        return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+    def points(mask):
+        return "{" + ",".join(str(p) for p in bits(mask)) + "}"
+
+    count, failures = 0, []
+    for k in range(max_phi + 1):
+        full_pred = (1 << k) - 1
+        shifts = [1 + ai * k for ai in range(len(alphabet))]
+        if alt:
+            everything = (1 << (1 << k)) - 1  # the set of all predicates
+            parts = range(everything + 1)
+            pred_of, meet_of = [0] * len(parts), [fold(bits(t), full_pred) for t in parts]
+            for t in parts:
+                for p in bits(t):
+                    pred_of[t] |= p
+            # per predicate set u, the predicate sets that meet it, as a mask
+            meeting = [tracekit.laws._hitting_bits((u, everything)) for u in parts]
+            fmt_part = lambda t: "{" + ", ".join(points(m) for m in bits(t)) + "}"
+
+            def aggregate(ps):
+                hits = (1 << len(parts)) - 1
+                for u in ps:
+                    hits &= meeting[u]
+                out = 0
+                for v in bits(hits):
+                    out |= meet_of[v]
+                return out
+
+        else:
+            parts = pred_of = range(1 << k)
+            fmt_part = points
+            aggregate = lambda ps: fold(ps, full_pred)
+        base = [(o, ts) for o in (0, 1) for ts in product(parts, repeat=len(alphabet))]
+        ones = [o | sum(pred_of[t] << s for t, s in zip(ts, shifts)) for o, ts in base]
+        names = ["ε"] + [f"({label},{p})" for label in alphabet for p in range(k)]
+
+        def lpred(mask):
+            return "{" + ", ".join(names[i] for i in bits(mask)) + "}"
+
+        def elem(i):
+            o, ts = base[i]
+            shown = [f"out={'tt' if o else 'ff'}"] + [f"{label}->{fmt_part(t)}" for label, t in zip(alphabet, ts)]
+            return "(" + ", ".join(shown) + ")"
+
+        families = [c for r in range(lo) for c in combinations(range(len(base)), r)]
+        if len(base) > lo:
+            for _ in range(samples):
+                r = rng.randint(lo, min(hi, len(base)))
+                families.append(tuple(rng.sample(range(len(base)), r)))
+        for idxs in families:
+            count += 1
+            top = fold([ones[i] for i in idxs], (1 << (1 + len(alphabet) * k)) - 1)
+            bottom = fold([base[i][0] for i in idxs], 1) ^ (mutate == "flip-output")
+            for ai, s in enumerate(shifts):
+                bottom |= aggregate([base[i][1][ai] for i in idxs]) << s
+            if top != bottom:
+                failures.append((
+                    f"|Phi|={k}, machine family [" + "; ".join(elem(i) for i in idxs) + "]",
+                    f"resolve of one-step predicates: {lpred(top)}",
+                    f"one-step of aggregate: {lpred(bottom)}",
+                ))
+    return count, failures

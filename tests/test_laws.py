@@ -52,7 +52,7 @@ from tracekit.laws import (
     _exchange_sides,
 )
 from tests.corpus import rand_nfa
-from tests.oracles import chi_good_bruteforce
+from tests.oracles import branching_diagram, chi_good_bruteforce
 
 GOLDEN = Path(__file__).parent / "data" / "chi_wrong_counterexample.txt"
 # sha256 of every pinned report, rendered with all of its failures
@@ -136,7 +136,7 @@ def test_exchange_sides_match_the_bruteforce_hitting_sets(k):
     """On every family of predicate sets, the meet of joins and the join of
     hitting-set meets agree with chi_good_bruteforce's hitting sets."""
     full_pred = (1 << k) - 1
-    _, meet_of_joins, join_of_meets = _exchange_sides(k)
+    meet_of_joins, join_of_meets = _exchange_sides(k)
     for fam in range(1 << (1 << (1 << k))):
         members = [frozenset(_iter_bits(u)) for u in _iter_bits(fam)]
         joins = [reduce(or_, u, 0) for u in members]
@@ -303,6 +303,63 @@ def test_exchange_and_alt_diagram_run_through_the_hitting_set_kernel(monkeypatch
     monkeypatch.setattr(tracekit.laws, "_hitting_bits", lambda members: 0)
     assert not check_exchange(max_phi=2).ok
     assert not check_logic_morphism_diagram("alt").ok
+
+
+@pytest.mark.parametrize("alphabet", [("a",), ("a", "b")])
+@pytest.mark.parametrize("which", ["subset", "conj", "alt"])
+def test_branching_diagrams_match_the_per_family_oracle(which, alphabet):
+    """Whole reports (count, failure order and text), clean and mutated,
+    against the loop that folds every family's elements one by one; the
+    mutated two-letter alt report at max_phi=2 is pinned by digest instead."""
+    for phi in range(3):
+        for mutate in (None, "flip-output") if (which, phi, len(alphabet)) != ("alt", 2, 2) else (None,):
+            report = check_logic_morphism_diagram(which, max_phi=phi, alphabet=alphabet, mutate=mutate)
+            expected = branching_diagram(which, phi, alphabet, mutate=mutate)
+            assert (report.instances_checked, _failure_texts(report)) == expected
+
+
+@pytest.mark.parametrize("alphabet", [("a",), ("a", "b")])
+def test_alt_diagram_with_some_hitting_sets_dropped_matches_the_oracle(monkeypatch, alphabet):
+    """A kernel that finds no hitting sets for the predicate set {{0}}
+    (mask 2) alone: only families with it among a letter's parts can fail,
+    so the judge must tell them apart and keep their order."""
+    kernel = tracekit.laws._hitting_bits
+    monkeypatch.setattr(tracekit.laws, "_hitting_bits", lambda members: 0 if members[0] == 2 else kernel(members))
+    for phi in range(3):
+        report = check_logic_morphism_diagram("alt", max_phi=phi, alphabet=alphabet, samples=50, seed=phi)
+        expected = branching_diagram("alt", phi, alphabet, samples=50, seed=phi)
+        assert (report.instances_checked, _failure_texts(report)) == expected
+        assert phi == 0 or 0 < len(report.failures) < report.instances_checked
+
+
+_SIZED_LAWS = {
+    "naturality": lambda **kw: check_naturality(CHI_GOOD, **kw),
+    "action-box": lambda **kw: check_action_laws(tracekit.laws.BOX, **kw),
+    "action-weighted-nat": lambda **kw: check_action_laws(SemiringAction("weighted-nat", NAT), **kw),
+    "monad-diamond": lambda **kw: check_monad_morphism(tracekit.laws.DIAMOND, **kw),
+    "diagram-alt": lambda **kw: check_logic_morphism_diagram("alt", **kw),
+    "diagram-weighted": lambda **kw: check_logic_morphism_diagram("weighted", **kw),
+    "exchange": lambda **kw: check_exchange(**kw),
+}
+
+
+@pytest.mark.parametrize(
+    "law, param",
+    [
+        ("naturality", "max_size"), ("naturality", "samples"),
+        ("action-box", "max_phi"), ("action-weighted-nat", "max_phi"), ("action-weighted-nat", "samples"),
+        ("monad-diamond", "max_size"),
+        ("diagram-alt", "max_phi"), ("diagram-alt", "samples"), ("diagram-weighted", "max_phi"),
+        ("exchange", "max_phi"),
+    ],
+)
+def test_negative_sizes_and_sample_counts_raise(law, param):
+    """A negative bound checks nothing, so it must not come back as a clean
+    report; zero is still a real fragment."""
+    with pytest.raises(ValueError, match=f"^{param} must be at least 0, got -1$"):
+        _SIZED_LAWS[law](**{param: -1})
+    report = _SIZED_LAWS[law](**{param: 0})
+    assert report.ok and report.instances_checked > 0
 
 
 def test_correctness_positive():
