@@ -12,9 +12,9 @@ raises ValueError. Naturality is exhaustive on carriers of up to three
 points and the Boolean action laws on predicates over up to two, each
 sampled beyond. Exchange and the alternating square enumerate every family
 of predicate sets; on three points there are 2^256 of them, so both refuse
-max_phi above 2. The monad-morphism law enumerates every family of
-subsets; on five points there are 2^32 of them, so it refuses max_size
-above 4.
+max_phi above 2, and the subset and conj squares refuse it above 3. The
+monad-morphism law enumerates every family of subsets; on five points
+there are 2^32 of them, so it refuses max_size above 4.
 
 Predicates over a finite set of size k are bitmasks over k points, so a
 predicate doubles as its own index; sets of predicates and families of such
@@ -22,6 +22,8 @@ sets are masks over masks. Both sides of a law are compared as masks, read
 from tables indexed by a family mask, or by each of its bytes, rather than
 bit by bit; the branching one-step squares, as they fold bitwise,
 idempotently and commutatively over disjoint fields, field by field.
+Naturality and the Boolean action laws judge each distinct argument once,
+so a transformation or a fold must be a function of its argument.
 Rendering expands all of this back to braces.
 """
 
@@ -31,9 +33,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain, combinations, islice, product
+from itertools import chain, combinations, compress, islice, product, repeat
 from operator import and_, ne, or_
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .automata import NFA, AlternatingAut, ValidationError, WeightedAut, _iter_bits, require_valid
 from .determinize import BudgetExceeded, DetResult, _hitting_bits, chi_good, chi_wrong
@@ -163,25 +165,10 @@ def naturality_instance(
     )
 
 
-_KNOWN_NX = 3
-_KNOWN_NY = 2
-_KNOWN_F = (0, 0, 1)
-_KNOWN_FAMILY = frozenset({frozenset({0, 2}), frozenset({1, 2})})
-
-
 def known_counterexample(t: FiniteNatTrans = CHI_WRONG) -> Optional[LawFailure]:
     """The classical instance refuting the choice-function transformation:
     two sets sharing one element, under a map gluing the unshared ones."""
-    return naturality_instance(t, _KNOWN_NX, _KNOWN_NY, _KNOWN_F, _KNOWN_FAMILY)
-
-
-def _image(m: Sequence[int], mask: int) -> int:
-    """The direct image of a mask under the index map m: a subset mask under
-    a carrier map, or a family mask under its members' image table."""
-    out = 0
-    for i in _iter_bits(mask):
-        out |= 1 << m[i]
-    return out
+    return naturality_instance(t, 3, 2, (0, 0, 1), [{0, 2}, {1, 2}])
 
 
 def check_naturality(
@@ -198,7 +185,8 @@ def check_naturality(
     covered by seeded random sampling. Families are masks over subset masks,
     and the square is compared on masks: `t.apply` runs once per distinct
     family (on frozensets, its result read back as a mask), so t must be a
-    function of its argument. A failing square is rendered by
+    function of its argument; one table of t, over the largest exhaustive
+    carrier, serves every map. A failing square is rendered by
     `naturality_instance`.
     """
     if shape != NAT_SHAPE:
@@ -206,33 +194,25 @@ def check_naturality(
     _at_least(0, max_size=max_size, samples=samples)
     failures: List[LawFailure] = []
     count = 0
-    memo: Dict[int, int] = {}
 
+    @lru_cache(maxsize=None)
     def t_of(fam: int) -> int:
-        got = memo.get(fam)
-        if got is None:
-            got = 0
-            for v in t.apply(frozenset(frozenset(_iter_bits(u)) for u in _iter_bits(fam))):
-                got |= 1 << sum(1 << x for x in v)
-            memo[fam] = got
-        return got
+        got = t.apply(frozenset(frozenset(_iter_bits(u)) for u in _iter_bits(fam)))
+        return reduce(or_, (1 << sum(1 << x for x in v) for v in got), 0)
 
-    def check(nx: int, ny: int, f: Sequence[int], lift: Callable[[int], int], fam: int) -> None:
-        nonlocal count
-        count += 1
-        if lift(t_of(fam)) != t_of(lift(fam)):
-            failure = naturality_instance(t, nx, ny, f, [_iter_bits(u) for u in _iter_bits(fam)])
-            if failure is not None:
-                failures.append(failure)
+    def check(nx: int, ny: int, f: Sequence[int], fams: Iterable[int]) -> None:
+        found = (naturality_instance(t, nx, ny, f, [_iter_bits(u) for u in _iter_bits(fam)]) for fam in fams)
+        failures.extend(filter(None, found))
 
     limit = min(max_size, 3)
+    t_tab = [t_of(fam) for fam in range(1 << (1 << limit))]
     for nx in range(limit + 1):
         for ny in range(limit + 1):
             for f in product(range(ny), repeat=nx):
-                img = [_image(f, u) for u in range(1 << nx)]
-                lifted = [_image(img, fam) for fam in range(1 << (1 << nx))]
-                for fam in range(len(lifted)):
-                    check(nx, ny, f, lifted.__getitem__, fam)
+                img = _fold_table([1 << y for y in f], or_, 0)
+                lifted = _fold_table([1 << u for u in img], or_, 0)
+                count += len(lifted)
+                check(nx, ny, f, (fam for fam, g in enumerate(lifted) if lifted[t_tab[fam]] != t_tab[g]))
     if max_size > 3:
         rng = random.Random(seed)
         for _ in range(samples):
@@ -244,8 +224,11 @@ def check_naturality(
             fam = 0
             for _ in range(rng.randint(0, 4)):
                 fam |= 1 << rng.randrange(1 << nx)
-            img = [_image(f, u) for u in range(1 << nx)]
-            check(nx, ny, f, lambda g: _image(img, g), fam)
+            img = _fold_table([1 << y for y in f], or_, 0)
+            lift = lambda g: reduce(or_, (1 << img[u] for u in _iter_bits(g)), 0)
+            count += 1
+            if lift(t_of(fam)) != t_of(lift(fam)):
+                check(nx, ny, f, [fam])
     return LawReport(f"naturality:{t.name}", count, failures)
 
 
@@ -305,7 +288,8 @@ def check_action_laws(
     Boolean predicate actions are exhaustive: fully up to 2 points, and up to
     two-member outer families plus samples at 3 points. Semiring actions are
     exhaustive over Boolean vectors on at most 1 point plus bounded/sampled
-    fragments beyond that.
+    fragments beyond that. A Boolean fold runs once per distinct list of
+    resolutions, in member order, so it must be a function of that list.
     """
     _at_least(0, max_phi=max_phi, samples=samples)
     if isinstance(action, PredicateAction):
@@ -327,53 +311,62 @@ def _action_laws_bool(
             count += 1
             got = action.fold((phi,), full)
             if got != phi:
-                failures.append(
-                    LawFailure(
-                        f"|Phi|={k}, predicate {_fmt_points(phi)}",
-                        f"resolve of singleton: {_fmt_points(got)}",
-                        f"the predicate itself: {_fmt_points(phi)}",
-                    )
-                )
+                failures.append(LawFailure(
+                    f"|Phi|={k}, predicate {_fmt_points(phi)}",
+                    f"resolve of singleton: {_fmt_points(got)}",
+                    f"the predicate itself: {_fmt_points(phi)}",
+                ))
 
     fmt_inner = lru_cache(maxsize=None)(lambda fm: _fmt_predset(_iter_bits(fm)))
 
-    def mult_failure(k: int, fam_masks: Iterable[int], lhs: int, rhs: int) -> LawFailure:
-        rendered = "{" + ", ".join(map(fmt_inner, fam_masks)) + "}"
-        return LawFailure(
-            f"|Phi|={k}, family of predicate sets {rendered}",
-            f"resolve of union: {_fmt_points(lhs)}",
-            f"resolve of resolutions: {_fmt_points(rhs)}",
-        )
+    def judge(k: int, lhs: list, rhs: list, fams: Callable[[int], Iterable[int]]) -> None:
+        """Count a row of outer families, the i-th with members fams(i)."""
+        nonlocal count
+        count += len(lhs)
+        for i in compress(range(len(lhs)), map(ne, lhs, rhs)):
+            rendered = "{" + ", ".join(map(fmt_inner, fams(i))) + "}"
+            failures.append(LawFailure(
+                f"|Phi|={k}, family of predicate sets {rendered}",
+                f"resolve of union: {_fmt_points(lhs[i])}",
+                f"resolve of resolutions: {_fmt_points(rhs[i])}",
+            ))
 
     # the union side folds fold_of's own call; the resolution side calls
-    # action.fold on the whole list, as a fold need not be associative
+    # action.fold on the whole list, as a fold need not be associative, once
+    # per distinct list
     for k in range(min(max_phi, 2) + 1):
         full = (1 << k) - 1
         fold_of = [action.fold(_iter_bits(fm), full) for fm in range(1 << (1 << k))]
-        # every outer family, as a mask over the predicate sets fm
-        res_lo, res_hi = _halves(fold_of, lambda acc, r: acc + [r], [])
+        # every outer family, as a mask lo | hi << 8 over the predicate sets
+        # fm, lists the lo byte's s then the hi byte's h. A list folds at its
+        # split with the longest s; a split whose h's head joins s reads h[1:]
+        res_lo, res_hi = _halves(fold_of, lambda acc, r: acc + (r,), ())
         union_lo, union_hi = _halves(range(len(fold_of)), or_, 0)
-        for outer in range(1 << len(fold_of)):
-            lo, hi = outer & 0xFF, outer >> 8
-            lhs = fold_of[union_lo[lo] | union_hi[hi]]
-            rhs = action.fold(res_lo[lo] + res_hi[hi], full)
-            if lhs != rhs:
-                failures.append(mult_failure(k, _iter_bits(outer), lhs, rhs))
-        count += 1 << len(fold_of)
+        seqs: dict = {}
+        id_lo = [seqs.setdefault(s, len(seqs)) for s in res_lo]
+        rows: dict = {}
+        for h in sorted(dict.fromkeys(res_hi), key=len):
+            rows[h] = [rows[h[1:]][seqs[s + h[:1]]] if h and s + h[:1] in seqs
+                       else action.fold(list(s + h), full) for s in seqs]
+        for hi, (uh, h) in enumerate(zip(union_hi, res_hi)):
+            rhs = list(map(rows[h].__getitem__, id_lo))
+            judge(k, [fold_of[ul | uh] for ul in union_lo], rhs, lambda lo: _iter_bits(lo | hi << 8))
     if max_phi >= 3:
-        k = 3
-        full = (1 << k) - 1
-        nfam = 1 << (1 << k)
+        k, full, nfam = 3, 7, 256
         fold_of = [action.fold(_iter_bits(fm), full) for fm in range(nfam)]
+        resolve = lru_cache(maxsize=None)(lambda seq: action.fold(list(seq), full))
+
+        def each(fams: list) -> None:
+            rhs = [resolve(tuple(map(fold_of.__getitem__, fs))) for fs in fams]
+            judge(k, [fold_of[reduce(or_, fs, 0)] for fs in fams], rhs, fams.__getitem__)
+
         # outer families of up to two members, then samples with repeats
+        each([()] + [(fm,) for fm in range(nfam)])
+        for a, va in enumerate(fold_of):
+            rhs = list(map(resolve, zip(repeat(va), fold_of[a + 1:])))
+            judge(k, [fold_of[a | b] for b in range(a + 1, nfam)], rhs, lambda i: (a, a + 1 + i))
         rng = random.Random(seed)
-        sampled = ([rng.randrange(nfam) for _ in range(rng.randint(3, 6))] for _ in range(samples))
-        for fams in chain(*(combinations(range(nfam), r) for r in range(3)), sampled):
-            count += 1
-            lhs = fold_of[reduce(or_, fams, 0)]
-            rhs = action.fold([fold_of[fm] for fm in fams], full)
-            if lhs != rhs:
-                failures.append(mult_failure(k, fams, lhs, rhs))
+        each([[rng.randrange(nfam) for _ in range(rng.randint(3, 6))] for _ in range(samples)])
     return LawReport(f"action-laws:{action.name}", count, failures)
 
 
@@ -402,13 +395,11 @@ def _action_laws_semiring(
             count += 1
             got = _vec_resolve(sr, unit(sr, psi), k)
             if got != psi:
-                failures.append(
-                    LawFailure(
-                        f"|Phi|={k}, predicate {psi}",
-                        f"resolve of singleton: {got}",
-                        f"the predicate itself: {psi}",
-                    )
-                )
+                failures.append(LawFailure(
+                    f"|Phi|={k}, predicate {psi}",
+                    f"resolve of singleton: {got}",
+                    f"the predicate itself: {psi}",
+                ))
 
     def check_mult(k: int, outer: WeightVec) -> None:
         nonlocal count
@@ -421,13 +412,11 @@ def _action_laws_semiring(
             rendered = (
                 "{" + ", ".join(f"{_fmt_vec(v)}:{c}" for v, c in outer.items()) + "}"
             )
-            failures.append(
-                LawFailure(
-                    f"|Phi|={k}, weighted family {rendered}",
-                    f"resolve of flattening: {lhs}",
-                    f"resolve of resolutions: {rhs}",
-                )
-            )
+            failures.append(LawFailure(
+                f"|Phi|={k}, weighted family {rendered}",
+                f"resolve of flattening: {lhs}",
+                f"resolve of resolutions: {rhs}",
+            ))
 
     if sr.name == "bool":
         for k in range(min(max_phi, 2) + 1):
@@ -485,13 +474,11 @@ def check_monad_morphism(action: PredicateAction, max_size: int = 3) -> LawRepor
         for x in range(n):
             count += 1
             if dagger[1 << x] != iota[x]:
-                failures.append(
-                    LawFailure(
-                        f"n={n}, element {x}",
-                        f"dagger of singleton: {_fmt_predset(_iter_bits(dagger[1 << x]))}",
-                        f"evaluation at the element: {_fmt_predset(_iter_bits(iota[x]))}",
-                    )
-                )
+                failures.append(LawFailure(
+                    f"n={n}, element {x}",
+                    f"dagger of singleton: {_fmt_predset(_iter_bits(dagger[1 << x]))}",
+                    f"evaluation at the element: {_fmt_predset(_iter_bits(iota[x]))}",
+                ))
         for souter in range(1 << (1 << n)):
             members = list(_iter_bits(souter))
             count += 1
@@ -505,13 +492,11 @@ def check_monad_morphism(action: PredicateAction, max_size: int = 3) -> LawRepor
                 rendered = (
                     "{" + ", ".join(_fmt_points(u) for u in members) + "}"
                 )
-                failures.append(
-                    LawFailure(
-                        f"n={n}, family {rendered}",
-                        f"dagger of union: {_fmt_predset(_iter_bits(lhs))}",
-                        f"fold of daggers: {_fmt_predset(_iter_bits(rhs))}",
-                    )
-                )
+                failures.append(LawFailure(
+                    f"n={n}, family {rendered}",
+                    f"dagger of union: {_fmt_predset(_iter_bits(lhs))}",
+                    f"fold of daggers: {_fmt_predset(_iter_bits(rhs))}",
+                ))
     return LawReport(f"monad-morphism:{action.name}", count, failures)
 
 
@@ -548,8 +533,9 @@ def check_logic_morphism_diagram(
     the bottom path aggregates the machine elements first and takes the
     one-step predicate of the aggregate. `mutate="flip-output"` corrupts the
     bottom path's output aggregation, as a negative control for the checker.
-    The alt square aggregates through every family of predicate sets, so it
-    raises ValueError for max_phi above 2.
+    The alt square aggregates through every family of predicate sets, and
+    subset and conj take every family of up to three elements (22.7 million
+    at max_phi=4), so they raise ValueError above max_phi=2 and 3.
     """
     if which not in DIAGRAMS:
         raise ValueError(f"unknown diagram {which!r}; expected one of {DIAGRAMS}")
@@ -558,8 +544,9 @@ def check_logic_morphism_diagram(
     _at_least(0, max_phi=max_phi, samples=samples)
     if which == "weighted":
         return _diagram_weighted(max_phi, tuple(alphabet), mutate)
-    if which == "alt" and max_phi > 2:
-        raise ValueError(f"the alt diagram is exhaustible only up to max_phi=2, got {max_phi}")
+    bound = 2 if which == "alt" else 3
+    if max_phi > bound:
+        raise ValueError(f"the {which} diagram is exhaustible only up to max_phi={bound}, got {max_phi}")
     return _diagram_branching(which, max_phi, tuple(alphabet), samples, seed, mutate)
 
 
@@ -596,13 +583,11 @@ def _diagram_weighted(
                     for phi in range(nmask)
                 ]
                 rendered = "{" + ", ".join(names[i] for i in _iter_bits(psi)) + "}"
-                failures.append(
-                    LawFailure(
-                        f"|Phi|={k}, weighted one-step bag {rendered}",
-                        f"resolve of one-step predicates: {_fmt_lpred(top, lnames)}",
-                        f"one-step of aggregate: {_fmt_lpred(bottom, lnames)}",
-                    )
-                )
+                failures.append(LawFailure(
+                    f"|Phi|={k}, weighted one-step bag {rendered}",
+                    f"resolve of one-step predicates: {_fmt_lpred(top, lnames)}",
+                    f"one-step of aggregate: {_fmt_lpred(bottom, lnames)}",
+                ))
     return LawReport("logic-morphism:weighted", count, failures)
 
 
@@ -694,13 +679,11 @@ def _diagram_branching(
                 top, bottom = top | top_f << s, bottom | bottom_f << s
             if top != bottom:
                 fam = "[" + "; ".join(fmt_elem(i) for i in idxs) + "]"
-                failures.append(
-                    LawFailure(
-                        f"|Phi|={k}, machine family {fam}",
-                        f"resolve of one-step predicates: {_fmt_lpred(top, lnames)}",
-                        f"one-step of aggregate: {_fmt_lpred(bottom, lnames)}",
-                    )
-                )
+                failures.append(LawFailure(
+                    f"|Phi|={k}, machine family {fam}",
+                    f"resolve of one-step predicates: {_fmt_lpred(top, lnames)}",
+                    f"one-step of aggregate: {_fmt_lpred(bottom, lnames)}",
+                ))
 
         n = len(base)
         count += 1
@@ -742,13 +725,11 @@ def check_exchange(max_phi: int = 2) -> LawReport:
                 rendered = (
                     "{" + ", ".join(_fmt_predset(_iter_bits(im)) for im in _iter_bits(fam)) + "}"
                 )
-                failures.append(
-                    LawFailure(
-                        f"|Phi|={k}, family {rendered}",
-                        f"meet of joins: {_fmt_points(top)}",
-                        f"join of hitting-set meets: {_fmt_points(bottom)}",
-                    )
-                )
+                failures.append(LawFailure(
+                    f"|Phi|={k}, family {rendered}",
+                    f"meet of joins: {_fmt_points(top)}",
+                    f"join of hitting-set meets: {_fmt_points(bottom)}",
+                ))
         count += nfam
     return LawReport("exchange:conjunction-over-disjunction", count, failures)
 

@@ -52,6 +52,7 @@ from tracekit.laws import (
     _exchange_sides,
 )
 from tests.corpus import rand_nfa
+from tests.law_oracles import action_laws, naturality
 from tests.oracles import branching_diagram, chi_good_bruteforce
 
 GOLDEN = Path(__file__).parent / "data" / "chi_wrong_counterexample.txt"
@@ -105,13 +106,15 @@ def test_naturality_sampling_above_exhaustive_range():
     assert not bad.ok
 
 
+# keeping only the singleton members is not natural: gluing the two points
+# of a pair turns it into a singleton
+SINGLETONS = FiniteNatTrans(
+    "singletons", lambda fam: frozenset(frozenset(u) for u in fam if len(frozenset(u)) == 1)
+)
+
+
 def test_naturality_refutes_a_user_transformation():
-    """Keeping only the singleton members is not natural: gluing the two
-    points of a pair turns it into a singleton."""
-    singletons = FiniteNatTrans(
-        "singletons", lambda fam: frozenset(frozenset(u) for u in fam if len(frozenset(u)) == 1)
-    )
-    report = check_naturality(singletons, max_size=3)
+    report = check_naturality(SINGLETONS, max_size=3)
     assert report.instances_checked == 9472
     assert not report.ok
     assert report.failures[0].instance == "X={a,b}, Y={c}, f=[a->c, b->c], S={{a,b}}"
@@ -129,6 +132,55 @@ def test_naturality_applies_the_transformation_once_per_family():
     assert report.instances_checked == 9472
     assert len(calls) <= 278
     assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("t", [CHI_GOOD, CHI_WRONG, IDENTITY_NAT, SINGLETONS], ids=lambda t: t.name)
+def test_naturality_matches_the_per_square_oracle(t):
+    """Whole reports (count, failure order and text) against the loop that
+    maps every family through both paths on frozensets, exhaustive sizes
+    and sampled ones."""
+    for max_size in range(6):
+        for samples, seed in ((500, 2026), (37, 5)) if max_size > 3 else ((500, 2026),):
+            report = check_naturality(t, max_size=max_size, samples=samples, seed=seed)
+            expected = naturality(t, max_size, samples, seed)
+            assert (report.instances_checked, _failure_texts(report)) == expected
+
+
+PARITY = PredicateAction("parity", lambda masks, full: reduce(xor, masks, 0))
+ZERO = PredicateAction("zero", lambda masks, full: 0)
+# neither associative nor commutative: the first member, else the unit
+FIRST = PredicateAction("first", lambda masks, full: next(iter(masks), full))
+
+
+@pytest.mark.parametrize(
+    "action", [tracekit.laws.DIAMOND, tracekit.laws.BOX, PARITY, ZERO, FIRST], ids=lambda a: a.name
+)
+def test_boolean_action_laws_match_the_per_family_oracle(action):
+    """Whole reports against the loop that folds every outer family's list
+    of resolutions on its own."""
+    for max_phi, samples, seed in ((0, 300, 2026), (1, 300, 2026), (2, 300, 2026), (3, 41, 9)):
+        report = check_action_laws(action, max_phi=max_phi, samples=samples, seed=seed)
+        expected = action_laws(action, max_phi, samples, seed)
+        assert (report.instances_checked, _failure_texts(report)) == expected
+
+
+def test_action_laws_fold_each_distinct_list_of_resolutions_once():
+    """The resolution side's argument (the one list the fold gets) is seen
+    once per distinct value, and exactly the values the per-family loop
+    passes."""
+    def counting(seen):
+        def fold(masks, full):
+            if isinstance(masks, list):
+                seen.append((tuple(masks), full))
+            return tracekit.laws.DIAMOND.fold(masks, full)
+        return PredicateAction("diamond", fold)
+
+    calls, oracle_calls = [], []
+    report = check_action_laws(counting(calls), max_phi=3)
+    assert _failure_texts(report) == [] and report.instances_checked == 98768
+    assert action_laws(counting(oracle_calls), 3) == (98768, [])
+    assert len(calls) == len(set(calls)) == len(set(oracle_calls)) < len(oracle_calls)
+    assert set(calls) == set(oracle_calls)
 
 
 @pytest.mark.parametrize("k", [0, 1])
@@ -168,8 +220,6 @@ def test_law_reports_at_every_cli_size_are_pinned(law):
 def test_negative_control_and_diagram_reports_are_pinned():
     """The diagrams at every size, mutated or not, on one and two letters;
     the parity and constant-0 folds; exchange at 0..2."""
-    parity = PredicateAction("parity", lambda masks, full: reduce(xor, masks, 0))
-    zero = PredicateAction("zero", lambda masks, full: 0)
     got = {}
     for which in DIAGRAMS:
         for phi in range(3):
@@ -177,7 +227,7 @@ def test_negative_control_and_diagram_reports_are_pinned():
                 for alphabet in (("a", "b"), ("a",)):
                     report = check_logic_morphism_diagram(which, max_phi=phi, alphabet=alphabet, mutate=mutate)
                     got[f"diagram:{which}:{phi}:{mutate}:{''.join(alphabet)}"] = _digest(report)
-    for action in (parity, zero):
+    for action in (PARITY, ZERO):
         for n in (1, 2, 3):
             got[f"action:{action.name}:{n}"] = _digest(check_action_laws(action, max_phi=n))
             got[f"monad:{action.name}:{n}"] = _digest(check_monad_morphism(action, max_size=n))
@@ -202,11 +252,7 @@ def test_action_laws_hold():
 
 
 def test_xor_fold_fails_the_multiplication_law():
-    from functools import reduce
-    from operator import xor
-
-    parity = PredicateAction("parity", lambda masks, full: reduce(xor, masks, 0))
-    report = check_action_laws(parity, max_phi=2)
+    report = check_action_laws(PARITY, max_phi=2)
     assert not report.ok
     assert all("singleton" not in f.lhs for f in report.failures)
 
@@ -248,11 +294,7 @@ def test_monad_morphism_holds_for_both_actions():
 
 
 def test_monad_morphism_catches_parity():
-    from functools import reduce
-    from operator import xor
-
-    parity = PredicateAction("parity", lambda masks, full: reduce(xor, masks, 0))
-    assert not check_monad_morphism(parity, max_size=3).ok
+    assert not check_monad_morphism(PARITY, max_size=3).ok
 
 
 @pytest.mark.parametrize("which", ["subset", "conj", "weighted", "alt"])
@@ -295,6 +337,19 @@ def test_monad_morphism_rejects_sizes_beyond_the_exhaustible_bound():
 def test_alt_diagram_rejects_sizes_beyond_the_exhaustible_bound():
     with pytest.raises(ValueError, match="max_phi=2"):
         check_logic_morphism_diagram("alt", max_phi=3)
+
+
+@pytest.mark.parametrize("which", ["subset", "conj"])
+def test_subset_and_conj_diagrams_reject_sizes_beyond_the_exhaustible_bound(monkeypatch, which):
+    """At max_phi=4 there are 22.7 million families of up to three elements,
+    each rendered under flip-output: refused before the judge runs."""
+    assert check_logic_morphism_diagram(which, max_phi=3).instances_checked == 355819
+    reached = []
+    monkeypatch.setattr(tracekit.laws, "_diagram_branching", lambda *args: reached.append(args[1]))
+    with pytest.raises(ValueError, match=f"^the {which} diagram is exhaustible only up to max_phi=3, got 4$"):
+        check_logic_morphism_diagram(which, max_phi=4, mutate="flip-output")
+    check_logic_morphism_diagram(which, max_phi=3)
+    assert reached == [3]
 
 
 def test_exchange_and_alt_diagram_run_through_the_hitting_set_kernel(monkeypatch):
