@@ -336,8 +336,12 @@ def _fold(t: Tree, f: Callable[[str, List[Any]], Any]) -> Any:
     return values[0]
 
 
+def _node_text(op: str, args: Sequence[str]) -> str:
+    return f"{op}({','.join(args)})" if args else op
+
+
 def format_tree(t: Tree) -> str:
-    return _fold(t, lambda op, args: f"{op}({','.join(args)})" if args else op)
+    return _fold(t, _node_text)
 
 
 def tree_height(t: Tree) -> int:

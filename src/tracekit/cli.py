@@ -35,7 +35,7 @@ from .automata import (
     ValidationError,
     WeightedAut,
     WeightedTreeAut,
-    format_tree,
+    _node_text,
     require_valid,
 )
 from .determinize import (
@@ -653,16 +653,17 @@ def _cmd_semantics(args) -> int:
     else:
         table = _KINDS[kind][2](aut, x, args.depth)
     wta = kind == "wta"
+    texts: Dict[Any, str] = {}
+    for t in table.entries if wta else ():  # all_trees lists children first
+        texts[t] = _node_text(t.op, [texts[c] for c in t.children])
+    keys = list(texts.values()) if wta else list(map(format_word, table.entries))
     # rendered in full first, so a value too long to print leaves stdout empty
-    text = "".join(
-        f"{format_tree(key) if wta else format_word(key)}\t{render_value(value)}\n"
-        for key, value in table.entries.items()
-    )
+    text = "".join(f"{key}\t{render_value(value)}\n" for key, value in zip(keys, table.entries.values()))
     if args.out:
         rows = [
-            {"tree": format_tree(key), "value": encode_weight(value)} if wta
-            else {"word": list(key), "value": encode_weight(value)}
-            for key, value in table.entries.items()
+            {"tree": key, "value": encode_weight(value)} if wta
+            else {"word": list(word), "value": encode_weight(value)}
+            for key, (word, value) in zip(keys, table.entries.items())
         ]
         doc = {"state": aut.names[x], "depth": args.depth, "rows": rows}
         Path(args.out).write_text(serialize_document(doc), encoding="utf-8")

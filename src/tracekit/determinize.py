@@ -24,7 +24,7 @@ from .automata import (
     _iter_bits,
     require_valid,
 )
-from .weights import BOOL, Semiring, WeightVec, scale, unit, vec_sum
+from .weights import BOOL, Semiring, WeightVec, unit
 
 BOOL_MODES = ("disj", "conj")
 
@@ -153,7 +153,7 @@ def det_weighted(w: WeightedAut, budget: int = 500) -> Union[DetResult, BudgetEx
     sr = w.semiring
 
     def step(ai: int, v: WeightVec) -> WeightVec:
-        return vec_sum(sr, (scale(c, w.trans[y][ai]) for y, c in v.items()))
+        return WeightVec(sr, [(z, sr.mul(c, wt)) for y, c in v.items() for z, wt in w.trans[y][ai].items()])
 
     output = lambda v: sr.sum(sr.mul(c, w.out[y]) for y, c in v.items())
     found = _lifted_machine(w.alphabet, [unit(sr, x) for x in range(w.n_states)], step, output, sr, budget)

@@ -12,7 +12,8 @@ raises ValueError. Naturality is exhaustive on carriers of up to three
 points and the Boolean action laws on predicates over up to two, each
 sampled beyond. Exchange and the alternating square enumerate every family
 of predicate sets; on three points there are 2^256 of them, so both refuse
-max_phi above 2, and the subset and conj squares refuse it above 3. The
+max_phi above 2, and the subset and conj squares refuse it above 3; every
+one-step square refuses to enumerate more than 2^20 instances. The
 monad-morphism law enumerates every family of subsets; on five points
 there are 2^32 of them, so it refuses max_size above 4.
 
@@ -34,12 +35,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain, combinations, compress, islice, product, repeat
+from math import comb
 from operator import and_, ne, or_
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .automata import NFA, AlternatingAut, ValidationError, WeightedAut, _iter_bits, require_valid
 from .determinize import BudgetExceeded, DetResult, _hitting_bits, chi_good, chi_wrong
-from .semantics import _at_least, _reader, _recurrence, _table, _unfold, format_word
+from .semantics import _at_least, _recurrence, _table, _unfold, format_word
 from .weights import Semiring, WeightVec, map_weights, monad_mul, unit
 
 NAT_SHAPE = "PP=>PP"
@@ -505,6 +507,8 @@ def check_monad_morphism(action: PredicateAction, max_size: int = 3) -> LawRepor
 
 DIAGRAMS = ("subset", "conj", "weighted", "alt")
 _MUTATIONS = (None, "flip-output")
+_FAMILY_SIZES = {"subset": (4, 8), "conj": (4, 8), "alt": (3, 4)}  # all under lo elements, samples of lo..hi
+_DIAGRAM_LIMIT = 1 << 20  # above the 355,219 families of subset at max_phi=3
 
 
 def _lpred_names(alphabet: Sequence[str], k: int) -> List[str]:
@@ -535,18 +539,27 @@ def check_logic_morphism_diagram(
     bottom path's output aggregation, as a negative control for the checker.
     The alt square aggregates through every family of predicate sets, and
     subset and conj take every family of up to three elements (22.7 million
-    at max_phi=4), so they raise ValueError above max_phi=2 and 3.
+    at max_phi=4), so they raise ValueError above max_phi=2 and 3, as does
+    any square, naming the count, that would enumerate over 2^20 instances.
     """
     if which not in DIAGRAMS:
         raise ValueError(f"unknown diagram {which!r}; expected one of {DIAGRAMS}")
     if mutate not in _MUTATIONS:
         raise ValueError(f"unknown mutation {mutate!r}")
     _at_least(0, max_phi=max_phi, samples=samples)
+    bound = {"alt": 2, "subset": 3, "conj": 3}.get(which)
+    if bound is not None and max_phi > bound:
+        raise ValueError(f"the {which} diagram is exhaustible only up to max_phi={bound}, got {max_phi}")
+    count, letters = 0, len(alphabet)
+    for k in range(max_phi + 1):  # to the first |Phi| past the limit: the next count can be too large to build
+        elements = 2 * (1 << ((1 << k) if which == "alt" else k)) ** letters  # of a branching square
+        count += (2 << letters * (1 << k)) if which == "weighted" else sum(
+            comb(elements, r) for r in range(_FAMILY_SIZES[which][0]))
+        if count > _DIAGRAM_LIMIT:
+            raise ValueError(f"the {which} diagram on {letters} letters up to max_phi={max_phi} "
+                             f"enumerates at least {count:,} instances, more than {_DIAGRAM_LIMIT:,}")
     if which == "weighted":
         return _diagram_weighted(max_phi, tuple(alphabet), mutate)
-    bound = 2 if which == "alt" else 3
-    if max_phi > bound:
-        raise ValueError(f"the {which} diagram is exhaustible only up to max_phi={bound}, got {max_phi}")
     return _diagram_branching(which, max_phi, tuple(alphabet), samples, seed, mutate)
 
 
@@ -642,8 +655,7 @@ def _diagram_branching(
     alt = which == "alt"
     fold = (DIAMOND if which == "subset" else BOX).fold
     flip = mutate == "flip-output"
-    # families: all of fewer than lo elements, then samples of lo..hi of them
-    lo, hi = (3, 4) if alt else (4, 8)
+    lo, hi = _FAMILY_SIZES[which]
     failures: List[LawFailure] = []
     count = 0
     rng = random.Random(seed)
@@ -786,17 +798,14 @@ def check_correctness(
             raise ValidationError(f"embedding sends source state {x} to {t!r}, not a machine state")
 
     alphabet = source.alphabet
-    src_base, src_step = _recurrence(source, "conj" if method == "subset-conj" else "disj")
-    mach_base, mach_step = _recurrence(machine)
+    src_base, src_step, src_read = _recurrence(source, "conj" if method == "subset-conj" else "disj")
+    mach_base, mach_step, mach_read = _recurrence(machine)
     count = source.n_states * sum(len(alphabet) ** k for k in range(depth + 1))
     pairs, layers = _unfold(
         alphabet, (src_base, mach_base), lambda ai, p: (src_step(ai, p[0]), mach_step(ai, p[1])), depth
     )
     # per source state, both sides' values on each distinct pair
-    sides = []
-    for x in range(source.n_states):
-        src, mach = _reader(src_base, x), _reader(mach_base, det.embed[x])
-        sides.append([(src(s), mach(t)) for s, t in pairs])
+    sides = [[(src_read(s, x), mach_read(t, det.embed[x])) for s, t in pairs] for x in range(source.n_states)]
     render = str if method == "weighted" else _tt
     failures = (
         LawFailure(

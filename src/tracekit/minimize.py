@@ -15,7 +15,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 from .automata import NFA, MooreAut, ValidationError, check_state, require_valid
 from .determinize import _explore, _lifted_machine
-from .semantics import _mask_step, _recurrence
+from .semantics import _recurrence
 
 Word = Tuple[str, ...]
 
@@ -119,7 +119,7 @@ def brzozowski_observable(n: NFA, initial: Iterable[int]) -> ObservableDFA:
     for x in init:
         check_state(n, x)
     init_mask = sum(1 << x for x in init)
-    base, pre = _recurrence(n)
+    base, pre, _ = _recurrence(n)
     (d1_init,), _, d1 = _lifted_machine(n.alphabet, [base], pre, lambda s: bool(s & init_mask))
     # _first_links discovers d1's states in d1's own numbering order
     links = _first_links(d1.alphabet, d1_init, d1.delta.__getitem__)
@@ -127,9 +127,8 @@ def brzozowski_observable(n: NFA, initial: Iterable[int]) -> ObservableDFA:
     for link in links.values():
         back.append(() if link is None else (link[1],) + back[link[0]])
 
-    pre1 = _mask_step([[1 << t for t in row] for row in d1.delta])
-    seed2 = sum(1 << s for s in range(d1.n_states) if d1.outputs[s])
-    (d2_init,), meanings, d2 = _lifted_machine(d1.alphabet, [seed2], pre1, lambda s: bool(s >> d1_init & 1))
+    seed2, pre1, read1 = _recurrence(d1)
+    (d2_init,), meanings, d2 = _lifted_machine(d1.alphabet, [seed2], pre1, lambda s: read1(s, d1_init))
 
     named = MooreAut(d2.alphabet, d2.outputs, d2.delta, names=[f"b{i}" for i in range(d2.n_states)])
     return ObservableDFA(named, d2_init, Certificates(meanings, back))

@@ -5,6 +5,8 @@ all states at once, and a step that takes the value of w to that of a.w.
 `determinize._explore` explores the recurrence from its base to the depth,
 so each distinct value is stepped once per letter however many words share
 it; the table then walks the words over the explored rows as value numbers.
+Values are bitmasks for the Boolean kinds and, over NAT and RAT, integer
+tuples (d, n_0, ...) with gcd 1 for the vectors n / d: one value per vector.
 Tree automata are unfolded bottom-up by tree height. Each table is total on
 all words (trees) within the requested depth, and a negative depth raises
 ValueError.
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from math import gcd, lcm
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from .automata import (
@@ -33,7 +35,7 @@ from .automata import (
     require_valid,
 )
 from .determinize import _alt_masks, _check_mode, _explore
-from .weights import RAT, PartialProb, Semiring, WeightVec
+from .weights import BOOL, RAT, PartialProb, WeightVec
 
 Word = Tuple[str, ...]
 
@@ -163,65 +165,67 @@ def _alt_step(fams: Sequence[Sequence[Sequence[int]]]) -> Callable[[int, int], i
     return step
 
 
-def _linear_step(rows: Sequence[Sequence[Sequence[Tuple[int, Any]]]], sr: Semiring) -> Callable:
-    """Entry x of step(ai, v) is the sum over the (y, weight) pairs of
-    rows[x][ai] of weight * v[y], in the semiring sr."""
-    add, mul, zero = sr.add, sr.mul, sr.zero
+def _linear(out: Sequence[Any], rows: Sequence[Sequence[Sequence[Tuple[int, Any]]]], letters: int) -> Tuple[tuple, Callable]:
+    """The integer tuple of the exact values out, and the step on such tuples:
+    entry x of step(ai, v) sums weight * v_y over the pairs of rows[x][ai].
+    out is stepped as the weights of one more letter, from the value 1."""
+    scaled = []
+    for by_state in [[row[ai] for row in rows] for ai in range(letters)] + [[((0, o),) for o in out]]:
+        m = lcm(*(wt.denominator for pairs in by_state for _, wt in pairs))
+        scaled.append((m, [[(y + 1, wt.numerator * (m // wt.denominator)) for y, wt in pairs] for pairs in by_state]))
 
     def step(ai: int, v: tuple) -> tuple:
-        out = []
-        for row in rows:
-            acc = zero
-            for y, wt in row[ai]:
-                acc = add(acc, mul(wt, v[y]))
-            out.append(acc)
-        return tuple(out)
+        m, coeffs = scaled[ai]
+        sums = [v[0] * m]
+        for row in coeffs:
+            acc = 0
+            for y, c in row:
+                acc += c * v[y]
+            sums.append(acc)
+        g = gcd(*sums)  # positive, as the denominator sums[0] is
+        return tuple(sums) if g == 1 else tuple(n // g for n in sums)
 
-    return step
+    return step(letters, (1, 1)), step
 
 
-def _recurrence(aut, mode: str = "disj") -> Tuple[Any, Callable]:
-    """The empty-word values and the one-step function of a word automaton.
+def _bit(mask: int, x: int) -> bool:
+    return bool(mask >> x & 1)
+
+
+def _recurrence(aut, mode: str = "disj") -> Tuple[Any, Callable, Callable[[Any, int], Any]]:
+    """The empty-word values, the one-step function and the reader of a word
+    automaton; read(v, x) is state x's entry of the value v.
 
     Values are bitmasks over states for the Boolean kinds (NFA in `mode`,
-    LTS as an NFA whose every state accepts, alternating) and tuples over
-    states for the carrier kinds (weighted, GPS over RAT, and Moore as a
-    weighted automaton whose a-row is weight one on the a-successor).
+    LTS as an NFA whose every state accepts, alternating, and weighted and
+    Moore automata over BOOL). Over NAT and RAT (weighted, GPS, and Moore as
+    weighted with weight one on the a-successor) they are integer tuples
+    (d, n_0, ...) for the vectors n / d, with d > 0 and gcd(d, n_0, ...) = 1:
+    d is the lcm of the entries' reduced denominators, one tuple per vector.
     """
     if isinstance(aut, NFA):
         _check_mode(mode)
-        return aut.accepting_mask(), _mask_step(aut.succ_masks(), mode == "conj")
-    if isinstance(aut, LTS):
-        masks = [[sum(1 << y for y in succ) for succ in row] for row in aut.trans]
-        return (1 << aut.n_states) - 1, _mask_step(masks)
+        return aut.accepting_mask(), _mask_step(aut.succ_masks(), mode == "conj"), _bit
     if isinstance(aut, AlternatingAut):
         out_mask, fams = _alt_masks(aut)
-        return out_mask, _alt_step(fams)
-    if isinstance(aut, WeightedAut):
-        rows = [[vec.items() for vec in row] for row in aut.trans]
-        return tuple(aut.out), _linear_step(rows, aut.semiring)
+        return out_mask, _alt_step(fams), _bit
     if isinstance(aut, GPS):
-        aidx = aut.letter_index()
-        moves: List[List[List[Tuple[int, Fraction]]]] = [
-            [[] for _ in aut.alphabet] for _ in aut.dist
-        ]
-        for x, d in enumerate(aut.dist):
-            for k, p in d.items():
-                if k is not TERM:
-                    moves[x][aidx[k[0]]].append((k[1], p))
-        return tuple(d.get(TERM, RAT.zero) for d in aut.dist), _linear_step(moves, RAT)
-    if isinstance(aut, MooreAut):
-        one = aut.semiring.one
-        rows = [[((t, one),) for t in row] for row in aut.delta]
-        return aut.outputs, _linear_step(rows, aut.semiring)
-    raise TypeError(f"not a word automaton: {aut!r}")
-
-
-def _reader(base, x: int) -> Callable[[Any], Any]:
-    """Read state x's entry off a value shaped like base."""
-    if isinstance(base, int):
-        return lambda mask: bool(mask >> x & 1)
-    return itemgetter(x)
+        sr, out = RAT, [d.get(TERM, RAT.zero) for d in aut.dist]
+        rows = [[[(k[1], p) for k, p in d.items() if k is not TERM and k[0] == a] for a in aut.alphabet] for d in aut.dist]
+    elif isinstance(aut, WeightedAut):
+        sr, out, rows = aut.semiring, aut.out, [[vec.items() for vec in row] for row in aut.trans]
+    elif isinstance(aut, MooreAut):
+        sr, out, rows = aut.semiring, aut.outputs, [[((t, 1),) for t in row] for row in aut.delta]
+    elif isinstance(aut, LTS):
+        sr, out, rows = BOOL, [True] * aut.n_states, [[[(y, True) for y in succ] for succ in row] for row in aut.trans]
+    else:
+        raise TypeError(f"not a word automaton: {aut!r}")
+    if sr.name == "bool":
+        masks = [[sum(1 << y for y, _ in pairs) for pairs in row] for row in rows]
+        return sum(1 << x for x, o in enumerate(out) if o), _mask_step(masks), _bit
+    entry = (lambda v, x: v[x + 1]) if sr.name == "nat" else (lambda v, x: Fraction(v[x + 1], v[0]))
+    read = (lambda v, x: PartialProb(entry(v, x))) if isinstance(aut, GPS) else entry
+    return (*_linear(out, rows, len(aut.alphabet)), read)
 
 
 def _table(alphabet: Sequence[str], layers: Iterable[list], read: Callable) -> Dict[Word, Any]:
@@ -240,9 +244,9 @@ def _trace(aut, x: int, depth: int, mode: str = "disj") -> Dict[Word, Any]:
     """x's value on every word up to the depth, from aut's recurrence."""
     check_state(aut, x)
     require_valid(aut)
-    base, step = _recurrence(aut, mode)
+    base, step, read = _recurrence(aut, mode)
     values, layers = _unfold(aut.alphabet, base, step, depth)
-    return _table(aut.alphabet, layers(), list(map(_reader(base, x), values)).__getitem__)
+    return _table(aut.alphabet, layers(), [read(v, x) for v in values].__getitem__)
 
 
 def nfa_trace(n: NFA, x: int, depth: int) -> LanguageTable:
@@ -290,8 +294,7 @@ def gps_trace(g: GPS, x: int, depth: int) -> TraceDist:
     """Probability of each complete trace: termination mass on the empty word,
     and on a.w the sum over (a, y) moves of their probability times y's value
     at w. Entries of pairwise distinct words never sum above 1."""
-    entries = _trace(g, x, depth)
-    return TraceDist(depth, {w: PartialProb(p) for w, p in entries.items()})
+    return TraceDist(depth, _trace(g, x, depth))
 
 
 def moore_trace(m: MooreAut, x: int, depth: int) -> LanguageTable:

@@ -352,6 +352,40 @@ def test_subset_and_conj_diagrams_reject_sizes_beyond_the_exhaustible_bound(monk
     assert reached == [3]
 
 
+@pytest.mark.parametrize(
+    "which, max_phi, letters, count",
+    [
+        # 2^(1 + 2*16) bags at |Phi|=4 on top of the 131,624 below it
+        ("weighted", 4, 2, "8,590,066,216"),
+        ("weighted", 3, 3, "33,562,768"),
+        ("subset", 3, 3, "179,308,159"),
+        ("conj", 2, 4, "22,375,542"),
+        ("alt", 2, 3, "33,566,923"),
+    ],
+)
+def test_diagrams_refuse_more_instances_than_the_limit(monkeypatch, which, max_phi, letters, count):
+    """The count covers the alphabet and the weighted square, and is taken
+    before anything is enumerated."""
+    reached = []
+    for judge in ("_diagram_weighted", "_diagram_branching"):
+        monkeypatch.setattr(tracekit.laws, judge, lambda *args: reached.append(args))
+    alphabet = ("a", "b", "c", "d")[:letters]
+    message = (
+        f"^the {which} diagram on {letters} letters up to max_phi={max_phi} enumerates "
+        f"at least {count} instances, more than 1,048,576$"
+    )
+    with pytest.raises(ValueError, match=message):
+        check_logic_morphism_diagram(which, max_phi=max_phi, alphabet=alphabet)
+    assert reached == []
+
+
+def test_diagrams_within_the_limit_still_run():
+    """The largest calls on the default two letters that passed before the
+    count bound: weighted at 3 (every bag), alt at 2."""
+    assert check_logic_morphism_diagram("weighted", max_phi=3).instances_checked == 131624
+    assert check_logic_morphism_diagram("alt", max_phi=2).instances_checked == 132495
+
+
 def test_exchange_and_alt_diagram_run_through_the_hitting_set_kernel(monkeypatch):
     """Negative control: with a kernel that finds no hitting sets, both
     checks must fail, so neither is a tautology."""

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -438,13 +439,14 @@ def test_each_distinct_value_is_stepped_once_per_letter(monkeypatch):
     recurrence = semantics._recurrence
 
     def counting(aut, mode="disj"):
-        base, step = recurrence(aut, mode)
+        base, step, read = recurrence(aut, mode)
 
         def counted(ai, v):
-            stepped[ai, v] += 1
+            # keyed by the decoded vector, whatever the recurrence stores
+            stepped[ai, tuple(read(v, x) for x in range(aut.n_states))] += 1
             return step(ai, v)
 
-        return base, counted
+        return base, counted, read
 
     monkeypatch.setattr(semantics, "_recurrence", counting)
     depth = 6
@@ -454,3 +456,105 @@ def test_each_distinct_value_is_stepped_once_per_letter(monkeypatch):
     assert len(distinct) == 4
     # three tables, each from its own unfolding
     assert stepped == Counter({(ai, v): 3 for ai in range(2) for v in distinct})
+
+
+@st.composite
+def _exact_weighted(draw, carrier):
+    """A weighted automaton over NAT, or over RAT with negative and zero
+    weights (zero entries are dropped on construction); half of them acyclic,
+    so det_weighted often finishes."""
+    sr, weight = (NAT, st.integers(0, 3)) if carrier == "nat" else (RAT, st.fractions(-3, 3, max_denominator=6))
+    n = draw(st.integers(1, 4))
+    alphabet = ["a", "b"][: draw(st.integers(1, 2))]
+    acyclic = draw(st.booleans())
+    trans = {}
+    for x in range(n):
+        for a in alphabet:
+            row = draw(st.dictionaries(st.integers(0, n - 1), weight, max_size=3))
+            trans[x, a] = {y: wt for y, wt in row.items() if y > x or not acyclic}
+    return WeightedAut(n, alphabet, sr, [draw(weight) for _ in range(n)], trans)
+
+
+def _words(alphabet, depth):
+    return [w for k in range(depth + 1) for w in product(alphabet, repeat=k)]
+
+
+def _value_numbers_are_vectors(aut, depth):
+    """The unfolded values decode to pairwise distinct vectors: one value
+    number per vector, however its denominator was reached."""
+    base, step, read = semantics._recurrence(aut)
+    values, _ = semantics._unfold(aut.alphabet, base, step, depth)
+    decoded = [tuple(read(v, x) for x in range(aut.n_states)) for v in values]
+    assert len(set(decoded)) == len(decoded)
+    return decoded
+
+
+@given(st.sampled_from(("nat", "rat")).flatmap(_exact_weighted))
+@settings(max_examples=80)
+def test_integer_kernel_matches_the_fraction_references(w):
+    """wa_trace, and check_correctness's weighted method on the determinized
+    machine and on one with a shifted output, against tests/oracles.py."""
+    carrier = int if w.semiring is NAT else Fraction
+    words = _words(w.alphabet, 3)
+    for x in range(w.n_states):
+        table = wa_trace(w, x, 3)
+        assert list(table.entries) == words
+        for word, value in table.entries.items():
+            assert type(value) is carrier and value == oracles.wa_value(w, x, word)
+    _value_numbers_are_vectors(w, 4)
+    det = det_weighted(w, budget=40)
+    if isinstance(det, BudgetExceeded):
+        return
+    m = det.machine
+    shifted = replace(det, machine=MooreAut(
+        m.alphabet, [m.outputs[0] + w.semiring.one] + list(m.outputs[1:]), m.delta, semiring=m.semiring
+    ))
+    for result in (det, shifted):
+        expected = [
+            (f"state {w.names[x]}, word {format_word(word)}", f"source trace: {lhs}", f"determinized trace: {rhs}")
+            for x in range(w.n_states)
+            for word in words
+            for lhs, rhs in [(oracles.wa_value(w, x, word), oracles.moore_value(result.machine, result.embed[x], word))]
+            if lhs != rhs
+        ]
+        report = check_correctness(w, result, 3, max_failures=1000)
+        assert report.instances_checked == w.n_states * len(words)
+        assert [(f.instance, f.lhs, f.rhs) for f in report.failures] == expected
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40)
+def test_gps_integer_kernel_matches_the_fraction_reference(seed):
+    g = rand_gps(random.Random(seed), max_states=4)
+    for x in range(g.n_states):
+        for word, p in gps_trace(g, x, 4).entries.items():
+            assert type(p.value) is Fraction and p.value == oracles.gps_mass(g, x, word)
+    _value_numbers_are_vectors(g, 5)
+
+
+def test_values_meeting_through_different_denominators_share_one_number():
+    """a scales by 2 and b by 6 (the 1/3 on z's b-row), yet a and b take the
+    base (0, 1, 0, 1) to the same vector (1/2, 0, 0, 0), w's entry cancelling
+    to 0 under a; both then take that vector to the all-zero one, over
+    denominators 4 and 12."""
+    h = Fraction(1, 2)
+    w = WeightedAut(
+        4,
+        ["a", "b"],
+        RAT,
+        [Fraction(0), Fraction(1), Fraction(0), Fraction(1)],
+        {
+            (0, "a"): {1: h},
+            (1, "a"): {0: Fraction(0)},
+            (3, "a"): {1: h, 3: -h},
+            (0, "b"): {1: h},
+            (2, "b"): {2: Fraction(1, 3)},
+        },
+        names=["x", "y", "z", "w"],
+    )
+    zero = Fraction(0)
+    assert _value_numbers_are_vectors(w, 2) == [(zero, 1, zero, 1), (h, zero, zero, zero), (zero,) * 4]
+    base, step, _ = semantics._recurrence(w)
+    assert step(0, base) == step(1, base) == (2, 1, 0, 0, 0)
+    half = step(0, base)
+    assert step(0, half) == step(1, half) == (1, 0, 0, 0, 0)
