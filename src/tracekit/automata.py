@@ -561,24 +561,3 @@ def require_valid(aut) -> None:
 def check_state(aut, x: int) -> None:
     if not (isinstance(x, int) and 0 <= x < aut.n_states):
         raise UnknownStateError(f"unknown state {x!r}")
-
-
-def reverse_nfa(n: NFA, initial: Iterable[int]) -> Tuple[NFA, frozenset]:
-    """Flip all edges; the old initial set becomes accepting and vice versa.
-
-    Returns the reversed automaton together with its initial set (the old
-    accepting set). Applying the operation twice gives back the original
-    automaton and initial set.
-    """
-    require_valid(n)
-    init = frozenset(initial)
-    for x in init:
-        check_state(n, x)
-    rev = NFA(
-        n.n_states,
-        n.alphabet,
-        ((q, a, p) for p, a, q in n.transitions),
-        accepting=init,
-        names=n.names,
-    )
-    return rev, n.accepting

@@ -20,6 +20,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -64,6 +65,7 @@ from .laws import (
 )
 from .minimize import brzozowski_minimal, dfa_equiv, partition_refine
 from .semantics import (
+    _word_texts,
     alt_trace,
     bt_nfa_trace,
     format_word,
@@ -528,10 +530,7 @@ def dump_automaton(aut, initial: Optional[Sequence[int]] = None) -> Dict[str, An
         doc["alphabet"] = list(aut.alphabet)
     if kind == "nfa":
         doc["accepting"] = [names[x] for x in sorted(aut.accepting)]
-        doc["transitions"] = [
-            [names[p], a, names[q]]
-            for p, a, q in sorted(aut.transitions)
-        ]
+        doc["transitions"] = [[names[p], a, names[q]] for p, a, q in sorted(aut.transitions)]
     elif kind == "moore":
         doc["semiring"] = aut.semiring.name
         doc["outputs"] = {names[x]: encode_weight(o) for x, o in enumerate(aut.outputs)}
@@ -653,18 +652,22 @@ def _cmd_semantics(args) -> int:
     else:
         table = _KINDS[kind][2](aut, x, args.depth)
     wta = kind == "wta"
-    texts: Dict[Any, str] = {}
-    for t in table.entries if wta else ():  # all_trees lists children first
-        texts[t] = _node_text(t.op, [texts[c] for c in t.children])
-    keys = list(texts.values()) if wta else list(map(format_word, table.entries))
-    # rendered in full first, so a value too long to print leaves stdout empty
-    text = "".join(f"{key}\t{render_value(value)}\n" for key, value in zip(keys, table.entries.values()))
+    if wta:
+        texts: Dict[Any, str] = {}
+        for t in table.entries:  # all_trees lists children first
+            texts[t] = _node_text(t.op, [texts[c] for c in t.children])
+        number: Dict[Any, int] = {}  # one number per distinct value
+        keys, layers = [list(texts.values())], [[number.setdefault(v, len(number)) for v in table.entries.values()]]
+        distinct = list(number)
+    else:  # a view: value numbers per length, by index
+        keys, layers, distinct = _word_texts(table.entries.alphabet, args.depth), table.entries.layers, table.entries.distinct
+    # each distinct value rendered once, in full first, so a value too long to print leaves stdout empty
+    shown = [f"\t{render_value(value)}\n" for value in distinct]
+    text = "".join([key + shown[i] for ks, layer in zip(keys, layers) for key, i in zip(ks, layer)])
     if args.out:
-        rows = [
-            {"tree": key, "value": encode_weight(value)} if wta
-            else {"word": list(word), "value": encode_weight(value)}
-            for key, (word, value) in zip(keys, table.entries.items())
-        ]
+        encoded = list(map(encode_weight, distinct))
+        rows = [{"tree": texts[w], "value": encoded[i]} if wta else {"word": list(w), "value": encoded[i]}
+                for w, i in zip(table.entries, chain.from_iterable(layers))]
         doc = {"state": aut.names[x], "depth": args.depth, "rows": rows}
         Path(args.out).write_text(serialize_document(doc), encoding="utf-8")
     sys.stdout.write(text)
@@ -753,11 +756,7 @@ def _cmd_minimize(args) -> int:
         raise QueryError("no initial states: pass --initial or add an \"initial\" list to the file")
     if kind == "nfa":
         observable = brzozowski_minimal(aut, initial)
-        machine, init, certificates = (
-            observable.machine,
-            observable.initial,
-            observable.certificates,
-        )
+        machine, init, certificates = observable.machine, observable.initial, observable.certificates
     else:
         if len(initial) != 1:
             raise QueryError("minimizing a moore file needs exactly one initial state")

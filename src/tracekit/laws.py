@@ -41,7 +41,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .automata import NFA, AlternatingAut, ValidationError, WeightedAut, _iter_bits, require_valid
 from .determinize import BudgetExceeded, DetResult, _hitting_bits, chi_good, chi_wrong
-from .semantics import _at_least, _recurrence, _table, _unfold, format_word
+from .semantics import _ValueView, _at_least, _recurrence, _unfold, format_word
 from .weights import Semiring, WeightVec, map_weights, monad_mul, unit
 
 NAT_SHAPE = "PP=>PP"
@@ -771,10 +771,10 @@ def check_correctness(
     depends only on a and the pair of w, so the pair machine explored to
     the depth (`semantics._unfold`) holds the pair of every word, each
     distinct pair stepped once. Failures are listed, in state, length and
-    word order, by walking the words over its rows; the first max_failures
-    are kept. An invalid machine, or an embedding that misses a machine
-    state, raises ValidationError, and a negative depth or a max_failures
-    below 1 ValueError.
+    word order, by walking the words of a `semantics._ValueView` over its
+    layers; the first max_failures are kept. An invalid machine, or an
+    embedding that misses a machine state, raises ValidationError, and a
+    negative depth or a max_failures below 1 ValueError.
     """
     if isinstance(det, BudgetExceeded):
         raise ValueError("a budget-exceeded outcome carries no machine to check")
@@ -815,7 +815,7 @@ def check_correctness(
         )
         for x, side in enumerate(sides)
         if any(lhs != rhs for lhs, rhs in side)
-        for word, (lhs, rhs) in _table(alphabet, layers(), side.__getitem__).items()
+        for word, (lhs, rhs) in _ValueView(alphabet, layers(), side).items()
         if lhs != rhs
     )
     return LawReport(f"correctness:{method}", count, list(islice(failures, max_failures)))

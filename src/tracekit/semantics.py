@@ -4,9 +4,10 @@ Each word automaton kind comes with a one-step recurrence: a base value, for
 all states at once, and a step that takes the value of w to that of a.w.
 `determinize._explore` explores the recurrence from its base to the depth,
 so each distinct value is stepped once per letter however many words share
-it; the table then walks the words over the explored rows as value numbers.
-Values are bitmasks for the Boolean kinds and, over NAT and RAT, integer
-tuples (d, n_0, ...) with gcd 1 for the vectors n / d: one value per vector.
+it; a table's entries are a read-only view (`_ValueView`) of the words'
+value numbers, each distinct value read once. Values are bitmasks for the
+Boolean kinds and, over NAT and RAT, integer tuples (d, n_0, ...) with gcd 1
+for the vectors n / d: one value per vector.
 Tree automata are unfolded bottom-up by tree height. Each table is total on
 all words (trees) within the requested depth, and a negative depth raises
 ValueError.
@@ -14,10 +15,11 @@ ValueError.
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 
 from .automata import (
     GPS,
@@ -40,9 +42,68 @@ from .weights import BOOL, RAT, PartialProb, WeightVec
 Word = Tuple[str, ...]
 
 
+class _ValueView(Mapping):
+    """The read-only mapping from each word up to the depth to its value:
+    layers[k][i] numbers the value of the length-k word of index i (its
+    letters' positions read as base-|alphabet| digits, first letter most
+    significant) in distinct. It iterates by length, then index, and compares
+    equal to the dict of its items; any other key raises KeyError."""
+
+    __slots__ = ("alphabet", "layers", "distinct", "_position", "_len")
+
+    def __init__(self, alphabet: Sequence[str], layers: List[List[int]], distinct: Sequence[Any]):
+        self.alphabet, self.layers, self.distinct = tuple(alphabet), layers, distinct
+        self._position = {a: i for i, a in enumerate(self.alphabet)}
+        self._len = sum(map(len, layers))
+
+    def __getitem__(self, word: Word) -> Any:
+        if isinstance(word, tuple) and len(word) < len(self.layers):
+            index, m = 0, len(self.alphabet)
+            for a in word:
+                i = self._position.get(a)
+                if i is None:
+                    break
+                index = index * m + i
+            else:
+                return self.distinct[self.layers[len(word)][index]]
+        raise KeyError(word)
+
+    def __iter__(self) -> Iterator[Word]:
+        words: List[Word] = [()]
+        for k in range(len(self.layers)):
+            if k:
+                words = [(a,) + w for a in self.alphabet for w in words]
+            yield from words
+
+    def __len__(self) -> int:
+        return self._len
+
+    def items(self) -> ItemsView:
+        return _ViewItems(self)
+
+    def values(self) -> ValuesView:
+        return _ViewValues(self)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class _ViewItems(ItemsView):
+    def __iter__(self):
+        view = self._mapping
+        return zip(view, _ViewValues(view))
+
+
+class _ViewValues(ValuesView):
+    def __iter__(self):
+        distinct = self._mapping.distinct
+        return (distinct[i] for layer in self._mapping.layers for i in layer)
+
+
 @dataclass(frozen=True)
 class LanguageTable:
-    """Map from words of length <= depth to Boolean or carrier values."""
+    """Map from words of length <= depth to Boolean or carrier values; the
+    word kinds' entries are a read-only `_ValueView`."""
 
     depth: int
     entries: Mapping[Word, Any]
@@ -64,28 +125,14 @@ class TreeLanguageTable:
 
 @dataclass(frozen=True)
 class TraceDist:
-    """Map from words to the exact probability of the complete trace."""
+    """Map from words to the exact probability of the complete trace, as a
+    read-only `_ValueView`."""
 
     depth: int
     entries: Mapping[Word, PartialProb]
 
     def __getitem__(self, word) -> PartialProb:
         return self.entries[tuple(word)]
-
-
-def word_at(alphabet: Sequence[str], length: int, index: int) -> Word:
-    """Decode the word at a positional index within its length layer.
-
-    Words of one length are ordered lexicographically by letter index; the
-    index is read as `length` base-|alphabet| digits, most significant first.
-    """
-    m = len(alphabet)
-    letters = []
-    for _ in range(length):
-        index, d = divmod(index, m)
-        letters.append(alphabet[d])
-    letters.reverse()
-    return tuple(letters)
 
 
 def format_word(word: Sequence[str]) -> str:
@@ -95,6 +142,24 @@ def format_word(word: Sequence[str]) -> str:
     if all(len(label) == 1 for label in word):
         return "".join(word)
     return "·".join(word)
+
+
+def _word_texts(alphabet: Sequence[str], depth: int) -> Iterator[List[str]]:
+    """Per length up to the depth, the `format_word` text of each word by
+    index, each built from its suffix's text. The separator is decided once
+    per alphabet; one that mixes one-character labels with longer ones also
+    keeps the plain join of the words whose labels are all short."""
+    yield ["ε"]
+    short = [len(a) == 1 for a in alphabet]
+    sep = "" if all(short) else "·"
+    joined = list(alphabet)
+    plain = [a if s else None for a, s in zip(alphabet, short)]
+    for k in range(depth):
+        if k:
+            joined = [a + sep + t for a in alphabet for t in joined]
+            if sep:
+                plain = [a + p if s and p is not None else None for a, s in zip(alphabet, short) for p in plain]
+        yield [t if p is None else p for t, p in zip(joined, plain)] if sep else joined
 
 
 def _at_least(floor: int, **values: int) -> None:
@@ -107,7 +172,7 @@ def _unfold(alphabet: Sequence[str], base, step: Callable, depth: int) -> Tuple[
     """Explore a one-step recurrence from its base to the depth.
 
     Returns the distinct values of the words up to the depth, numbered
-    breadth first, and a function yielding, per length k, the value numbers
+    breadth first, and a function building, per length k, the value numbers
     of the length-k words by index. The word a.w sits at index (a * number
     of length-(k - 1) words + index of w) and gets the a-entry of the
     explored row of w's value, so each distinct value is stepped once per
@@ -117,12 +182,11 @@ def _unfold(alphabet: Sequence[str], base, step: Callable, depth: int) -> Tuple[
     letters = range(len(alphabet))
     _, values, rows = _explore([base], lambda v, intern: [intern(step(ai, v)) for ai in letters], depth=depth)
 
-    def layers() -> Iterator[List[int]]:
-        layer = [0]
+    def layers() -> List[List[int]]:
+        out = [[0]]
         for _ in range(depth):
-            yield layer
-            layer = [rows[i][ai] for ai in letters for i in layer]
-        yield layer
+            out.append([rows[i][ai] for ai in letters for i in out[-1]])
+        return out
 
     return values, layers
 
@@ -228,25 +292,13 @@ def _recurrence(aut, mode: str = "disj") -> Tuple[Any, Callable, Callable[[Any, 
     return (*_linear(out, rows, len(aut.alphabet)), read)
 
 
-def _table(alphabet: Sequence[str], layers: Iterable[list], read: Callable) -> Dict[Word, Any]:
-    """One entry per word up to the depth, by length and then index: read
-    applied to the word's value in the layers."""
-    entries: Dict[Word, Any] = {}
-    words: List[Word] = [()]
-    for k, layer in enumerate(layers):
-        if k:
-            words = [(a,) + w for a in alphabet for w in words]
-        entries.update(zip(words, map(read, layer)))
-    return entries
-
-
-def _trace(aut, x: int, depth: int, mode: str = "disj") -> Dict[Word, Any]:
+def _trace(aut, x: int, depth: int, mode: str = "disj") -> _ValueView:
     """x's value on every word up to the depth, from aut's recurrence."""
     check_state(aut, x)
     require_valid(aut)
     base, step, read = _recurrence(aut, mode)
     values, layers = _unfold(aut.alphabet, base, step, depth)
-    return _table(aut.alphabet, layers(), [read(v, x) for v in values].__getitem__)
+    return _ValueView(aut.alphabet, layers(), [read(v, x) for v in values])
 
 
 def nfa_trace(n: NFA, x: int, depth: int) -> LanguageTable:
@@ -307,7 +359,7 @@ def moore_trace(m: MooreAut, x: int, depth: int) -> LanguageTable:
     layers = [[x]]
     for _ in range(depth):
         layers.append([t for s in layers[-1] for t in m.delta[s]])
-    return LanguageTable(depth, _table(m.alphabet, layers, m.outputs.__getitem__))
+    return LanguageTable(depth, _ValueView(m.alphabet, layers, m.outputs))
 
 
 def _tree_step(w: WeightedTreeAut) -> Callable[[str, Sequence[Callable[[int], Any]]], List[Any]]:

@@ -140,45 +140,9 @@ def monad_mul(semiring: Semiring, outer: Mapping[WeightVec, Any]) -> WeightVec:
     return WeightVec(semiring, pairs)
 
 
-def scale(c: Any, v: WeightVec) -> WeightVec:
-    mul = v.semiring.mul
-    return WeightVec(v.semiring, ((x, mul(c, val)) for x, val in v.items()))
-
-
-def vec_sum(semiring: Semiring, vecs: Iterable[WeightVec]) -> WeightVec:
-    pairs = []
-    for v in vecs:
-        pairs.extend(v.items())
-    return WeightVec(semiring, pairs)
-
-
-class _UndefinedType:
-    """Distinguished outcome of a partial addition that would exceed 1."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "Undefined"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-UNDEFINED = _UndefinedType()
-
-
 @dataclass(frozen=True)
 class PartialProb:
-    """An exact rational probability in [0, 1].
-
-    Addition is partial: it is defined exactly when the sum stays at most 1,
-    and yields UNDEFINED (a value, not an error) otherwise.
-    """
+    """An exact rational probability in [0, 1]."""
 
     value: Fraction
 
@@ -190,15 +154,3 @@ class PartialProb:
 
     def __repr__(self) -> str:
         return f"PartialProb({self.value})"
-
-
-def prob_add(p: PartialProb, q: PartialProb):
-    """Partial addition on [0, 1]: defined iff the sum is at most 1."""
-    s = p.value + q.value
-    if s > 1:
-        return UNDEFINED
-    return PartialProb(s)
-
-
-def prob_mul(p: PartialProb, q: PartialProb) -> PartialProb:
-    return PartialProb(p.value * q.value)

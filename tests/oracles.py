@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import tracekit.laws
-from tracekit import GPS, NFA, TERM, AlternatingAut, MooreAut, Tree, WeightedAut, WeightedTreeAut
+from tracekit import GPS, LTS, NFA, TERM, AlternatingAut, MooreAut, Tree, UnknownStateError, WeightedAut, WeightedTreeAut
 
 
 def nfa_accepts(n: NFA, x: int, word) -> bool:
@@ -46,6 +46,21 @@ def alt_accepts(a: AlternatingAut, x: int, word) -> bool:
         all(alt_accepts(a, y, rest) for y in member)
         for member in a.trans[x][i]
     )
+
+
+def lts_can_do(l: LTS, x: int, word) -> bool:
+    """Some path from x reads the word; every state may stop."""
+    if not word:
+        return True
+    i = l.alphabet.index(word[0])
+    return any(lts_can_do(l, y, word[1:]) for y in l.trans[x][i])
+
+
+def word_table(value, alphabet, depth: int) -> dict:
+    """value(word) for every word up to the depth, one word at a time: by
+    length, then letters in declared order, the first letter most
+    significant."""
+    return {w: value(w) for k in range(depth + 1) for w in product(alphabet, repeat=k)}
 
 
 def wa_value(w: WeightedAut, x: int, word):
@@ -117,6 +132,35 @@ def gps_mass(g: GPS, x: int, word) -> Fraction:
         if key is not TERM and key[0] == first:
             total += p * gps_mass(g, key[1], rest)
     return total
+
+
+def reverse_nfa(n: NFA, initial):
+    """Flip all edges; the old initial set becomes accepting and vice versa.
+    Returns the reversed automaton with its initial set (the old accepting
+    set), so reversing twice gives back n and initial."""
+    init = frozenset(initial)
+    for x in init:
+        if not (isinstance(x, int) and 0 <= x < n.n_states):
+            raise UnknownStateError(f"unknown state {x!r}")
+    rev = NFA(n.n_states, n.alphabet, ((q, a, p) for p, a, q in n.transitions), accepting=init, names=n.names)
+    return rev, n.accepting
+
+
+def subset_dfa(n: NFA, initial):
+    """The textbook subset construction from the set initial: an NFA (a
+    complete DFA) on the reachable subsets, with its initial set. With
+    reverse_nfa, two rounds of reverse-then-determinize give the minimal DFA
+    (Brzozowski)."""
+    subsets = [frozenset(initial)]
+    edges = []
+    for i, s in enumerate(subsets):  # the list grows as subsets are found
+        for a in n.alphabet:
+            t = frozenset(q for p, b, q in n.transitions if p in s and b == a)
+            if t not in subsets:
+                subsets.append(t)
+            edges.append((i, a, subsets.index(t)))
+    accepting = [i for i, s in enumerate(subsets) if s & n.accepting]
+    return NFA(len(subsets), n.alphabet, edges, accepting), [0]
 
 
 def chi_good_bruteforce(family):

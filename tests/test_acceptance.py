@@ -50,7 +50,7 @@ from tests.corpus import (
     rand_weighted_rat,
     rand_wta,
 )
-from tests.oracles import wta_value
+from tests.oracles import reverse_nfa, subset_dfa, wta_value
 
 GOLDEN = Path(__file__).parent / "data" / "chi_wrong_counterexample.txt"
 
@@ -210,6 +210,8 @@ def test_criterion_09_brzozowski_pipeline():
             assert same, witness
             refined, _ = partition_refine(det.machine, det.embed[0])
             assert minimal.machine.n_states == refined.n_states
+            textbook, _ = subset_dfa(*reverse_nfa(*subset_dfa(*reverse_nfa(n, [0]))))
+            assert minimal.machine.n_states == textbook.n_states
             machine = minimal.machine
             for p in range(machine.n_states):
                 for q in range(p + 1, machine.n_states):

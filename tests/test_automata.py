@@ -1,4 +1,4 @@
-"""Automaton containers: construction, validation, reversal, trees."""
+"""Automaton containers: construction, validation, reversal (the oracle), trees."""
 
 from fractions import Fraction
 
@@ -23,12 +23,12 @@ from tracekit import (
     all_trees,
     format_tree,
     require_valid,
-    reverse_nfa,
     tree_height,
     validate,
     wa_trace,
 )
 from tests.corpus import rand_nfa
+from tests.oracles import reverse_nfa
 
 import random
 

@@ -1,7 +1,10 @@
 """Depth-bounded trace tables for every machine kind, against slow oracles."""
 
+import io
+import json
 import random
 from collections import Counter
+from contextlib import redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -11,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracekit import (
+    BOOL,
     GPS,
     LTS,
     NFA,
@@ -20,6 +24,7 @@ from tracekit import (
     AlternatingAut,
     BudgetExceeded,
     MooreAut,
+    PartialProb,
     Tree,
     UnknownStateError,
     WeightedAut,
@@ -39,14 +44,16 @@ from tracekit import (
     moore_trace,
     nfa_trace,
     wa_trace,
-    word_at,
     wta_trace,
 )
 from tracekit import semantics
+from tracekit.cli import dump_automaton, encode_weight, load_automaton, main, render_value
 from tests import oracles
 from tests.corpus import (
     nfa_as_bool_wa,
+    rand_alternating,
     rand_gps,
+    rand_moore,
     rand_moore_bool,
     rand_nfa,
     rand_weighted_nat,
@@ -56,13 +63,18 @@ from tests.corpus import (
 CLASSIC = NFA(2, ["a"], [(0, "a", 0), (0, "a", 1)], accepting=[1], names=["x", "y"])
 
 
-def test_word_at_orders_by_alphabet():
-    assert word_at(("a", "b"), 0, 0) == ()
-    assert [word_at(("a", "b"), 2, i) for i in range(4)] == [
-        ("a", "a"),
-        ("a", "b"),
-        ("b", "a"),
+def test_table_orders_words_by_alphabet():
+    """Words of one length come in declared letter order, first letter most
+    significant, as the view reads a word's index off its letters."""
+    n = NFA(1, ("b", "a"), [], accepting=[0])
+    assert list(nfa_trace(n, 0, 2).entries) == [
+        (),
+        ("b",),
+        ("a",),
         ("b", "b"),
+        ("b", "a"),
+        ("a", "b"),
+        ("a", "a"),
     ]
 
 
@@ -558,3 +570,82 @@ def test_values_meeting_through_different_denominators_share_one_number():
     assert step(0, base) == step(1, base) == (2, 1, 0, 0, 0)
     half = step(0, base)
     assert step(0, half) == step(1, half) == (1, 0, 0, 0, 0)
+
+
+def _lts_of(n: NFA) -> LTS:
+    trans = {}
+    for p, a, q in n.transitions:
+        trans.setdefault((p, a), []).append(q)
+    return LTS(n.n_states, n.alphabet, trans)
+
+
+# kind -> (random automaton over a, b, c; its table; per-word reference; --mode)
+_VIEW_KINDS = {
+    "nfa": (lambda rng: rand_nfa(rng, 4), nfa_trace, oracles.nfa_accepts, None),
+    "nfa-conj": (lambda rng: rand_nfa(rng, 4), lambda n, x, d: bt_nfa_trace(n, x, d, "conj"), oracles.nfa_conj_value, "conj"),
+    "lts": (lambda rng: _lts_of(rand_nfa(rng, 4)), lts_traces, oracles.lts_can_do, None),
+    "alternating": (rand_alternating, alt_trace, oracles.alt_accepts, None),
+    "weighted-nat": (rand_weighted_nat, wa_trace, oracles.wa_value, None),
+    "weighted-rat": (rand_weighted_rat, wa_trace, oracles.wa_value, None),
+    "gps": (rand_gps, gps_trace, lambda g, x, w: PartialProb(oracles.gps_mass(g, x, w)), None),
+    "moore": (lambda rng: rand_moore(rng, rng.choice((BOOL, NAT, RAT)), max_states=5), moore_trace, oracles.moore_value, None),
+}
+# one-character labels, longer ones, and mixtures, not all in text order
+_LABELS = [("a", "b", "c"), ("in", "out", "go"), ("in", "a", "out"), ("é", "xy", "z"), ("·", "ab", "c")]
+
+
+def _relabelled(aut, labels):
+    """aut's document with the letters a, b, c renamed to labels, and the
+    automaton loaded back from it."""
+    rename = dict(zip("abc", labels))
+
+    def walk(v):
+        if isinstance(v, dict):
+            return {rename.get(k, k): walk(u) for k, u in v.items()}
+        if isinstance(v, list):
+            return [walk(u) for u in v]
+        return rename.get(v, v) if isinstance(v, str) else v
+
+    doc = walk(dump_automaton(aut))
+    return load_automaton(doc)[0], doc
+
+
+@given(
+    kind=st.sampled_from(sorted(_VIEW_KINDS)),
+    labels=st.sampled_from(_LABELS),
+    seed=st.integers(0, 2**32 - 1),
+    depth=st.integers(0, 4),
+)
+@settings(max_examples=150, deadline=None)
+def test_tables_are_views_of_the_per_word_oracle(tmp_path_factory, kind, labels, seed, depth):
+    """Every word kind's entries equal the per-word dict of tests/oracles.py
+    in value, type and order; len and in agree, other keys raise KeyError;
+    the CLI prints and writes format_word and render_value of each word."""
+    make, trace, value, mode = _VIEW_KINDS[kind]
+    rng = random.Random(seed)
+    aut, doc = _relabelled(make(rng), labels)
+    x = rng.randrange(aut.n_states)
+    table = trace(aut, x, depth).entries
+    expected = oracles.word_table(lambda w: value(aut, x, w), aut.alphabet, depth)
+    assert list(table.items()) == list(expected.items())
+    assert [type(v) for v in table.values()] == [type(v) for v in expected.values()]
+    assert table == expected and expected == table
+    assert len(table) == len(expected) and list(table) == list(expected)
+    assert all(word in table and table[word] == v for word, v in expected.items())
+    first = aut.alphabet[0]
+    for bad in [(first,) * (depth + 1), ("zz",), (first, "zz"), ("zz",) * (depth + 2), (0,), "", [first]]:
+        assert bad not in table
+        with pytest.raises(KeyError):
+            table[bad]
+    with pytest.raises(TypeError):
+        table[()] = None
+    path = tmp_path_factory.getbasetemp() / "view.json"
+    rows = tmp_path_factory.getbasetemp() / "view-rows.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["semantics", str(path), "--state", aut.names[x], "--depth", str(depth), "--out", str(rows)]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv + (["--mode", mode] if mode else [])) == 0
+    assert out.getvalue() == "".join(f"{format_word(w)}\t{render_value(v)}\n" for w, v in expected.items())
+    written = json.loads(rows.read_text(encoding="utf-8"))["rows"]
+    assert written == [{"word": list(w), "value": encode_weight(v)} for w, v in expected.items()]

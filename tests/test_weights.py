@@ -1,4 +1,4 @@
-"""Semiring carriers, weight vectors, and the partial probability monoid."""
+"""Semiring carriers, weight vectors, and exact probabilities."""
 
 from fractions import Fraction
 
@@ -11,16 +11,11 @@ from tracekit import (
     NAT,
     RAT,
     SEMIRINGS,
-    UNDEFINED,
     PartialProb,
     WeightVec,
     map_weights,
     monad_mul,
-    prob_add,
-    prob_mul,
-    scale,
     unit,
-    vec_sum,
 )
 
 
@@ -70,7 +65,7 @@ def test_vector_canonical_form():
 
 def test_vector_zero_annihilation():
     assert WeightVec(BOOL, {0: False}).is_zero()
-    assert scale(0, WeightVec(NAT, {1: 7})).is_zero()
+    assert monad_mul(NAT, {WeightVec(NAT, {1: 7}): 0}).is_zero()
 
 
 vec_entries = st.dictionaries(st.integers(0, 4), nat_values, max_size=4)
@@ -90,14 +85,6 @@ def test_monad_right_unit(entries):
     assert monad_mul(NAT, outer) == v
 
 
-@given(vec_entries, vec_entries, nat_values, nat_values)
-def test_vec_sum_and_scale_linear(e1, e2, c1, c2):
-    v1, v2 = WeightVec(NAT, e1), WeightVec(NAT, e2)
-    combo = vec_sum(NAT, [scale(c1, v1), scale(c2, v2)])
-    for x in v1.support | v2.support:
-        assert combo(x) == c1 * v1(x) + c2 * v2(x)
-
-
 @given(vec_entries, st.sampled_from([0, 1, 2]))
 def test_map_weights_sums_preimages(entries, target):
     v = WeightVec(NAT, entries)
@@ -113,28 +100,3 @@ def test_partial_prob_bounds():
         PartialProb(Fraction(3, 2))
     with pytest.raises(ValueError):
         PartialProb(Fraction(-1, 2))
-
-
-def test_partial_addition_definedness():
-    half = PartialProb(Fraction(1, 2))
-    assert prob_add(half, half).value == 1
-    assert prob_add(half, PartialProb(Fraction(2, 3))) is UNDEFINED
-    assert prob_mul(half, half).value == Fraction(1, 4)
-
-
-probs = st.fractions(min_value=0, max_value=1, max_denominator=8).map(PartialProb)
-
-
-@given(probs, probs)
-def test_partial_addition_commutes(p, q):
-    assert prob_add(p, q) == prob_add(q, p)
-
-
-@given(probs, probs, probs)
-def test_partial_addition_reassociates_when_defined(p, q, r):
-    left = prob_add(p, q)
-    right = prob_add(q, r)
-    if left is not UNDEFINED and right is not UNDEFINED:
-        lhs = prob_add(left, r)
-        rhs = prob_add(p, right)
-        assert lhs == rhs
