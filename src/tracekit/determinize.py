@@ -8,12 +8,18 @@ conjunctive, weighted and canonical ones, of both Brzozowski passes and of
 `partition_refine`'s reachable part. Every result keeps `state_meaning`, the
 underlying value of each new state (a state set, a weight vector, or a set
 of predicates), so tests can assert against meanings rather than opaque ids.
+The explored states themselves are plain: bitmasks of states for the subset
+constructions and for weighted automata over BOOL, and over NAT and RAT the
+canonical integer tuples of `weights._linear`. Meanings and outputs are built
+from them once per discovered state, after the exploration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
+from operator import mul
 from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .automata import (
@@ -24,7 +30,7 @@ from .automata import (
     _iter_bits,
     require_valid,
 )
-from .weights import BOOL, Semiring, WeightVec, unit
+from .weights import BOOL, Semiring, WeightVec, _linear
 
 BOOL_MODES = ("disj", "conj")
 
@@ -115,6 +121,19 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be 'disj' or 'conj', got {mode!r}")
 
 
+def _post(masks: Sequence[Sequence[int]]) -> Callable[[int, int], int]:
+    """The successor-set step on bitmasks: step(ai, s) is the union of
+    masks[x][ai] over the members x of s."""
+
+    def post(ai: int, s: int) -> int:
+        t = 0
+        for x in _iter_bits(s):
+            t |= masks[x][ai]
+        return t
+
+    return post
+
+
 def det_subset(n: NFA, mode: str = "disj") -> DetResult:
     """Powerset construction from the singleton states.
 
@@ -125,43 +144,56 @@ def det_subset(n: NFA, mode: str = "disj") -> DetResult:
     """
     require_valid(n)
     _check_mode(mode)
-    masks = n.succ_masks()
     acc = n.accepting_mask()
-
-    def post(ai: int, s: int) -> int:
-        t = 0
-        for x in _iter_bits(s):
-            t |= masks[x][ai]
-        return t
-
     output = (lambda s: bool(s & acc)) if mode == "disj" else (lambda s: s & ~acc == 0)
-    embed, order, machine = _lifted_machine(n.alphabet, [1 << x for x in range(n.n_states)], post, output)
+    embed, order, machine = _lifted_machine(n.alphabet, [1 << x for x in range(n.n_states)], _post(n.succ_masks()), output)
     meanings = {i: frozenset(_iter_bits(s)) for i, s in enumerate(order)}
     return DetResult(machine, dict(enumerate(embed)), meanings, f"subset-{mode}")
 
 
 def det_weighted(w: WeightedAut, budget: int = 500) -> Union[DetResult, BudgetExceeded]:
-    """Weight-vector construction: states are the canonical vectors reachable
-    from the unit vectors.
+    """Weight-vector construction: states are the vectors reachable from the
+    unit vectors.
 
     output(v) sums v(y) * out(y); the a-successor of v is the vector
-    z -> sum over y of v(y) * trans(y)(a)(z). Over non-idempotent carriers the
-    reachable set can be infinite, so exploration stops with a BudgetExceeded
-    outcome once more than `budget` states appear.
+    z -> sum over y of v(y) * trans(y)(a)(z). Over BOOL the vectors are
+    explored as bitmasks, stepped as in `det_subset`; over NAT and RAT as
+    the canonical integer tuples of `weights._linear`, stepped along the
+    transposed rows (row z for letter a lists the pairs (y, weight of
+    y -a-> z)). Each state's output and its `WeightVec` meaning are built
+    once, from its mask or tuple, after the exploration. Over
+    non-idempotent carriers the reachable set can be infinite, so
+    exploration stops with a BudgetExceeded outcome once more than
+    `budget` states appear; a budget below 1 raises ValueError.
     """
     require_valid(w)
-    sr = w.semiring
-
-    def step(ai: int, v: WeightVec) -> WeightVec:
-        return WeightVec(sr, [(z, sr.mul(c, wt)) for y, c in v.items() for z, wt in w.trans[y][ai].items()])
-
-    output = lambda v: sr.sum(sr.mul(c, w.out[y]) for y, c in v.items())
-    found = _lifted_machine(w.alphabet, [unit(sr, x) for x in range(w.n_states)], step, output, sr, budget)
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
+    sr, n, letters = w.semiring, w.n_states, len(w.alphabet)
+    if sr.name == "bool":
+        acc = sum(1 << y for y, o in enumerate(w.out) if o)
+        masks = [[sum(1 << z for z, _ in vec.items()) for vec in row] for row in w.trans]
+        seeds, step = [1 << x for x in range(n)], _post(masks)
+        output = lambda s: bool(s & acc)
+        meaning = lambda s: WeightVec(sr, [(y, True) for y in _iter_bits(s)])
+    else:
+        into: List[List[List[Tuple[int, Any]]]] = [[[] for _ in range(letters)] for _ in range(n)]
+        for y, row in enumerate(w.trans):
+            for ai, vec in enumerate(row):
+                for z, wt in vec.items():
+                    into[z][ai].append((y, wt))
+        (m, *out), step = _linear(w.out, into, letters)
+        seeds = [(1,) + (0,) * x + (1,) + (0,) * (n - 1 - x) for x in range(n)]
+        # the entry c / d of a tuple: an int over NAT, where d is always 1
+        scale = (lambda c, d: c) if sr.name == "nat" else Fraction
+        output = lambda v: scale(sum(map(mul, out, v[1:])), m * v[0])
+        meaning = lambda v: WeightVec(sr, [(y, scale(c, v[0])) for y, c in enumerate(v[1:]) if c])
+    found = _lifted_machine(w.alphabet, seeds, step, output, sr, budget)
     if found is None:
         # the states within the budget plus the one that overflowed it
-        return BudgetExceeded("weighted", budget, max(budget, 0) + 1)
+        return BudgetExceeded("weighted", budget, budget + 1)
     embed, order, machine = found
-    return DetResult(machine, dict(enumerate(embed)), dict(enumerate(order)), "weighted")
+    return DetResult(machine, dict(enumerate(embed)), {i: meaning(v) for i, v in enumerate(order)}, "weighted")
 
 
 def _submask_bits(mask: int) -> int:

@@ -41,7 +41,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .automata import NFA, AlternatingAut, ValidationError, WeightedAut, _iter_bits, require_valid
 from .determinize import BudgetExceeded, DetResult, _hitting_bits, chi_good, chi_wrong
-from .semantics import _ValueView, _at_least, _recurrence, _unfold, format_word
+from .semantics import _at_least, _recurrence, _unfold, format_word
 from .weights import Semiring, WeightVec, map_weights, monad_mul, unit
 
 NAT_SHAPE = "PP=>PP"
@@ -770,11 +770,12 @@ def check_correctness(
     `semantics`. The pair (source values, machine values) of a word a.w
     depends only on a and the pair of w, so the pair machine explored to
     the depth (`semantics._unfold`) holds the pair of every word, each
-    distinct pair stepped once. Failures are listed, in state, length and
-    word order, by walking the words of a `semantics._ValueView` over its
-    layers; the first max_failures are kept. An invalid machine, or an
-    embedding that misses a machine state, raises ValidationError, and a
-    negative depth or a max_failures below 1 ValueError.
+    distinct pair stepped once. Failures are listed in state, length and
+    word order: only the layers holding a pair that differs are scanned, and
+    a word is spelled from its index only where its pair differs, up to the
+    first max_failures. An invalid machine, or an embedding that misses a
+    machine state, raises ValidationError, and a negative depth or a
+    max_failures below 1 ValueError.
     """
     if isinstance(det, BudgetExceeded):
         raise ValueError("a budget-exceeded outcome carries no machine to check")
@@ -804,18 +805,39 @@ def check_correctness(
     pairs, layers = _unfold(
         alphabet, (src_base, mach_base), lambda ai, p: (src_step(ai, p[0]), mach_step(ai, p[1])), depth
     )
-    # per source state, both sides' values on each distinct pair
-    sides = [[(src_read(s, x), mach_read(t, det.embed[x])) for s, t in pairs] for x in range(source.n_states)]
     render = str if method == "weighted" else _tt
-    failures = (
-        LawFailure(
-            f"state {source.names[x]}, word {format_word(word)}",
-            f"source trace: {render(lhs)}",
-            f"determinized trace: {render(rhs)}",
-        )
-        for x, side in enumerate(sides)
-        if any(lhs != rhs for lhs, rhs in side)
-        for word, (lhs, rhs) in _ValueView(alphabet, layers(), side).items()
-        if lhs != rhs
-    )
-    return LawReport(f"correctness:{method}", count, list(islice(failures, max_failures)))
+
+    def failures():
+        table = None
+        for x in range(source.n_states):
+            # both sides' values at x on each distinct pair, and which differ
+            side = [(src_read(s, x), mach_read(t, det.embed[x])) for s, t in pairs]
+            bad = [lhs != rhs for lhs, rhs in side]
+            if not any(bad):
+                continue
+            if table is None:
+                table = layers()
+                # the value numbers in each layer, so a clean layer is skipped unread
+                present = [set(layer) for layer in table]
+            for k, layer in enumerate(table):
+                if not any(bad[v] for v in present[k]):
+                    continue
+                for i in compress(range(len(layer)), map(bad.__getitem__, layer)):
+                    lhs, rhs = side[layer[i]]
+                    yield LawFailure(
+                        f"state {source.names[x]}, word {format_word(_spell(alphabet, k, i))}",
+                        f"source trace: {render(lhs)}",
+                        f"determinized trace: {render(rhs)}",
+                    )
+
+    return LawReport(f"correctness:{method}", count, list(islice(failures(), max_failures)))
+
+
+def _spell(alphabet: Sequence[str], k: int, i: int) -> Tuple[str, ...]:
+    """The length-k word of index i: its letters' positions are i's k
+    base-|alphabet| digits, the first letter most significant."""
+    word = []
+    for _ in range(k):
+        i, r = divmod(i, len(alphabet))
+        word.append(alphabet[r])
+    return tuple(reversed(word))

@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 
 from .automata import (
@@ -37,7 +36,7 @@ from .automata import (
     require_valid,
 )
 from .determinize import _alt_masks, _check_mode, _explore
-from .weights import BOOL, RAT, PartialProb, WeightVec
+from .weights import BOOL, RAT, PartialProb, WeightVec, _linear
 
 Word = Tuple[str, ...]
 
@@ -227,29 +226,6 @@ def _alt_step(fams: Sequence[Sequence[Sequence[int]]]) -> Callable[[int, int], i
         return q
 
     return step
-
-
-def _linear(out: Sequence[Any], rows: Sequence[Sequence[Sequence[Tuple[int, Any]]]], letters: int) -> Tuple[tuple, Callable]:
-    """The integer tuple of the exact values out, and the step on such tuples:
-    entry x of step(ai, v) sums weight * v_y over the pairs of rows[x][ai].
-    out is stepped as the weights of one more letter, from the value 1."""
-    scaled = []
-    for by_state in [[row[ai] for row in rows] for ai in range(letters)] + [[((0, o),) for o in out]]:
-        m = lcm(*(wt.denominator for pairs in by_state for _, wt in pairs))
-        scaled.append((m, [[(y + 1, wt.numerator * (m // wt.denominator)) for y, wt in pairs] for pairs in by_state]))
-
-    def step(ai: int, v: tuple) -> tuple:
-        m, coeffs = scaled[ai]
-        sums = [v[0] * m]
-        for row in coeffs:
-            acc = 0
-            for y, c in row:
-                acc += c * v[y]
-            sums.append(acc)
-        g = gcd(*sums)  # positive, as the denominator sums[0] is
-        return tuple(sums) if g == 1 else tuple(n // g for n in sums)
-
-    return step(letters, (1, 1)), step
 
 
 def _bit(mask: int, x: int) -> bool:

@@ -3,8 +3,12 @@
 A weight vector is a finitely supported map from states to nonzero semiring
 values. Vectors are canonicalized on construction (zero entries are dropped),
 so structural equality coincides with semantic equality and vectors can serve
-as dictionary keys, in particular as the state space of a determinized
-weighted automaton.
+as dictionary keys, in particular as the meanings of a determinized weighted
+automaton's states.
+
+`_linear` is the exact linear kernel on NAT and RAT vectors written as
+canonical integer tuples; the trace recurrences and the weighted
+determinization both step it.
 """
 
 from __future__ import annotations
@@ -12,7 +16,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Mapping, Tuple, Union
+from math import gcd, lcm
+from typing import Any, Callable, Iterable, Mapping, Sequence, Tuple, Union
 
 StateId = int
 
@@ -138,6 +143,35 @@ def monad_mul(semiring: Semiring, outer: Mapping[WeightVec, Any]) -> WeightVec:
         for x, v in psi.items():
             pairs.append((x, mul(c, v)))
     return WeightVec(semiring, pairs)
+
+
+def _linear(out: Sequence[Any], rows: Sequence[Sequence[Sequence[Tuple[int, Any]]]], letters: int) -> Tuple[tuple, Callable]:
+    """The integer tuple of the exact values out, and the step on such tuples.
+
+    A NAT or RAT vector n / d is the tuple (d, n_0, ...) with d > 0 and
+    gcd(d, n_0, ...) = 1, so equal vectors are equal tuples. Entry x of
+    step(ai, v) sums weight * v_y over the pairs (y, weight) of rows[x][ai],
+    in integers: each letter's weights are scaled once by the lcm of their
+    denominators. out is stepped as the weights of one more letter, from
+    the value 1.
+    """
+    scaled = []
+    for by_state in [[row[ai] for row in rows] for ai in range(letters)] + [[((0, o),) for o in out]]:
+        m = lcm(*(wt.denominator for pairs in by_state for _, wt in pairs))
+        scaled.append((m, [[(y + 1, wt.numerator * (m // wt.denominator)) for y, wt in pairs] for pairs in by_state]))
+
+    def step(ai: int, v: tuple) -> tuple:
+        m, coeffs = scaled[ai]
+        sums = [v[0] * m]
+        for row in coeffs:
+            acc = 0
+            for y, c in row:
+                acc += c * v[y]
+            sums.append(acc)
+        g = gcd(*sums)  # positive, as the denominator sums[0] is
+        return tuple(sums) if g == 1 else tuple(n // g for n in sums)
+
+    return step(letters, (1, 1)), step
 
 
 @dataclass(frozen=True)

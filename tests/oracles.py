@@ -10,7 +10,21 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import tracekit.laws
-from tracekit import GPS, LTS, NFA, TERM, AlternatingAut, MooreAut, Tree, UnknownStateError, WeightedAut, WeightedTreeAut
+from tracekit import (
+    GPS,
+    LTS,
+    NFA,
+    TERM,
+    AlternatingAut,
+    BudgetExceeded,
+    MooreAut,
+    Tree,
+    UnknownStateError,
+    WeightedAut,
+    WeightedTreeAut,
+    WeightVec,
+    unit,
+)
 
 
 def nfa_accepts(n: NFA, x: int, word) -> bool:
@@ -161,6 +175,39 @@ def subset_dfa(n: NFA, initial):
             edges.append((i, a, subsets.index(t)))
     accepting = [i for i, s in enumerate(subsets) if s & n.accepting]
     return NFA(len(subsets), n.alphabet, edges, accepting), [0]
+
+
+def weight_vectors(w: WeightedAut, budget: int):
+    """The reference weighted determinization, on `WeightVec` states.
+
+    The vectors reachable from the unit vectors are numbered breadth first,
+    successors letter by letter; the a-successor of v sums v(y) * weight
+    over every edge y -a-> z in the carrier's own arithmetic. Returns the
+    outputs, successor rows, embedding and vectors by number, or the
+    `BudgetExceeded` that `det_weighted` gives once more than budget
+    vectors appear.
+    """
+    sr = w.semiring
+    order, index = [], {}
+
+    def number(v):
+        if v not in index:
+            index[v] = len(order)
+            order.append(v)
+        return index[v]
+
+    embed = {x: number(unit(sr, x)) for x in range(w.n_states)}
+    delta = []
+    while len(delta) < len(order) <= budget:
+        v = order[len(delta)]
+        delta.append(tuple(
+            number(WeightVec(sr, [(z, sr.mul(c, wt)) for y, c in v.items() for z, wt in w.trans[y][ai].items()]))
+            for ai in range(len(w.alphabet))
+        ))
+    if len(order) > budget:
+        return BudgetExceeded("weighted", budget, budget + 1)
+    outputs = [sr.sum(sr.mul(c, w.out[y]) for y, c in v.items()) for v in order]
+    return outputs, delta, embed, dict(enumerate(order))
 
 
 def chi_good_bruteforce(family):

@@ -30,8 +30,8 @@ from tracekit import (
     wa_trace,
 )
 from tracekit.determinize import _explore, _hitting_bits, hitting_unions
-from tests.corpus import nfa_as_bool_wa, rand_alternating, rand_nfa
-from tests.oracles import chi_good_bruteforce, double_dual
+from tests.corpus import LETTERS, nfa_as_bool_wa, rand_alternating, rand_nfa, rand_weighted_nat, rand_weighted_rat
+from tests.oracles import chi_good_bruteforce, double_dual, weight_vectors
 
 CLASSIC = NFA(2, ["a"], [(0, "a", 0), (0, "a", 1)], accepting=[1], names=["q0", "q1"])
 
@@ -147,6 +147,90 @@ def test_weighted_bool_coincides_with_subset(seed):
         out_by_meaning[m] = by_subset.machine.outputs[i]
     for i, m in vector_meanings.items():
         assert by_vector.machine.outputs[i] == out_by_meaning[m]
+
+
+# few values of both signs, so that two paths into one state often cancel
+SIGNED = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2), Fraction(2))
+
+
+def rand_weighted_signed(rng: random.Random, max_states: int = 4) -> WeightedAut:
+    """Rational weights of both signs, mostly acyclic so the run often
+    finishes; the shared corpus pool has no negative weights."""
+    n = rng.randint(1, max_states)
+    alphabet = LETTERS[: rng.randint(1, 2)]
+    acyclic = rng.random() < 0.7
+    trans = {}
+    for x in range(n):
+        for a in alphabet:
+            targets = range(x + 1, n) if acyclic else range(n)
+            row = {y: rng.choice(SIGNED) for y in targets if rng.random() < 0.6}
+            if row:
+                trans[(x, a)] = row
+    out = [rng.choice(SIGNED + (Fraction(0),)) for _ in range(n)]
+    return WeightedAut(n, alphabet, RAT, out, trans)
+
+
+WEIGHTED_SOURCES = {
+    "bool": lambda rng: nfa_as_bool_wa(rand_nfa(rng, max_states=5, max_letters=2)),
+    "nat": lambda rng: rand_weighted_nat(rng),
+    "rat": lambda rng: rand_weighted_rat(rng),
+    "rat-signed": rand_weighted_signed,
+}
+
+# x -a-> y and z with weight 1, then y -b-> u with 1/2 and z -b-> u with -1/2,
+# so {y: 1, z: 1} steps under b to the zero vector: 8 states in all
+CANCEL = WeightedAut(
+    4, ["a", "b"], RAT, [Fraction(0), Fraction(1), Fraction(2), Fraction(3)],
+    {(0, "a"): {1: Fraction(1), 2: Fraction(1)}, (1, "b"): {3: Fraction(1, 2)}, (2, "b"): {3: Fraction(-1, 2)}},
+    names=["x", "y", "z", "u"],
+)
+
+
+def assert_matches_weight_vectors(w, budget):
+    got, want = det_weighted(w, budget=budget), weight_vectors(w, budget)
+    if isinstance(want, BudgetExceeded):
+        assert got == want
+        return
+    outputs, delta, embed, meanings = want
+    # same values of the same types, so the CLI prints the same bytes
+    assert [(type(o), o) for o in got.machine.outputs] == [(type(o), o) for o in outputs]
+    assert [tuple(row) for row in got.machine.delta] == delta
+    assert got.embed == embed
+    assert got.state_meaning == meanings
+    assert list(map(repr, got.state_meaning.values())) == list(map(repr, meanings.values()))
+
+
+@given(
+    st.sampled_from(sorted(WEIGHTED_SOURCES)),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from((1, 2, 3, 5, 8, 13, 500)),
+)
+@example("rat-signed", 0, 500)
+@settings(max_examples=120, deadline=None)
+def test_weighted_matches_the_vector_reference(kind, seed, budget):
+    assert_matches_weight_vectors(WEIGHTED_SOURCES[kind](random.Random(seed)), budget)
+
+
+def test_weighted_cancelling_weights_reach_the_zero_vector():
+    result = det_weighted(CANCEL)
+    after_ab = result.machine.delta[result.machine.delta[result.embed[0]][0]][1]
+    assert result.state_meaning[after_ab].is_zero()
+    assert result.machine.outputs[after_ab] == 0
+    assert result.machine.n_states == 8
+    assert_matches_weight_vectors(CANCEL, 500)
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_weighted_rejects_a_budget_below_one(budget):
+    with pytest.raises(ValueError, match=f"budget must be at least 1, got {budget}"):
+        det_weighted(CANCEL, budget=budget)
+
+
+@pytest.mark.parametrize("w", [CANCEL, nfa_as_bool_wa(CLASSIC)], ids=["rat", "bool"])
+def test_weighted_budget_boundary(w):
+    reachable = det_weighted(w).machine.n_states
+    assert det_weighted(w, budget=reachable).machine.n_states == reachable
+    assert det_weighted(w, budget=reachable - 1) == BudgetExceeded("weighted", reachable - 1, reachable)
 
 
 def test_chi_good_worked_example():

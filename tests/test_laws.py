@@ -10,6 +10,8 @@ from operator import add, and_, mul, or_, xor
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tracekit.laws
 from tracekit import (
@@ -37,6 +39,7 @@ from tracekit import (
     det_subset,
     det_weighted,
     format_report,
+    format_word,
     known_counterexample,
 )
 from tracekit.automata import _iter_bits
@@ -53,7 +56,7 @@ from tracekit.laws import (
 )
 from tests.corpus import rand_nfa
 from tests.law_oracles import action_laws, naturality
-from tests.oracles import branching_diagram, chi_good_bruteforce
+from tests.oracles import branching_diagram, chi_good_bruteforce, moore_value, nfa_accepts, word_table
 
 GOLDEN = Path(__file__).parent / "data" / "chi_wrong_counterexample.txt"
 # sha256 of every pinned report, rendered with all of its failures
@@ -517,6 +520,43 @@ def test_correctness_report_for_a_flipped_subset_state():
         (f"state x, word {w}", "source trace: tt", "determinized trace: ff")
         for w in ("a", "aa", "aaa")
     ]
+
+
+def test_correctness_report_for_a_flipped_chain_state():
+    # the chain 0 -a-> ... -a-> 9 over a, b, c at depth 10: only the state
+    # read by a^9 from q0 is flipped, so each qi fails on a^(9 - i) alone
+    n = NFA(10, ["a", "b", "c"], [(i, "a", i + 1) for i in range(9)], accepting=[9], names=[f"q{i}" for i in range(10)])
+    result = det_subset(n)
+    flipped = result.embed[0]
+    for _ in range(9):
+        flipped = result.machine.delta[flipped][0]
+    outputs = list(result.machine.outputs)
+    outputs[flipped] = not outputs[flipped]
+    report = check_correctness(n, _with_outputs(result, outputs), 10)
+    assert report.instances_checked == 10 * (3**11 - 1) // 2
+    want = [(f"state q{i}, word {'a' * (9 - i) or 'ε'}", "source trace: tt", "determinized trace: ff") for i in range(10)]
+    assert _failure_texts(report) == want
+    assert _failure_texts(check_correctness(n, _with_outputs(result, outputs), 10, max_failures=3)) == want[:3]
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+@settings(max_examples=40, deadline=None)
+def test_correctness_failures_match_a_per_word_listing(seed, max_failures):
+    rng = random.Random(seed)
+    n = rand_nfa(rng, max_states=4)
+    result = det_subset(n)
+    outputs = list(result.machine.outputs)
+    for i in rng.sample(range(len(outputs)), rng.randint(1, min(2, len(outputs)))):
+        outputs[i] = not outputs[i]
+    broken = _with_outputs(result, outputs)
+    tt = lambda v: "tt" if v else "ff"
+    want = [
+        (f"state {n.names[x]}, word {format_word(w)}", f"source trace: {tt(src)}", f"determinized trace: {tt(not src)}")
+        for x in range(n.n_states)
+        for w, src in word_table(lambda w: nfa_accepts(n, x, w), n.alphabet, 4).items()
+        if moore_value(broken.machine, result.embed[x], w) != src
+    ]
+    assert _failure_texts(check_correctness(n, broken, 4, max_failures)) == want[:max_failures]
 
 
 @pytest.mark.parametrize(
