@@ -348,33 +348,41 @@ def tree_height(t: Tree) -> int:
     return _fold(t, lambda op, heights: 1 + max(heights) if heights else 0)
 
 
+Shape = Tuple[str, Tuple[int, ...]]
+
+
+def _tree_shapes(signature: Iterable[Tuple[str, int]], max_height: int) -> List[List[Shape]]:
+    """Per height up to max_height, every arity-correct tree as (op, child
+    indices), where a tree's index is its position in all the layers read in
+    order. A height-h tree is op over trees of lower height, some of height
+    h - 1; within a height, trees come by operator, then by children as
+    digits in base (number of lower trees), the first most significant."""
+    if max_height < 0:
+        return []
+    sig = sorted(signature)
+    layers = [[(op, ()) for op, ar in sig if ar == 0]]
+    lower = len(layers[0])  # the number of trees below the next height
+    for _ in range(max_height):
+        top = lower - len(layers[-1])  # the first index of the height below
+        layers.append([(op, combo) for op, ar in sig if ar for combo in product(range(lower), repeat=ar) if max(combo) >= top])
+        lower += len(layers[-1])
+    return layers
+
+
+def _fold_shapes(shapes: Sequence[Sequence[Shape]], f: Callable[[str, List[Any]], Any]) -> List[List[Any]]:
+    """Evaluate every tree of the shape layers bottom-up, as `_fold` does one
+    tree: per layer, f(op, its children's values) for each tree in order."""
+    done: List[Any] = []
+    out = []
+    for layer in shapes:
+        out.append([f(op, list(map(done.__getitem__, children))) for op, children in layer])
+        done += out[-1]
+    return out
+
+
 def all_trees(signature: Iterable[Tuple[str, int]], max_height: int) -> List[Tree]:
     """Every arity-correct tree of height at most max_height, by height then shape."""
-    sig = sorted(signature)
-    by_height: List[List[Tree]] = []
-    result: List[Tree] = []
-    heights: Dict[Tree, int] = {}
-    for h in range(max_height + 1):
-        layer: List[Tree] = []
-        if h == 0:
-            for op, ar in sig:
-                if ar == 0:
-                    t = Tree(op)
-                    heights[t] = 0
-                    layer.append(t)
-        else:
-            lower = [t for hh in range(h) for t in by_height[hh]]
-            for op, ar in sig:
-                if ar == 0:
-                    continue
-                for combo in product(lower, repeat=ar):
-                    if max(heights[c] for c in combo) == h - 1:
-                        t = Tree(op, combo)
-                        heights[t] = h
-                        layer.append(t)
-        by_height.append(layer)
-        result.extend(layer)
-    return result
+    return [t for layer in _fold_shapes(_tree_shapes(signature, max_height), Tree) for t in layer]
 
 
 class WeightedTreeAut(_Machine):

@@ -36,6 +36,7 @@ from .automata import (
     ValidationError,
     WeightedAut,
     WeightedTreeAut,
+    _fold_shapes,
     _node_text,
     require_valid,
 )
@@ -651,23 +652,17 @@ def _cmd_semantics(args) -> int:
         table = bt_nfa_trace(aut, x, args.depth, args.mode)
     else:
         table = _KINDS[kind][2](aut, x, args.depth)
-    wta = kind == "wta"
-    if wta:
-        texts: Dict[Any, str] = {}
-        for t in table.entries:  # all_trees lists children first
-            texts[t] = _node_text(t.op, [texts[c] for c in t.children])
-        number: Dict[Any, int] = {}  # one number per distinct value
-        keys, layers = [list(texts.values())], [[number.setdefault(v, len(number)) for v in table.entries.values()]]
-        distinct = list(number)
-    else:  # a view: value numbers per length, by index
-        keys, layers, distinct = _word_texts(table.entries.alphabet, args.depth), table.entries.layers, table.entries.distinct
+    # a view: value numbers per length (height), by index
+    entries, wta = table.entries, kind == "wta"
+    keys = _fold_shapes(entries.shapes, _node_text) if wta else _word_texts(entries.alphabet, args.depth)
+    layers, distinct = entries.layers, entries.distinct
     # each distinct value rendered once, in full first, so a value too long to print leaves stdout empty
     shown = [f"\t{render_value(value)}\n" for value in distinct]
     text = "".join([key + shown[i] for ks, layer in zip(keys, layers) for key, i in zip(ks, layer)])
     if args.out:
         encoded = list(map(encode_weight, distinct))
-        rows = [{"tree": texts[w], "value": encoded[i]} if wta else {"word": list(w), "value": encoded[i]}
-                for w, i in zip(table.entries, chain.from_iterable(layers))]
+        field, names = ("tree", chain.from_iterable(keys)) if wta else ("word", map(list, entries))
+        rows = [{field: name, "value": encoded[i]} for name, i in zip(names, chain.from_iterable(layers))]
         doc = {"state": aut.names[x], "depth": args.depth, "rows": rows}
         Path(args.out).write_text(serialize_document(doc), encoding="utf-8")
     sys.stdout.write(text)

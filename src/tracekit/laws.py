@@ -773,9 +773,10 @@ def check_correctness(
     distinct pair stepped once. Failures are listed in state, length and
     word order: only the layers holding a pair that differs are scanned, and
     a word is spelled from its index only where its pair differs, up to the
-    first max_failures. An invalid machine, or an embedding that misses a
-    machine state, raises ValidationError, and a negative depth or a
-    max_failures below 1 ValueError.
+    first max_failures. Layers are built in turn up to the one holding the
+    last failure listed, and no further. An invalid machine, or an embedding
+    that misses a machine state, raises ValidationError, and a negative depth
+    or a max_failures below 1 ValueError.
     """
     if isinstance(det, BudgetExceeded):
         raise ValueError("a budget-exceeded outcome carries no machine to check")
@@ -802,26 +803,31 @@ def check_correctness(
     src_base, src_step, src_read = _recurrence(source, "conj" if method == "subset-conj" else "disj")
     mach_base, mach_step, mach_read = _recurrence(machine)
     count = source.n_states * sum(len(alphabet) ** k for k in range(depth + 1))
-    pairs, layers = _unfold(
+    pairs, rows, layers = _unfold(
         alphabet, (src_base, mach_base), lambda ai, p: (src_step(ai, p[0]), mach_step(ai, p[1])), depth
     )
     render = str if method == "weighted" else _tt
 
     def failures():
-        table = None
+        more = layers()
+        table: List[List[int]] = []  # the layers built so far
+        # the value numbers in each layer, read off the explored rows, so a
+        # layer that holds no differing pair is neither built nor scanned
+        present = [{0}]
         for x in range(source.n_states):
             # both sides' values at x on each distinct pair, and which differ
             side = [(src_read(s, x), mach_read(t, det.embed[x])) for s, t in pairs]
             bad = [lhs != rhs for lhs, rhs in side]
             if not any(bad):
                 continue
-            if table is None:
-                table = layers()
-                # the value numbers in each layer, so a clean layer is skipped unread
-                present = [set(layer) for layer in table]
-            for k, layer in enumerate(table):
+            for k in range(depth + 1):
+                if k == len(present):
+                    present.append({v for u in present[-1] for v in rows[u]})
                 if not any(bad[v] for v in present[k]):
                     continue
+                while len(table) <= k:
+                    table.append(next(more))
+                layer = table[k]
                 for i in compress(range(len(layer)), map(bad.__getitem__, layer)):
                     lhs, rhs = side[layer[i]]
                     yield LawFailure(

@@ -8,8 +8,11 @@ it; a table's entries are a read-only view (`_ValueView`) of the words'
 value numbers, each distinct value read once. Values are bitmasks for the
 Boolean kinds and, over NAT and RAT, integer tuples (d, n_0, ...) with gcd 1
 for the vectors n / d: one value per vector.
-Tree automata are unfolded bottom-up by tree height. Each table is total on
-all words (trees) within the requested depth, and a negative depth raises
+Tree automata are unfolded bottom-up by tree height over the shapes of
+`automata._tree_shapes`: `_tree_step` runs once per distinct (op, child value
+numbers), and the table is a read-only view (`_TreeView`) of the trees'
+value numbers that builds no tree until it is iterated. Each table is total
+on all words (trees) within the requested depth, and a negative depth raises
 ValueError.
 """
 
@@ -18,6 +21,7 @@ from __future__ import annotations
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
 
 from .automata import (
@@ -27,13 +31,16 @@ from .automata import (
     AlternatingAut,
     MooreAut,
     TERM,
+    Shape,
     Tree,
     WeightedAut,
     WeightedTreeAut,
     _fold,
-    all_trees,
+    _fold_shapes,
+    _tree_shapes,
     check_state,
     require_valid,
+    tree_height,
 )
 from .determinize import _alt_masks, _check_mode, _explore
 from .weights import BOOL, RAT, PartialProb, WeightVec, _linear
@@ -41,19 +48,42 @@ from .weights import BOOL, RAT, PartialProb, WeightVec, _linear
 Word = Tuple[str, ...]
 
 
-class _ValueView(Mapping):
-    """The read-only mapping from each word up to the depth to its value:
-    layers[k][i] numbers the value of the length-k word of index i (its
-    letters' positions read as base-|alphabet| digits, first letter most
-    significant) in distinct. It iterates by length, then index, and compares
-    equal to the dict of its items; any other key raises KeyError."""
+class _View(Mapping):
+    """A read-only mapping from keys to values held as value numbers:
+    layers[k][i] numbers, in distinct, the value of the key of index i in
+    layer k. It iterates layer by layer and compares equal to the dict of its
+    items."""
 
-    __slots__ = ("alphabet", "layers", "distinct", "_position", "_len")
+    __slots__ = ("layers", "distinct", "_len")
+
+    def __init__(self, layers: List[List[int]], distinct: Sequence[Any]):
+        self.layers, self.distinct = layers, distinct
+        self._len = sum(map(len, layers))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def items(self) -> ItemsView:
+        return _ViewItems(self)
+
+    def values(self) -> ValuesView:
+        return _ViewValues(self)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class _ValueView(_View):
+    """The words up to the depth: layer k holds the length-k words, the word
+    of index i having its letters' positions read as base-|alphabet| digits,
+    first letter most significant. Any other key raises KeyError."""
+
+    __slots__ = ("alphabet", "_position")
 
     def __init__(self, alphabet: Sequence[str], layers: List[List[int]], distinct: Sequence[Any]):
-        self.alphabet, self.layers, self.distinct = tuple(alphabet), layers, distinct
+        super().__init__(layers, distinct)
+        self.alphabet = tuple(alphabet)
         self._position = {a: i for i, a in enumerate(self.alphabet)}
-        self._len = sum(map(len, layers))
 
     def __getitem__(self, word: Word) -> Any:
         if isinstance(word, tuple) and len(word) < len(self.layers):
@@ -74,17 +104,31 @@ class _ValueView(Mapping):
                 words = [(a,) + w for a in self.alphabet for w in words]
             yield from words
 
-    def __len__(self) -> int:
-        return self._len
 
-    def items(self) -> ItemsView:
-        return _ViewItems(self)
+class _TreeView(_View):
+    """The trees up to the depth: layer h holds the height-h trees in the
+    order of `shapes` (`automata._tree_shapes`), and memo numbers the value
+    of each (op, child value numbers) that a tree within the depth has. A
+    key is looked up by folding it through memo; a tree beyond the depth, an
+    unknown operator, a wrong arity and a key that is not a Tree raise
+    KeyError. Trees are built only when the view is iterated."""
 
-    def values(self) -> ValuesView:
-        return _ViewValues(self)
+    __slots__ = ("shapes", "_memo")
 
-    def __repr__(self) -> str:
-        return repr(dict(self.items()))
+    def __init__(self, shapes: List[List[Shape]], layers: List[List[int]], memo: Dict[Tuple[str, Tuple[int, ...]], int], distinct: Sequence[Any]):
+        super().__init__(layers, distinct)
+        self.shapes, self._memo = shapes, memo
+
+    def __getitem__(self, tree: Tree) -> Any:
+        if isinstance(tree, Tree) and tree_height(tree) < len(self.layers):
+            # None, once a node's (op, child value numbers) is unknown, stays None up to the root
+            v = _fold(tree, lambda op, numbers: self._memo.get((op, tuple(numbers))))
+            if v is not None:
+                return self.distinct[v]
+        raise KeyError(tree)
+
+    def __iter__(self) -> Iterator[Tree]:
+        return chain.from_iterable(_fold_shapes(self.shapes, Tree))
 
 
 class _ViewItems(ItemsView):
@@ -113,7 +157,8 @@ class LanguageTable:
 
 @dataclass(frozen=True)
 class TreeLanguageTable:
-    """Map from arity-correct trees of height <= depth to carrier values."""
+    """Map from arity-correct trees of height <= depth to carrier values, as
+    a read-only `_TreeView`."""
 
     depth: int
     entries: Mapping[Tree, Any]
@@ -167,27 +212,31 @@ def _at_least(floor: int, **values: int) -> None:
             raise ValueError(f"{name} must be at least {floor}, got {value}")
 
 
-def _unfold(alphabet: Sequence[str], base, step: Callable, depth: int) -> Tuple[List[Any], Callable]:
+def _unfold(alphabet: Sequence[str], base, step: Callable, depth: int) -> Tuple[List[Any], List[List[int]], Callable[[], Iterator[List[int]]]]:
     """Explore a one-step recurrence from its base to the depth.
 
     Returns the distinct values of the words up to the depth, numbered
-    breadth first, and a function building, per length k, the value numbers
-    of the length-k words by index. The word a.w sits at index (a * number
-    of length-(k - 1) words + index of w) and gets the a-entry of the
-    explored row of w's value, so each distinct value is stepped once per
-    letter. A negative depth raises ValueError.
+    breadth first, the explored rows (rows[v][ai] numbers the a-step of the
+    value v, for each v within depth - 1 steps of the base), and a generator
+    function yielding, per length k in turn,
+    the value numbers of the length-k words by index, each length built from
+    the one before only when it is asked for. The word a.w sits at index
+    (a * number of length-(k - 1) words + index of w) and gets the a-entry of
+    the explored row of w's value, so each distinct value is stepped once
+    per letter. A negative depth raises ValueError.
     """
     _at_least(0, depth=depth)
     letters = range(len(alphabet))
     _, values, rows = _explore([base], lambda v, intern: [intern(step(ai, v)) for ai in letters], depth=depth)
 
-    def layers() -> List[List[int]]:
-        out = [[0]]
+    def layers() -> Iterator[List[int]]:
+        layer = [0]
+        yield layer
         for _ in range(depth):
-            out.append([rows[i][ai] for ai in letters for i in out[-1]])
-        return out
+            layer = [rows[i][ai] for ai in letters for i in layer]
+            yield layer
 
-    return values, layers
+    return values, rows, layers
 
 
 def _mask_step(masks: Sequence[Sequence[int]], conj: bool = False) -> Callable[[int, int], int]:
@@ -273,8 +322,8 @@ def _trace(aut, x: int, depth: int, mode: str = "disj") -> _ValueView:
     check_state(aut, x)
     require_valid(aut)
     base, step, read = _recurrence(aut, mode)
-    values, layers = _unfold(aut.alphabet, base, step, depth)
-    return _ValueView(aut.alphabet, layers(), [read(v, x) for v in values])
+    values, _, layers = _unfold(aut.alphabet, base, step, depth)
+    return _ValueView(aut.alphabet, list(layers()), [read(v, x) for v in values])
 
 
 def nfa_trace(n: NFA, x: int, depth: int) -> LanguageTable:
@@ -368,16 +417,32 @@ def _tree_step(w: WeightedTreeAut) -> Callable[[str, Sequence[Callable[[int], An
 
 def wta_trace(w: WeightedTreeAut, x: int, depth: int) -> TreeLanguageTable:
     """Tree series of x: on op(t1..tn), the sum over rules op(x1..xn) of the
-    rule weight times the product of the xi values at ti, bottom-up by height."""
+    rule weight times the product of the xi values at ti, bottom-up by height.
+
+    The value vectors (all states at once) are numbered as they appear, and
+    `_tree_step` runs once per distinct (op, child value numbers), however
+    many trees share it; each distinct vector is read once at x."""
     _at_least(0, depth=depth)
     require_valid(w)
     check_state(w, x)
     step = _tree_step(w)
-    # values[t][s]: the weight of t at state s; children come before parents
-    values: Dict[Tree, List[Any]] = {}
-    for t in all_trees(w.signature, depth):
-        values[t] = step(t.op, [values[c].__getitem__ for c in t.children])
-    return TreeLanguageTable(depth, {t: v[x] for t, v in values.items()})
+    shapes = _tree_shapes(w.signature, depth)
+    vectors: List[Tuple[Any, ...]] = []
+    number: Dict[Tuple[Any, ...], int] = {}  # distinct vector -> its value number
+    memo: Dict[Tuple[str, Tuple[int, ...]], int] = {}  # (op, child value numbers) -> value number
+
+    def value_number(op: str, children: List[int]) -> int:
+        key = (op, tuple(children))
+        v = memo.get(key)
+        if v is None:
+            vec = tuple(step(op, [vectors[c].__getitem__ for c in children]))
+            v = memo[key] = number.setdefault(vec, len(vectors))
+            if v == len(vectors):
+                vectors.append(vec)
+        return v
+
+    layers = _fold_shapes(shapes, value_number)
+    return TreeLanguageTable(depth, _TreeView(shapes, layers, memo, [vec[x] for vec in vectors]))
 
 
 def bottom_up_algebra(w: WeightedTreeAut) -> Callable[[str, Sequence[WeightVec]], WeightVec]:

@@ -395,3 +395,32 @@ def branching_diagram(which, max_phi, alphabet, samples=200, seed=2026, mutate=N
                     f"one-step of aggregate: {lpred(bottom)}",
                 ))
     return count, failures
+
+
+def trees_by_max_height(signature, max_height: int):
+    """Every arity-correct tree of height at most max_height, by height: each
+    height's candidates are every operator (in sorted signature order) over
+    every tuple of lower trees, kept when their tallest child is just below."""
+    sig = sorted(signature)
+    by_height = []
+    heights = {}
+    for h in range(max_height + 1):
+        layer = []
+        if h == 0:
+            for op, ar in sig:
+                if ar == 0:
+                    t = Tree(op)
+                    heights[t] = 0
+                    layer.append(t)
+        else:
+            lower = [t for hh in range(h) for t in by_height[hh]]
+            for op, ar in sig:
+                if ar == 0:
+                    continue
+                for combo in product(lower, repeat=ar):
+                    if max(heights[c] for c in combo) == h - 1:
+                        t = Tree(op, combo)
+                        heights[t] = h
+                        layer.append(t)
+        by_height.append(layer)
+    return [t for layer in by_height for t in layer]

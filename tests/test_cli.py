@@ -292,11 +292,16 @@ def test_semantics_table(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "name, depth, trace",
-    [("gps-geometric.json", 10, gps_trace), ("weighted-rat-halving.json", 8, wa_trace), ("wta-nat-product.json", 3, wta_trace)],
+    [
+        ("gps-geometric.json", 10, gps_trace),
+        ("weighted-rat-halving.json", 8, wa_trace),
+        ("wta-nat-product.json", 3, wta_trace),
+        ("wta-rat-binary.json", 3, wta_trace),
+    ],
 )
 def test_each_distinct_value_is_rendered_once(monkeypatch, capsys, name, depth, trace):
-    """render_value runs once per distinct value number of the table (once
-    per distinct value for a wta table), not once per row."""
+    """render_value runs once per distinct value number of the table, not
+    once per row."""
     rendered = []
     render = cli.render_value
     monkeypatch.setattr(cli, "render_value", lambda value: rendered.append(value) or render(value))
@@ -304,8 +309,7 @@ def test_each_distinct_value_is_rendered_once(monkeypatch, capsys, name, depth, 
     lines = capsys.readouterr().out.splitlines()
     aut, _ = cli.load_file(str(EXAMPLES / name))
     entries = trace(aut, aut.names.index("x"), depth).entries
-    distinct = list(dict.fromkeys(entries.values())) if trace is wta_trace else entries.distinct
-    assert rendered == list(distinct)
+    assert rendered == list(entries.distinct)
     assert len(lines) == len(entries) and [line.split("\t")[1] for line in lines] == list(map(render, entries.values()))
     if trace is not gps_trace:  # on gps-geometric every word has its own value
         assert len(rendered) < len(lines)

@@ -522,7 +522,7 @@ def test_correctness_report_for_a_flipped_subset_state():
     ]
 
 
-def test_correctness_report_for_a_flipped_chain_state():
+def test_correctness_report_for_a_flipped_chain_state(monkeypatch):
     # the chain 0 -a-> ... -a-> 9 over a, b, c at depth 10: only the state
     # read by a^9 from q0 is flipped, so each qi fails on a^(9 - i) alone
     n = NFA(10, ["a", "b", "c"], [(i, "a", i + 1) for i in range(9)], accepting=[9], names=[f"q{i}" for i in range(10)])
@@ -536,7 +536,42 @@ def test_correctness_report_for_a_flipped_chain_state():
     assert report.instances_checked == 10 * (3**11 - 1) // 2
     want = [(f"state q{i}, word {'a' * (9 - i) or 'ε'}", "source trace: tt", "determinized trace: ff") for i in range(10)]
     assert _failure_texts(report) == want
+    # no word of length 10 fails, so that layer is never built
+    built = _layer_sizes(monkeypatch)
+    assert _failure_texts(check_correctness(n, _with_outputs(result, outputs), 10)) == want
+    assert built == [3**k for k in range(10)]
     assert _failure_texts(check_correctness(n, _with_outputs(result, outputs), 10, max_failures=3)) == want[:3]
+
+
+def _layer_sizes(monkeypatch):
+    """The sizes of the pair-machine layers check_correctness builds."""
+    built = []
+    unfold = tracekit.laws._unfold
+
+    def counting(*args):
+        pairs, rows, layers = unfold(*args)
+        return pairs, rows, lambda: (built.append(len(layer)) or layer for layer in layers())
+
+    monkeypatch.setattr(tracekit.laws, "_unfold", counting)
+    return built
+
+
+def test_correctness_builds_no_layer_past_its_last_failure(monkeypatch):
+    # the chain 0 -a-> ... -a-> 9 over a, b, c at depth 25 (3^25 words of
+    # the longest length), with the empty set's output flipped: q0 fails on
+    # every word that leaves the chain, 36 of them up to length 3
+    n = NFA(10, ["a", "b", "c"], [(i, "a", i + 1) for i in range(9)], accepting=[9], names=[f"q{i}" for i in range(10)])
+    result = det_subset(n)
+    sink = {m: i for i, m in result.state_meaning.items()}[frozenset()]
+    outputs = list(result.machine.outputs)
+    outputs[sink] = True
+    built = _layer_sizes(monkeypatch)
+    report = check_correctness(n, _with_outputs(result, outputs), 25)
+    assert report.instances_checked == 10 * (3**26 - 1) // 2
+    words = [w for w in word_table(lambda w: None, n.alphabet, 3) if set(w) - {"a"}]
+    want = [(f"state q0, word {''.join(w)}", "source trace: ff", "determinized trace: tt") for w in words[:25]]
+    assert _failure_texts(report) == want
+    assert built == [1, 3, 9, 27]
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 40))

@@ -37,6 +37,7 @@ from tracekit import (
     det_subset,
     det_weighted,
     fold_tree,
+    format_tree,
     format_word,
     gps_trace,
     length_semantics,
@@ -58,6 +59,7 @@ from tests.corpus import (
     rand_nfa,
     rand_weighted_nat,
     rand_weighted_rat,
+    rand_wta,
 )
 
 CLASSIC = NFA(2, ["a"], [(0, "a", 0), (0, "a", 1)], accepting=[1], names=["x", "y"])
@@ -310,6 +312,84 @@ def test_wta_trace_nullary_only():
     assert wta_trace(w, 1, 0)[Tree("c")] == 0
 
 
+def _signed_rat(w: WeightedTreeAut, rng: random.Random) -> WeightedTreeAut:
+    """w's rules over RAT, each weight divided by 1 to 3 and possibly
+    negated, so that tree values can cancel to zero."""
+    rules = {
+        (x, op, children): Fraction(wt * rng.choice((1, -1)), rng.randint(1, 3))
+        for x, rules in enumerate(w.rules)
+        for (op, children), wt in rules.items()
+    }
+    return WeightedTreeAut(w.n_states, w.signature, RAT, rules)
+
+
+@pytest.mark.parametrize("semiring", [BOOL, NAT, RAT])
+def test_wta_trace_matches_the_run_oracle(semiring):
+    """Every tree of height at most 3, at every state, has the value (and
+    type) of the run enumeration; the view lists all_trees in order, and
+    all_trees lists the filter-by-height enumeration."""
+    rng = random.Random(f"wta/{semiring.name}")
+    for _ in range(8):
+        w = rand_wta(rng, semiring)
+        if semiring is RAT:
+            w = _signed_rat(w, rng)
+        for depth in range(4):
+            trees = all_trees(w.signature, depth)
+            assert trees == oracles.trees_by_max_height(w.signature, depth)
+            for x in range(w.n_states):
+                entries = wta_trace(w, x, depth).entries
+                assert list(entries) == trees and len(entries) == len(trees)
+                assert list(entries.values()) == [entries[t] for t in trees]
+                if depth == 3:
+                    for t in trees:
+                        expected = oracles.wta_value(w, x, t)
+                        assert entries[t] == expected and type(entries[t]) is type(expected)
+
+
+def test_all_trees_matches_the_reference_on_wider_signatures():
+    for signature in ([("c", 0), ("t", 3)], [("u", 1), ("b", 2)], [("a", 0), ("b", 0), ("f", 2), ("u", 1)], []):
+        for height in range(-1, 3):
+            assert all_trees(signature, height) == oracles.trees_by_max_height(signature, height)
+
+
+def test_tree_view_rejects_keys_beyond_the_table():
+    """A tree above the depth raises KeyError even when each of its nodes'
+    (op, child value numbers) was stepped; so do an unknown operator, a wrong
+    arity and keys that are not trees. The table is read-only."""
+    w = WeightedTreeAut(1, [("c", 0), ("u", 1), ("b", 2)], NAT, {(0, "c", ()): 1, (0, "u", (0,)): 1})
+    entries = wta_trace(w, 0, 2).entries
+    c = Tree("c")
+    deep = Tree("u", (Tree("u", (Tree("u", (c,)),)),))  # u(c) and u(u(c)) have c's value number
+    assert entries[deep.children[0]] == 1 and len(entries.distinct) == 2
+    for key in (deep, Tree("b", (c, deep)), Tree("e"), Tree("u", (c, c)), Tree("b", (c,)), Tree("c", (c,)),
+                "c", ("c",), None, 0):
+        with pytest.raises(KeyError):
+            entries[key]
+        assert key not in entries
+    with pytest.raises(TypeError):
+        entries[c] = 2
+    assert dict(entries.items()) == {t: entries[t] for t in all_trees(w.signature, 2)}
+    assert entries == dict(entries.items())
+
+
+def test_wta_trace_steps_each_child_value_tuple_once(monkeypatch):
+    """_tree_step runs once per distinct (op, child value numbers), not once
+    per tree: here every tree of height at most 3 has one of two values."""
+    calls = []
+    step = semantics._tree_step
+
+    def counting(w):
+        inner = step(w)
+        return lambda op, args: calls.append(op) or inner(op, args)
+
+    monkeypatch.setattr(semantics, "_tree_step", counting)
+    w = WeightedTreeAut(2, [("c", 0), ("d", 0), ("b", 2)], BOOL, {(0, "c", ()): True, (1, "b", (0, 0)): True})
+    entries = wta_trace(w, 0, 3).entries
+    assert len(entries) == 1446 and len(entries.distinct) == 3
+    # c, d and b over the 3 x 3 pairs of value numbers
+    assert len(calls) == 2 + 9
+
+
 def test_bottom_up_algebra_transpose():
     w = WeightedTreeAut(
         1, [("b", 2), ("c", 0)], NAT, {(0, "c", ()): 3, (0, "b", (0, 0)): 2}
@@ -495,7 +575,7 @@ def _value_numbers_are_vectors(aut, depth):
     """The unfolded values decode to pairwise distinct vectors: one value
     number per vector, however its denominator was reached."""
     base, step, read = semantics._recurrence(aut)
-    values, _ = semantics._unfold(aut.alphabet, base, step, depth)
+    values, _, _ = semantics._unfold(aut.alphabet, base, step, depth)
     decoded = [tuple(read(v, x) for x in range(aut.n_states)) for v in values]
     assert len(set(decoded)) == len(decoded)
     return decoded
@@ -649,3 +729,33 @@ def test_tables_are_views_of_the_per_word_oracle(tmp_path_factory, kind, labels,
     assert out.getvalue() == "".join(f"{format_word(w)}\t{render_value(v)}\n" for w, v in expected.items())
     written = json.loads(rows.read_text(encoding="utf-8"))["rows"]
     assert written == [{"word": list(w), "value": encode_weight(v)} for w, v in expected.items()]
+
+
+@pytest.mark.parametrize("semiring", [BOOL, NAT, RAT])
+def test_cli_tree_rows_match_the_run_oracle_without_building_trees(tmp_path, monkeypatch, semiring):
+    """CLI semantics of a wta file prints and writes format_tree and
+    render_value of each tree's oracle value, in all_trees order, and builds
+    no Tree to do so."""
+    rng = random.Random(f"wta-cli/{semiring.name}")
+    cases = []
+    for i in range(4):
+        w = rand_wta(rng, semiring)
+        if semiring is RAT:
+            w = _signed_rat(w, rng)
+        x, depth = rng.randrange(w.n_states), rng.randint(0, 3)
+        path, rows = tmp_path / f"w{i}.json", tmp_path / f"w{i}-rows.json"
+        path.write_text(json.dumps(dump_automaton(w)), encoding="utf-8")
+        expected = {format_tree(t): oracles.wta_value(w, x, t) for t in all_trees(w.signature, depth)}
+        cases.append((["semantics", str(path), "--state", w.names[x], "--depth", str(depth), "--out", str(rows)], rows, expected))
+
+    def no_trees(self):
+        raise AssertionError("the CLI built a Tree")
+
+    monkeypatch.setattr(Tree, "__post_init__", no_trees)
+    for argv, rows, expected in cases:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(argv) == 0
+        assert out.getvalue() == "".join(f"{t}\t{render_value(v)}\n" for t, v in expected.items())
+        written = json.loads(rows.read_text(encoding="utf-8"))["rows"]
+        assert written == [{"tree": t, "value": encode_weight(v)} for t, v in expected.items()]
