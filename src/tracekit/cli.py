@@ -10,7 +10,7 @@ re-parsing a serialized file gives back the same automaton.
 Exit statuses: 0 success, 2 parse error, 3 validation error, 4 budget
 exceeded, 5 law failure, 6 query error (unknown state, unknown law, a
 method/kind mismatch, a negative --depth, or a --budget below 1), 7 a
-computed value too long to print.
+computed value too long to print or an --out file that cannot be written.
 """
 
 from __future__ import annotations
@@ -19,11 +19,12 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from functools import cache
-from itertools import chain
+from functools import cache, partial
+from itertools import accumulate, chain, repeat
 from json.encoder import encode_basestring
+from operator import add, itemgetter
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .automata import (
     GPS,
@@ -64,7 +65,7 @@ from .laws import (
     format_report,
     known_counterexample,
 )
-from .minimize import brzozowski_minimal, dfa_equiv, partition_refine
+from .minimize import Certificates, brzozowski_minimal, dfa_equiv, partition_refine
 from .semantics import (
     _word_texts,
     alt_trace,
@@ -101,7 +102,8 @@ class QueryError(ValueError):
 
 
 class OutputError(ValueError):
-    """A computed value is too long to print."""
+    """A result cannot be written: a computed value too long to print, or an
+    --out file that cannot be opened for writing."""
 
 
 def _printable(value: Any) -> Any:
@@ -128,33 +130,41 @@ def encode_weight(value: Any) -> Any:
     return value if isinstance(value, int) else str(value)
 
 
-def decode_weight(semiring_name: str, value: Any, where: str) -> Any:
+class _BadWeight(ParseError):
+    """A value outside its carrier; the loader that read it says where."""
+
+
+def _read_weight(semiring_name: str, value: Any) -> Any:
     if semiring_name == "bool":
         if not isinstance(value, bool):
-            raise ParseError(f"{where}: expected a boolean, got {value!r}")
+            raise _BadWeight(f"expected a boolean, got {value!r}")
         return value
     if semiring_name == "nat":
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ParseError(f"{where}: expected a natural number, got {value!r}")
+            raise _BadWeight(f"expected a natural number, got {value!r}")
         return value
-    if semiring_name == "rat":
-        return _decode_fraction(value, where)
-    raise ParseError(f"{where}: unknown semiring {semiring_name!r}")
-
-
-def _decode_fraction(value: Any, where: str) -> Fraction:
+    if semiring_name != "rat":
+        raise _BadWeight(f"unknown semiring {semiring_name!r}")
     if isinstance(value, bool) or isinstance(value, float):
-        raise ParseError(f"{where}: rationals must be exact, got {value!r}")
+        raise _BadWeight(f"rationals must be exact, got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         try:
-            if _spelled_digits(value) > MAX_DIGITS:
+            # a short string without an exponent spells out fewer digits than it has characters
+            if (len(value) > MAX_DIGITS or "e" in value or "E" in value) and _spelled_digits(value) > MAX_DIGITS:
                 raise ValueError(f"numerator or denominator passes {MAX_DIGITS} digits")
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"{where}: not a rational: {value!r} ({exc})") from exc
-    raise ParseError(f"{where}: expected a \"num/den\" string, got {value!r}")
+            raise _BadWeight(f"not a rational: {value!r} ({exc})") from exc
+    raise _BadWeight(f"expected a \"num/den\" string, got {value!r}")
+
+
+def decode_weight(semiring_name: str, value: Any, where: str) -> Any:
+    try:
+        return _read_weight(semiring_name, value)
+    except _BadWeight as exc:
+        raise ParseError(f"{where}: {exc}") from exc
 
 
 def _spelled_digits(text: str) -> int:
@@ -207,36 +217,51 @@ def _state_names(doc: Dict[str, Any], where: str) -> Tuple[List[str], Dict[str, 
     return names, index
 
 
-def _resolve_state(name: Any, index: Dict[str, int], where: str) -> int:
-    if not isinstance(name, str) or name not in index:
-        raise ValidationError(f"{where}: unknown state {name!r}")
-    return index[name]
+def _unknown(what: str, value: Any, where: str) -> ValidationError:
+    return ValidationError(f"{where}: unknown {what} {value!r}")
+
+
+def _states(names: Sequence[Any], index: Dict[str, int], where: str) -> List[int]:
+    """The index of each name, raising at the first that is not a state."""
+    xs = [index.get(name) if isinstance(name, str) else None for name in names]
+    if None in xs:
+        raise _unknown("state", names[xs.index(None)], where)
+    return xs
+
+
+# The loaders resolve names in plain loops over index.get, in the order the
+# document lists them, and build an error's text only once a check fails.
 
 
 def _by_state(doc: Dict[str, Any], key: str, index: Dict[str, int], where: str):
-    """Check that doc[key] is an object keyed by state name, then yield
-    (x, name, value) for its entries, resolving each name as it is reached."""
+    """Check that doc[key] is an object keyed by state name, then iterate
+    (x, name, value) over its entries, x None for a name that is no state."""
     raw = _expect(doc, key, dict, where)
-    return ((_resolve_state(name, index, f"{where}: {key}"), name, value) for name, value in raw.items())
+    return zip(map(index.get, raw), raw, raw.values())
 
 
-def _by_label(doc: Dict[str, Any], key: str, index: Dict[str, int], alphabet: Sequence[str], where: str):
-    """_by_state over an object of per-label objects: yield (x, name, label, value)."""
+def _weights(entries, read: Callable[[Any], Any], into: List[Any], key: str, what: str, where: str) -> List[Any]:
+    """into[x] = read(value) for the (x, name, value) entries of doc[key]
+    (_by_state), in order; returns into."""
+    try:
+        for x, name, value in entries:
+            if x is None:
+                raise _unknown("state", name, f"{where}: {key}")
+            into[x] = read(value)
+    except _BadWeight as exc:
+        raise ParseError(f"{where}: {what} of {name}: {exc}") from exc
+    return into
 
-    def entries(states):
-        for x, name, row in states:
-            if not isinstance(row, dict):
-                raise ParseError(f"{where}: {key} of {name} must be an object")
-            for label, value in row.items():
-                yield x, name, _resolve_label(label, alphabet, f"{where}: {key} of {name}"), value
 
-    return entries(_by_state(doc, key, index, where))
-
-
-def _resolve_label(label: Any, alphabet: Sequence[str], where: str) -> str:
-    if not isinstance(label, str) or label not in alphabet:
-        raise ValidationError(f"{where}: unknown label {label!r}")
-    return label
+def _by_label(x: Optional[int], name: Any, row: Any, letters: Dict[str, int], key: str, where: str):
+    """The entries (i, label, value) of the row of state name in doc[key],
+    i None for a label outside the alphabet, once name is a state and row an
+    object."""
+    if x is None:
+        raise _unknown("state", name, f"{where}: {key}")
+    if not isinstance(row, dict):
+        raise ParseError(f"{where}: {key} of {name} must be an object")
+    return zip(map(letters.get, row), row, row.values())
 
 
 def _semiring(doc: Dict[str, Any], where: str):
@@ -246,44 +271,40 @@ def _semiring(doc: Dict[str, Any], where: str):
     return SEMIRINGS[name]
 
 
-def _alphabet(doc: Dict[str, Any], where: str) -> List[str]:
+def _alphabet(doc: Dict[str, Any], where: str) -> Tuple[List[str], Dict[str, int]]:
+    """The labels and each label's position."""
     letters = _string_list(doc, "alphabet", where)
-    if len(set(letters)) != len(letters):
+    position = {a: i for i, a in enumerate(letters)}
+    if len(position) != len(letters):
         raise ParseError(f"{where}: duplicate alphabet labels")
-    return letters
+    return letters, position
 
 
-def _initial_list(
-    doc: Dict[str, Any], index: Dict[str, int], where: str
-) -> Optional[List[int]]:
+def _initial_list(doc: Dict[str, Any], index: Dict[str, int], where: str) -> Optional[List[int]]:
     if "initial" not in doc:
         return None
-    raw = _expect(doc, "initial", list, where)
-    initial = [_resolve_state(name, index, f"{where}: initial") for name in raw]
+    initial = _states(_expect(doc, "initial", list, where), index, f"{where}: initial")
     if len(set(initial)) != len(initial):
         raise ParseError(f"{where}: duplicate initial states")
     return initial
 
 
-def _triples(
-    doc: Dict[str, Any],
-    index: Dict[str, int],
-    alphabet: Sequence[str],
-    where: str,
-) -> List[Tuple[int, str, int]]:
+def _triples(doc: Dict[str, Any], index: Dict[str, int], letters: Dict[str, int], where: str) -> List[Tuple[int, str, int]]:
     raw = _expect(doc, "transitions", list, where)
     out = []
     for entry in raw:
         if not (isinstance(entry, list) and len(entry) == 3):
             raise ParseError(f"{where}: transitions must be [source, label, target] triples, got {entry!r}")
         src, label, dst = entry
-        out.append(
-            (
-                _resolve_state(src, index, f"{where}: transition"),
-                _resolve_label(label, alphabet, f"{where}: transition"),
-                _resolve_state(dst, index, f"{where}: transition"),
-            )
-        )
+        p = index.get(src) if isinstance(src, str) else None
+        if p is None:
+            raise _unknown("state", src, f"{where}: transition")
+        if not isinstance(label, str) or label not in letters:
+            raise _unknown("label", label, f"{where}: transition")
+        q = index.get(dst) if isinstance(dst, str) else None
+        if q is None:
+            raise _unknown("state", dst, f"{where}: transition")
+        out.append((p, label, q))
     return out
 
 
@@ -294,13 +315,10 @@ def _triples(
 def _load_nfa(doc):
     where = "nfa"
     _reject_extra(doc, ("kind", "alphabet", "states", "accepting", "transitions", "initial"), where)
-    alphabet = _alphabet(doc, where)
+    alphabet, letters = _alphabet(doc, where)
     names, index = _state_names(doc, where)
-    accepting = [
-        _resolve_state(name, index, f"{where}: accepting")
-        for name in _string_list(doc, "accepting", where)
-    ]
-    triples = _triples(doc, index, alphabet, where)
+    accepting = _states(_string_list(doc, "accepting", where), index, f"{where}: accepting")
+    triples = _triples(doc, index, letters, where)
     aut = NFA(len(names), alphabet, triples, accepting, names=names)
     return aut, _initial_list(doc, index, where)
 
@@ -308,22 +326,25 @@ def _load_nfa(doc):
 def _load_moore(doc):
     where = "moore"
     _reject_extra(doc, ("kind", "alphabet", "semiring", "states", "outputs", "delta", "initial"), where)
-    alphabet = _alphabet(doc, where)
+    alphabet, letters = _alphabet(doc, where)
     semiring = _semiring(doc, where)
     names, index = _state_names(doc, where)
     # both objects are type-checked before either one's entries are read
     raw_outputs = _by_state(doc, "outputs", index, where)
-    raw_delta = _by_label(doc, "delta", index, alphabet, where)
-    outputs = [semiring.zero] * len(names)
-    for x, name, value in raw_outputs:
-        outputs[x] = decode_weight(semiring.name, value, f"{where}: output of {name}")
+    raw_delta = _by_state(doc, "delta", index, where)
+    outputs = _weights(raw_outputs, partial(_read_weight, semiring.name), [semiring.zero] * len(names), "outputs", "output", where)
     delta = [[-1] * len(alphabet) for _ in names]
-    for x, name, label, target in raw_delta:
-        delta[x][alphabet.index(label)] = _resolve_state(target, index, f"{where}: delta of {name}")
+    for x, name, row in raw_delta:
+        for i, label, target in _by_label(x, name, row, letters, "delta", where):
+            if i is None:
+                raise _unknown("label", label, f"{where}: delta of {name}")
+            y = index.get(target) if isinstance(target, str) else None
+            if y is None:
+                raise _unknown("state", target, f"{where}: delta of {name}")
+            delta[x][i] = y
     for x, row in enumerate(delta):
-        for i, target in enumerate(row):
-            if target < 0:
-                raise ValidationError(f"{where}: delta of {names[x]} is missing label {alphabet[i]!r}")
+        if -1 in row:
+            raise ValidationError(f"{where}: delta of {names[x]} is missing label {alphabet[row.index(-1)]!r}")
     aut = MooreAut(alphabet, outputs, delta, semiring=semiring, names=names)
     return aut, _initial_list(doc, index, where)
 
@@ -331,22 +352,26 @@ def _load_moore(doc):
 def _load_weighted(doc):
     where = "weighted"
     _reject_extra(doc, ("kind", "alphabet", "semiring", "states", "out", "transitions"), where)
-    alphabet = _alphabet(doc, where)
+    alphabet, letters = _alphabet(doc, where)
     semiring = _semiring(doc, where)
     names, index = _state_names(doc, where)
-    out = [semiring.zero] * len(names)
-    for x, name, value in _by_state(doc, "out", index, where):
-        out[x] = decode_weight(semiring.name, value, f"{where}: out of {name}")
+    read = partial(_read_weight, semiring.name)
+    out = _weights(_by_state(doc, "out", index, where), read, [semiring.zero] * len(names), "out", "out", where)
     trans: Dict[Tuple[int, str], Dict[int, Any]] = {}
-    for x, name, label, vec in _by_label(doc, "transitions", index, alphabet, where):
-        if not isinstance(vec, dict):
-            raise ParseError(f"{where}: successor weights of ({name}, {label}) must be an object")
-        trans[(x, label)] = {
-            _resolve_state(target, index, f"{where}: transitions of {name}"): decode_weight(
-                semiring.name, value, f"{where}: weight at ({name}, {label}, {target})"
-            )
-            for target, value in vec.items()
-        }
+    try:
+        for x, name, row in _by_state(doc, "transitions", index, where):
+            for i, label, vec in _by_label(x, name, row, letters, "transitions", where):
+                if i is None:
+                    raise _unknown("label", label, f"{where}: transitions of {name}")
+                if not isinstance(vec, dict):
+                    raise ParseError(f"{where}: successor weights of ({name}, {label}) must be an object")
+                trans[(x, label)] = successors = {}
+                for y, target, value in zip(map(index.get, vec), vec, vec.values()):
+                    if y is None:
+                        raise _unknown("state", target, f"{where}: transitions of {name}")
+                    successors[y] = read(value)
+    except _BadWeight as exc:
+        raise ParseError(f"{where}: weight at ({name}, {label}, {target}): {exc}") from exc
     aut = WeightedAut(len(names), alphabet, semiring, out, trans, names=names)
     return aut, None
 
@@ -371,11 +396,8 @@ def _load_wta(doc):
         op = _expect(entry, "op", str, f"{where}: rule")
         if op not in raw_sig:
             raise ValidationError(f"{where}: rule uses unknown operator {op!r}")
-        x = _resolve_state(_expect(entry, "state", str, f"{where}: rule"), index, f"{where}: rule")
-        children = tuple(
-            _resolve_state(c, index, f"{where}: rule children")
-            for c in _string_list(entry, "children", f"{where}: rule")
-        )
+        (x,) = _states([_expect(entry, "state", str, f"{where}: rule")], index, f"{where}: rule")
+        children = tuple(_states(_string_list(entry, "children", f"{where}: rule"), index, f"{where}: rule children"))
         if len(children) != raw_sig[op]:
             raise ValidationError(
                 f"{where}: rule for {op!r} lists {len(children)} children, arity is {raw_sig[op]}"
@@ -392,21 +414,23 @@ def _load_wta(doc):
 def _load_alternating(doc):
     where = "alternating"
     _reject_extra(doc, ("kind", "alphabet", "states", "outputs", "transitions"), where)
-    alphabet = _alphabet(doc, where)
+    alphabet, letters = _alphabet(doc, where)
     names, index = _state_names(doc, where)
-    outputs = [False] * len(names)
-    for x, name, value in _by_state(doc, "outputs", index, where):
-        outputs[x] = decode_weight("bool", value, f"{where}: output of {name}")
+    outputs = _weights(_by_state(doc, "outputs", index, where), partial(_read_weight, "bool"), [False] * len(names), "outputs", "output", where)
     trans: Dict[Tuple[int, str], List[List[int]]] = {}
-    for x, name, label, family in _by_label(doc, "transitions", index, alphabet, where):
-        if not isinstance(family, list):
-            raise ParseError(f"{where}: branch family of ({name}, {label}) must be a list of lists")
-        sets = []
-        for member in family:
-            if not isinstance(member, list):
-                raise ParseError(f"{where}: branch family of ({name}, {label}) must be a list of lists")
-            sets.append([_resolve_state(target, index, f"{where}: transitions of {name}") for target in member])
-        trans[(x, label)] = sets
+    for x, name, row in _by_state(doc, "transitions", index, where):
+        for i, label, family in _by_label(x, name, row, letters, "transitions", where):
+            if i is None:
+                raise _unknown("label", label, f"{where}: transitions of {name}")
+            trans[(x, label)] = sets = []
+            # a family that is not a list fails as a list of one non-list would
+            for member in family if isinstance(family, list) else [None]:
+                if not isinstance(member, list):
+                    raise ParseError(f"{where}: branch family of ({name}, {label}) must be a list of lists")
+                ys = [index.get(target) if isinstance(target, str) else None for target in member]
+                if None in ys:
+                    raise _unknown("state", member[ys.index(None)], f"{where}: transitions of {name}")
+                sets.append(ys)
     aut = AlternatingAut(len(names), alphabet, outputs, trans, names=names)
     return aut, None
 
@@ -414,11 +438,10 @@ def _load_alternating(doc):
 def _load_lts(doc):
     where = "lts"
     _reject_extra(doc, ("kind", "alphabet", "states", "transitions"), where)
-    alphabet = _alphabet(doc, where)
+    alphabet, letters = _alphabet(doc, where)
     names, index = _state_names(doc, where)
-    triples = _triples(doc, index, alphabet, where)
     trans: Dict[Tuple[int, str], List[int]] = {}
-    for p, a, q in triples:
+    for p, a, q in _triples(doc, index, letters, where):
         trans.setdefault((p, a), []).append(q)
     aut = LTS(len(names), alphabet, trans, names=names)
     return aut, None
@@ -427,33 +450,47 @@ def _load_lts(doc):
 def _load_gps(doc):
     where = "gps"
     _reject_extra(doc, ("kind", "alphabet", "states", "dist"), where)
-    alphabet = _alphabet(doc, where)
+    alphabet, letters = _alphabet(doc, where)
     names, index = _state_names(doc, where)
     dist: Dict[int, Dict[Any, Fraction]] = {}
     for x, name, row in _by_state(doc, "dist", index, where):
+        if x is None:
+            raise _unknown("state", name, f"{where}: dist")
         if not isinstance(row, dict):
             raise ParseError(f"{where}: distribution of {name} must be an object")
-        _reject_extra(row, ("term", "moves"), f"{where}: distribution of {name}")
-        entries: Dict[Any, Fraction] = {}
-        if "term" in row:
-            p = _decode_fraction(row["term"], f"{where}: term of {name}")
-            if p != 0:
-                entries[TERM] = p
+        if not row.keys() <= {"term", "moves"}:
+            _reject_extra(row, ("term", "moves"), f"{where}: distribution of {name}")
+        dist[x] = entries = {}
+        try:
+            p = _read_weight("rat", row.get("term", 0))
+        except _BadWeight as exc:
+            raise ParseError(f"{where}: term of {name}: {exc}") from exc
+        if p != 0:
+            entries[TERM] = p
         moves = row.get("moves", [])
-        if not isinstance(moves, list):
-            raise ParseError(f"{where}: moves of {name} must be objects")
-        for move in moves:
+        # moves that are not a list fail as a list of one non-object would
+        for move in moves if isinstance(moves, list) else [None]:
             if not isinstance(move, dict):
                 raise ParseError(f"{where}: moves of {name} must be objects")
-            _reject_extra(move, ("label", "to", "prob"), f"{where}: move of {name}")
-            label = _resolve_label(_expect(move, "label", str, f"{where}: move of {name}"), alphabet, f"{where}: move of {name}")
-            target = _resolve_state(_expect(move, "to", str, f"{where}: move of {name}"), index, f"{where}: move of {name}")
-            p = _decode_fraction(_expect(move, "prob", object, f"{where}: move of {name}"), f"{where}: move of {name}")
-            if p == 0:
-                continue
-            key = (label, target)
-            entries[key] = entries.get(key, Fraction(0)) + p
-        dist[x] = entries
+            label, target = move.get("label"), move.get("to")
+            known = isinstance(label, str) and label in letters
+            y = index.get(target) if isinstance(target, str) else None
+            if not (move.keys() <= {"label", "to", "prob"} and known and y is not None and "prob" in move):
+                # the first failing check raises
+                at = f"{where}: move of {name}"
+                _reject_extra(move, ("label", "to", "prob"), at)
+                if not known:
+                    raise _unknown("label", _expect(move, "label", str, at), at)
+                if y is None:
+                    raise _unknown("state", _expect(move, "to", str, at), at)
+                _expect(move, "prob", object, at)
+            try:
+                p = _read_weight("rat", move["prob"])
+            except _BadWeight as exc:
+                raise ParseError(f"{where}: move of {name}: {exc}") from exc
+            if p != 0:
+                key = (label, y)
+                entries[key] = entries.get(key, 0) + p
     aut = GPS(len(names), alphabet, dist, names=names)
     return aut, None
 
@@ -592,8 +629,69 @@ def dump_automaton(aut, initial: Optional[Sequence[int]] = None) -> Dict[str, An
     return doc
 
 
-def serialize_document(doc: Any) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+_SCALARS = {str, bool, int, type(None)}
+
+
+def _json_text(value: Any, pad: str) -> str:
+    """json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False), with
+    every line after the first indented by pad."""
+    if type(value) is list:
+        keys, items = None, value
+    elif type(value) is dict:
+        keys = sorted(value)
+        if set(map(type, keys)) - {str}:
+            raise TypeError(f"keys must be strings, got {keys!r}")
+        items = list(map(value.__getitem__, keys))
+    else:
+        (text,) = _json_texts([value], pad)
+        return text
+    if not items:
+        return "[]" if keys is None else "{}"
+    inner = pad + "  "
+    texts = _json_texts(items, inner)
+    if keys is not None:
+        texts = map("{}: {}".format, map(encode_basestring, keys), texts)
+    body = (",\n" + inner).join(texts)
+    return f"[\n{inner}{body}\n{pad}]" if keys is None else f"{{\n{inner}{body}\n{pad}}}"
+
+
+def _json_texts(items: List[Any], pad: str) -> Iterable[str]:
+    """_json_text(item, pad) of each item. Strings, or bools and ints, are
+    rendered by one map, and other scalars in one pass; the elements of
+    lists by one call, then cut back into lists; objects with one key set
+    column by column, each column by one call. Only items that mix lists,
+    objects and scalars recurse one by one. Documents are exact: a float,
+    a non-str key or any other type raises TypeError."""
+    kinds = set(map(type, items))
+    if kinds == {str}:
+        return map(encode_basestring, items)
+    if kinds <= {bool, int}:
+        return map(str.lower, map(str, items))
+    if kinds <= _SCALARS:
+        return [encode_basestring(v) if type(v) is str else "null" if v is None else str(v).lower() for v in items]
+    inner = pad + "  "
+    if kinds == {list}:
+        flat, sep, ends = list(_json_texts([*chain.from_iterable(items)], inner)), ",\n" + inner, [*accumulate(map(len, items))]
+        return [f"[\n{inner}{sep.join(flat[a:b])}\n{pad}]" if a < b else "[]" for a, b in zip([0, *ends], ends)]
+    unknown = kinds - _SCALARS - {list, dict}
+    if unknown:
+        raise TypeError(f"a {unknown.pop().__name__} is not written: documents are exact")
+    if kinds != {dict} or len(set(map(frozenset, items))) > 1:
+        return [_json_text(item, pad) for item in items]
+    keys = sorted(items[0])
+    if set(map(type, keys)) - {str}:
+        raise TypeError(f"keys must be strings, got {keys!r}")
+    if not keys:
+        return repeat("{}", len(items))
+    # each object joins the text around its values with its value in each column
+    around = [("{\n" if i == 0 else ",\n") + inner + encode_basestring(key) + ": " for i, key in enumerate(keys)]
+    columns = [_json_texts(list(map(itemgetter(key), items)), inner) for key in keys]
+    return map("".join, zip(*chain.from_iterable(zip(map(repeat, around), columns)), repeat("\n" + pad + "}")))
+
+
+def serialize_document(doc: Any, pad: str = "") -> str:
+    """The canonical text of doc (see _json_text), followed by a newline."""
+    return _json_text(doc, pad) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -616,24 +714,28 @@ def _resolve_cli_state(aut, spec: str) -> int:
     raise UnknownStateError(f"unknown state {spec!r}")
 
 
-def _nested(text: str) -> str:
-    """A serialized document as the value of a key at the top level: a JSON
-    string holds no raw newline, so this indents each line after the first."""
-    return text[:-1].replace("\n", "\n  ")
+def _write(path: Any, *texts: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            f.writelines(texts)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(out: Optional[str], machine_doc: Any, key: str, side_text: str, suffix: str) -> None:
+def _emit(out: Optional[str], machine_doc: Any, key: str, side: Callable[[str], str], suffix: str) -> None:
     """Print {"machine": machine_doc, key: side} as serialize_document would,
-    where side_text is the serialized side document; with --out, write the
-    machine to out and side_text to out with its suffix replaced by suffix.
-    Everything is rendered before the first write."""
-    machine_text = serialize_document(machine_doc)
+    where side(pad) renders the side document with every line after the
+    first indented by pad; with --out, write the machine to out and the side
+    document to out with its suffix replaced by suffix. Everything is
+    rendered before the first write."""
     if out:
-        Path(out).write_text(machine_text, encoding="utf-8")
-        Path(out).with_suffix(suffix).write_text(side_text, encoding="utf-8")
+        machine_text, side_text = serialize_document(machine_doc), side("")
+        _write(out, machine_text)
+        _write(Path(out).with_suffix(suffix), side_text, "\n")
     else:
+        side_text, machine_text = side("  "), serialize_document(machine_doc, "  ")
         # key ("certificates" or "embedding") sorts before "machine"
-        sys.stdout.write(f'{{\n  "{key}": {_nested(side_text)},\n  "machine": {_nested(machine_text)}\n}}\n')
+        sys.stdout.writelines((f'{{\n  "{key}": ', side_text, ',\n  "machine": ', machine_text, "}\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -658,13 +760,13 @@ def _cmd_semantics(args) -> int:
     layers, distinct = entries.layers, entries.distinct
     # each distinct value rendered once, in full first, so a value too long to print leaves stdout empty
     shown = [f"\t{render_value(value)}\n" for value in distinct]
-    text = "".join([key + shown[i] for ks, layer in zip(keys, layers) for key, i in zip(ks, layer)])
+    text = "".join(chain.from_iterable(map(add, ks, map(shown.__getitem__, layer)) for ks, layer in zip(keys, layers)))
     if args.out:
         encoded = list(map(encode_weight, distinct))
         field, names = ("tree", chain.from_iterable(keys)) if wta else ("word", map(list, entries))
         rows = [{field: name, "value": encoded[i]} for name, i in zip(names, chain.from_iterable(layers))]
         doc = {"state": aut.names[x], "depth": args.depth, "rows": rows}
-        Path(args.out).write_text(serialize_document(doc), encoding="utf-8")
+        _write(args.out, serialize_document(doc))
     sys.stdout.write(text)
     return EXIT_OK
 
@@ -714,26 +816,29 @@ def _cmd_determinize(args) -> int:
             for i, meaning in result.state_meaning.items()
         },
     }
-    _emit(args.out, machine_doc, "embedding", serialize_document(embedding), ".embed.json")
+    _emit(args.out, machine_doc, "embedding", partial(_json_text, embedding), ".embed.json")
     return EXIT_OK
 
 
-def _certificate_text(names: Sequence[str], certificates: Mapping[Tuple[int, int], Tuple[str, ...]]) -> str:
-    """The text serialize_document writes for the list of
-    {"pair": [p, q], "word": [...]} objects, one per certificate in (p, q)
-    order, written without building those objects: each state name is
-    encoded once, and each word once per distinct word."""
+def _certificate_text(names: Sequence[str], certificates: Optional[Certificates], pad: str) -> str:
+    """The list of {"pair": [p, q], "word": [...]} objects, one per
+    certificate in (p, q) order, as _json_text(..., pad) writes it, built
+    without those objects: one str.join per row p, over the texts of each q
+    and of its word, and each word rendered once per first-pass state."""
     if not certificates:
-        return "[]\n"
+        return "[]"
+    i1, i2, i3 = pad + "  ", pad + "    ", pad + "      "
+    word_text = lambda word: ("[\n" + i3 + (",\n" + i3).join(map(encode_basestring, word)) + "\n" + i2 + "]") if word else "[]"
     quoted = list(map(encode_basestring, names))
-    words: Dict[Tuple[str, ...], str] = {}
-    chunks = []
-    for (p, q), word in certificates.items():
-        text = words.get(word)
-        if text is None:
-            text = words[word] = ("[\n      " + ",\n      ".join(map(encode_basestring, word)) + "\n    ]") if word else "[]"
-        chunks.append(f'{{\n    "pair": [\n      {quoted[p]},\n      {quoted[q]}\n    ],\n    "word": {text}\n  }}')
-    return "[\n  " + ",\n  ".join(chunks) + "\n]\n"
+    tails = [f'{q}\n{i2}],\n{i2}"word": ' for q in quoted]
+    close = "\n" + i1 + "}"
+    parts = ["[\n" + i1]
+    # the last state's row is empty, and zip stops before reading it
+    for p, (name, words) in enumerate(zip(quoted[:-1], certificates._rows(word_text))):
+        head = f'{{\n{i2}"pair": [\n{i3}{name},\n{i3}'
+        parts += (head, (close + ",\n" + i1 + head).join(map(add, tails[p + 1 :], words)), close + ",\n" + i1)
+    parts[-1] = close + "\n" + pad + "]"
+    return "".join(parts)
 
 
 def _cmd_minimize(args) -> int:
@@ -756,9 +861,9 @@ def _cmd_minimize(args) -> int:
         if len(initial) != 1:
             raise QueryError("minimizing a moore file needs exactly one initial state")
         machine, init = partition_refine(aut, initial[0])
-        certificates = {}
+        certificates = None
     machine_doc = dump_automaton(machine, initial=[init])
-    _emit(args.out, machine_doc, "certificates", _certificate_text(machine.names, certificates), ".certs.json")
+    _emit(args.out, machine_doc, "certificates", partial(_certificate_text, machine.names, certificates), ".certs.json")
     return EXIT_OK
 
 

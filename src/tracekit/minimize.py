@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain, repeat
+from operator import and_, neg, xor
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .automata import NFA, MooreAut, ValidationError, check_state, require_valid
 from .determinize import _explore, _lifted_machine
@@ -51,15 +53,23 @@ class Certificates(Mapping):
     def items(self) -> ItemsView:
         return _CertificateItems(self)
 
+    def _rows(self, render: Optional[Callable[[Word], Any]] = None) -> Iterator[Iterator[Any]]:
+        """Per p in order, an iterator over the certificates of (p, q) for
+        q > p in order, each passed through render, which is called once per
+        first-pass word. The lowest set bit of each difference is found by
+        one map per step over the whole row."""
+        back = self._back if render is None else list(map(render, self._back))
+        # the lowest set bit of a difference is 1 << r, whose bit length is r + 1
+        by_length = [None, *back].__getitem__
+        meanings = self._meanings
+        for p, mp in enumerate(meanings):
+            diffs = list(map(xor, repeat(mp), meanings[p + 1 :]))
+            yield map(by_length, map(int.bit_length, map(and_, diffs, map(neg, diffs))))
+
 
 class _CertificateItems(ItemsView):
     def __iter__(self):
-        meanings, back = self._mapping._meanings, self._mapping._back
-        n = len(meanings)
-        for p, mp in enumerate(meanings):
-            for q in range(p + 1, n):
-                diff = mp ^ meanings[q]
-                yield (p, q), back[(diff & -diff).bit_length() - 1]
+        return zip(self._mapping, chain.from_iterable(self._mapping._rows()))
 
 
 @dataclass

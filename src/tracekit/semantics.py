@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from itertools import chain
 from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
@@ -40,7 +41,6 @@ from .automata import (
     _tree_shapes,
     check_state,
     require_valid,
-    tree_height,
 )
 from .determinize import _alt_masks, _check_mode, _explore
 from .weights import BOOL, RAT, PartialProb, WeightVec, _linear
@@ -120,15 +120,28 @@ class _TreeView(_View):
         self.shapes, self._memo = shapes, memo
 
     def __getitem__(self, tree: Tree) -> Any:
-        if isinstance(tree, Tree) and tree_height(tree) < len(self.layers):
-            # None, once a node's (op, child value numbers) is unknown, stays None up to the root
-            v = _fold(tree, lambda op, numbers: self._memo.get((op, tuple(numbers))))
-            if v is not None:
-                return self.distinct[v]
+        if isinstance(tree, Tree):
+            found = _fold(tree, partial(_tree_key, self._memo, len(self.layers) - 1))
+            if found is not None:
+                return self.distinct[found[1]]
         raise KeyError(tree)
 
     def __iter__(self) -> Iterator[Tree]:
         return chain.from_iterable(_fold_shapes(self.shapes, Tree))
+
+
+def _tree_key(memo: Dict[Tuple[str, Tuple[int, ...]], int], top: int, op: str, below: List[Any]) -> Any:
+    """One node of a _TreeView lookup: (height, value number) of the node
+    over its children's, or None once a node is past the height top or its
+    (op, child value numbers) is unknown, which then stays None to the root."""
+    if not below:
+        v = memo.get((op, ()))
+        return None if v is None else (0, v)
+    if None in below:
+        return None
+    heights, numbers = zip(*below)
+    height, v = 1 + max(heights), memo.get((op, numbers))
+    return None if v is None or height > top else (height, v)
 
 
 class _ViewItems(ItemsView):

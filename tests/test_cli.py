@@ -24,7 +24,11 @@ from tracekit import (
     MooreAut,
     WeightedAut,
     WeightedTreeAut,
+    alt_to_nfa,
     brzozowski_minimal,
+    canonical_det_nfa,
+    det_subset,
+    det_weighted,
     gps_trace,
     partition_refine,
     wa_trace,
@@ -152,8 +156,9 @@ def test_weight_typing_is_strict(tmp_path):
                  write_doc(tmp_path, "w.json", doc)]) == 2
     doc["semiring"] = "rat"
     doc["out"] = {"x": 0.5}
+    # serialize_document writes no float, so this file is written by json
     assert main(["semantics", "--state", "x", "--depth", "1",
-                 write_doc(tmp_path, "w2.json", doc)]) == 2
+                 write_doc(tmp_path, "w2.json", json.dumps(doc))]) == 2
     doc["out"] = {"x": "1/2"}
     assert main(["semantics", "--state", "x", "--depth", "1",
                  write_doc(tmp_path, "w3.json", doc)]) == 0
@@ -612,6 +617,183 @@ def test_minimize_output_is_byte_identical_to_json_dumps(tmp_path_factory, seed,
     assert quiet.getvalue() == ""
     assert out.read_bytes() == json_text(machine_doc).encode("utf-8")
     assert (base / "min.certs.json").read_bytes() == json_text(certs).encode("utf-8")
+
+
+# names that JSON escapes: a letter of ODD_LETTERS and an index
+def odd_names(rng, size):
+    return [f"{rng.choice(ODD_LETTERS)}{i}" for i in range(size)]
+
+
+def determinize_oracle(aut, method):
+    """The machine and embedding documents that the CLI printed when it
+    json.dumps'ed one dict holding both."""
+    result = {
+        "subset": lambda: det_subset(aut, "disj"),
+        "conj": lambda: det_subset(aut, "conj"),
+        "canonical": lambda: canonical_det_nfa(aut, bound=4),
+        "alt": lambda: alt_to_nfa(aut),
+        "weighted": lambda: det_weighted(aut),
+    }[method]()
+    names, det_names = aut.names, result.machine.names
+
+    def meaning(m):
+        if method == "weighted":
+            return {names[y]: w if isinstance(w, int) else str(w) for y, w in m.items()}
+        if method == "canonical":
+            return sorted(sorted(names[y] for y in phi) for phi in m)
+        return sorted(names[y] for y in m)
+
+    embedding = {
+        "method": result.method,
+        "embed": {names[x]: det_names[result.embed[x]] for x in range(aut.n_states)},
+        "stateMeaning": {det_names[i]: meaning(m) for i, m in result.state_meaning.items()},
+    }
+    return dump_automaton(result.machine), embedding
+
+
+DET_CASES = ["subset", "conj", "canonical", "alt", "weighted-nat", "weighted-rat"]
+SIGNED_RATS = (Fraction(1), Fraction(-1, 2), Fraction(1, 2), Fraction(-3), Fraction(2, 3))
+
+
+def random_det_source(rng, case, letters):
+    size = rng.randint(1, 4)
+    names = odd_names(rng, size)
+    if case in ("subset", "conj", "canonical"):
+        trans = {(rng.randrange(size), rng.choice(letters), rng.randrange(size))
+                 for _ in range(rng.randint(0, 2 * size * len(letters)))}
+        return NFA(size, letters, trans, [x for x in range(size) if rng.random() < 0.4], names=names)
+    if case == "alt":
+        trans = {(x, a): [[y for y in range(size) if rng.random() < 0.5] for _ in range(rng.randint(1, 2))]
+                 for x in range(size) for a in letters if rng.random() < 0.7}
+        return AlternatingAut(size, letters, [rng.random() < 0.5 for _ in range(size)], trans, names=names)
+    # acyclic, so the weighted construction finishes
+    semiring, draw = (NAT, lambda: rng.randint(1, 3)) if case == "weighted-nat" else (RAT, lambda: rng.choice(SIGNED_RATS))
+    trans = {(x, a): {y: draw() for y in range(x + 1, size) if rng.random() < 0.6}
+             for x in range(size) for a in letters}
+    out = [draw() if rng.random() < 0.7 else semiring.zero for _ in range(size)]
+    return WeightedAut(size, letters, semiring, out, {k: v for k, v in trans.items() if v}, names=names)
+
+
+@given(seed=st.integers(0, 2**32 - 1), case=st.sampled_from(DET_CASES),
+       letters=st.lists(st.sampled_from(ODD_LETTERS), min_size=1, max_size=3, unique=True))
+@example(seed=0, case="weighted-rat", letters=list(ODD_LETTERS[:3]))
+@settings(max_examples=80, deadline=None)
+def test_determinize_output_is_byte_identical_to_json_dumps(tmp_path_factory, seed, case, letters):
+    rng = random.Random(seed)
+    aut = random_det_source(rng, case, letters)
+    method = case.split("-")[0]
+    machine_doc, embedding = determinize_oracle(aut, method)
+    base = tmp_path_factory.mktemp("det")
+    path = base / "in.json"
+    path.write_text(serialize_document(dump_automaton(aut)), encoding="utf-8")
+
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["determinize", "--method", method, str(path)]) == 0
+    assert stdout.getvalue() == json_text({"machine": machine_doc, "embedding": embedding})
+
+    out = base / "det.json"
+    with contextlib.redirect_stdout(io.StringIO()) as quiet:
+        assert main(["determinize", "--method", method, "--out", str(out), str(path)]) == 0
+    assert quiet.getvalue() == ""
+    assert out.read_bytes() == json_text(machine_doc).encode("utf-8")
+    assert (base / "det.embed.json").read_bytes() == json_text(embedding).encode("utf-8")
+
+
+def nested(text):
+    """A document's text as the value of a top-level key: every line after
+    the first indented by two more spaces, without the final newline."""
+    return text[:-1].replace("\n", "\n  ")
+
+
+ODD_TEXT = st.text(alphabet=ODD_LETTERS, max_size=4)
+JSON_LEAVES = (st.none() | st.booleans() | st.integers(max_value=-1) | st.integers()
+               | st.integers(10**4299, 10**4300 - 1) | st.integers(-(10**4300) + 1, -(10**4299)) | ODD_TEXT)
+
+
+def same_shape(inner):
+    """Lists of objects with one key set, which the writer renders column by
+    column, or of lists of one length, as lists and as the values of an
+    object."""
+    objects = st.lists(ODD_TEXT, max_size=3, unique=True).flatmap(
+        lambda keys: st.lists(st.fixed_dictionaries({key: inner for key in keys}), min_size=1, max_size=4))
+    lists = st.integers(0, 3).flatmap(lambda n: st.lists(st.lists(inner, min_size=n, max_size=n), min_size=1, max_size=4))
+    rows = objects | lists
+    return rows | rows.map(lambda items: {f"k{i}": item for i, item in enumerate(items)})
+
+
+JSON_DOCS = st.recursive(
+    JSON_LEAVES | st.lists(ODD_TEXT, max_size=4) | st.lists(st.booleans() | st.integers(), max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(ODD_TEXT, inner, max_size=4)
+    | st.dictionaries(ODD_TEXT, st.dictionaries(ODD_TEXT, inner, max_size=3), max_size=3) | same_shape(inner),
+    max_leaves=12,
+)
+
+
+@given(doc=JSON_DOCS)
+@example(doc={"": [], "a": {}, "\u2028": [[True, -1, "é"], {"\n": None}], '"': [False, 3, True]})
+@example(doc=[10**4299, -(10**4299), [], {}])
+@example(doc={"x": [{"a": [1, "b"], "b": {}}, {"b": {}, "a": [None, 2]}], "y": [[[], True], [[], False]]})
+@example(doc=[{"k": [[1, 2], [3, 4]], "é": {"a": {"q": None}}}, {"é": {"a": {"q": "\n"}}, "k": [[5, 6], [7, 8]]}])
+@settings(max_examples=400, deadline=None)
+def test_serialize_document_is_json_dumps_at_any_pad(doc):
+    text = json_text(doc)
+    assert serialize_document(doc) == text
+    assert serialize_document(doc, "  ") == nested(text) + "\n"
+
+
+@pytest.mark.parametrize("doc", [0.5, [1, 2.0], {"a": {"b": [True, -0.0]}}, {"a": float("nan")},
+                                 {1: "a"}, {"a": {2: True}}, {True: 1}, {None: []}, [{"a": 1, 2: 3}],
+                                 [{"a": 1}, {"a": 0.5}], [[1, 2], [3, 4.0]], [{1: "a"}, {1: "b"}], [(1,), (2,)]])
+def test_serialize_document_writes_no_float_and_no_non_string_key(doc):
+    with pytest.raises(TypeError):
+        serialize_document(doc)
+    with pytest.raises(TypeError):
+        serialize_document(doc, "  ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["semantics", "--state", "x", "--depth", "2", "--out"],
+    ["determinize", "--method", "subset", "--out"],
+    ["minimize", "--out"],
+])
+def test_an_unwritable_out_path_exits_7(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "result.json"
+    assert main(argv + [str(target), str(EXAMPLES / "nfa-classic.json")]) == 7
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: [Errno 2] ")
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("argv, digests", [
+    # measured before the CLI wrote its documents at their final indent and
+    # certificates row by row
+    (["minimize", "nfa-nth-letter-5.json"],
+     {"stdout": "27756da1a53cffd77fd65cc1943f3711e8bdedd3efa4b3e5fa2b8306e26c6fb6",
+      "out.json": "5fc28a4e6b3e01373d046da6e83a85857537a6082b6d468df35f98187be5a25e",
+      "out.certs.json": "b82577aebd9f115bd8f7683a102a89837267e8a524925f7af922b66658cfbddf"}),
+    (["determinize", "--method", "weighted", "weighted-rat-cancel.json"],
+     {"stdout": "f11786f45bf5ea9859b82f47a45822df57446e3525d6ed82b07d5fa5b270d71b",
+      "out.json": "6cf34ee4750613129ec35a91d769c883c023fc4573ee20649038f6a6229b03f8",
+      "out.embed.json": "5bb8b685abf66a6504091699ceeb82157e979e8d370eec3e379277fb5c9baf45"}),
+])
+def test_fixture_outputs_are_pinned(tmp_path, capsys, argv, digests):
+    argv = argv[:-1] + [str(EXAMPLES / argv[-1])]
+    assert main(argv) == 0
+    got = {"stdout": hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()}
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) == 0
+    assert capsys.readouterr().out == ""
+    got.update((path.name, hashlib.sha256(path.read_bytes()).hexdigest()) for path in tmp_path.iterdir())
+    assert got == digests
+
+
+def test_nth_letter_fixture_minimizes_to_every_pair_of_32_states():
+    aut, initial = load_automaton(json.loads((EXAMPLES / "nfa-nth-letter-5.json").read_text(encoding="utf-8")))
+    observable = brzozowski_minimal(aut, initial)
+    assert observable.machine.n_states == 32
+    assert len(observable.certificates) == 496 == len(dict(observable.certificates.items()))
+    assert max(map(len, observable.certificates.values())) == 4
 
 
 def test_equiv(tmp_path, capsys):

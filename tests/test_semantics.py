@@ -372,6 +372,22 @@ def test_tree_view_rejects_keys_beyond_the_table():
     assert entries == dict(entries.items())
 
 
+def test_tree_view_looks_a_tree_up_in_one_fold(monkeypatch):
+    """A lookup folds the tree once, carrying heights with value numbers,
+    whether it finds the tree or not."""
+    w = WeightedTreeAut(1, [("c", 0), ("u", 1), ("b", 2)], NAT, {(0, "c", ()): 1, (0, "u", (0,)): 1})
+    entries = wta_trace(w, 0, 2).entries
+    folds = []
+    fold = semantics._fold
+    monkeypatch.setattr(semantics, "_fold", lambda tree, f: folds.append(tree) or fold(tree, f))
+    c = Tree("c")
+    deep = Tree("u", (Tree("u", (Tree("u", (c,)),)),))
+    assert entries[Tree("b", (c, c))] == 0 and entries[deep.children[0]] == 1
+    with pytest.raises(KeyError):
+        entries[deep]
+    assert folds == [Tree("b", (c, c)), deep.children[0], deep]
+
+
 def test_wta_trace_steps_each_child_value_tuple_once(monkeypatch):
     """_tree_step runs once per distinct (op, child value numbers), not once
     per tree: here every tree of height at most 3 has one of two values."""
