@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import cache, partial
@@ -106,28 +107,30 @@ class OutputError(ValueError):
     --out file that cannot be opened for writing."""
 
 
-def _printable(value: Any) -> Any:
-    """The int or Fraction behind value (a PartialProb's probability), once
-    its numerator and denominator are known to print in MAX_DIGITS digits;
-    past that, str and json.dumps would raise."""
-    if isinstance(value, PartialProb):
-        value = value.value
-    if max(abs(value.numerator), value.denominator) >= _TOO_LONG:
-        raise OutputError(f"a computed value has more than {MAX_DIGITS} digits and is not printed")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # weight encoding
+
+
+def _weight_json(carrier: str, n: int, d: int) -> Any:
+    """The reduced fraction n / d in the file encoding of its carrier: a
+    bool as itself, an int for nat, "n" or "n/d" for rat. Past MAX_DIGITS
+    digits, which str and json.dumps refuse, it raises OutputError."""
+    if carrier == "bool":
+        return bool(n)
+    if max(abs(n), d) >= _TOO_LONG:
+        raise OutputError(f"a computed value has more than {MAX_DIGITS} digits and is not printed")
+    if carrier == "nat":
+        return n
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def encode_weight(value: Any) -> Any:
     """The JSON value of a carrier value: a bool or an int as itself, a
     Fraction (or a PartialProb's probability) as its string."""
-    if isinstance(value, bool):
-        return value
-    value = _printable(value)
-    return value if isinstance(value, int) else str(value)
+    if isinstance(value, PartialProb):
+        value = value.value
+    carrier = "bool" if isinstance(value, bool) else "nat" if isinstance(value, int) else "rat"
+    return _weight_json(carrier, value.numerator, value.denominator)
 
 
 class _BadWeight(ParseError):
@@ -160,11 +163,12 @@ def _read_weight(semiring_name: str, value: Any) -> Any:
     raise _BadWeight(f"expected a \"num/den\" string, got {value!r}")
 
 
-def decode_weight(semiring_name: str, value: Any, where: str) -> Any:
-    try:
-        return _read_weight(semiring_name, value)
-    except _BadWeight as exc:
-        raise ParseError(f"{where}: {exc}") from exc
+def _reader(semiring_name: str) -> Callable[[Any], Any]:
+    """_read_weight of the carrier for one document, parsing each distinct
+    string once; only str values are cached, as True and 1 share a hash."""
+    read = partial(_read_weight, semiring_name)
+    parse = cache(read)
+    return lambda value: parse(value) if type(value) is str else read(value)
 
 
 def _spelled_digits(text: str) -> int:
@@ -332,7 +336,7 @@ def _load_moore(doc):
     # both objects are type-checked before either one's entries are read
     raw_outputs = _by_state(doc, "outputs", index, where)
     raw_delta = _by_state(doc, "delta", index, where)
-    outputs = _weights(raw_outputs, partial(_read_weight, semiring.name), [semiring.zero] * len(names), "outputs", "output", where)
+    outputs = _weights(raw_outputs, _reader(semiring.name), [semiring.zero] * len(names), "outputs", "output", where)
     delta = [[-1] * len(alphabet) for _ in names]
     for x, name, row in raw_delta:
         for i, label, target in _by_label(x, name, row, letters, "delta", where):
@@ -355,7 +359,7 @@ def _load_weighted(doc):
     alphabet, letters = _alphabet(doc, where)
     semiring = _semiring(doc, where)
     names, index = _state_names(doc, where)
-    read = partial(_read_weight, semiring.name)
+    read = _reader(semiring.name)
     out = _weights(_by_state(doc, "out", index, where), read, [semiring.zero] * len(names), "out", "out", where)
     trans: Dict[Tuple[int, str], Dict[int, Any]] = {}
     try:
@@ -387,6 +391,7 @@ def _load_wta(doc):
         signature.append((op, arity))
     semiring = _semiring(doc, where)
     names, index = _state_names(doc, where)
+    read = _reader(semiring.name)
     raw_rules = _expect(doc, "rules", list, where)
     rules: Dict[Tuple[int, str, Tuple[int, ...]], Any] = {}
     for entry in raw_rules:
@@ -402,7 +407,10 @@ def _load_wta(doc):
             raise ValidationError(
                 f"{where}: rule for {op!r} lists {len(children)} children, arity is {raw_sig[op]}"
             )
-        weight = decode_weight(semiring.name, _expect(entry, "weight", object, f"{where}: rule"), f"{where}: rule weight")
+        try:
+            weight = read(_expect(entry, "weight", object, f"{where}: rule"))
+        except _BadWeight as exc:
+            raise ParseError(f"{where}: rule weight: {exc}") from exc
         key = (x, op, children)
         if key in rules:
             raise ParseError(f"{where}: duplicate rule for state {names[x]}, {op!r}, {entry['children']}")
@@ -452,6 +460,7 @@ def _load_gps(doc):
     _reject_extra(doc, ("kind", "alphabet", "states", "dist"), where)
     alphabet, letters = _alphabet(doc, where)
     names, index = _state_names(doc, where)
+    read = _reader("rat")
     dist: Dict[int, Dict[Any, Fraction]] = {}
     for x, name, row in _by_state(doc, "dist", index, where):
         if x is None:
@@ -462,7 +471,7 @@ def _load_gps(doc):
             _reject_extra(row, ("term", "moves"), f"{where}: distribution of {name}")
         dist[x] = entries = {}
         try:
-            p = _read_weight("rat", row.get("term", 0))
+            p = read(row.get("term", 0))
         except _BadWeight as exc:
             raise ParseError(f"{where}: term of {name}: {exc}") from exc
         if p != 0:
@@ -485,7 +494,7 @@ def _load_gps(doc):
                     raise _unknown("state", _expect(move, "to", str, at), at)
                 _expect(move, "prob", object, at)
             try:
-                p = _read_weight("rat", move["prob"])
+                p = read(move["prob"])
             except _BadWeight as exc:
                 raise ParseError(f"{where}: move of {name}: {exc}") from exc
             if p != 0:
@@ -701,7 +710,7 @@ def serialize_document(doc: Any, pad: str = "") -> str:
 def render_value(value: Any) -> str:
     if isinstance(value, bool):
         return "tt" if value else "ff"
-    return str(_printable(value))
+    return str(encode_weight(value))
 
 
 def _resolve_cli_state(aut, spec: str) -> int:
@@ -714,11 +723,20 @@ def _resolve_cli_state(aut, spec: str) -> int:
     raise UnknownStateError(f"unknown state {spec!r}")
 
 
-def _write(path: Any, *texts: str) -> None:
+def _write(*files: Tuple[Any, Sequence[str]]) -> None:
+    """Write the texts of each (path, texts) file, or of none: each file is
+    opened before any is truncated, and when one cannot be, the files that
+    did not exist before are removed."""
+    made = [path for path, _ in files if not os.path.lexists(path)]
     try:
-        with open(path, "w", encoding="utf-8") as f:
-            f.writelines(texts)
+        for path, _ in files:
+            open(path, "a").close()
+        for path, texts in files:
+            with open(path, "w", encoding="utf-8") as f:
+                f.writelines(texts)
     except OSError as exc:
+        for created in made:
+            Path(created).unlink(missing_ok=True)
         raise OutputError(f"cannot write {path}: {exc}") from exc
 
 
@@ -729,9 +747,7 @@ def _emit(out: Optional[str], machine_doc: Any, key: str, side: Callable[[str], 
     document to out with its suffix replaced by suffix. Everything is
     rendered before the first write."""
     if out:
-        machine_text, side_text = serialize_document(machine_doc), side("")
-        _write(out, machine_text)
-        _write(Path(out).with_suffix(suffix), side_text, "\n")
+        _write((out, [serialize_document(machine_doc)]), (Path(out).with_suffix(suffix), [side(""), "\n"]))
     else:
         side_text, machine_text = side("  "), serialize_document(machine_doc, "  ")
         # key ("certificates" or "embedding") sorts before "machine"
@@ -766,7 +782,7 @@ def _cmd_semantics(args) -> int:
         field, names = ("tree", chain.from_iterable(keys)) if wta else ("word", map(list, entries))
         rows = [{field: name, "value": encoded[i]} for name, i in zip(names, chain.from_iterable(layers))]
         doc = {"state": aut.names[x], "depth": args.depth, "rows": rows}
-        _write(args.out, serialize_document(doc))
+        _write((args.out, [serialize_document(doc)]))
     sys.stdout.write(text)
     return EXIT_OK
 
@@ -781,13 +797,16 @@ _METHODS = {
 }
 
 
-def _serialize_meaning(result: DetResult, source, meaning) -> Any:
-    names = source.names
+def _meaning_docs(result: DetResult, source) -> List[Any]:
+    """The stateMeaning object of each state, in order. A weighted meaning
+    is written straight from the entries of the view's row."""
+    names, meanings = source.names, result.state_meaning
     if result.method == "weighted":
-        return {names[y]: encode_weight(w) for y, w in meaning.items()}
+        carrier = source.semiring.name
+        return [{names[y]: _weight_json(carrier, n, d) for y, n, d in meanings._row(i)} for i in range(len(meanings))]
     if result.method == "canonical":
-        return sorted(sorted(names[y] for y in phi) for phi in meaning)
-    return sorted(names[y] for y in meaning)
+        return [sorted(sorted(names[y] for y in phi) for phi in meaning) for meaning in meanings.values()]
+    return [sorted(names[y] for y in meaning) for meaning in meanings.values()]
 
 
 def _cmd_determinize(args) -> int:
@@ -811,10 +830,7 @@ def _cmd_determinize(args) -> int:
     embedding = {
         "method": result.method,
         "embed": {aut.names[x]: det_names[result.embed[x]] for x in range(aut.n_states)},
-        "stateMeaning": {
-            det_names[i]: _serialize_meaning(result, aut, meaning)
-            for i, meaning in result.state_meaning.items()
-        },
+        "stateMeaning": dict(zip(det_names, _meaning_docs(result, aut))),
     }
     _emit(args.out, machine_doc, "embedding", partial(_json_text, embedding), ".embed.json")
     return EXIT_OK

@@ -10,17 +10,19 @@ underlying value of each new state (a state set, a weight vector, or a set
 of predicates), so tests can assert against meanings rather than opaque ids.
 The explored states themselves are plain: bitmasks of states for the subset
 constructions and for weighted automata over BOOL, and over NAT and RAT the
-canonical integer tuples of `weights._linear`. Meanings and outputs are built
-from them once per discovered state, after the exploration.
+canonical integer tuples of `weights._linear`. Outputs are built from them
+once per discovered state, after the exploration; a weighted meaning is
+built from its state only when it is read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import mul
-from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .automata import (
     NFA,
@@ -30,19 +32,53 @@ from .automata import (
     _iter_bits,
     require_valid,
 )
-from .weights import BOOL, Semiring, WeightVec, _linear
+from .weights import BOOL, Semiring, WeightVec, _entries, _linear
 
 BOOL_MODES = ("disj", "conj")
 
 
 @dataclass
 class DetResult:
-    """A determinized machine, the embedding of old states, and state meanings."""
+    """A determinized machine, the embedding of old states, and state
+    meanings by state number: a dict, or for `det_weighted` a read-only view
+    that builds a meaning when it is read."""
 
     machine: Union[MooreAut, NFA]
     embed: Dict[int, int]
-    state_meaning: Dict[int, Any]
+    state_meaning: Mapping[int, Any]
     method: str
+
+
+class _WeightedMeanings(Mapping):
+    """The read-only mapping from each state number of a weighted
+    determinization, in order, to its `WeightVec`, built on read from the
+    explored state: a mask over BOOL, a `weights._linear` tuple over NAT and
+    RAT. scale(n, d) is the carrier value of an entry n / d. It compares
+    equal to the dict of its items."""
+
+    __slots__ = ("_states", "_semiring", "_scale")
+
+    def __init__(self, states: Sequence[Any], semiring: Semiring, scale: Callable[[Any, int], Any]):
+        self._states, self._semiring, self._scale = states, semiring, scale
+
+    def _row(self, i: int) -> List[Tuple[int, int, int]]:
+        """State i's nonzero entries, as reduced (source state, numerator, denominator)."""
+        s = self._states[i]
+        return [(y, True, 1) for y in _iter_bits(s)] if self._semiring.name == "bool" else _entries(s)
+
+    def __getitem__(self, i: int) -> WeightVec:
+        if i not in range(len(self._states)):  # the keys a dict of 0..n-1 would find
+            raise KeyError(i)
+        return WeightVec(self._semiring, [(y, self._scale(n, d)) for y, n, d in self._row(int(i))])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self._states)))
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 @dataclass(frozen=True)
@@ -160,8 +196,9 @@ def det_weighted(w: WeightedAut, budget: int = 500) -> Union[DetResult, BudgetEx
     explored as bitmasks, stepped as in `det_subset`; over NAT and RAT as
     the canonical integer tuples of `weights._linear`, stepped along the
     transposed rows (row z for letter a lists the pairs (y, weight of
-    y -a-> z)). Each state's output and its `WeightVec` meaning are built
-    once, from its mask or tuple, after the exploration. Over
+    y -a-> z)). Each state's output is built once, from its mask or tuple,
+    after the exploration; state_meaning is a read-only view of them that
+    builds a state's `WeightVec` meaning only when it is read. Over
     non-idempotent carriers the reachable set can be infinite, so
     exploration stops with a BudgetExceeded outcome once more than
     `budget` states appear; a budget below 1 raises ValueError.
@@ -170,12 +207,13 @@ def det_weighted(w: WeightedAut, budget: int = 500) -> Union[DetResult, BudgetEx
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     sr, n, letters = w.semiring, w.n_states, len(w.alphabet)
+    # the carrier value of an entry c / d: c itself over BOOL and NAT, where d is always 1
+    scale = Fraction if sr.name == "rat" else (lambda c, d: c)
     if sr.name == "bool":
         acc = sum(1 << y for y, o in enumerate(w.out) if o)
         masks = [[sum(1 << z for z, _ in vec.items()) for vec in row] for row in w.trans]
         seeds, step = [1 << x for x in range(n)], _post(masks)
         output = lambda s: bool(s & acc)
-        meaning = lambda s: WeightVec(sr, [(y, True) for y in _iter_bits(s)])
     else:
         into: List[List[List[Tuple[int, Any]]]] = [[[] for _ in range(letters)] for _ in range(n)]
         for y, row in enumerate(w.trans):
@@ -184,16 +222,13 @@ def det_weighted(w: WeightedAut, budget: int = 500) -> Union[DetResult, BudgetEx
                     into[z][ai].append((y, wt))
         (m, *out), step = _linear(w.out, into, letters)
         seeds = [(1,) + (0,) * x + (1,) + (0,) * (n - 1 - x) for x in range(n)]
-        # the entry c / d of a tuple: an int over NAT, where d is always 1
-        scale = (lambda c, d: c) if sr.name == "nat" else Fraction
         output = lambda v: scale(sum(map(mul, out, v[1:])), m * v[0])
-        meaning = lambda v: WeightVec(sr, [(y, scale(c, v[0])) for y, c in enumerate(v[1:]) if c])
     found = _lifted_machine(w.alphabet, seeds, step, output, sr, budget)
     if found is None:
         # the states within the budget plus the one that overflowed it
         return BudgetExceeded("weighted", budget, budget + 1)
     embed, order, machine = found
-    return DetResult(machine, dict(enumerate(embed)), {i: meaning(v) for i, v in enumerate(order)}, "weighted")
+    return DetResult(machine, dict(enumerate(embed)), _WeightedMeanings(order, sr, scale), "weighted")
 
 
 def _submask_bits(mask: int) -> int:

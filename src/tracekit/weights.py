@@ -8,16 +8,17 @@ automaton's states.
 
 `_linear` is the exact linear kernel on NAT and RAT vectors written as
 canonical integer tuples; the trace recurrences and the weighted
-determinization both step it.
+determinization both step it, and `_entries` reads such a tuple back.
 """
 
 from __future__ import annotations
 
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Any, Callable, Iterable, Mapping, Sequence, Tuple, Union
+from typing import Any, Callable, Iterable, List, Sequence, Tuple, Union
 
 StateId = int
 
@@ -71,7 +72,7 @@ class WeightVec:
     before zeros are dropped, so constructing from an edge list is safe.
     """
 
-    __slots__ = ("semiring", "_map", "_items")
+    __slots__ = ("semiring", "_map", "_items", "_hash")
 
     def __init__(self, semiring: Semiring, entries: EntriesLike = ()):
         if isinstance(entries, Mapping):
@@ -88,6 +89,7 @@ class WeightVec:
         except TypeError:
             # nested keys (vectors of vectors) have no natural order
             self._items = tuple(sorted(self._map.items(), key=lambda kv: repr(kv[0])))
+        self._hash = None
 
     def __call__(self, x: StateId) -> Any:
         return self._map.get(x, self.semiring.zero)
@@ -113,7 +115,9 @@ class WeightVec:
         )
 
     def __hash__(self) -> int:
-        return hash((self.semiring.name, self._items))
+        if self._hash is None:  # kept: each Fraction entry costs about 1 µs to hash
+            self._hash = hash((self.semiring.name, self._items))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"WeightVec({self.semiring.name}, {dict(self._items)!r})"
@@ -172,6 +176,12 @@ def _linear(out: Sequence[Any], rows: Sequence[Sequence[Sequence[Tuple[int, Any]
         return tuple(sums) if g == 1 else tuple(n // g for n in sums)
 
     return step(letters, (1, 1)), step
+
+
+def _entries(v: tuple) -> List[Tuple[int, int, int]]:
+    """The nonzero entries c / d of `_linear`'s tuple v = (d, c_0, ...), as
+    (x, numerator, denominator) with each fraction reduced."""
+    return [(x, c // g, v[0] // g) for x, c in enumerate(v[1:]) if c for g in (gcd(c, v[0]),)]
 
 
 @dataclass(frozen=True)

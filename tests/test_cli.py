@@ -235,8 +235,17 @@ def _nat_weighted(states, out, transitions):
         (["determinize", "--method", "weighted"],
          _nat_weighted(["x", "y", "z"], {"z": 1},
                        {"x": {"a": {"y": 10**2500}}, "y": {"a": {"z": 10**2500}}})),
+        # with out only at x every output prints, but the meaning of aa
+        # holds the entry 10**5000, or 1/10**5000 over rat
+        (["determinize", "--method", "weighted"],
+         _nat_weighted(["x", "y", "z"], {"x": 1},
+                       {"x": {"a": {"y": 10**2500}}, "y": {"a": {"z": 10**2500}}})),
+        (["determinize", "--method", "weighted"],
+         dict(_nat_weighted(["x", "y", "z"], {"x": "1"},
+                            {"x": {"a": {"y": f"1/{10**2500}"}}, "y": {"a": {"z": f"1/{10**2500}"}}}),
+              semiring="rat")),
     ],
-    ids=["semantics", "semantics-out", "determinize-weighted"],
+    ids=["semantics", "semantics-out", "determinize-weighted", "meaning-nat", "meaning-rat"],
 )
 def test_values_too_long_to_print_exit_7(tmp_path, capsys, monkeypatch, argv, doc):
     monkeypatch.chdir(tmp_path)
@@ -766,6 +775,63 @@ def test_an_unwritable_out_path_exits_7(tmp_path, capsys, argv):
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("argv, suffix", [
+    (["minimize", "nfa-ends-in-a.json"], ".certs.json"),
+    (["determinize", "--method", "weighted", "weighted-nat-branching.json"], ".embed.json"),
+])
+@pytest.mark.parametrize("blocked", ["machine", "side"])
+@pytest.mark.parametrize("before", [None, "old bytes\n"])
+def test_an_out_pair_is_written_all_or_nothing(tmp_path, capsys, argv, suffix, blocked, before):
+    files = {"machine": tmp_path / "m.json", "side": tmp_path / f"m{suffix}"}
+    (other,) = (path for role, path in files.items() if role != blocked)
+    files[blocked].mkdir()
+    if before is not None:
+        other.write_text(before, encoding="utf-8")
+    assert main(argv[:-1] + [str(EXAMPLES / argv[-1]), "--out", str(files["machine"])]) == 7
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {files[blocked]}: [Errno 21] ")
+    if before is None:
+        assert not other.exists()
+    else:
+        assert other.read_text(encoding="utf-8") == before
+
+
+def _repeated_weights(kind):
+    """A rat document of each kind whose weights repeat the string "1/2"."""
+    half, states = "1/2", ["x", "y"]
+    return {
+        "weighted": {"kind": "weighted", "semiring": "rat", "states": states, "alphabet": ["a"],
+                     "out": {"x": half, "y": half}, "transitions": {"x": {"a": {"x": half, "y": half}}}},
+        "moore": {"kind": "moore", "semiring": "rat", "states": states, "alphabet": ["a"],
+                  "outputs": {"x": half, "y": half}, "delta": {"x": {"a": "y"}, "y": {"a": "x"}}},
+        "wta": {"kind": "wta", "semiring": "rat", "states": states, "signature": {"c": 0, "f": 1},
+                "rules": [{"state": "x", "op": "c", "children": [], "weight": half},
+                          {"state": "y", "op": "f", "children": ["x"], "weight": half}]},
+        "gps": {"kind": "gps", "states": states, "alphabet": ["a"],
+                "dist": {"x": {"term": half, "moves": [{"label": "a", "to": "y", "prob": half}]},
+                         "y": {"term": half, "moves": [{"label": "a", "to": "x", "prob": half}]}}},
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["weighted", "moore", "wta", "gps"])
+def test_each_distinct_weight_string_is_parsed_once_per_document(monkeypatch, kind):
+    parsed = []
+    read = cli._read_weight
+    monkeypatch.setattr(cli, "_read_weight", lambda carrier, value: parsed.append(value) or read(carrier, value))
+    for _ in range(2):
+        load_automaton(_repeated_weights(kind))
+    assert [value for value in parsed if isinstance(value, str)] == ["1/2", "1/2"]
+
+
+def test_a_cached_weight_string_does_not_answer_for_another_type(tmp_path, capsys):
+    # True and 1 share a hash, and "1" parses to 1: each is still read as itself
+    doc = {"kind": "weighted", "semiring": "rat", "states": ["x", "y", "z"], "alphabet": ["a"],
+           "out": {"x": "1", "y": 1, "z": True}, "transitions": {}}
+    assert main(["semantics", "--state", "x", "--depth", "0", write_doc(tmp_path, "mixed.json", doc)]) == 2
+    assert capsys.readouterr().err == "parse error: weighted: out of z: rationals must be exact, got True\n"
+
+
 @pytest.mark.parametrize("argv, digests", [
     # measured before the CLI wrote its documents at their final indent and
     # certificates row by row
@@ -777,6 +843,12 @@ def test_an_unwritable_out_path_exits_7(tmp_path, capsys, argv):
      {"stdout": "f11786f45bf5ea9859b82f47a45822df57446e3525d6ed82b07d5fa5b270d71b",
       "out.json": "6cf34ee4750613129ec35a91d769c883c023fc4573ee20649038f6a6229b03f8",
       "out.embed.json": "5bb8b685abf66a6504091699ceeb82157e979e8d370eec3e379277fb5c9baf45"}),
+    # measured before det_weighted's meanings became a view rendered from
+    # integer tuples: a finishing nat run whose state d5 means {y: 2, z: 3}
+    (["determinize", "--method", "weighted", "weighted-nat-branching.json"],
+     {"stdout": "65a123dcf67e830b1d503fd43af22c8c58c99850a4a48dad8e9249d27327e476",
+      "out.json": "40242dbcc5424435c6508d1a5ce87f4eac8ef46d02caec6a47da924f8ed9e4e3",
+      "out.embed.json": "a25711b58d0e31e2bfd72a5c85192f1bf165aa9f3a8712c9d2e8a0f07ca9e969"}),
 ])
 def test_fixture_outputs_are_pinned(tmp_path, capsys, argv, digests):
     argv = argv[:-1] + [str(EXAMPLES / argv[-1])]

@@ -1,5 +1,6 @@
 """Determinization constructions and their state meanings."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -209,6 +210,35 @@ def assert_matches_weight_vectors(w, budget):
 @settings(max_examples=120, deadline=None)
 def test_weighted_matches_the_vector_reference(kind, seed, budget):
     assert_matches_weight_vectors(WEIGHTED_SOURCES[kind](random.Random(seed)), budget)
+
+
+# acyclic, and x steps under a to {y: 2, z: 3}
+BRANCHING = WeightedAut(
+    5, ["a", "b"], NAT, [0, 1, 2, 3, 1],
+    {(0, "a"): {1: 2, 2: 3}, (0, "b"): {2: 1}, (1, "a"): {3: 2}, (1, "b"): {3: 1, 4: 4},
+     (2, "a"): {3: 5}, (2, "b"): {4: 2}, (3, "b"): {4: 3}},
+)
+
+
+@pytest.mark.parametrize("w", [WEIGHTED_SOURCES["bool"](random.Random(0)), BRANCHING,
+                               WEIGHTED_SOURCES["rat-signed"](random.Random(0))], ids=["bool", "nat", "rat"])
+def test_weighted_meanings_are_a_read_only_view_like_the_old_dict(w):
+    result = det_weighted(w)
+    view, old = result.state_meaning, weight_vectors(w, 500)[3]
+    n = len(old)
+    assert n > 1 and len(view) == n
+    assert list(view) == list(range(n)) == list(old)
+    assert list(view.items()) == list(old.items())
+    for key in [*range(-1, n + 1), 0.0, 1.0, True, False, "0", None, (0,), 0.5]:
+        assert (key in view) == (key in old)
+        if key in old:
+            assert view[key] == old[key] and repr(view[key]) == repr(old[key])
+        else:
+            with pytest.raises(KeyError):
+                view[key]
+    with pytest.raises(TypeError):
+        view[0] = old[0]
+    assert repr(result) == repr(dataclasses.replace(result, state_meaning=old))
 
 
 def test_weighted_cancelling_weights_reach_the_zero_vector():

@@ -1,6 +1,7 @@
 """Semiring carriers, weight vectors, and exact probabilities."""
 
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given
@@ -61,6 +62,19 @@ def test_vector_canonical_form():
     assert hash(WeightVec(RAT, {2: Fraction(1, 2)})) == hash(
         WeightVec(RAT, [(2, Fraction(1, 4)), (2, Fraction(1, 4))])
     )
+
+
+def test_vector_hashes_its_entries_once_and_reads_any_mapping():
+    hashed = []
+
+    class Entry:
+        def __hash__(self):
+            hashed.append(self)
+            return 7
+
+    v = WeightVec(NAT, MappingProxyType({0: Entry()}))
+    assert hash(v) == hash(v) == hash(("nat", v.items()))
+    assert len(hashed) == 2  # once for v, once for the tuple it is compared with
 
 
 def test_vector_zero_annihilation():
