@@ -9,8 +9,9 @@ re-parsing a serialized file gives back the same automaton.
 
 Exit statuses: 0 success, 2 parse error, 3 validation error, 4 budget
 exceeded, 5 law failure, 6 query error (unknown state, unknown law, a
-method/kind mismatch, a negative --depth, or a --budget below 1), 7 a
-computed value too long to print or an --out file that cannot be written.
+method/kind mismatch, a negative --depth, a --budget or --max-size below
+1), 7 a computed value too long to print or an --out file that cannot be
+written.
 """
 
 from __future__ import annotations
@@ -113,10 +114,14 @@ class OutputError(ValueError):
 
 def _weight_json(carrier: str, n: int, d: int) -> Any:
     """The reduced fraction n / d in the file encoding of its carrier: a
-    bool as itself, an int for nat, "n" or "n/d" for rat. Past MAX_DIGITS
-    digits, which str and json.dumps refuse, it raises OutputError."""
+    bool as itself, an int for nat, "n" or "n/d" for rat and for a "gps"
+    probability, which outside [0, 1] raises ValueError as PartialProb does.
+    Past MAX_DIGITS digits, which str and json.dumps refuse, it raises
+    OutputError."""
     if carrier == "bool":
         return bool(n)
+    if carrier == "gps" and not 0 <= n <= d:
+        raise ValueError(f"probability out of range [0, 1]: {Fraction(n, d)}")
     if max(abs(n), d) >= _TOO_LONG:
         raise OutputError(f"a computed value has more than {MAX_DIGITS} digits and is not printed")
     if carrier == "nat":
@@ -654,14 +659,18 @@ def _json_text(value: Any, pad: str) -> str:
     else:
         (text,) = _json_texts([value], pad)
         return text
-    if not items:
-        return "[]" if keys is None else "{}"
+    texts = _json_texts(items, pad + "  ")
+    if keys is None:
+        return _block(texts, pad)
+    return _block(map("{}: {}".format, map(encode_basestring, keys), texts), pad, "{}")
+
+
+def _block(texts: Iterable[str], pad: str, brackets: str = "[]") -> str:
+    """The list, or with brackets "{}" the object, at pad whose item (or
+    "key": value) texts, rendered at pad + "  ", are texts."""
     inner = pad + "  "
-    texts = _json_texts(items, inner)
-    if keys is not None:
-        texts = map("{}: {}".format, map(encode_basestring, keys), texts)
     body = (",\n" + inner).join(texts)
-    return f"[\n{inner}{body}\n{pad}]" if keys is None else f"{{\n{inner}{body}\n{pad}}}"
+    return f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}" if body else brackets
 
 
 def _json_texts(items: List[Any], pad: str) -> Iterable[str]:
@@ -690,12 +699,40 @@ def _json_texts(items: List[Any], pad: str) -> Iterable[str]:
     keys = sorted(items[0])
     if set(map(type, keys)) - {str}:
         raise TypeError(f"keys must be strings, got {keys!r}")
+    return _rows(keys, [_json_texts(list(map(itemgetter(key), items)), inner) for key in keys], pad, len(items))
+
+
+def _rows(keys: Sequence[str], columns: Sequence[Iterable[str]], pad: str, count: int) -> Iterable[str]:
+    """The count objects at pad with the texts of the columns under the
+    sorted keys, each joined with the text around its values."""
     if not keys:
-        return repeat("{}", len(items))
-    # each object joins the text around its values with its value in each column
+        return repeat("{}", count)
+    inner = pad + "  "
     around = [("{\n" if i == 0 else ",\n") + inner + encode_basestring(key) + ": " for i, key in enumerate(keys)]
-    columns = [_json_texts(list(map(itemgetter(key), items)), inner) for key in keys]
     return map("".join, zip(*chain.from_iterable(zip(map(repeat, around), columns)), repeat("\n" + pad + "}")))
+
+
+def _keyed(quoted: Sequence[str], order: Sequence[int], pad: str, texts: Sequence[str]) -> str:
+    """The object at pad from each quoted state name to its text, in order."""
+    return _block(map("{}: {}".format, map(quoted.__getitem__, order), map(texts.__getitem__, order)), pad, "{}")
+
+
+def _moore_text(m: MooreAut, initial: Optional[Sequence[int]], pad: str) -> str:
+    """_json_text(dump_automaton(m, initial), pad), written from m's tables:
+    each delta row joined column by column over the sorted letters, and
+    outputs by encode_weight's rules."""
+    i1, quoted = pad + "  ", list(map(encode_basestring, m.names))
+    keyed = partial(_keyed, quoted, sorted(range(len(quoted)), key=m.names.__getitem__), i1)
+    letters = sorted(range(len(m.alphabet)), key=m.alphabet.__getitem__)
+    targets = [map(quoted.__getitem__, map(itemgetter(i), m.delta)) for i in letters]
+    fields = {"alphabet": _block(map(encode_basestring, m.alphabet), i1),
+              "delta": keyed(list(_rows([m.alphabet[i] for i in letters], targets, i1 + "  ", len(quoted)))),
+              "initial": _block(map(quoted.__getitem__, initial or ()), i1), "kind": '"moore"',
+              "outputs": keyed(list(_json_texts(list(map(encode_weight, m.outputs)), i1))),
+              "semiring": encode_basestring(m.semiring.name), "states": _block(quoted, i1)}
+    if initial is None:
+        del fields["initial"]
+    return _block(map('"{}": {}'.format, fields, fields.values()), pad, "{}")
 
 
 def serialize_document(doc: Any, pad: str = "") -> str:
@@ -740,18 +777,19 @@ def _write(*files: Tuple[Any, Sequence[str]]) -> None:
         raise OutputError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(out: Optional[str], machine_doc: Any, key: str, side: Callable[[str], str], suffix: str) -> None:
-    """Print {"machine": machine_doc, key: side} as serialize_document would,
-    where side(pad) renders the side document with every line after the
-    first indented by pad; with --out, write the machine to out and the side
-    document to out with its suffix replaced by suffix. Everything is
-    rendered before the first write."""
+def _emit(out: Optional[str], machine: Callable[[str], str], key: str, side: Callable[[str], str], suffix: str) -> None:
+    """Print {"machine": ..., key: ...} as serialize_document would, where
+    machine(pad) and side(pad) render the two documents (a Moore machine by
+    `_moore_text`) with every line after the first indented by pad; with
+    --out, write the machine to out and the side document to out with its
+    suffix replaced by suffix. Everything is rendered before the first
+    write."""
     if out:
-        _write((out, [serialize_document(machine_doc)]), (Path(out).with_suffix(suffix), [side(""), "\n"]))
+        _write((out, [machine(""), "\n"]), (Path(out).with_suffix(suffix), [side(""), "\n"]))
     else:
-        side_text, machine_text = side("  "), serialize_document(machine_doc, "  ")
+        side_text, machine_text = side("  "), machine("  ")
         # key ("certificates" or "embedding") sorts before "machine"
-        sys.stdout.writelines((f'{{\n  "{key}": ', side_text, ',\n  "machine": ', machine_text, "}\n"))
+        sys.stdout.writelines((f'{{\n  "{key}": ', side_text, ',\n  "machine": ', machine_text, "\n}\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -773,14 +811,16 @@ def _cmd_semantics(args) -> int:
     # a view: value numbers per length (height), by index
     entries, wta = table.entries, kind == "wta"
     keys = _fold_shapes(entries.shapes, _node_text) if wta else _word_texts(entries.alphabet, args.depth)
-    layers, distinct = entries.layers, entries.distinct
-    # each distinct value rendered once, in full first, so a value too long to print leaves stdout empty
-    shown = [f"\t{render_value(value)}\n" for value in distinct]
-    text = "".join(chain.from_iterable(map(add, ks, map(shown.__getitem__, layer)) for ks, layer in zip(keys, layers)))
+    carrier = "gps" if kind == "gps" else getattr(aut, "semiring", BOOL).name
+    # each distinct value as n / d, from its integer tuple when it has one, rendered once as render_value
+    # would, in full first, so a value too long to print leaves stdout empty
+    pairs = list(map(entries.ratio, entries.raw)) if entries.ratio else [(v.numerator, v.denominator) for v in entries.distinct]
+    shown = [("\tff\n", "\ttt\n")[bool(n)] if carrier == "bool" else f"\t{_weight_json(carrier, n, d)}\n" for n, d in pairs]
+    text = "".join(chain.from_iterable(zip(chain.from_iterable(keys), map(shown.__getitem__, chain.from_iterable(entries.layers)))))
     if args.out:
-        encoded = list(map(encode_weight, distinct))
+        encoded = [_weight_json(carrier, n, d) for n, d in pairs]
         field, names = ("tree", chain.from_iterable(keys)) if wta else ("word", map(list, entries))
-        rows = [{field: name, "value": encoded[i]} for name, i in zip(names, chain.from_iterable(layers))]
+        rows = [{field: name, "value": encoded[i]} for name, i in zip(names, chain.from_iterable(entries.layers))]
         doc = {"state": aut.names[x], "depth": args.depth, "rows": rows}
         _write((args.out, [serialize_document(doc)]))
     sys.stdout.write(text)
@@ -797,16 +837,28 @@ _METHODS = {
 }
 
 
-def _meaning_docs(result: DetResult, source) -> List[Any]:
-    """The stateMeaning object of each state, in order. A weighted meaning
-    is written straight from the entries of the view's row."""
-    names, meanings = source.names, result.state_meaning
+def _embedding_text(result: DetResult, source, pad: str) -> str:
+    """_json_text of the {"embed", "method", "stateMeaning"} document of a
+    determinization of source, without its objects: a weighted meaning is
+    one join per state over the view's row, a set a list of names and a
+    canonical meaning a list of lists."""
+    names, det_names, meanings = source.names, result.machine.names, result.state_meaning
+    quoted, det_quoted = list(map(encode_basestring, names)), list(map(encode_basestring, det_names))
+    order, det_order = (sorted(range(len(ns)), key=ns.__getitem__) for ns in (names, det_names))
+    i1, i2 = pad + "  ", pad + "    "
     if result.method == "weighted":
-        carrier = source.semiring.name
-        return [{names[y]: _weight_json(carrier, n, d) for y, n, d in meanings._row(i)} for i in range(len(meanings))]
-    if result.method == "canonical":
-        return [sorted(sorted(names[y] for y in phi) for phi in meaning) for meaning in meanings.values()]
-    return [sorted(names[y] for y in meaning) for meaning in meanings.values()]
+        # rows list their entries in state order, which is name order when the names are sorted
+        carrier, by_name = source.semiring.name, None if order == sorted(order) else (lambda e: names[e[0]])
+        entry = {"bool": "{}: true", "nat": "{}: {}", "rat": '{}: "{}"'}[carrier].format
+        texts = [_block([entry(quoted[y], _weight_json(carrier, n, d)) for y, n, d in sorted(meanings._row(i), key=by_name)], i2, "{}")
+                 for i in range(len(meanings))]
+    else:
+        listed = lambda ys: sorted(map(names.__getitem__, ys))
+        meanings = [sorted(map(listed, m)) for m in meanings.values()] if result.method == "canonical" else map(listed, meanings.values())
+        texts = list(_json_texts(list(meanings), i2))
+    embed = [det_quoted[result.embed[x]] for x in range(len(names))]
+    return _block((f'"embed": {_keyed(quoted, order, i1, embed)}', f'"method": {encode_basestring(result.method)}',
+                   f'"stateMeaning": {_keyed(det_quoted, det_order, i1, texts)}'), pad, "{}")
 
 
 def _cmd_determinize(args) -> int:
@@ -825,14 +877,10 @@ def _cmd_determinize(args) -> int:
             file=sys.stderr,
         )
         return EXIT_BUDGET
-    machine_doc = dump_automaton(result.machine)
-    det_names = result.machine.names
-    embedding = {
-        "method": result.method,
-        "embed": {aut.names[x]: det_names[result.embed[x]] for x in range(aut.n_states)},
-        "stateMeaning": dict(zip(det_names, _meaning_docs(result, aut))),
-    }
-    _emit(args.out, machine_doc, "embedding", partial(_json_text, embedding), ".embed.json")
+    machine = result.machine
+    # only alt's result, an nfa, is not a Moore machine
+    text = partial(_moore_text, machine, None) if isinstance(machine, MooreAut) else partial(_json_text, dump_automaton(machine))
+    _emit(args.out, text, "embedding", partial(_embedding_text, result, aut), ".embed.json")
     return EXIT_OK
 
 
@@ -878,8 +926,7 @@ def _cmd_minimize(args) -> int:
             raise QueryError("minimizing a moore file needs exactly one initial state")
         machine, init = partition_refine(aut, initial[0])
         certificates = None
-    machine_doc = dump_automaton(machine, initial=[init])
-    _emit(args.out, machine_doc, "certificates", partial(_certificate_text, machine.names, certificates), ".certs.json")
+    _emit(args.out, partial(_moore_text, machine, [init]), "certificates", partial(_certificate_text, machine.names, certificates), ".certs.json")
     return EXIT_OK
 
 
@@ -905,9 +952,7 @@ def _cmd_equiv(args) -> int:
 
 
 def _clamped(value: Optional[int], default: int, cap: int) -> int:
-    if value is None:
-        return default
-    return max(1, min(value, cap))
+    return default if value is None else min(value, cap)
 
 
 def _law_checks(max_size: Optional[int]):
@@ -934,6 +979,8 @@ def _law_checks(max_size: Optional[int]):
 
 
 def _cmd_check(args) -> int:
+    if args.max_size is not None and args.max_size < 1:
+        raise QueryError(f"--max-size must be at least 1, got {args.max_size}")
     checks = _law_checks(args.max_size)
     runner = checks.get(args.law)
     if runner is None:
@@ -1003,9 +1050,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv: List[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv). When argv[0] names a command, its
+    subparser alone parses the rest, as the full parser would hand it on;
+    anything else, leftovers included, goes to the full parser, with its own
+    usage lines and errors."""
+    parser = build_parser()
+    command = next(a.choices for a in parser._actions if a.dest == "command").get(argv[0]) if argv else None
+    args, rest = command.parse_known_args(argv[1:]) if command else (None, True)
+    if rest:
+        return parser.parse_args(argv)
+    args.command = argv[0]
+    return args
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

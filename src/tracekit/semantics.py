@@ -5,9 +5,9 @@ all states at once, and a step that takes the value of w to that of a.w.
 `determinize._explore` explores the recurrence from its base to the depth,
 so each distinct value is stepped once per letter however many words share
 it; a table's entries are a read-only view (`_ValueView`) of the words'
-value numbers, each distinct value read once. Values are bitmasks for the
-Boolean kinds and, over NAT and RAT, integer tuples (d, n_0, ...) with gcd 1
-for the vectors n / d: one value per vector.
+value numbers, each distinct value read once, on first access. Values are
+bitmasks for the Boolean kinds and, over NAT and RAT, integer tuples
+(d, n_0, ...) with gcd 1 for the vectors n / d: one value per vector.
 Tree automata are unfolded bottom-up by tree height over the shapes of
 `automata._tree_shapes`: `_tree_step` runs once per distinct (op, child value
 numbers), and the table is a read-only view (`_TreeView`) of the trees'
@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
 from itertools import chain
-from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
+from math import gcd
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .automata import (
     GPS,
@@ -50,15 +51,23 @@ Word = Tuple[str, ...]
 
 class _View(Mapping):
     """A read-only mapping from keys to values held as value numbers:
-    layers[k][i] numbers, in distinct, the value of the key of index i in
-    layer k. It iterates layer by layer and compares equal to the dict of its
-    items."""
+    layers[k][i] numbers, in raw, the explored value of the key of index i
+    in layer k, and distinct holds read(v) of each v in raw (raw without a
+    read); ratio, if any, is `_ratio` at the key's state. It iterates layer
+    by layer and compares equal to the dict of its items."""
 
-    __slots__ = ("layers", "distinct", "_len")
+    __slots__ = ("layers", "raw", "ratio", "_read", "_distinct", "_len")
 
-    def __init__(self, layers: List[List[int]], distinct: Sequence[Any]):
-        self.layers, self.distinct = layers, distinct
+    def __init__(self, layers: List[List[int]], raw: Sequence[Any], read: Optional[Callable] = None, ratio: Optional[Callable] = None):
+        self.layers, self.raw, self.ratio, self._read = layers, raw, ratio, read
+        self._distinct = None if read else raw
         self._len = sum(map(len, layers))
+
+    @property
+    def distinct(self) -> Sequence[Any]:
+        if self._distinct is None:
+            self._distinct = list(map(self._read, self.raw))
+        return self._distinct
 
     def __len__(self) -> int:
         return self._len
@@ -76,12 +85,14 @@ class _View(Mapping):
 class _ValueView(_View):
     """The words up to the depth: layer k holds the length-k words, the word
     of index i having its letters' positions read as base-|alphabet| digits,
-    first letter most significant. Any other key raises KeyError."""
+    first letter most significant. Any other key raises KeyError. distinct
+    is read on first access, so a table that is only printed from raw and
+    ratio builds no Fraction or PartialProb."""
 
     __slots__ = ("alphabet", "_position")
 
-    def __init__(self, alphabet: Sequence[str], layers: List[List[int]], distinct: Sequence[Any]):
-        super().__init__(layers, distinct)
+    def __init__(self, alphabet: Sequence[str], layers: List[List[int]], raw: Sequence[Any], read: Optional[Callable] = None, ratio: Optional[Callable] = None):
+        super().__init__(layers, raw, read, ratio)
         self.alphabet = tuple(alphabet)
         self._position = {a: i for i, a in enumerate(self.alphabet)}
 
@@ -294,6 +305,13 @@ def _bit(mask: int, x: int) -> bool:
     return bool(mask >> x & 1)
 
 
+def _ratio(v: Tuple[int, ...], x: int) -> Tuple[int, int]:
+    """Entry x of an integer tuple of `_recurrence` as a reduced (numerator,
+    denominator), from which read builds its value and the CLI prints it."""
+    g = gcd(v[x + 1], v[0])
+    return v[x + 1] // g, v[0] // g
+
+
 def _recurrence(aut, mode: str = "disj") -> Tuple[Any, Callable, Callable[[Any, int], Any]]:
     """The empty-word values, the one-step function and the reader of a word
     automaton; read(v, x) is state x's entry of the value v.
@@ -325,9 +343,8 @@ def _recurrence(aut, mode: str = "disj") -> Tuple[Any, Callable, Callable[[Any, 
     if sr.name == "bool":
         masks = [[sum(1 << y for y, _ in pairs) for pairs in row] for row in rows]
         return sum(1 << x for x, o in enumerate(out) if o), _mask_step(masks), _bit
-    entry = (lambda v, x: v[x + 1]) if sr.name == "nat" else (lambda v, x: Fraction(v[x + 1], v[0]))
-    read = (lambda v, x: PartialProb(entry(v, x))) if isinstance(aut, GPS) else entry
-    return (*_linear(out, rows, len(aut.alphabet)), read)
+    make = (lambda n, d: n) if sr.name == "nat" else (lambda n, d: PartialProb(Fraction(n, d))) if isinstance(aut, GPS) else Fraction
+    return (*_linear(out, rows, len(aut.alphabet)), lambda v, x: make(*_ratio(v, x)))
 
 
 def _trace(aut, x: int, depth: int, mode: str = "disj") -> _ValueView:
@@ -336,7 +353,8 @@ def _trace(aut, x: int, depth: int, mode: str = "disj") -> _ValueView:
     require_valid(aut)
     base, step, read = _recurrence(aut, mode)
     values, _, layers = _unfold(aut.alphabet, base, step, depth)
-    return _ValueView(aut.alphabet, list(layers()), [read(v, x) for v in values])
+    ratio = partial(_ratio, x=x) if type(base) is tuple else None  # bitmasks are read as bools
+    return _ValueView(aut.alphabet, list(layers()), values, lambda v: read(v, x), ratio)
 
 
 def nfa_trace(n: NFA, x: int, depth: int) -> LanguageTable:

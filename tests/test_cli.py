@@ -34,8 +34,9 @@ from tracekit import (
     wa_trace,
     wta_trace,
 )
-from tracekit import cli
+from tracekit import cli, semantics
 from tracekit.automata import TERM
+from tracekit.weights import BOOL, PartialProb
 from tracekit.cli import (
     dump_automaton,
     load_automaton,
@@ -314,19 +315,34 @@ def test_semantics_table(tmp_path, capsys):
     ],
 )
 def test_each_distinct_value_is_rendered_once(monkeypatch, capsys, name, depth, trace):
-    """render_value runs once per distinct value number of the table, not
-    once per row."""
-    rendered = []
-    render = cli.render_value
-    monkeypatch.setattr(cli, "render_value", lambda value: rendered.append(value) or render(value))
-    assert main(["semantics", str(EXAMPLES / name), "--state", "x", "--depth", str(depth)]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    """The value formatter, _weight_json, runs once per distinct value
+    number of the table, not once per row, and renders each value as
+    render_value does."""
     aut, _ = cli.load_file(str(EXAMPLES / name))
     entries = trace(aut, aut.names.index("x"), depth).entries
-    assert rendered == list(entries.distinct)
-    assert len(lines) == len(entries) and [line.split("\t")[1] for line in lines] == list(map(render, entries.values()))
+    expected, rows = list(map(cli.render_value, entries.distinct)), list(map(cli.render_value, entries.values()))
+    rendered = []
+    encode = cli._weight_json
+    monkeypatch.setattr(cli, "_weight_json", lambda *value: rendered.append(str(encode(*value))) or encode(*value))
+    assert main(["semantics", str(EXAMPLES / name), "--state", "x", "--depth", str(depth)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert rendered == expected
+    assert len(lines) == len(entries) and [line.split("\t")[1] for line in lines] == rows
     if trace is not gps_trace:  # on gps-geometric every word has its own value
         assert len(rendered) < len(lines)
+
+
+@pytest.mark.parametrize("v", [(2, 3), (4, -1), (1, 5), (1, -1)])
+def test_gps_values_outside_the_unit_interval_raise_as_partial_prob_does(v):
+    """A gps table value (d, n) outside [0, 1] is refused by the formatter
+    with the error PartialProb raises on it."""
+    n, d = semantics._ratio(v, 0)
+    with pytest.raises(ValueError) as partial_prob:
+        PartialProb(Fraction(n, d))
+    with pytest.raises(ValueError) as formatter:
+        cli._weight_json("gps", n, d)
+    assert str(formatter.value) == str(partial_prob.value)
+    assert cli._weight_json("gps", 1, 4) == cli.encode_weight(PartialProb(Fraction(1, 4))) == "1/4"
 
 
 def test_semantics_out_file(tmp_path):
@@ -709,6 +725,149 @@ def test_determinize_output_is_byte_identical_to_json_dumps(tmp_path_factory, se
     assert (base / "det.embed.json").read_bytes() == json_text(embedding).encode("utf-8")
 
 
+def rendered_or_error(render, *args):
+    """render(*args), or the message of the OutputError it raises."""
+    try:
+        return render(*args)
+    except cli.OutputError as exc:
+        return f"OutputError: {exc}"
+
+
+# values each side of the digit cap: 4,300 digits print, 4,301 raise OutputError
+NAT_OUTPUTS = st.integers(0, 40) | st.sampled_from([10**4300 - 1, 10**4300])
+RAT_OUTPUTS = st.fractions(max_denominator=12) | st.sampled_from(
+    [Fraction(-(10**4300 - 1), 7), Fraction(1, 10**4300 - 1), Fraction(-(10**4300), 3), Fraction(1, 10**4300)])
+
+
+@st.composite
+def moore_machines(draw):
+    size = draw(st.integers(1, 13))
+    names = draw(st.sampled_from(["d", "odd"]))
+    names = ([f"d{i}" for i in range(size)] if names == "d" else
+             draw(st.lists(st.text(alphabet=ODD_LETTERS, min_size=1, max_size=3), min_size=size, max_size=size, unique=True)))
+    letters = draw(st.lists(st.sampled_from(ODD_LETTERS + ("b", "ab")), max_size=3, unique=True))
+    semiring = draw(st.sampled_from([BOOL, NAT, RAT]))
+    values = {"bool": st.booleans(), "nat": NAT_OUTPUTS, "rat": RAT_OUTPUTS}[semiring.name]
+    outputs = draw(st.lists(values, min_size=size, max_size=size))
+    delta = draw(st.lists(st.lists(st.integers(0, size - 1), min_size=len(letters), max_size=len(letters)),
+                          min_size=size, max_size=size))
+    initial = draw(st.none() | st.lists(st.integers(0, size - 1), min_size=1, max_size=3, unique=True))
+    return MooreAut(letters, outputs, delta, semiring=semiring, names=names), initial
+
+
+@given(case=moore_machines())
+@example(case=(MooreAut(["b", "a"], [Fraction(-1, 2)] * 12, [[(x + 1) % 12, x] for x in range(12)], semiring=RAT,
+                        names=[f"d{i}" for i in range(12)]), [11, 2]))
+@settings(max_examples=150, deadline=None)
+def test_moore_text_is_the_dumped_document(case):
+    """The Moore renderer writes the text of dump_automaton's document: keys
+    sorted, delta and outputs in the names' string order (d10 before d2),
+    states in index order, and the same OutputError past the digit cap."""
+    machine, initial = case
+    for pad in ("", "  "):
+        expected = rendered_or_error(lambda: cli._json_text(dump_automaton(machine, initial), pad))
+        assert rendered_or_error(cli._moore_text, machine, initial, pad) == expected
+
+
+def meaning_docs(result, source):
+    """The stateMeaning object of each state, in order, as the CLI built
+    them before it wrote the embedding without documents."""
+    names, meanings = source.names, result.state_meaning
+    if result.method == "weighted":
+        carrier = source.semiring.name
+        return [{names[y]: cli._weight_json(carrier, n, d) for y, n, d in meanings._row(i)} for i in range(len(meanings))]
+    if result.method == "canonical":
+        return [sorted(sorted(names[y] for y in phi) for phi in meaning) for meaning in meanings.values()]
+    return [sorted(names[y] for y in meaning) for meaning in meanings.values()]
+
+
+def embedding_doc(result, source):
+    det_names = result.machine.names
+    return {
+        "method": result.method,
+        "embed": {source.names[x]: det_names[result.embed[x]] for x in range(source.n_states)},
+        "stateMeaning": dict(zip(det_names, meaning_docs(result, source))),
+    }
+
+
+@given(seed=st.integers(0, 2**32 - 1), case=st.sampled_from(DET_CASES + ["weighted-bool"]),
+       letters=st.lists(st.sampled_from(ODD_LETTERS), min_size=1, max_size=3, unique=True))
+@example(seed=0, case="weighted-rat", letters=list(ODD_LETTERS[:3]))
+@settings(max_examples=120, deadline=None)
+def test_embedding_text_is_the_embedding_document(seed, case, letters):
+    """The embedding renderer writes the text of the document the CLI
+    built before, for all five methods and every weighted carrier."""
+    rng = random.Random(seed)
+    if case == "weighted-bool":
+        size = rng.randint(1, 4)
+        trans = {(x, a): {y: True for y in range(size) if rng.random() < 0.4} for x in range(size) for a in letters}
+        aut = WeightedAut(size, letters, BOOL, [rng.random() < 0.5 for _ in range(size)],
+                          {k: v for k, v in trans.items() if v}, names=odd_names(rng, size))
+    else:
+        aut = random_det_source(rng, case, letters)
+    method = case.split("-")[0]
+    result = {"subset": lambda: det_subset(aut, "disj"), "conj": lambda: det_subset(aut, "conj"),
+              "canonical": lambda: canonical_det_nfa(aut, bound=4), "alt": lambda: alt_to_nfa(aut),
+              "weighted": lambda: det_weighted(aut)}[method]()
+    for pad in ("", "  "):
+        assert cli._embedding_text(result, aut, pad) == cli._json_text(embedding_doc(result, aut), pad)
+
+
+def test_embedding_text_orders_weighted_entries_by_source_name():
+    """Meaning entries follow the string order of the source names, not
+    their index order: s10 before s2."""
+    size = 12
+    names = [f"s{i}" for i in range(size)]
+    aut = WeightedAut(size, ["a"], NAT, [1] * size, {(0, "a"): {y: y + 1 for y in range(1, size)}}, names=names)
+    result = det_weighted(aut)
+    text = cli._embedding_text(result, aut, "")
+    assert text == cli._json_text(embedding_doc(result, aut), "")
+    assert text.index('"s10": 11') < text.index('"s2": 3')
+
+
+# argvs that every path of the parser sees: valid ones, help, bad values,
+# missing and extra arguments, unknown commands and options before the command
+PARSER_ARGVS = [
+    ["semantics", "f.json", "--state", "x", "--depth", "3"],
+    ["semantics", "--state", "x", "f.json", "--depth", "3", "--mode", "conj", "--out", "o.json"],
+    ["semantics", "f.json", "--sta", "x", "--depth", "0"],
+    ["determinize", "f.json", "--method", "weighted", "--budget", "7", "--out", "d.json"],
+    ["minimize", "f.json", "--initial", "a,b"],
+    ["equiv", "a.json", "b.json", "--initial1", "p"],
+    ["check", "chi-good", "--max-size", "2"],
+    ["check", "no-such-law"],
+    ["semantics", "-h"],
+    ["-h"],
+    ["semantics", "f.json", "--depth", "3"],
+    ["semantics", "f.json", "--state", "x", "--depth", "x"],
+    ["semantics", "f.json", "--state", "x", "--depth", "1", "--foo"],
+    ["determinize", "f.json", "--method", "nope"],
+    ["check", "chi-good", "extra"],
+    ["frobnicate", "f.json"],
+    [],
+    ["--foo", "semantics", "f.json", "--state", "x", "--depth", "1"],
+    ["minimize", "--", "f.json"],
+]
+
+
+def parsed(parse, argv):
+    """vars of the namespace (None on exit), exit code, stdout and stderr."""
+    out, err, namespace, code = io.StringIO(), io.StringIO(), None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = vars(parse(list(argv)))
+        except SystemExit as exc:
+            code = exc.code
+    return namespace, code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "empty")
+def test_command_lines_parse_as_the_full_parser_parses_them(argv):
+    """main's parse gives the namespace, output and exit status of
+    build_parser().parse_args on every argv."""
+    assert parsed(cli._parse_args, argv) == parsed(cli.build_parser().parse_args, argv)
+
+
 def nested(text):
     """A document's text as the value of a top-level key: every line after
     the first indented by two more spaces, without the final newline."""
@@ -922,6 +1081,22 @@ def test_check_chi_wrong_needs_three_points(capsys):
     captured = capsys.readouterr()
     assert "failures: 0" in captured.out
     assert "NOT reproduced" in captured.err
+
+
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_check_rejects_a_max_size_below_one(capsys, size):
+    """A --max-size below 1 is an error, not the size-1 run it once was."""
+    assert main(["check", "identity-nat", "--max-size", size]) == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --max-size must be at least 1, got {size}\n"
+
+
+def test_check_clamps_a_max_size_above_the_cap(capsys):
+    assert main(["check", "identity-nat", "--max-size", "100"]) == 0
+    above = capsys.readouterr().out
+    assert main(["check", "identity-nat", "--max-size", "6"]) == 0
+    assert capsys.readouterr().out == above
 
 
 def test_check_other_laws(capsys):
