@@ -69,6 +69,7 @@ from .laws import (
 )
 from .minimize import Certificates, brzozowski_minimal, dfa_equiv, partition_refine
 from .semantics import (
+    _joined_texts,
     _word_texts,
     alt_trace,
     bt_nfa_trace,
@@ -818,11 +819,15 @@ def _cmd_semantics(args) -> int:
     shown = [("\tff\n", "\ttt\n")[bool(n)] if carrier == "bool" else f"\t{_weight_json(carrier, n, d)}\n" for n, d in pairs]
     text = "".join(chain.from_iterable(zip(chain.from_iterable(keys), map(shown.__getitem__, chain.from_iterable(entries.layers)))))
     if args.out:
-        encoded = [_weight_json(carrier, n, d) for n, d in pairs]
-        field, names = ("tree", chain.from_iterable(keys)) if wta else ("word", map(list, entries))
-        rows = [{field: name, "value": encoded[i]} for name, i in zip(names, chain.from_iterable(entries.layers))]
-        doc = {"state": aut.names[x], "depth": args.depth, "rows": rows}
-        _write((args.out, [serialize_document(doc)]))
+        # the rows document as serialize_document writes it, column by column: the value texts by value
+        # number, and the trees' texts or each word's quoted letters, in the order of _word_texts
+        values = list(_json_texts([_weight_json(carrier, n, d) for n, d in pairs], " " * 6))
+        words = () if wta else _joined_texts(list(map(encode_basestring, entries.alphabet)), args.depth, ",\n        ")
+        named = map(encode_basestring, chain.from_iterable(keys)) if wta else chain(["[]"], map("[\n        {}\n      ]".format, chain.from_iterable(words)))
+        columns = [map(values.__getitem__, chain.from_iterable(entries.layers)), named]
+        rows = _rows(["tree", "value"] if wta else ["value", "word"], columns[::-1] if wta else columns, " " * 4, 0)
+        fields = (f'"depth": {args.depth}', f'"rows": {_block(rows, "  ")}', f'"state": {encode_basestring(aut.names[x])}')
+        _write((args.out, [_block(fields, "", "{}"), "\n"]))
     sys.stdout.write(text)
     return EXIT_OK
 

@@ -258,6 +258,24 @@ def _hitting_bits(members: Sequence[int]) -> int:
     return hits
 
 
+def _choice_bits(members: Sequence[int]) -> int:
+    """The images of the choice functions of a family of bitmask sets, as a
+    mask over masks, built member by member: each bit b of a member sends
+    each image v so far to v | b (the empty family gives {0}, an empty member
+    0). It works on 2^|union|-bit ints, so it is meant for small unions."""
+    union = 0
+    for u in members:
+        union |= u
+    images = 1
+    for u in members:
+        picks = 0
+        for i in _iter_bits(u):
+            lacks = _submask_bits(union ^ (1 << i))
+            picks |= (images & lacks) << (1 << i) | images & ~lacks
+        images = picks
+    return images
+
+
 def chi_good(family: Iterable[Iterable[Hashable]]) -> frozenset:
     """All subsets of the union that meet every member set.
 
@@ -265,10 +283,10 @@ def chi_good(family: Iterable[Iterable[Hashable]]) -> frozenset:
     collection of its hitting sets; it commutes with direct images.
 
     Each element of the union gets a bit position (in any order: the result
-    is a set), so each member is a bitmask. `_hitting_bits` then tests all
-    2^|union| candidate subsets at once on one 2^|union|-bit int, with one
-    shift per union bit and member; frozensets are built only for the
-    hitting sets it returns. Elements need only be hashable.
+    is a set), so each member is a bitmask. The kernel `_hitting_bits` then
+    tests all 2^|union| candidate subsets at once on one 2^|union|-bit int,
+    with one shift per union bit and member; frozensets are built only for
+    the hitting sets it returns. Elements need only be hashable.
     """
     fams = frozenset(frozenset(u) for u in family)
     universe = list(frozenset().union(*fams))
@@ -283,7 +301,8 @@ def chi_wrong(family: Iterable[Iterable[Hashable]]) -> frozenset:
     """All images of choice functions picking one element from each member set.
 
     Kept only as a negative-test subject: unlike `chi_good` it fails
-    naturality, so it cannot drive a correct determinization.
+    naturality, so it cannot drive a correct determinization. Its kernel on
+    bitmask sets is `_choice_bits`.
     """
     fams = frozenset(frozenset(u) for u in family)
     return frozenset(frozenset(choice) for choice in product(*fams))

@@ -24,14 +24,16 @@ from tables indexed by a family mask, or by each of its bytes, rather than
 bit by bit; the branching one-step squares, as they fold bitwise,
 idempotently and commutatively over disjoint fields, field by field.
 Naturality and the Boolean action laws judge each distinct argument once,
-so a transformation or a fold must be a function of its argument.
-Rendering expands all of this back to braces.
+so a transformation or a fold must be a function of its argument;
+naturality runs a transformation's kernel on masks (`FiniteNatTrans.masks`)
+and builds no frozenset per family. Rendering expands all of this back to
+braces.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain, combinations, compress, islice, product, repeat
@@ -40,7 +42,7 @@ from operator import and_, ne, or_
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .automata import NFA, AlternatingAut, ValidationError, WeightedAut, _iter_bits, require_valid
-from .determinize import BudgetExceeded, DetResult, _hitting_bits, chi_good, chi_wrong
+from .determinize import BudgetExceeded, DetResult, _choice_bits, _hitting_bits, chi_good, chi_wrong
 from .semantics import _at_least, _recurrence, _unfold, format_word
 from .weights import Semiring, WeightVec, map_weights, monad_mul, unit
 
@@ -108,63 +110,69 @@ def _halves(values: Sequence, op: Callable, start) -> Tuple[list, list]:
 # Naturality of set-of-set transformations
 
 
+def _family_mask(fam: Iterable[Iterable[int]]) -> int:
+    """A family of sets of bit positions as a mask over member masks."""
+    return reduce(or_, (1 << sum(1 << x for x in u) for u in fam), 0)
+
+
 @dataclass(frozen=True)
 class FiniteNatTrans:
     """A transformation on finite families of finite sets, one map for all
-    carriers (elements are opaque; only membership structure matters)."""
+    carriers (elements are opaque; only membership structure matters).
+
+    `masks` is the same map on masks: from a family, a mask over its member
+    masks, to its result in the same form. Naturality is judged on `masks`
+    alone, so it must agree with `apply`. Given only `apply`, `masks` runs
+    it on frozensets and reads the result back.
+    """
 
     name: str
     apply: Callable[[Iterable[Iterable[int]]], frozenset]
+    masks: Optional[Callable[[int], int]] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.masks is None:
+            apply = self.apply
+            object.__setattr__(self, "masks", lambda fam: _family_mask(apply(frozenset(frozenset(_iter_bits(u)) for u in _iter_bits(fam)))))
 
 
-CHI_GOOD = FiniteNatTrans("chi-good", chi_good)
-CHI_WRONG = FiniteNatTrans("chi-wrong", chi_wrong)
-IDENTITY_NAT = FiniteNatTrans(
-    "identity", lambda fam: frozenset(frozenset(u) for u in fam)
-)
-
-
-def _carrier_names(nx: int, ny: int) -> Tuple[List[str], List[str]]:
-    if nx + ny > 26:
-        raise ValueError("carriers too large to letter")
-    xs = [chr(ord("a") + i) for i in range(nx)]
-    ys = [chr(ord("a") + nx + i) for i in range(ny)]
-    return xs, ys
+CHI_GOOD = FiniteNatTrans("chi-good", chi_good, lambda fam: _hitting_bits([*_iter_bits(fam)]))
+CHI_WRONG = FiniteNatTrans("chi-wrong", chi_wrong, lambda fam: _choice_bits([*_iter_bits(fam)]))
+IDENTITY_NAT = FiniteNatTrans("identity", lambda fam: frozenset(frozenset(u) for u in fam), lambda fam: fam)
 
 
 def _fmt_set(s: Iterable[int], names: Sequence[str]) -> str:
     return "{" + ",".join(names[i] for i in sorted(s)) + "}"
 
 
-def _fmt_family(fam: Iterable[Iterable[int]], names: Sequence[str]) -> str:
-    inner = sorted(tuple(sorted(u)) for u in fam)
+def _fmt_family(fam: int, names: Sequence[str]) -> str:
+    """A family mask's members, as tuples of sorted elements, in order."""
+    inner = sorted(tuple(_iter_bits(u)) for u in _iter_bits(fam))
     return "{" + ", ".join(_fmt_set(u, names) for u in inner) + "}"
 
 
-def _map_family(f: Sequence[int], fam: Iterable[Iterable[int]]) -> frozenset:
-    return frozenset(frozenset(f[x] for x in u) for u in fam)
+def _image(img: Sequence[int], fam: int) -> int:
+    """The direct image of a family mask, img[u] the image of member u."""
+    return reduce(or_, (1 << img[u] for u in _iter_bits(fam)), 0)
+
+
+def _nat_failure(t: FiniteNatTrans, nx: int, ny: int, f: Sequence[int], fam: int, lhs: int, rhs: int) -> LawFailure:
+    if nx + ny > 26:
+        raise ValueError("carriers too large to letter")
+    xs, ys = [chr(ord("a") + i) for i in range(nx)], [chr(ord("a") + nx + i) for i in range(ny)]
+    fn = ", ".join(f"{xs[x]}->{ys[f[x]]}" for x in range(nx))
+    instance = f"X={_fmt_set(range(nx), xs)}, Y={_fmt_set(range(ny), ys)}, f=[{fn}], S={_fmt_family(fam, xs)}"
+    return LawFailure(instance, f"map after {t.name}: {_fmt_family(lhs, ys)}", f"{t.name} after map: {_fmt_family(rhs, ys)}")
 
 
 def naturality_instance(
     t: FiniteNatTrans, nx: int, ny: int, f: Sequence[int], fam: Iterable[Iterable[int]]
 ) -> Optional[LawFailure]:
     """Evaluate one naturality square; None when it commutes."""
-    fam = frozenset(frozenset(u) for u in fam)
-    lhs = _map_family(f, t.apply(fam))
-    rhs = t.apply(_map_family(f, fam))
-    if lhs == rhs:
-        return None
-    xs, ys = _carrier_names(nx, ny)
-    fn = "[" + ", ".join(f"{xs[x]}->{ys[f[x]]}" for x in range(nx)) + "]"
-    instance = (
-        f"X={_fmt_set(range(nx), xs)}, Y={_fmt_set(range(ny), ys)}, "
-        f"f={fn}, S={_fmt_family(fam, xs)}"
-    )
-    return LawFailure(
-        instance,
-        f"map after {t.name}: {_fmt_family(lhs, ys)}",
-        f"{t.name} after map: {_fmt_family(rhs, ys)}",
-    )
+    fam = _family_mask(fam)
+    img = _fold_table([1 << y for y in f], or_, 0)
+    lhs, rhs = _image(img, t.masks(fam)), t.masks(_image(img, fam))
+    return None if lhs == rhs else _nat_failure(t, nx, ny, f, fam, lhs, rhs)
 
 
 def known_counterexample(t: FiniteNatTrans = CHI_WRONG) -> Optional[LawFailure]:
@@ -185,41 +193,32 @@ def check_naturality(
 
     The enumeration is exhaustive up to carrier size 3; sizes above that are
     covered by seeded random sampling. Families are masks over subset masks,
-    and the square is compared on masks: `t.apply` runs once per distinct
-    family (on frozensets, its result read back as a mask), so t must be a
-    function of its argument; one table of t, over the largest exhaustive
-    carrier, serves every map. A failing square is rendered by
-    `naturality_instance`.
+    and the square is judged on `t.masks`, once per distinct family, so t
+    must be a function of its argument; one table of t, over the largest
+    exhaustive carrier, serves every map. A failing square is rendered from
+    its two sides' masks.
     """
     if shape != NAT_SHAPE:
         raise ValueError(f"unsupported shape {shape!r}; only {NAT_SHAPE!r} is known")
     _at_least(0, max_size=max_size, samples=samples)
     failures: List[LawFailure] = []
     count = 0
-
-    @lru_cache(maxsize=None)
-    def t_of(fam: int) -> int:
-        got = t.apply(frozenset(frozenset(_iter_bits(u)) for u in _iter_bits(fam)))
-        return reduce(or_, (1 << sum(1 << x for x in v) for v in got), 0)
-
-    def check(nx: int, ny: int, f: Sequence[int], fams: Iterable[int]) -> None:
-        found = (naturality_instance(t, nx, ny, f, [_iter_bits(u) for u in _iter_bits(fam)]) for fam in fams)
-        failures.extend(filter(None, found))
-
+    t_of = lru_cache(maxsize=None)(t.masks)
     limit = min(max_size, 3)
-    t_tab = [t_of(fam) for fam in range(1 << (1 << limit))]
+    t_tab = list(map(t_of, range(1 << (1 << limit))))
     for nx in range(limit + 1):
         for ny in range(limit + 1):
             for f in product(range(ny), repeat=nx):
                 img = _fold_table([1 << y for y in f], or_, 0)
                 lifted = _fold_table([1 << u for u in img], or_, 0)
                 count += len(lifted)
-                check(nx, ny, f, (fam for fam, g in enumerate(lifted) if lifted[t_tab[fam]] != t_tab[g]))
+                # lifted, the shorter table, leads, so the walk stops at its end
+                bad = compress(range(len(lifted)), map(ne, map(t_tab.__getitem__, lifted), map(lifted.__getitem__, t_tab)))
+                failures.extend(_nat_failure(t, nx, ny, f, fam, lifted[t_tab[fam]], t_tab[lifted[fam]]) for fam in bad)
     if max_size > 3:
         rng = random.Random(seed)
         for _ in range(samples):
-            nx = rng.randint(1, max_size)
-            ny = rng.randint(1, max_size)
+            nx, ny = rng.randint(1, max_size), rng.randint(1, max_size)
             if max(nx, ny) <= 3:
                 nx = max_size
             f = tuple(rng.randrange(ny) for _ in range(nx))
@@ -227,10 +226,10 @@ def check_naturality(
             for _ in range(rng.randint(0, 4)):
                 fam |= 1 << rng.randrange(1 << nx)
             img = _fold_table([1 << y for y in f], or_, 0)
-            lift = lambda g: reduce(or_, (1 << img[u] for u in _iter_bits(g)), 0)
+            lhs, rhs = _image(img, t_of(fam)), t_of(_image(img, fam))
             count += 1
-            if lift(t_of(fam)) != t_of(lift(fam)):
-                check(nx, ny, f, [fam])
+            if lhs != rhs:
+                failures.append(_nat_failure(t, nx, ny, f, fam, lhs, rhs))
     return LawReport(f"naturality:{t.name}", count, failures)
 
 

@@ -212,21 +212,28 @@ def format_word(word: Sequence[str]) -> str:
     return "·".join(word)
 
 
+def _joined_texts(letters: Sequence[str], depth: int, sep: str) -> Iterator[List[str]]:
+    """Per length 1 to the depth, each word's letter texts joined by sep, by
+    word index (first letter major), each built from its suffix's text."""
+    joined = list(letters)
+    for k in range(depth):
+        if k:
+            joined = [a + sep + t for a in letters for t in joined]
+        yield joined
+
+
 def _word_texts(alphabet: Sequence[str], depth: int) -> Iterator[List[str]]:
     """Per length up to the depth, the `format_word` text of each word by
-    index, each built from its suffix's text. The separator is decided once
-    per alphabet; one that mixes one-character labels with longer ones also
-    keeps the plain join of the words whose labels are all short."""
+    index, by `_joined_texts`. The separator is decided once per alphabet;
+    one that mixes one-character labels with longer ones also keeps the
+    plain join of the words whose labels are all short."""
     yield ["ε"]
     short = [len(a) == 1 for a in alphabet]
     sep = "" if all(short) else "·"
-    joined = list(alphabet)
     plain = [a if s else None for a, s in zip(alphabet, short)]
-    for k in range(depth):
-        if k:
-            joined = [a + sep + t for a in alphabet for t in joined]
-            if sep:
-                plain = [a + p if s and p is not None else None for a, s in zip(alphabet, short) for p in plain]
+    for k, joined in enumerate(_joined_texts(alphabet, depth, sep)):
+        if k and sep:
+            plain = [a + p if s and p is not None else None for a, s in zip(alphabet, short) for p in plain]
         yield [t if p is None else p for t, p in zip(joined, plain)] if sep else joined
 
 

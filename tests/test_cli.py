@@ -26,6 +26,7 @@ from tracekit import (
     WeightedTreeAut,
     alt_to_nfa,
     brzozowski_minimal,
+    bt_nfa_trace,
     canonical_det_nfa,
     det_subset,
     det_weighted,
@@ -35,7 +36,7 @@ from tracekit import (
     wta_trace,
 )
 from tracekit import cli, semantics
-from tracekit.automata import TERM
+from tracekit.automata import TERM, format_tree
 from tracekit.weights import BOOL, PartialProb
 from tracekit.cli import (
     dump_automaton,
@@ -43,6 +44,7 @@ from tracekit.cli import (
     main,
     serialize_document,
 )
+from tests import corpus
 
 GOLDEN = Path(__file__).parent / "data" / "chi_wrong_counterexample.txt"
 EXAMPLES = Path(__file__).parent.parent / "docs" / "examples"
@@ -356,6 +358,46 @@ def test_semantics_out_file(tmp_path):
         {"word": [], "value": True},
         {"word": ["a"], "value": False},
     ]
+
+
+def rows_document(aut, x, depth, mode):
+    """The --out rows document as a dict per row and a list per word, as
+    the semantics command built it before it wrote the rows as text."""
+    kind = cli._KIND_OF[type(aut)]
+    table = bt_nfa_trace(aut, x, depth, mode) if mode else cli._KINDS[kind][2](aut, x, depth)
+    if kind == "wta":
+        rows = [{"tree": format_tree(tree), "value": cli.encode_weight(value)} for tree, value in table.entries.items()]
+    else:
+        rows = [{"word": list(word), "value": cli.encode_weight(value)} for word, value in table.entries.items()]
+    return {"state": aut.names[x], "depth": depth, "rows": rows}
+
+
+RANDOM_TABLES = {
+    "nfa": corpus.rand_nfa, "weighted-rat": corpus.rand_weighted_rat, "weighted-nat": corpus.rand_weighted_nat,
+    "alternating": corpus.rand_alternating, "gps": corpus.rand_gps, "moore": lambda rng: corpus.rand_moore(rng, RAT, 6),
+    "wta-nat": lambda rng: corpus.rand_wta(rng, NAT), "wta-bool": lambda rng: corpus.rand_wta(rng, BOOL),
+}
+
+
+@given(case=st.sampled_from(sorted(EXAMPLE_DOCS) + sorted(RANDOM_TABLES)), seed=st.integers(0, 2**32 - 1),
+       depth=st.integers(0, 4), conj=st.booleans())
+@example(case="lts-mixed-labels.json", seed=0, depth=4, conj=False)
+@example(case="wta-rat-binary.json", seed=0, depth=3, conj=False)
+@settings(max_examples=80, deadline=None)
+def test_semantics_out_file_matches_the_row_documents(tmp_path_factory, case, seed, depth, conj):
+    """Word and tree tables, from the examples and random machines: the
+    --out file is serialize_document of the row dicts, byte for byte."""
+    rng = random.Random(seed)
+    aut = load_automaton(EXAMPLE_DOCS[case])[0] if case in EXAMPLE_DOCS else RANDOM_TABLES[case](rng)
+    x = rng.randrange(aut.n_states)
+    mode = "conj" if conj and isinstance(aut, NFA) else None
+    base = tmp_path_factory.mktemp("rows")
+    path, out = base / "in.json", base / "rows.json"
+    path.write_text(serialize_document(dump_automaton(aut)), encoding="utf-8")
+    argv = ["semantics", str(path), "--state", aut.names[x], "--depth", str(depth), "--out", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + (["--mode", mode] if mode else [])) == 0
+    assert out.read_bytes() == serialize_document(rows_document(aut, x, depth, mode)).encode("utf-8")
 
 
 def test_semantics_weighted_and_gps_values(tmp_path, capsys):

@@ -30,7 +30,7 @@ from tracekit import (
     unit,
     wa_trace,
 )
-from tracekit.determinize import _explore, _hitting_bits, hitting_unions
+from tracekit.determinize import _choice_bits, _explore, _hitting_bits, hitting_unions
 from tests.corpus import LETTERS, nfa_as_bool_wa, rand_alternating, rand_nfa, rand_weighted_nat, rand_weighted_rat
 from tests.oracles import chi_good_bruteforce, double_dual, weight_vectors
 
@@ -318,6 +318,21 @@ def test_hitting_bits_matches_bruteforce(members):
     hits = _hitting_bits(members)
     got = frozenset(_bits(v) for v in _bits(hits))
     assert got == chi_good_bruteforce(_bits(u) for u in members)
+
+
+@given(st.lists(st.integers(0, 63), max_size=4, unique=True))
+@example([])
+@example([0b11, 0])
+def test_choice_bits_matches_the_choice_functions(members):
+    got = frozenset(_bits(v) for v in _bits(_choice_bits(members)))
+    assert got == chi_wrong(_bits(u) for u in members)
+
+
+def test_chi_wrong_of_a_wide_member_stays_cheap():
+    """chi_wrong enumerates choices, so its cost follows its result, not
+    the 2^|union| masks of its kernel: one member of 40 points is 40 picks."""
+    assert chi_wrong([range(40)]) == frozenset(frozenset({i}) for i in range(40))
+    assert chi_wrong([range(40), range(40, 42)]) == frozenset(frozenset({i, j}) for i in range(40) for j in (40, 41))
 
 
 @given(st.lists(st.sets(st.integers(0, 4), max_size=4), max_size=3))

@@ -10,7 +10,7 @@ from operator import add, and_, mul, or_, xor
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tracekit.laws
@@ -147,6 +147,33 @@ def test_naturality_matches_the_per_square_oracle(t):
             report = check_naturality(t, max_size=max_size, samples=samples, seed=seed)
             expected = naturality(t, max_size, samples, seed)
             assert (report.instances_checked, _failure_texts(report)) == expected
+
+
+POINTS = (0, 1, "a", "b", (2, 3), frozenset({4}))  # six points, not all ints
+
+
+@pytest.mark.parametrize("t", [CHI_GOOD, CHI_WRONG, IDENTITY_NAT, SINGLETONS], ids=lambda t: t.name)
+@given(family=st.lists(st.frozensets(st.sampled_from(POINTS), max_size=4), max_size=5))
+@example(family=[])
+@example(family=[frozenset()])
+@example(family=[frozenset({0, "a"}), frozenset(), frozenset({(2, 3)})])
+def test_apply_is_the_mask_map_relabeled(t, family):
+    """t.apply on a family over up to six points of any hashable kind is
+    t.masks on the family's mask, point i standing for bit i."""
+    bit = {p: i for i, p in enumerate(POINTS)}
+    fam = reduce(or_, (1 << sum(1 << bit[p] for p in u) for u in family), 0)
+    relabeled = frozenset(frozenset(POINTS[i] for i in _iter_bits(v)) for v in _iter_bits(t.masks(fam)))
+    assert t.apply(family) == relabeled
+
+
+def test_naturality_refutes_a_kernel_that_drops_one_hitting_set():
+    """Naturality is judged on the kernel alone, so a chi-good whose kernel
+    loses the largest hitting set, the union, is caught."""
+    dropping = lambda fam: CHI_GOOD.masks(fam) & ~(1 << reduce(or_, _iter_bits(fam), 0))
+    report = check_naturality(FiniteNatTrans("chi-good", CHI_GOOD.apply, dropping), max_size=3)
+    assert not report.ok
+    assert report.failures[0].render() == "\n".join((
+        "X={a,b}, Y={c}, f=[a->c, b->c], S={{a,b}}", "map after chi-good: {{c}}", "chi-good after map: {}"))
 
 
 PARITY = PredicateAction("parity", lambda masks, full: reduce(xor, masks, 0))
