@@ -677,10 +677,9 @@ def _block(texts: Iterable[str], pad: str, brackets: str = "[]") -> str:
 def _json_texts(items: List[Any], pad: str) -> Iterable[str]:
     """_json_text(item, pad) of each item. Strings, or bools and ints, are
     rendered by one map, and other scalars in one pass; the elements of
-    lists by one call, then cut back into lists; objects with one key set
-    column by column, each column by one call. Only items that mix lists,
-    objects and scalars recurse one by one. Documents are exact: a float,
-    a non-str key or any other type raises TypeError."""
+    lists by one call, then cut back into lists. Objects, and items that
+    mix lists, objects and scalars, recurse one by one. Documents are
+    exact: a float, a non-str key or any other type raises TypeError."""
     kinds = set(map(type, items))
     if kinds == {str}:
         return map(encode_basestring, items)
@@ -695,12 +694,7 @@ def _json_texts(items: List[Any], pad: str) -> Iterable[str]:
     unknown = kinds - _SCALARS - {list, dict}
     if unknown:
         raise TypeError(f"a {unknown.pop().__name__} is not written: documents are exact")
-    if kinds != {dict} or len(set(map(frozenset, items))) > 1:
-        return [_json_text(item, pad) for item in items]
-    keys = sorted(items[0])
-    if set(map(type, keys)) - {str}:
-        raise TypeError(f"keys must be strings, got {keys!r}")
-    return _rows(keys, [_json_texts(list(map(itemgetter(key), items)), inner) for key in keys], pad, len(items))
+    return [_json_text(item, pad) for item in items]
 
 
 def _rows(keys: Sequence[str], columns: Sequence[Iterable[str]], pad: str, count: int) -> Iterable[str]:
@@ -873,7 +867,8 @@ def _cmd_determinize(args) -> int:
     kind = _KIND_OF[type(aut)]
     needed, construct = _METHODS[args.method]
     if kind != needed:
-        raise QueryError(f"method {args.method!r} needs a {needed} file, got {kind}")
+        # "an" where the kind is spoken from a vowel sound: an alternating, an nfa, an lts, a moore
+        raise QueryError(f"method {args.method!r} needs {'an' if needed[0] in 'aeilnou' else 'a'} {needed} file, got {kind}")
     result = construct(aut, args.budget)
     if isinstance(result, BudgetExceeded):
         print(

@@ -46,8 +46,6 @@ from .determinize import BudgetExceeded, DetResult, _choice_bits, _hitting_bits,
 from .semantics import _at_least, _recurrence, _unfold, format_word
 from .weights import Semiring, WeightVec, map_weights, monad_mul, unit
 
-NAT_SHAPE = "PP=>PP"
-
 
 @dataclass(frozen=True)
 class LawFailure:
@@ -183,7 +181,6 @@ def known_counterexample(t: FiniteNatTrans = CHI_WRONG) -> Optional[LawFailure]:
 
 def check_naturality(
     t: FiniteNatTrans,
-    shape: str = NAT_SHAPE,
     max_size: int = 3,
     samples: int = 500,
     seed: int = 2026,
@@ -198,8 +195,6 @@ def check_naturality(
     exhaustive carrier, serves every map. A failing square is rendered from
     its two sides' masks.
     """
-    if shape != NAT_SHAPE:
-        raise ValueError(f"unsupported shape {shape!r}; only {NAT_SHAPE!r} is known")
     _at_least(0, max_size=max_size, samples=samples)
     failures: List[LawFailure] = []
     count = 0
@@ -770,12 +765,13 @@ def check_correctness(
     depends only on a and the pair of w, so the pair machine explored to
     the depth (`semantics._unfold`) holds the pair of every word, each
     distinct pair stepped once. Failures are listed in state, length and
-    word order: only the layers holding a pair that differs are scanned, and
-    a word is spelled from its index only where its pair differs, up to the
-    first max_failures. Layers are built in turn up to the one holding the
-    last failure listed, and no further. An invalid machine, or an embedding
-    that misses a machine state, raises ValidationError, and a negative depth
-    or a max_failures below 1 ValueError.
+    word order, up to the first max_failures. Only the lengths whose words
+    reach a differing pair are walked, depth first over the explored rows:
+    a word's first letters are kept with the values of the remaining
+    length that they lead into a differing pair, and only while there are
+    some, so each branch ends in a listed word. An invalid machine, or an
+    embedding that misses a machine state, raises ValidationError, and a
+    negative depth or a max_failures below 1 ValueError.
     """
     if isinstance(det, BudgetExceeded):
         raise ValueError("a budget-exceeded outcome carries no machine to check")
@@ -802,16 +798,13 @@ def check_correctness(
     src_base, src_step, src_read = _recurrence(source, "conj" if method == "subset-conj" else "disj")
     mach_base, mach_step, mach_read = _recurrence(machine)
     count = source.n_states * sum(len(alphabet) ** k for k in range(depth + 1))
-    pairs, rows, layers = _unfold(
+    pairs, rows = _unfold(
         alphabet, (src_base, mach_base), lambda ai, p: (src_step(ai, p[0]), mach_step(ai, p[1])), depth
     )
     render = str if method == "weighted" else _tt
 
     def failures():
-        more = layers()
-        table: List[List[int]] = []  # the layers built so far
-        # the value numbers in each layer, read off the explored rows, so a
-        # layer that holds no differing pair is neither built nor scanned
+        # the value numbers of the length-k words, read off the explored rows
         present = [{0}]
         for x in range(source.n_states):
             # both sides' values at x on each distinct pair, and which differ
@@ -822,27 +815,29 @@ def check_correctness(
             for k in range(depth + 1):
                 if k == len(present):
                     present.append({v for u in present[-1] for v in rows[u]})
-                if not any(bad[v] for v in present[k]):
+                ends = {v for v in present[k] if bad[v]}
+                if not ends:
                     continue
-                while len(table) <= k:
-                    table.append(next(more))
-                layer = table[k]
-                for i in compress(range(len(layer)), map(bad.__getitem__, layer)):
-                    lhs, rhs = side[layer[i]]
+                # a word's first letters, with the values of the remaining length
+                # that they lead into ends; pushed last letter first, so words pop in index order
+                stack = [((), ends)]
+                while stack:
+                    word, tails = stack.pop()
+                    if len(word) < k:
+                        rest = present[k - len(word) - 1]
+                        for ai in reversed(range(len(alphabet))):
+                            kept = {u for u in rest if rows[u][ai] in tails}
+                            if kept:
+                                stack.append((word + (ai,), kept))
+                        continue
+                    v = 0
+                    for ai in reversed(word):
+                        v = rows[v][ai]
+                    lhs, rhs = side[v]
                     yield LawFailure(
-                        f"state {source.names[x]}, word {format_word(_spell(alphabet, k, i))}",
+                        f"state {source.names[x]}, word {format_word([alphabet[ai] for ai in word])}",
                         f"source trace: {render(lhs)}",
                         f"determinized trace: {render(rhs)}",
                     )
 
     return LawReport(f"correctness:{method}", count, list(islice(failures(), max_failures)))
-
-
-def _spell(alphabet: Sequence[str], k: int, i: int) -> Tuple[str, ...]:
-    """The length-k word of index i: its letters' positions are i's k
-    base-|alphabet| digits, the first letter most significant."""
-    word = []
-    for _ in range(k):
-        i, r = divmod(i, len(alphabet))
-        word.append(alphabet[r])
-    return tuple(reversed(word))

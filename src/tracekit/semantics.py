@@ -243,31 +243,19 @@ def _at_least(floor: int, **values: int) -> None:
             raise ValueError(f"{name} must be at least {floor}, got {value}")
 
 
-def _unfold(alphabet: Sequence[str], base, step: Callable, depth: int) -> Tuple[List[Any], List[List[int]], Callable[[], Iterator[List[int]]]]:
+def _unfold(alphabet: Sequence[str], base, step: Callable, depth: int) -> Tuple[List[Any], List[List[int]]]:
     """Explore a one-step recurrence from its base to the depth.
 
     Returns the distinct values of the words up to the depth, numbered
-    breadth first, the explored rows (rows[v][ai] numbers the a-step of the
-    value v, for each v within depth - 1 steps of the base), and a generator
-    function yielding, per length k in turn,
-    the value numbers of the length-k words by index, each length built from
-    the one before only when it is asked for. The word a.w sits at index
-    (a * number of length-(k - 1) words + index of w) and gets the a-entry of
-    the explored row of w's value, so each distinct value is stepped once
-    per letter. A negative depth raises ValueError.
+    breadth first, and the explored rows: rows[v][ai] numbers the a-step of
+    the value v, for each v within depth - 1 steps of the base, so each
+    distinct value is stepped once per letter. A negative depth raises
+    ValueError.
     """
     _at_least(0, depth=depth)
     letters = range(len(alphabet))
     _, values, rows = _explore([base], lambda v, intern: [intern(step(ai, v)) for ai in letters], depth=depth)
-
-    def layers() -> Iterator[List[int]]:
-        layer = [0]
-        yield layer
-        for _ in range(depth):
-            layer = [rows[i][ai] for ai in letters for i in layer]
-            yield layer
-
-    return values, rows, layers
+    return values, rows
 
 
 def _mask_step(masks: Sequence[Sequence[int]], conj: bool = False) -> Callable[[int, int], int]:
@@ -355,13 +343,19 @@ def _recurrence(aut, mode: str = "disj") -> Tuple[Any, Callable, Callable[[Any, 
 
 
 def _trace(aut, x: int, depth: int, mode: str = "disj") -> _ValueView:
-    """x's value on every word up to the depth, from aut's recurrence."""
+    """x's value on every word up to the depth, from aut's recurrence. The
+    length-k layer holds the length-k words' value numbers by index, and a.w,
+    at index a * |A|^(k - 1) + index of w, the a-entry of w's value's row."""
     check_state(aut, x)
     require_valid(aut)
     base, step, read = _recurrence(aut, mode)
-    values, _, layers = _unfold(aut.alphabet, base, step, depth)
+    values, rows = _unfold(aut.alphabet, base, step, depth)
+    letters = range(len(aut.alphabet))
+    layers = [[0]]
+    for _ in range(depth):
+        layers.append([rows[i][ai] for ai in letters for i in layers[-1]])
     ratio = partial(_ratio, x=x) if type(base) is tuple else None  # bitmasks are read as bools
-    return _ValueView(aut.alphabet, list(layers()), values, lambda v: read(v, x), ratio)
+    return _ValueView(aut.alphabet, layers, values, lambda v: read(v, x), ratio)
 
 
 def nfa_trace(n: NFA, x: int, depth: int) -> LanguageTable:

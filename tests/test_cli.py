@@ -548,6 +548,29 @@ def test_determinize_method_kind_mismatch(tmp_path):
     assert main(["determinize", "--method", "subset", alt]) == 6
 
 
+# every cell a command refuses for the kind of its file: each determinize
+# method on each other kind, minimize, equiv with the kind in either file
+# position beside a moore file, and semantics --mode
+_NEEDS = {"subset": "an nfa", "conj": "an nfa", "canonical": "an nfa", "weighted": "a weighted", "alt": "an alternating"}
+_REFUSED = [
+    *((("determinize", "--method", method, "{path}"), kind, f"method {method!r} needs {needs} file, got {kind}")
+      for method, needs in _NEEDS.items() for kind in KINDS if needs.split()[1] != kind),
+    *((("minimize", "{path}"), kind, f"minimize needs an nfa or moore file, got {kind}") for kind in KINDS if kind not in ("nfa", "moore")),
+    *((files, kind, f"equiv compares moore files; {{path}} is {kind}")
+      for files in (("equiv", "{path}", "{moore}"), ("equiv", "{moore}", "{path}")) for kind in KINDS if kind != "moore"),
+    *((("semantics", "{path}", "--state", "x", "--depth", "1", "--mode", "conj"), kind, f"--mode applies to nfa files only, not {kind}")
+      for kind in KINDS if kind != "nfa"),
+]
+
+
+@pytest.mark.parametrize("argv, kind, message", _REFUSED)
+def test_a_refused_kind_exits_6_with_its_text(tmp_path, capsys, argv, kind, message):
+    path = write_doc(tmp_path, f"{kind}.json", KINDS[kind])
+    moore = write_doc(tmp_path, "other-moore.json", KINDS["moore"])
+    assert main([a.format(path=path, moore=moore) for a in argv]) == 6
+    assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
+
+
 def test_determinize_alt_and_canonical(tmp_path, capsys):
     alt = write_doc(tmp_path, "alt.json", KINDS["alternating"])
     assert main(["determinize", "--method", "alt", alt]) == 0

@@ -54,9 +54,18 @@ from tracekit.laws import (
     LawReport,
     _exchange_sides,
 )
-from tests.corpus import rand_nfa
+from tests.corpus import RAT_POOL, rand_alternating, rand_nfa
 from tests.law_oracles import action_laws, naturality
-from tests.oracles import branching_diagram, chi_good_bruteforce, moore_value, nfa_accepts, word_table
+from tests.oracles import (
+    alt_accepts,
+    branching_diagram,
+    chi_good_bruteforce,
+    moore_value,
+    nfa_accepts,
+    nfa_conj_value,
+    wa_value,
+    word_table,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "chi_wrong_counterexample.txt"
 # sha256 of every pinned report, rendered with all of its failures
@@ -265,11 +274,6 @@ def test_negative_control_and_diagram_reports_are_pinned():
         got[f"exchange:{phi}"] = _digest(check_exchange(max_phi=phi))
     assert got == {key: LAW_DIGESTS[key] for key in got}
     assert len(got) + 15 * 7 == len(LAW_DIGESTS)
-
-
-def test_naturality_rejects_unknown_shape():
-    with pytest.raises(ValueError):
-        check_naturality(CHI_GOOD, shape="P=>P")
 
 
 def test_action_laws_hold():
@@ -549,7 +553,7 @@ def test_correctness_report_for_a_flipped_subset_state():
     ]
 
 
-def test_correctness_report_for_a_flipped_chain_state(monkeypatch):
+def test_correctness_report_for_a_flipped_chain_state():
     # the chain 0 -a-> ... -a-> 9 over a, b, c at depth 10: only the state
     # read by a^9 from q0 is flipped, so each qi fails on a^(9 - i) alone
     n = NFA(10, ["a", "b", "c"], [(i, "a", i + 1) for i in range(9)], accepting=[9], names=[f"q{i}" for i in range(10)])
@@ -563,27 +567,10 @@ def test_correctness_report_for_a_flipped_chain_state(monkeypatch):
     assert report.instances_checked == 10 * (3**11 - 1) // 2
     want = [(f"state q{i}, word {'a' * (9 - i) or 'ε'}", "source trace: tt", "determinized trace: ff") for i in range(10)]
     assert _failure_texts(report) == want
-    # no word of length 10 fails, so that layer is never built
-    built = _layer_sizes(monkeypatch)
-    assert _failure_texts(check_correctness(n, _with_outputs(result, outputs), 10)) == want
-    assert built == [3**k for k in range(10)]
     assert _failure_texts(check_correctness(n, _with_outputs(result, outputs), 10, max_failures=3)) == want[:3]
 
 
-def _layer_sizes(monkeypatch):
-    """The sizes of the pair-machine layers check_correctness builds."""
-    built = []
-    unfold = tracekit.laws._unfold
-
-    def counting(*args):
-        pairs, rows, layers = unfold(*args)
-        return pairs, rows, lambda: (built.append(len(layer)) or layer for layer in layers())
-
-    monkeypatch.setattr(tracekit.laws, "_unfold", counting)
-    return built
-
-
-def test_correctness_builds_no_layer_past_its_last_failure(monkeypatch):
+def test_correctness_builds_no_layer_past_its_last_failure():
     # the chain 0 -a-> ... -a-> 9 over a, b, c at depth 25 (3^25 words of
     # the longest length), with the empty set's output flipped: q0 fails on
     # every word that leaves the chain, 36 of them up to length 3
@@ -592,33 +579,81 @@ def test_correctness_builds_no_layer_past_its_last_failure(monkeypatch):
     sink = {m: i for i, m in result.state_meaning.items()}[frozenset()]
     outputs = list(result.machine.outputs)
     outputs[sink] = True
-    built = _layer_sizes(monkeypatch)
     report = check_correctness(n, _with_outputs(result, outputs), 25)
     assert report.instances_checked == 10 * (3**26 - 1) // 2
     words = [w for w in word_table(lambda w: None, n.alphabet, 3) if set(w) - {"a"}]
     want = [(f"state q0, word {''.join(w)}", "source trace: ff", "determinized trace: tt") for w in words[:25]]
     assert _failure_texts(report) == want
-    assert built == [1, 3, 9, 27]
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 40))
-@settings(max_examples=40, deadline=None)
-def test_correctness_failures_match_a_per_word_listing(seed, max_failures):
-    rng = random.Random(seed)
-    n = rand_nfa(rng, max_states=4)
+def test_correctness_lists_a_thirty_letter_failure_without_its_layer():
+    # the chain 0 -a-> ... -a-> 30 over a, b, c at depth 40, with the state
+    # {30} flipped: q0 first fails on a^30, whose layer holds 3^30 words
+    n = NFA(31, ["a", "b", "c"], [(i, "a", i + 1) for i in range(30)], accepting=[30], names=[f"q{i}" for i in range(31)])
     result = det_subset(n)
+    last = {m: i for i, m in result.state_meaning.items()}[frozenset({30})]
+    outputs = list(result.machine.outputs)
+    outputs[last] = False
+    report = check_correctness(n, _with_outputs(result, outputs), 40, max_failures=1)
+    assert report.instances_checked == 31 * (3**41 - 1) // 2
+    assert _failure_texts(report) == [("state q0, word " + "a" * 30, "source trace: tt", "determinized trace: ff")]
+
+
+def _acyclic_weighted(rng, semiring):
+    """A weighted automaton over semiring whose transitions go to higher
+    states only, so det_weighted finishes."""
+    n = rng.randint(1, 4)
+    alphabet = ("a", "b")[: rng.randint(1, 2)]
+    weight = {"bool": lambda: True, "nat": lambda: rng.randint(1, 3), "rat": lambda: rng.choice(RAT_POOL)}[semiring.name]
+    trans = {(x, a): {y: weight() for y in range(x + 1, n) if rng.random() < 0.5} for x in range(n) for a in alphabet}
+    return WeightedAut(n, alphabet, semiring, [weight() if rng.random() < 0.7 else semiring.zero for _ in range(n)], trans)
+
+
+def _broken_case(method, rng):
+    """A source, its determinization with one or two machine outputs flipped
+    or changed, the per-word source and machine values at a source state,
+    and the rendering of a value in a failure."""
+    tt = lambda v: "tt" if v else "ff"
+    if method == "alt":
+        a = rand_alternating(rng, max_states=3)
+        result = alt_to_nfa(a)
+        m = result.machine
+        accepting = set(m.accepting) ^ set(rng.sample(range(m.n_states), rng.randint(1, min(2, m.n_states))))
+        broken = replace(result, machine=NFA(m.n_states, m.alphabet, m.transitions, accepting, names=m.names))
+        return a, broken, alt_accepts, lambda y, w: nfa_accepts(broken.machine, y, w), tt
+    if method.startswith("weighted"):
+        semiring = {"bool": BOOL, "nat": NAT, "rat": RAT}[method.split("-")[1]]
+        source = _acyclic_weighted(rng, semiring)
+        result, value, render = det_weighted(source), wa_value, str
+        change = (lambda o: not o) if semiring is BOOL else (lambda o: o + 1) if semiring is NAT else (lambda o: o + Fraction(1, 2))
+    else:
+        source = rand_nfa(rng, max_states=4)
+        conj = method == "subset-conj"
+        result = canonical_det_nfa(source) if method == "canonical" else det_subset(source, "conj" if conj else "disj")
+        value, render, change = nfa_conj_value if conj else nfa_accepts, tt, (lambda o: not o)
     outputs = list(result.machine.outputs)
     for i in rng.sample(range(len(outputs)), rng.randint(1, min(2, len(outputs)))):
-        outputs[i] = not outputs[i]
+        outputs[i] = change(outputs[i])
     broken = _with_outputs(result, outputs)
-    tt = lambda v: "tt" if v else "ff"
+    return source, broken, value, lambda y, w: moore_value(broken.machine, y, w), render
+
+
+@given(
+    st.sampled_from(("subset-disj", "subset-conj", "canonical", "alt", "weighted-bool", "weighted-nat", "weighted-rat")),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 40),
+)
+@settings(max_examples=150, deadline=None)
+def test_correctness_failures_match_a_per_word_listing(method, seed, max_failures):
+    source, broken, value, machine_value, render = _broken_case(method, random.Random(seed))
     want = [
-        (f"state {n.names[x]}, word {format_word(w)}", f"source trace: {tt(src)}", f"determinized trace: {tt(not src)}")
-        for x in range(n.n_states)
-        for w, src in word_table(lambda w: nfa_accepts(n, x, w), n.alphabet, 4).items()
-        if moore_value(broken.machine, result.embed[x], w) != src
+        (f"state {source.names[x]}, word {format_word(w)}", f"source trace: {render(src)}", f"determinized trace: {render(det)}")
+        for x in range(source.n_states)
+        for w, src in word_table(lambda w: value(source, x, w), source.alphabet, 4).items()
+        for det in [machine_value(broken.embed[x], w)]
+        if det != src
     ]
-    assert _failure_texts(check_correctness(n, broken, 4, max_failures)) == want[:max_failures]
+    assert _failure_texts(check_correctness(source, broken, 4, max_failures)) == want[:max_failures]
 
 
 @pytest.mark.parametrize(

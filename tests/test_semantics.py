@@ -591,7 +591,7 @@ def _value_numbers_are_vectors(aut, depth):
     """The unfolded values decode to pairwise distinct vectors: one value
     number per vector, however its denominator was reached."""
     base, step, read = semantics._recurrence(aut)
-    values, _, _ = semantics._unfold(aut.alphabet, base, step, depth)
+    values, _ = semantics._unfold(aut.alphabet, base, step, depth)
     decoded = [tuple(read(v, x) for x in range(aut.n_states)) for v in values]
     assert len(set(decoded)) == len(decoded)
     return decoded
