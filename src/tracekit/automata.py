@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .weights import BOOL, NAT, RAT, Semiring, WeightVec
+from .weights import BOOL, Semiring, WeightVec
 
 Label = str
 

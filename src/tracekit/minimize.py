@@ -4,7 +4,7 @@ Hopcroft's refinement (deterministic machines over any output carrier).
 Each Brzozowski pass explores a preimage step on bitmask states from one
 seed, so its result holds only reachable states. Each run also produces
 certificates: for every pair of distinct result states a shortest word on
-which they disagree, read off the first-pass machine, computed when read.
+which they disagree, spelled from the first pass's links when read.
 """
 
 from __future__ import annotations
@@ -24,22 +24,22 @@ Word = Tuple[str, ...]
 
 class Certificates(Mapping):
     """The read-only mapping from each pair (p, q) with 0 <= p < q < n to the
-    certificate of p and q, computed on access: back[r] for r the lowest set
-    bit of meanings[p] ^ meanings[q]. It has n(n-1)/2 pairs, iterates them
-    in (p, q) order, and compares equal to the dict of its items."""
+    certificate of p and q, spelled on access: `_spell(links, r)` for r the
+    lowest set bit of meanings[p] ^ meanings[q]. It has n(n-1)/2 pairs,
+    iterates them in (p, q) order, and compares equal to its items' dict."""
 
-    __slots__ = ("_meanings", "_back")
+    __slots__ = ("_meanings", "_links")
 
-    def __init__(self, meanings: Sequence[int], back: Sequence[Word]):
+    def __init__(self, meanings: Sequence[int], links: Mapping[int, Optional[Tuple[int, str]]]):
         self._meanings = meanings
-        self._back = back
+        self._links = links
 
     def __getitem__(self, pair: Tuple[int, int]) -> Word:
         if isinstance(pair, tuple) and len(pair) == 2:
             p, q = pair
             if isinstance(p, int) and isinstance(q, int) and 0 <= p < q < len(self._meanings):
                 diff = self._meanings[p] ^ self._meanings[q]
-                return self._back[(diff & -diff).bit_length() - 1]
+                return _spell(self._links, (diff & -diff).bit_length() - 1)
         raise KeyError(pair)
 
     def __iter__(self) -> Iterator[Tuple[int, int]]:
@@ -58,7 +58,8 @@ class Certificates(Mapping):
         q > p in order, each passed through render, which is called once per
         first-pass word. The lowest set bit of each difference is found by
         one map per step over the whole row."""
-        back = self._back if render is None else list(map(render, self._back))
+        words = [_spell(self._links, r) for r in self._links]
+        back = words if render is None else list(map(render, words))
         # the lowest set bit of a difference is 1 << r, whose bit length is r + 1
         by_length = [None, *back].__getitem__
         meanings = self._meanings
@@ -76,17 +77,27 @@ class _CertificateItems(ItemsView):
 class ObservableDFA:
     """A reachable deterministic machine with pairwise-distinguished states.
 
-    certificates is a read-only mapping (`Certificates`), computed on
-    access, from each pair (p, q) with p < q, iterated in (p, q) order, to a
-    shortest word whose acceptance differs from p and from q: the reversal
-    of the least first-pass word, shortest first and then with letters
-    ordered as the alphabet declares them, that reaches a first-pass state
-    on which p and q differ.
+    certificates is a read-only mapping (`Certificates`), spelled on access
+    from the first pass's links, from each pair (p, q) with p < q, iterated
+    in (p, q) order, to a shortest word whose acceptance differs from p and
+    from q: the reversal of the least first-pass word, shortest first and
+    then with letters ordered as the alphabet declares them, that reaches a
+    first-pass state on which p and q differ.
     """
 
     machine: MooreAut
     initial: int
     certificates: Certificates
+
+
+def _spell(links: Mapping, s) -> Word:
+    """The letters of the links from s back to the seed, in that order: the
+    reversal of s's least shortest word."""
+    word = []
+    while links[s] is not None:
+        s, label = links[s]
+        word.append(label)
+    return tuple(word)
 
 
 def _first_links(alphabet: Iterable[str], seed, successors: Callable) -> Dict:
@@ -133,15 +144,12 @@ def brzozowski_observable(n: NFA, initial: Iterable[int]) -> ObservableDFA:
     (d1_init,), _, d1 = _lifted_machine(n.alphabet, [base], pre, lambda s: bool(s & init_mask))
     # _first_links discovers d1's states in d1's own numbering order
     links = _first_links(d1.alphabet, d1_init, d1.delta.__getitem__)
-    back: List[Word] = []
-    for link in links.values():
-        back.append(() if link is None else (link[1],) + back[link[0]])
 
     seed2, pre1, read1 = _recurrence(d1)
     (d2_init,), meanings, d2 = _lifted_machine(d1.alphabet, [seed2], pre1, lambda s: read1(s, d1_init))
 
     named = MooreAut(d2.alphabet, d2.outputs, d2.delta, names=[f"b{i}" for i in range(d2.n_states)])
-    return ObservableDFA(named, d2_init, Certificates(meanings, back))
+    return ObservableDFA(named, d2_init, Certificates(meanings, links))
 
 
 brzozowski_minimal = brzozowski_observable
@@ -234,8 +242,4 @@ def dfa_equiv(
     links = _first_links(d1.alphabet, (i1, i2), successors)
     if not differ:
         return True, None
-    word, pair = [], differ[0]
-    while links[pair] is not None:
-        pair, label = links[pair]
-        word.append(label)
-    return False, tuple(reversed(word))
+    return False, _spell(links, differ[0])[::-1]

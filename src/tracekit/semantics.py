@@ -2,18 +2,18 @@
 
 Each word automaton kind comes with a one-step recurrence: a base value, for
 all states at once, and a step that takes the value of w to that of a.w.
-`determinize._explore` explores the recurrence from its base to the depth,
-so each distinct value is stepped once per letter however many words share
-it; a table's entries are a read-only view (`_ValueView`) of the words'
-value numbers, each distinct value read once, on first access. Values are
-bitmasks for the Boolean kinds and, over NAT and RAT, integer tuples
-(d, n_0, ...) with gcd 1 for the vectors n / d: one value per vector.
-Tree automata are unfolded bottom-up by tree height over the shapes of
-`automata._tree_shapes`: `_tree_step` runs once per distinct (op, child value
-numbers), and the table is a read-only view (`_TreeView`) of the trees'
-value numbers that builds no tree until it is iterated. Each table is total
-on all words (trees) within the requested depth, and a negative depth raises
-ValueError.
+`determinize._explore` explores the recurrence from its base to the depth, so
+each distinct value is stepped once per letter however many words share it; a
+table's entries are a read-only view (`_ValueView`) of the words' value
+numbers, each distinct value read once, on first access. Values are bitmasks
+for the Boolean kinds, most stepped by `determinize._post` over predecessor
+masks, and, over NAT and RAT, integer tuples (d, n_0, ...) with gcd 1 for the
+vectors n / d: one value per vector. Tree automata are unfolded bottom-up by
+tree height over the shapes of `automata._tree_shapes`: `_tree_step` runs
+once per distinct (op, child value numbers), and the table is a read-only
+view (`_TreeView`) of the trees' value numbers that builds no tree until it
+is iterated. Each table is total on all words (trees) within the requested
+depth, and a negative depth raises ValueError.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .automata import (
     check_state,
     require_valid,
 )
-from .determinize import _alt_masks, _check_mode, _explore
+from .determinize import _alt_masks, _check_mode, _explore, _post
 from .weights import BOOL, RAT, PartialProb, WeightVec, _linear
 
 Word = Tuple[str, ...]
@@ -258,27 +258,6 @@ def _unfold(alphabet: Sequence[str], base, step: Callable, depth: int) -> Tuple[
     return values, rows
 
 
-def _mask_step(masks: Sequence[Sequence[int]], conj: bool = False) -> Callable[[int, int], int]:
-    """Boolean successor-mask step over bitmasks of states.
-
-    masks[x][ai] is x's a-successor set. Bit x of step(ai, p) is set iff some
-    a-successor of x is in p, or, when conj, every one is (vacuously so for
-    none): the conjunctive step is the disjunctive one on complements.
-    """
-    full = (1 << len(masks)) - 1
-
-    def some(ai: int, p: int) -> int:
-        q = 0
-        for x, row in enumerate(masks):
-            if row[ai] & p:
-                q |= 1 << x
-        return q
-
-    if conj:
-        return lambda ai, p: full ^ some(ai, full ^ p)
-    return some
-
-
 def _alt_step(fams: Sequence[Sequence[Sequence[int]]]) -> Callable[[int, int], int]:
     """Bit x of step(ai, p) is set iff some a-branch set of x (a bitmask in
     fams[x][ai]) lies inside p."""
@@ -311,20 +290,26 @@ def _recurrence(aut, mode: str = "disj") -> Tuple[Any, Callable, Callable[[Any, 
     """The empty-word values, the one-step function and the reader of a word
     automaton; read(v, x) is state x's entry of the value v.
 
-    Values are bitmasks over states for the Boolean kinds (NFA in `mode`,
-    LTS as an NFA whose every state accepts, alternating, and weighted and
-    Moore automata over BOOL). Over NAT and RAT (weighted, GPS, and Moore as
-    weighted with weight one on the a-successor) they are integer tuples
-    (d, n_0, ...) for the vectors n / d, with d > 0 and gcd(d, n_0, ...) = 1:
-    d is the lcm of the entries' reduced denominators, one tuple per vector.
+    Values are bitmasks over states for the Boolean kinds: NFA in `mode`,
+    LTS as an NFA whose every state accepts, alternating (`_alt_step`), and
+    weighted and Moore automata over BOOL. Bit x of the others' step(ai, p)
+    is set iff some a-successor of x is in p (`determinize._post` over the
+    predecessor masks) or, for an NFA in conj mode, every one is, vacuously
+    for none. Over NAT and RAT (weighted, GPS, and Moore as weighted with
+    weight one on the a-successor) they are integer tuples (d, n_0, ...)
+    for the vectors n / d, with d > 0 and gcd(d, n_0, ...) = 1: d is the lcm
+    of the entries' reduced denominators, one tuple per vector.
     """
-    if isinstance(aut, NFA):
-        _check_mode(mode)
-        return aut.accepting_mask(), _mask_step(aut.succ_masks(), mode == "conj"), _bit
+    conj = False
     if isinstance(aut, AlternatingAut):
         out_mask, fams = _alt_masks(aut)
         return out_mask, _alt_step(fams), _bit
-    if isinstance(aut, GPS):
+    if isinstance(aut, NFA):
+        _check_mode(mode)
+        aidx, conj = aut.letter_index(), mode == "conj"
+        sr, out = BOOL, [x in aut.accepting for x in range(aut.n_states)]
+        edges = [(x, aidx[a], y) for x, a, y in aut.transitions]
+    elif isinstance(aut, GPS):
         sr, out = RAT, [d.get(TERM, RAT.zero) for d in aut.dist]
         rows = [[[(k[1], p) for k, p in d.items() if k is not TERM and k[0] == a] for a in aut.alphabet] for d in aut.dist]
     elif isinstance(aut, WeightedAut):
@@ -336,8 +321,14 @@ def _recurrence(aut, mode: str = "disj") -> Tuple[Any, Callable, Callable[[Any, 
     else:
         raise TypeError(f"not a word automaton: {aut!r}")
     if sr.name == "bool":
-        masks = [[sum(1 << y for y, _ in pairs) for pairs in row] for row in rows]
-        return sum(1 << x for x, o in enumerate(out) if o), _mask_step(masks), _bit
+        if not isinstance(aut, NFA):
+            edges = [(x, ai, y) for x, row in enumerate(rows) for ai, pairs in enumerate(row) for y, _ in pairs]
+        pred = [[0] * len(aut.alphabet) for _ in out]  # pred[y][ai]: the states with an a-transition into y
+        for x, ai, y in edges:
+            pred[y][ai] |= 1 << x
+        some, full = _post(pred), (1 << len(out)) - 1
+        step = (lambda ai, p: full ^ some(ai, full ^ p)) if conj else some
+        return sum(1 << x for x, o in enumerate(out) if o), step, _bit
     make = (lambda n, d: n) if sr.name == "nat" else (lambda n, d: PartialProb(Fraction(n, d))) if isinstance(aut, GPS) else Fraction
     return (*_linear(out, rows, len(aut.alphabet)), lambda v, x: make(*_ratio(v, x)))
 

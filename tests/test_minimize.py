@@ -1,6 +1,7 @@
 """Brzozowski minimization against the partition-refinement oracle."""
 
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -213,6 +214,25 @@ def test_certificates_at_sixteen_thousand_states_are_read_on_demand():
     for p, q in pairs:
         word = obs.certificates[(p, q)]
         assert machine.outputs[machine.step(p, word)] != machine.outputs[machine.step(q, word)]
+
+
+def test_a_four_thousand_state_chain_minimizes_in_linear_memory():
+    """The chain 0 -a-> 1 ... -a-> 3999 accepting 3999: its first pass's
+    reversed words have about n^2 / 2 letters in all, so they are spelled
+    from the first-pass links when read, and each step costs its mask's
+    set bits, not a scan of every state."""
+    n = 4000
+    chain = NFA(n, ["a"], [(i, "a", i + 1) for i in range(n - 1)], accepting=[n - 1])
+    tracemalloc.start()
+    try:
+        obs = brzozowski_minimal(chain, [0])
+        words = obs.certificates[(0, 1)], obs.certificates[(0, n)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert obs.machine.n_states == n + 1
+    assert words == (("a",) * (n - 2), ("a",) * (n - 1))
+    assert peak < 20 * 2**20
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -668,6 +668,41 @@ def test_values_meeting_through_different_denominators_share_one_number():
     assert step(0, half) == step(1, half) == (1, 0, 0, 0, 0)
 
 
+def _assert_step_contract(n: NFA):
+    """Bit x of _recurrence(n, mode)'s step(ai, p) is set iff some (disj) or
+    every (conj, vacuously for none) a-successor of x is in p, for every
+    letter and every mask p; the same relation read as an LTS, as a BOOL
+    WeightedAut and, when it is deterministic, as a BOOL MooreAut steps as
+    disj does."""
+    succ = n.succ_sets()
+    readings = [_lts_of(n), nfa_as_bool_wa(n)]
+    if all(len(s) == 1 for row in succ for s in row):
+        delta = [[min(s) for s in row] for row in succ]
+        readings.append(MooreAut(n.alphabet, [x in n.accepting for x in range(n.n_states)], delta))
+    disj, conj = (semantics._recurrence(n, mode)[1] for mode in ("disj", "conj"))
+    others = [semantics._recurrence(aut)[1] for aut in readings]
+    for ai in range(len(n.alphabet)):
+        for p in range(1 << n.n_states):
+            inside = {y for y in range(n.n_states) if p >> y & 1}
+            some = sum(1 << x for x, row in enumerate(succ) if row[ai] & inside)
+            every = sum(1 << x for x, row in enumerate(succ) if row[ai] <= inside)
+            assert disj(ai, p) == some
+            assert conj(ai, p) == every
+            assert [step(ai, p) for step in others] == [some] * len(others)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_boolean_steps_keep_the_successor_contract(seed):
+    rng = random.Random(seed)
+    _assert_step_contract(rand_nfa(rng, max_states=6))
+    # rand_nfa is seldom total and deterministic, so a Moore machine's
+    # relation is checked too, read as an NFA
+    m = rand_moore_bool(rng, max_states=6)
+    trans = [(x, a, t) for x, row in enumerate(m.delta) for a, t in zip(m.alphabet, row)]
+    _assert_step_contract(NFA(m.n_states, m.alphabet, trans, [x for x, o in enumerate(m.outputs) if o]))
+
+
 def _lts_of(n: NFA) -> LTS:
     trans = {}
     for p, a, q in n.transitions:
