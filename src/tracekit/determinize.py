@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from operator import mul
 from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -144,7 +144,7 @@ def _lifted_machine(
     and the reachable part of partition_refine.
     """
     letters = range(len(alphabet))
-    found = _explore(seeds, lambda s, intern: tuple(intern(step(ai, s)) for ai in letters), budget)
+    found = _explore(seeds, lambda s, intern: tuple(map(intern, map(step, letters, repeat(s)))), budget)
     if found is None:
         return None
     embed, order, delta = found
@@ -163,8 +163,10 @@ def _post(masks: Sequence[Sequence[int]]) -> Callable[[int, int], int]:
 
     def post(ai: int, s: int) -> int:
         t = 0
-        for x in _iter_bits(s):
-            t |= masks[x][ai]
+        while s:  # the set bits inline, lowest first: no generator to resume per bit
+            low = s & -s
+            t |= masks[low.bit_length() - 1][ai]
+            s ^= low
         return t
 
     return post

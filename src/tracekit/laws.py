@@ -23,9 +23,10 @@ sets are masks over masks. Both sides of a law are compared as masks, read
 from tables indexed by a family mask, or by each of its bytes, rather than
 bit by bit; the branching one-step squares, as they fold bitwise,
 idempotently and commutatively over disjoint fields, field by field.
-Naturality and the Boolean action laws judge each distinct argument once,
-so a transformation or a fold must be a function of its argument;
-naturality runs a transformation's kernel on masks (`FiniteNatTrans.masks`)
+Naturality, exchange and the action laws judge each distinct argument
+once, so a transformation, a fold, or a semiring's add and mul must be
+functions of their arguments; no cache outlives one checker call.
+Naturality runs a transformation's kernel on masks (`FiniteNatTrans.masks`)
 and builds no frozenset per family. Rendering expands all of this back to
 braces.
 """
@@ -139,14 +140,11 @@ CHI_WRONG = FiniteNatTrans("chi-wrong", chi_wrong, lambda fam: _choice_bits([*_i
 IDENTITY_NAT = FiniteNatTrans("identity", lambda fam: frozenset(frozenset(u) for u in fam), lambda fam: fam)
 
 
-def _fmt_set(s: Iterable[int], names: Sequence[str]) -> str:
-    return "{" + ",".join(names[i] for i in sorted(s)) + "}"
-
-
-def _fmt_family(fam: int, names: Sequence[str]) -> str:
-    """A family mask's members, as tuples of sorted elements, in order."""
+def _fmt_family(fam: int, first: str) -> str:
+    """A family mask's members, as tuples of sorted elements, in order;
+    element i is lettered i places after first."""
     inner = sorted(tuple(_iter_bits(u)) for u in _iter_bits(fam))
-    return "{" + ", ".join(_fmt_set(u, names) for u in inner) + "}"
+    return "{" + ", ".join("{" + ",".join(chr(ord(first) + i) for i in u) + "}" for u in inner) + "}"
 
 
 def _image(img: Sequence[int], fam: int) -> int:
@@ -154,13 +152,16 @@ def _image(img: Sequence[int], fam: int) -> int:
     return reduce(or_, (1 << img[u] for u in _iter_bits(fam)), 0)
 
 
-def _nat_failure(t: FiniteNatTrans, nx: int, ny: int, f: Sequence[int], fam: int, lhs: int, rhs: int) -> LawFailure:
+def _nat_failure(
+    t: FiniteNatTrans, nx: int, ny: int, f: Sequence[int], fam: int, lhs: int, rhs: int, fmt: Callable = _fmt_family
+) -> LawFailure:
     if nx + ny > 26:
         raise ValueError("carriers too large to letter")
     xs, ys = [chr(ord("a") + i) for i in range(nx)], [chr(ord("a") + nx + i) for i in range(ny)]
     fn = ", ".join(f"{xs[x]}->{ys[f[x]]}" for x in range(nx))
-    instance = f"X={_fmt_set(range(nx), xs)}, Y={_fmt_set(range(ny), ys)}, f=[{fn}], S={_fmt_family(fam, xs)}"
-    return LawFailure(instance, f"map after {t.name}: {_fmt_family(lhs, ys)}", f"{t.name} after map: {_fmt_family(rhs, ys)}")
+    instance = f"X={{{','.join(xs)}}}, Y={{{','.join(ys)}}}, f=[{fn}], S={fmt(fam, 'a')}"
+    y0 = chr(ord("a") + nx)
+    return LawFailure(instance, f"map after {t.name}: {fmt(lhs, y0)}", f"{t.name} after map: {fmt(rhs, y0)}")
 
 
 def naturality_instance(
@@ -198,7 +199,7 @@ def check_naturality(
     _at_least(0, max_size=max_size, samples=samples)
     failures: List[LawFailure] = []
     count = 0
-    t_of = lru_cache(maxsize=None)(t.masks)
+    t_of, fmt = lru_cache(maxsize=None)(t.masks), lru_cache(maxsize=None)(_fmt_family)
     limit = min(max_size, 3)
     t_tab = list(map(t_of, range(1 << (1 << limit))))
     for nx in range(limit + 1):
@@ -209,7 +210,7 @@ def check_naturality(
                 count += len(lifted)
                 # lifted, the shorter table, leads, so the walk stops at its end
                 bad = compress(range(len(lifted)), map(ne, map(t_tab.__getitem__, lifted), map(lifted.__getitem__, t_tab)))
-                failures.extend(_nat_failure(t, nx, ny, f, fam, lifted[t_tab[fam]], t_tab[lifted[fam]]) for fam in bad)
+                failures.extend(_nat_failure(t, nx, ny, f, fam, lifted[t_tab[fam]], t_tab[lifted[fam]], fmt) for fam in bad)
     if max_size > 3:
         rng = random.Random(seed)
         for _ in range(samples):
@@ -224,7 +225,7 @@ def check_naturality(
             lhs, rhs = _image(img, t_of(fam)), t_of(_image(img, fam))
             count += 1
             if lhs != rhs:
-                failures.append(_nat_failure(t, nx, ny, f, fam, lhs, rhs))
+                failures.append(_nat_failure(t, nx, ny, f, fam, lhs, rhs, fmt))
     return LawReport(f"naturality:{t.name}", count, failures)
 
 
@@ -285,7 +286,11 @@ def check_action_laws(
     two-member outer families plus samples at 3 points. Semiring actions are
     exhaustive over Boolean vectors on at most 1 point plus bounded/sampled
     fragments beyond that. A Boolean fold runs once per distinct list of
-    resolutions, in member order, so it must be a function of that list.
+    resolutions, in member order, so it must be a function of that list. A
+    semiring action judges each distinct outer family once and resolves each
+    distinct inner vector once, so its add and mul must be functions of
+    their arguments; a semiring other than bool, nat and rat has no pool of
+    values to draw from and raises ValueError.
     """
     _at_least(0, max_phi=max_phi, samples=samples)
     if isinstance(action, PredicateAction):
@@ -381,6 +386,8 @@ def _action_laws_semiring(
     action: SemiringAction, max_phi: int, samples: int, seed: int
 ) -> LawReport:
     sr = action.semiring
+    if sr.name not in _VALUE_POOLS:
+        raise ValueError(f"no value pool for the {sr.name} semiring; pools exist for {', '.join(_VALUE_POOLS)}")
     pool = _VALUE_POOLS[sr.name]
     nonzero = tuple(v for v in pool if v != sr.zero)
     failures: List[LawFailure] = []
@@ -397,22 +404,28 @@ def _action_laws_semiring(
                     f"the predicate itself: {psi}",
                 ))
 
+    # each distinct (k, family) is judged once, and each distinct inner vector resolved once
+    resolve = lru_cache(maxsize=None)(lambda k, vec: _vec_resolve(sr, vec, k))
+
+    @lru_cache(maxsize=None)
+    def judge(k: int, outer: WeightVec) -> Optional[LawFailure]:
+        lhs = _vec_resolve(sr, monad_mul(sr, outer), k)
+        rhs = _vec_resolve(sr, map_weights(lambda v: resolve(k, v), outer), k)
+        if lhs == rhs:
+            return None
+        rendered = "{" + ", ".join(f"{_fmt_vec(v)}:{c}" for v, c in outer.items()) + "}"
+        return LawFailure(
+            f"|Phi|={k}, weighted family {rendered}",
+            f"resolve of flattening: {lhs}",
+            f"resolve of resolutions: {rhs}",
+        )
+
     def check_mult(k: int, outer: WeightVec) -> None:
         nonlocal count
         count += 1
-        lhs = _vec_resolve(sr, monad_mul(sr, outer), k)
-        rhs = _vec_resolve(
-            sr, map_weights(lambda v: _vec_resolve(sr, v, k), outer), k
-        )
-        if lhs != rhs:
-            rendered = (
-                "{" + ", ".join(f"{_fmt_vec(v)}:{c}" for v, c in outer.items()) + "}"
-            )
-            failures.append(LawFailure(
-                f"|Phi|={k}, weighted family {rendered}",
-                f"resolve of flattening: {lhs}",
-                f"resolve of resolutions: {rhs}",
-            ))
+        failure = judge(k, outer)
+        if failure:
+            failures.append(failure)
 
     if sr.name == "bool":
         for k in range(min(max_phi, 2) + 1):
@@ -598,11 +611,14 @@ def _diagram_weighted(
     return LawReport("logic-morphism:weighted", count, failures)
 
 
-def _exchange_sides(k: int) -> Tuple[Callable[[int], int], Callable[[int], int]]:
-    """For predicates on k <= 2 points: both sides of the exchange law as
-    lookups on a family of predicate sets (a mask over predicate-set masks):
-    the meet of the members' joins, and the join of the meets of the
-    family's hitting sets.
+def _exchange_bytes(k: int) -> Tuple[list, list, Callable[[int], int]]:
+    """For predicates on k <= 2 points, the exchange law's tables by byte of
+    a family of predicate sets (a mask over predicate-set masks): for each
+    value of the low byte and of the high one, the pair (meet of the
+    members' joins, mask of their common hitting sets); and `join`, from a
+    mask of hitting sets to the join of their meets. A family's two sides
+    are the AND of its bytes' first entries, and `join` of the AND of their
+    second ones.
 
     Hitting sets are taken among all predicate sets, not only within the
     family's union. The extra ones are supersets of those within it, with
@@ -616,15 +632,15 @@ def _exchange_sides(k: int) -> Tuple[Callable[[int], int], Callable[[int], int]]
     hit1 = [_hitting_bits((u, everything)) for u in range(everything + 1)]
     hits_lo, hits_hi = _halves(hit1, and_, (1 << (everything + 1)) - 1)
     join_lo, join_hi = _halves(meet_of, or_, 0)
+    return [*zip(top_lo, hits_lo)], [*zip(top_hi, hits_hi)], lambda hits: join_lo[hits & 0xFF] | join_hi[hits >> 8]
 
-    def top(fam: int) -> int:
-        return top_lo[fam & 0xFF] & top_hi[fam >> 8]
 
-    def bottom(fam: int) -> int:
-        hits = hits_lo[fam & 0xFF] & hits_hi[fam >> 8]
-        return join_lo[hits & 0xFF] | join_hi[hits >> 8]
-
-    return top, bottom
+def _exchange_sides(k: int) -> Tuple[Callable[[int], int], Callable[[int], int]]:
+    """Both sides of the exchange law as lookups on a family of predicate
+    sets: the meet of the members' joins, and the join of the meets of the
+    family's hitting sets (`_exchange_bytes`)."""
+    lo, hi, join = _exchange_bytes(k)
+    return lambda fam: lo[fam & 0xFF][0] & hi[fam >> 8][0], lambda fam: join(lo[fam & 0xFF][1] & hi[fam >> 8][1])
 
 
 def _diagram_branching(
@@ -722,21 +738,23 @@ def check_exchange(max_phi: int = 2) -> LawReport:
     failures: List[LawFailure] = []
     count = 0
     for k in range(max_phi + 1):
-        meet_of_joins, join_of_meets = _exchange_sides(k)
-        nfam = 1 << (1 << (1 << k))
-        for fam in range(nfam):
-            top = meet_of_joins(fam)
-            bottom = join_of_meets(fam)
-            if top != bottom:
-                rendered = (
-                    "{" + ", ".join(_fmt_predset(_iter_bits(im)) for im in _iter_bits(fam)) + "}"
-                )
+        # a family is its low byte then its high one; the law is judged once
+        # per distinct pair of their table entries, and each high byte's
+        # failing low bytes are read off, in order, by their class ids
+        lo_pairs, hi_pairs, join = _exchange_bytes(k)
+        classes: dict = {}
+        lo_ids = [classes.setdefault(pair, len(classes)) for pair in lo_pairs]
+        rows = {(th, hh): [(tl & th) != join(hl & hh) for tl, hl in classes] for th, hh in set(hi_pairs)}
+        for hi, (th, hh) in enumerate(hi_pairs):
+            for lo in compress(range(len(lo_ids)), map(rows[th, hh].__getitem__, lo_ids)):
+                (tl, hl), fam = lo_pairs[lo], lo | hi << 8
+                rendered = "{" + ", ".join(_fmt_predset(_iter_bits(im)) for im in _iter_bits(fam)) + "}"
                 failures.append(LawFailure(
                     f"|Phi|={k}, family {rendered}",
-                    f"meet of joins: {_fmt_points(top)}",
-                    f"join of hitting-set meets: {_fmt_points(bottom)}",
+                    f"meet of joins: {_fmt_points(tl & th)}",
+                    f"join of hitting-set meets: {_fmt_points(join(hl & hh))}",
                 ))
-        count += nfam
+        count += len(lo_pairs) * len(hi_pairs)
     return LawReport("exchange:conjunction-over-disjunction", count, failures)
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
@@ -54,8 +55,9 @@ from tracekit.laws import (
     LawReport,
     _exchange_sides,
 )
+from tracekit.weights import monad_mul
 from tests.corpus import RAT_POOL, rand_alternating, rand_nfa
-from tests.law_oracles import action_laws, naturality
+from tests.law_oracles import action_laws, exchange, naturality, semiring_action_laws
 from tests.oracles import (
     alt_accepts,
     branching_diagram,
@@ -298,14 +300,18 @@ def test_constant_fold_fails_the_unit_law():
     assert any("singleton" in f.lhs for f in report.failures)
 
 
+# the declared one, 2, is no unit: resolving a singleton doubles it
+BAD_UNIT = Semiring("nat", 0, 2, add, mul)
+# a product of two factors above 1 gains 1, which breaks the multiplication law
+BAD_MULT = Semiring("nat", 0, 1, add, lambda a, b: a * b + (a > 1 and b > 1))
+
+
 @pytest.mark.parametrize(
     "name, sr, counts, digest",
     [
-        # the declared one, 2, is no unit: resolving a singleton doubles it
-        ("bad-unit", Semiring("nat", 0, 2, add, mul), (18, 0),
+        ("bad-unit", BAD_UNIT, (18, 0),
          "7950b0807132e4783426a4c1077bf4e4db4965b78ea17120465d9c854579adef"),
-        # a product of two factors above 1 gains 1, which breaks the multiplication law
-        ("bad-mult", Semiring("nat", 0, 1, add, lambda a, b: a * b + (a > 1 and b > 1)), (0, 54),
+        ("bad-mult", BAD_MULT, (0, 54),
          "62fc4bfa0f7091b540f2a175118cb7a8541f28e93fa16f9bf366b9376baba6f8"),
     ],
 )
@@ -316,6 +322,45 @@ def test_semiring_action_law_failures_are_pinned(name, sr, counts, digest):
     assert (unit_failures, len(report.failures) - unit_failures) == counts
     text = format_report(report, max_failures=len(report.failures))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "sr", [BOOL, NAT, RAT, BAD_UNIT, BAD_MULT], ids=["bool", "nat", "rat", "bad-unit", "bad-mult"]
+)
+def test_semiring_action_laws_match_the_per_instance_oracle(sr):
+    """Whole reports (count, failure order and text), repeated samples and
+    failing families included, against the loop that judges every instance
+    on its own."""
+    for max_phi in range(4):
+        for samples, seed in ((300, 2026), (120, 7)):
+            report = check_action_laws(SemiringAction("resolve", sr), max_phi=max_phi, samples=samples, seed=seed)
+            expected = semiring_action_laws(sr, max_phi, samples, seed)
+            assert (report.instances_checked, _failure_texts(report)) == expected
+
+
+@pytest.mark.parametrize("sr", [BOOL, NAT, RAT, BAD_MULT], ids=["bool", "nat", "rat", "bad-mult"])
+def test_semiring_action_laws_flatten_each_distinct_family_once(monkeypatch, sr):
+    """Counting the flattenings: each distinct (size, outer family) of the
+    per-instance loop is flattened exactly once, though the samples repeat
+    some, and the report is the loop's."""
+    flattened = []
+
+    def counting(semiring, outer):
+        flattened.append(outer)
+        return monad_mul(semiring, outer)
+
+    monkeypatch.setattr(tracekit.laws, "monad_mul", counting)
+    families = []
+    report = check_action_laws(SemiringAction("counted", sr), max_phi=3)
+    assert (report.instances_checked, _failure_texts(report)) == semiring_action_laws(sr, 3, families=families)
+    assert len(flattened) == len(set(families)) < len(families)
+    assert Counter(flattened) == Counter(outer for _, outer in set(families))
+
+
+def test_action_laws_reject_a_semiring_without_a_value_pool():
+    top = Semiring("max", 0, 0, max, add)
+    with pytest.raises(ValueError, match="^no value pool for the max semiring; pools exist for bool, nat, rat$"):
+        check_action_laws(SemiringAction("t", top))
 
 
 def test_monad_morphism_holds_for_both_actions():
@@ -426,6 +471,29 @@ def test_exchange_and_alt_diagram_run_through_the_hitting_set_kernel(monkeypatch
     monkeypatch.setattr(tracekit.laws, "_hitting_bits", lambda members: 0)
     assert not check_exchange(max_phi=2).ok
     assert not check_logic_morphism_diagram("alt").ok
+
+
+@pytest.mark.parametrize(
+    "mutation",
+    [
+        None,
+        # no hitting sets for the predicate set {{0}} (mask 2): 2,050 failures at max_phi=2
+        lambda kernel: lambda members: 0 if members[0] == 2 else kernel(members),
+        # the predicate sets 12 to 15 are never hitting sets: 3,600 failures at max_phi=2
+        lambda kernel: lambda members: kernel(members) & ~0xF000,
+    ],
+    ids=["kernel", "drop-one-member", "drop-high-sets"],
+)
+def test_exchange_matches_the_per_family_oracle(monkeypatch, mutation):
+    """Whole reports (count, failure order and text) against the loop that
+    judges every family of predicate sets on its own, under the hitting-set
+    kernel and two mutations of it."""
+    if mutation:
+        monkeypatch.setattr(tracekit.laws, "_hitting_bits", mutation(tracekit.laws._hitting_bits))
+    for phi in range(3):
+        report = check_exchange(max_phi=phi)
+        assert (report.instances_checked, _failure_texts(report)) == exchange(phi, tracekit.laws._hitting_bits)
+    assert mutation is None or len(report.failures) in (2050, 3600)
 
 
 @pytest.mark.parametrize("alphabet", [("a",), ("a", "b")])
