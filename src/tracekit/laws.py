@@ -24,8 +24,11 @@ from tables indexed by a family mask, or by each of its bytes, rather than
 bit by bit; the branching one-step squares, as they fold bitwise,
 idempotently and commutatively over disjoint fields, field by field.
 Naturality, exchange and the action laws judge each distinct argument
-once, so a transformation, a fold, or a semiring's add and mul must be
-functions of their arguments; no cache outlives one checker call.
+once, so a transformation or a fold must be a function of its arguments,
+and a semiring's add and mul must give equal results on equal arguments:
+its values are numbered, equal ones alike, and compared by equality; a
+failing family is rendered from the values computed for it. No cache
+outlives one checker call.
 Naturality runs a transformation's kernel on masks (`FiniteNatTrans.masks`)
 and builds no frozenset per family. Rendering expands all of this back to
 braces.
@@ -287,9 +290,11 @@ def check_action_laws(
     exhaustive over Boolean vectors on at most 1 point plus bounded/sampled
     fragments beyond that. A Boolean fold runs once per distinct list of
     resolutions, in member order, so it must be a function of that list. A
-    semiring action judges each distinct outer family once and resolves each
-    distinct inner vector once, so its add and mul must be functions of
-    their arguments; a semiring other than bool, nat and rat has no pool of
+    semiring action is judged on value numbers, equal values alike, each
+    distinct outer family once and each add and mul once per pair of
+    numbers, so they must give equal results on equal arguments; values are
+    compared by equality, and a failing family is rendered from the values
+    computed for it. A semiring other than bool, nat and rat has no pool of
     values to draw from and raises ValueError.
     """
     _at_least(0, max_phi=max_phi, samples=samples)
@@ -324,6 +329,8 @@ def _action_laws_bool(
         """Count a row of outer families, the i-th with members fams(i)."""
         nonlocal count
         count += len(lhs)
+        if lhs == rhs:  # one C-level comparison; indices are walked only in a row that differs
+            return
         for i in compress(range(len(lhs)), map(ne, lhs, rhs)):
             rendered = "{" + ", ".join(map(fmt_inner, fams(i))) + "}"
             failures.append(LawFailure(
@@ -349,9 +356,11 @@ def _action_laws_bool(
         for h in sorted(dict.fromkeys(res_hi), key=len):
             rows[h] = [rows[h[1:]][seqs[s + h[:1]]] if h and s + h[:1] in seqs
                        else action.fold(list(s + h), full) for s in seqs]
+        # each distinct row once: its union side depends on hi only through uh, its resolutions on h
+        lhs_of = {uh: [fold_of[ul | uh] for ul in union_lo] for uh in set(union_hi)}
+        rhs_of = {h: list(map(row.__getitem__, id_lo)) for h, row in rows.items()}
         for hi, (uh, h) in enumerate(zip(union_hi, res_hi)):
-            rhs = list(map(rows[h].__getitem__, id_lo))
-            judge(k, [fold_of[ul | uh] for ul in union_lo], rhs, lambda lo: _iter_bits(lo | hi << 8))
+            judge(k, lhs_of[uh], rhs_of[h], lambda lo: _iter_bits(lo | hi << 8))
     if max_phi >= 3:
         k, full, nfam = 3, 7, 256
         fold_of = [action.fold(_iter_bits(fm), full) for fm in range(nfam)]
@@ -382,6 +391,20 @@ def _fmt_vec(vec: WeightVec) -> str:
     return "{" + ", ".join(f"{key}:{val}" for key, val in vec.items()) + "}"
 
 
+def _numbered_items(pairs: Iterable[tuple], add: Callable, zero: int, key: Optional[Callable] = None) -> tuple:
+    """A `WeightVec`'s items on value numbers: pairs accumulated by add in
+    first-seen order, zeros dropped, sorted (by key, if given)."""
+    acc: dict = {}
+    for x, v in pairs:
+        acc[x] = add(acc[x], v) if x in acc else v
+    return tuple(sorted([(x, v) for x, v in acc.items() if v != zero], key=key))
+
+
+def _flatten(outer: tuple, add: Callable, mul: Callable, zero: int) -> tuple:
+    """`monad_mul` on value numbers: the items of a family's flattening."""
+    return _numbered_items(((x, mul(c, v)) for inner, c in outer if c != zero for x, v in inner), add, zero)
+
+
 def _action_laws_semiring(
     action: SemiringAction, max_phi: int, samples: int, seed: int
 ) -> LawReport:
@@ -389,68 +412,80 @@ def _action_laws_semiring(
     if sr.name not in _VALUE_POOLS:
         raise ValueError(f"no value pool for the {sr.name} semiring; pools exist for {', '.join(_VALUE_POOLS)}")
     pool = _VALUE_POOLS[sr.name]
-    nonzero = tuple(v for v in pool if v != sr.zero)
     failures: List[LawFailure] = []
     count = 0
+    # value numbers, the pool's first and sorted, so that tuples of pool
+    # numbers sort as their values do; a family orders its members by the
+    # repr of their values, as a WeightVec of WeightVecs does
+    vals = sorted(pool)
+    nums = {v: n for n, v in enumerate(vals)}
+
+    def number(v) -> int:
+        n = nums.setdefault(v, len(vals))
+        if n == len(vals):
+            vals.append(v)
+        return n
+
+    zero, one = number(sr.zero), number(sr.one)
+    add, mul = (lru_cache(maxsize=None)(lambda a, b, op=op: number(op(vals[a], vals[b]))) for op in (sr.add, sr.mul))
+    resolve = lru_cache(maxsize=None)(lambda k, vec: tuple(reduce(add, [mul(c, psi[p]) for psi, c in vec], zero) for p in range(k)))
+    values = lambda ns: tuple(map(vals.__getitem__, ns))
+    inner_repr = lru_cache(maxsize=None)(lambda inner: repr({values(x): vals[v] for x, v in inner}))
+    pool_nums, nonzero_nums = [nums[v] for v in pool], [nums[v] for v in pool if v != sr.zero]
 
     for k in range(max_phi + 1):
-        for psi in product(pool, repeat=k):
+        for psi in product(pool_nums, repeat=k):
             count += 1
-            got = _vec_resolve(sr, unit(sr, psi), k)
-            if got != psi:
+            if resolve(k, _numbered_items([(psi, one)], add, zero)) != psi:
+                psi = values(psi)
                 failures.append(LawFailure(
                     f"|Phi|={k}, predicate {psi}",
-                    f"resolve of singleton: {got}",
+                    f"resolve of singleton: {_vec_resolve(sr, unit(sr, psi), k)}",
                     f"the predicate itself: {psi}",
                 ))
 
-    # each distinct (k, family) is judged once, and each distinct inner vector resolved once
-    resolve = lru_cache(maxsize=None)(lambda k, vec: _vec_resolve(sr, vec, k))
-
     @lru_cache(maxsize=None)
-    def judge(k: int, outer: WeightVec) -> Optional[LawFailure]:
-        lhs = _vec_resolve(sr, monad_mul(sr, outer), k)
-        rhs = _vec_resolve(sr, map_weights(lambda v: resolve(k, v), outer), k)
+    def judge(k: int, outer: tuple) -> Optional[LawFailure]:
+        lhs = resolve(k, _flatten(outer, add, mul, zero))
+        rhs = resolve(k, _numbered_items(((resolve(k, v), c) for v, c in outer), add, zero, lambda item: values(item[0])))
         if lhs == rhs:
             return None
-        rendered = "{" + ", ".join(f"{_fmt_vec(v)}:{c}" for v, c in outer.items()) + "}"
+        # rendered from the values that the per-instance path computes: equal values may differ in type
+        family = WeightVec(sr, {WeightVec(sr, {values(x): vals[v] for x, v in inner}): vals[c] for inner, c in outer})
+        rendered = "{" + ", ".join(f"{_fmt_vec(v)}:{c}" for v, c in family.items()) + "}"
         return LawFailure(
             f"|Phi|={k}, weighted family {rendered}",
-            f"resolve of flattening: {lhs}",
-            f"resolve of resolutions: {rhs}",
+            f"resolve of flattening: {_vec_resolve(sr, monad_mul(sr, family), k)}",
+            f"resolve of resolutions: {_vec_resolve(sr, map_weights(lambda v: _vec_resolve(sr, v, k), family), k)}",
         )
 
-    def check_mult(k: int, outer: WeightVec) -> None:
+    def check_mult(k: int, outer: dict) -> None:
         nonlocal count
         count += 1
-        failure = judge(k, outer)
+        failure = judge(k, tuple(sorted(outer.items(), key=lambda item: inner_repr(item[0]))))
         if failure:
             failures.append(failure)
 
     if sr.name == "bool":
+        tt = nums[True]
         for k in range(min(max_phi, 2) + 1):
-            preds = list(product(pool, repeat=k))
-            vecs = [
-                WeightVec(sr, {p: True for p in chosen})
-                for r in range(len(preds) + 1)
-                for chosen in combinations(preds, r)
-            ]
+            preds = list(product(pool_nums, repeat=k))
+            vecs = [tuple((p, tt) for p in chosen) for r in range(len(preds) + 1) for chosen in combinations(preds, r)]
             # every outer family up to 1 point; at 2 points, up to two members
             for r in range(len(vecs) + 1 if k < 2 else 3):
                 for chosen in combinations(vecs, r):
-                    check_mult(k, WeightVec(sr, {v: True for v in chosen}))
+                    check_mult(k, dict.fromkeys(chosen, tt))
     rng = random.Random(seed)
     for _ in range(samples):
         k = rng.randint(0, max_phi)
         inner = []
         for _ in range(rng.randint(0, 3)):
             support = {
-                tuple(rng.choice(pool) for _ in range(k)): rng.choice(nonzero)
+                tuple(rng.choice(pool_nums) for _ in range(k)): rng.choice(nonzero_nums)
                 for _ in range(rng.randint(0, 2))
             }
-            inner.append(WeightVec(sr, support))
-        outer = WeightVec(sr, {v: rng.choice(nonzero) for v in inner})
-        check_mult(k, outer)
+            inner.append(tuple(sorted(support.items())))  # distinct keys, nonzero values
+        check_mult(k, {v: rng.choice(nonzero_nums) for v in inner})
     return LawReport(f"action-laws:{action.name}", count, failures)
 
 

@@ -53,9 +53,10 @@ from tracekit.laws import (
     FiniteNatTrans,
     LawFailure,
     LawReport,
+    _VALUE_POOLS,
     _exchange_sides,
+    _flatten,
 )
-from tracekit.weights import monad_mul
 from tests.corpus import RAT_POOL, rand_alternating, rand_nfa
 from tests.law_oracles import action_laws, exchange, naturality, semiring_action_laws
 from tests.oracles import (
@@ -205,6 +206,21 @@ def test_boolean_action_laws_match_the_per_family_oracle(action):
         assert (report.instances_checked, _failure_texts(report)) == expected
 
 
+# a diamond that is wrong on lists of 16 resolutions only: at 2 points, on the
+# one family of all 16 predicate sets, in a row that otherwise agrees
+WRONG_AT_16 = PredicateAction(
+    "wrong-at-16", lambda masks, full: (lambda ms: reduce(or_, ms, 0) ^ (len(ms) == 16))(list(masks))
+)
+
+
+def test_boolean_action_laws_walk_the_one_differing_family_of_a_row():
+    """A row whose two sides differ at one index is walked, and only there."""
+    for max_phi in (2, 3):
+        report = check_action_laws(WRONG_AT_16, max_phi=max_phi)
+        assert len(report.failures) == 1
+        assert (report.instances_checked, _failure_texts(report)) == action_laws(WRONG_AT_16, max_phi)
+
+
 def test_action_laws_fold_each_distinct_list_of_resolutions_once():
     """The resolution side's argument (the one list the fold gets) is seen
     once per distinct value, and exactly the values the per-family loop
@@ -304,6 +320,10 @@ def test_constant_fold_fails_the_unit_law():
 BAD_UNIT = Semiring("nat", 0, 2, add, mul)
 # a product of two factors above 1 gains 1, which breaks the multiplication law
 BAD_MULT = Semiring("nat", 0, 1, add, lambda a, b: a * b + (a > 1 and b > 1))
+# nat with Fraction products, a lawful one and BAD_MULT's: their sums mix int
+# and Fraction values that are equal but render differently
+FRACTION_MUL = Semiring("nat", 0, 1, add, lambda a, b: Fraction(a * b))
+BAD_FRACTION_MUL = Semiring("nat", 0, 1, add, lambda a, b: Fraction(a * b + (a > 1 and b > 1)))
 
 
 @pytest.mark.parametrize(
@@ -325,12 +345,15 @@ def test_semiring_action_law_failures_are_pinned(name, sr, counts, digest):
 
 
 @pytest.mark.parametrize(
-    "sr", [BOOL, NAT, RAT, BAD_UNIT, BAD_MULT], ids=["bool", "nat", "rat", "bad-unit", "bad-mult"]
+    "sr",
+    [BOOL, NAT, RAT, BAD_UNIT, BAD_MULT, FRACTION_MUL, BAD_FRACTION_MUL],
+    ids=["bool", "nat", "rat", "bad-unit", "bad-mult", "fraction-mul", "bad-fraction-mul"],
 )
 def test_semiring_action_laws_match_the_per_instance_oracle(sr):
     """Whole reports (count, failure order and text), repeated samples and
     failing families included, against the loop that judges every instance
-    on its own."""
+    on its own. A failing family's sides keep the types of their values,
+    though the judge numbers equal values alike."""
     for max_phi in range(4):
         for samples, seed in ((300, 2026), (120, 7)):
             report = check_action_laws(SemiringAction("resolve", sr), max_phi=max_phi, samples=samples, seed=seed)
@@ -340,21 +363,24 @@ def test_semiring_action_laws_match_the_per_instance_oracle(sr):
 
 @pytest.mark.parametrize("sr", [BOOL, NAT, RAT, BAD_MULT], ids=["bool", "nat", "rat", "bad-mult"])
 def test_semiring_action_laws_flatten_each_distinct_family_once(monkeypatch, sr):
-    """Counting the flattenings: each distinct (size, outer family) of the
-    per-instance loop is flattened exactly once, though the samples repeat
-    some, and the report is the loop's."""
+    """Counting the judge's flattenings: each distinct (size, outer family)
+    of the per-instance loop is flattened exactly once, though the samples
+    repeat some, and the report is the loop's. The judge numbers a pool
+    value by its place in the sorted pool."""
     flattened = []
 
-    def counting(semiring, outer):
+    def counting(outer, *ops):
         flattened.append(outer)
-        return monad_mul(semiring, outer)
+        return _flatten(outer, *ops)
 
-    monkeypatch.setattr(tracekit.laws, "monad_mul", counting)
+    monkeypatch.setattr(tracekit.laws, "_flatten", counting)
     families = []
     report = check_action_laws(SemiringAction("counted", sr), max_phi=3)
     assert (report.instances_checked, _failure_texts(report)) == semiring_action_laws(sr, 3, families=families)
     assert len(flattened) == len(set(families)) < len(families)
-    assert Counter(flattened) == Counter(outer for _, outer in set(families))
+    number = {v: n for n, v in enumerate(sorted(_VALUE_POOLS[sr.name]))}
+    inner = lambda vec: tuple((tuple(map(number.get, psi)), number[c]) for psi, c in vec.items())
+    assert Counter(flattened) == Counter(tuple((inner(v), number[c]) for v, c in outer.items()) for _, outer in set(families))
 
 
 def test_action_laws_reject_a_semiring_without_a_value_pool():
