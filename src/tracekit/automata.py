@@ -89,7 +89,7 @@ class _Machine:
     """A state space 0..n_states-1 with its name table and its alphabet.
 
     Names default to q0, q1, ...; a tree automaton has the empty alphabet.
-    `_cache` holds derived tables and a clean `require_valid` result.
+    `_cache` holds a clean `require_valid` result.
     """
 
     def __init__(self, n_states: int, alphabet: Iterable[Label], names: Optional[Sequence[str]]):
@@ -142,31 +142,6 @@ class NFA(_Machine):
             f"NFA({self.n_states} states, alphabet {''.join(self.alphabet)!r}, "
             f"{len(self.transitions)} transitions, accepting {sorted(self.accepting)})"
         )
-
-    def succ_sets(self) -> List[List[frozenset]]:
-        """Per state, per letter index, the successor set (the BT-style view)."""
-        rows = self._cache.get("succ_sets")
-        if rows is None:
-            aidx = self.letter_index()
-            raw: List[List[set]] = [[set() for _ in self.alphabet] for _ in range(self.n_states)]
-            for p, a, q in self.transitions:
-                raw[p][aidx[a]].add(q)
-            rows = [[frozenset(s) for s in row] for row in raw]
-            self._cache["succ_sets"] = rows
-        return rows
-
-    def succ_masks(self) -> List[List[int]]:
-        rows = self._cache.get("succ_masks")
-        if rows is None:
-            rows = [
-                [sum(1 << q for q in s) for s in row]
-                for row in self.succ_sets()
-            ]
-            self._cache["succ_masks"] = rows
-        return rows
-
-    def accepting_mask(self) -> int:
-        return sum(1 << x for x in self.accepting)
 
     def _violations(self) -> List[str]:
         out = _common_violations(self)

@@ -12,7 +12,9 @@ The explored states themselves are plain: bitmasks of states for the subset
 constructions and for weighted automata over BOOL, and over NAT and RAT the
 canonical integer tuples of `weights._linear`. Outputs are built from them
 once per discovered state, after the exploration; a weighted meaning is
-built from its state only when it is read.
+built from its state only when it is read. `_one_step` is the one source of
+both steps of a word automaton: the forward step explored here, and the
+preimage step of `semantics._recurrence`.
 """
 
 from __future__ import annotations
@@ -25,14 +27,17 @@ from operator import mul
 from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .automata import (
+    GPS,
+    LTS,
     NFA,
+    TERM,
     AlternatingAut,
     MooreAut,
     WeightedAut,
     _iter_bits,
     require_valid,
 )
-from .weights import BOOL, Semiring, WeightVec, _entries, _linear
+from .weights import BOOL, RAT, Semiring, WeightVec, _entries, _linear
 
 BOOL_MODES = ("disj", "conj")
 
@@ -152,11 +157,6 @@ def _lifted_machine(
     return embed, order, MooreAut(alphabet, list(map(output, order)), delta, semiring=semiring, names=names)
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in BOOL_MODES:
-        raise ValueError(f"mode must be 'disj' or 'conj', got {mode!r}")
-
-
 def _post(masks: Sequence[Sequence[int]]) -> Callable[[int, int], int]:
     """The successor-set step on bitmasks: step(ai, s) is the union of
     masks[x][ai] over the members x of s."""
@@ -172,19 +172,67 @@ def _post(masks: Sequence[Sequence[int]]) -> Callable[[int, int], int]:
     return post
 
 
+def _one_step(aut, mode: str = "disj", back: bool = True) -> Tuple[Semiring, Any, Callable[[int, Any], Any]]:
+    """The carrier, the outputs and one step of a word automaton, from one
+    edge list (x, letter index, y, weight): the one source of the forward
+    step of the determinizations and of the preimage step (back) of the
+    recurrences. An NFA is read in `mode`, an LTS as an NFA whose every
+    state accepts, a GPS over RAT, a Moore machine with weight one per edge.
+
+    Over BOOL: the accepting mask, and `_post` over successor masks or
+    predecessor masks (back: bit x is set iff some a-successor of x is in
+    p, or in conj mode every one is, vacuously for none). Over NAT and RAT:
+    `weights._linear`'s integer tuple of the outputs and its step along the
+    transposed rows (forward) or the rows (back).
+    """
+    if isinstance(aut, NFA):
+        if mode not in BOOL_MODES:
+            raise ValueError(f"mode must be 'disj' or 'conj', got {mode!r}")
+        aidx = aut.letter_index()
+        sr, out = BOOL, [x in aut.accepting for x in range(aut.n_states)]
+        edges = [(x, aidx[a], y, True) for x, a, y in aut.transitions]
+    elif isinstance(aut, GPS):
+        aidx = aut.letter_index()
+        sr, out = RAT, [d.get(TERM, RAT.zero) for d in aut.dist]
+        edges = [(x, aidx[k[0]], k[1], p) for x, d in enumerate(aut.dist) for k, p in d.items() if k is not TERM]
+    elif isinstance(aut, WeightedAut):
+        sr, out = aut.semiring, aut.out
+        edges = [(x, ai, y, wt) for x, row in enumerate(aut.trans) for ai, vec in enumerate(row) for y, wt in vec.items()]
+    elif isinstance(aut, MooreAut):
+        sr, out = aut.semiring, aut.outputs
+        edges = [(x, ai, y, 1) for x, row in enumerate(aut.delta) for ai, y in enumerate(row)]
+    elif isinstance(aut, LTS):
+        sr, out = BOOL, [True] * aut.n_states
+        edges = [(x, ai, y, True) for x, row in enumerate(aut.trans) for ai, succ in enumerate(row) for y in succ]
+    else:
+        raise TypeError(f"not a word automaton: {aut!r}")
+    letters, into = len(aut.alphabet), back == (sr.name == "bool")
+    # row i holds the edges into i for BOOL back and NAT/RAT forward: _post pushes, _linear pulls
+    if sr.name != "bool":
+        rows = [[[] for _ in range(letters)] for _ in out]
+        for x, ai, y, wt in edges:
+            rows[y if into else x][ai].append((x if into else y, wt))
+        return (sr, *_linear(out, rows, letters))
+    masks = [[0] * letters for _ in out]
+    for x, ai, y, _ in edges:
+        masks[y if into else x][ai] |= 1 << (x if into else y)
+    some, full = _post(masks), (1 << len(out)) - 1
+    step = (lambda ai, p: full ^ some(ai, full ^ p)) if back and mode == "conj" else some
+    return sr, sum(1 << x for x, o in enumerate(out) if o), step
+
+
 def det_subset(n: NFA, mode: str = "disj") -> DetResult:
     """Powerset construction from the singleton states.
 
     Result states are the subsets of n's states reachable from singletons,
-    stepping to the union of successor sets. Disjunctive output accepts a
+    stepping by `_one_step`'s forward step. Disjunctive output accepts a
     subset meeting the accepting set; conjunctive output accepts a subset
     contained in it (so the empty subset accepts).
     """
     require_valid(n)
-    _check_mode(mode)
-    acc = n.accepting_mask()
+    _, acc, step = _one_step(n, mode, back=False)
     output = (lambda s: bool(s & acc)) if mode == "disj" else (lambda s: s & ~acc == 0)
-    embed, order, machine = _lifted_machine(n.alphabet, [1 << x for x in range(n.n_states)], _post(n.succ_masks()), output)
+    embed, order, machine = _lifted_machine(n.alphabet, [1 << x for x in range(n.n_states)], step, output)
     meanings = {i: frozenset(_iter_bits(s)) for i, s in enumerate(order)}
     return DetResult(machine, dict(enumerate(embed)), meanings, f"subset-{mode}")
 
@@ -194,35 +242,26 @@ def det_weighted(w: WeightedAut, budget: int = 500) -> Union[DetResult, BudgetEx
     unit vectors.
 
     output(v) sums v(y) * out(y); the a-successor of v is the vector
-    z -> sum over y of v(y) * trans(y)(a)(z). Over BOOL the vectors are
-    explored as bitmasks, stepped as in `det_subset`; over NAT and RAT as
-    the canonical integer tuples of `weights._linear`, stepped along the
-    transposed rows (row z for letter a lists the pairs (y, weight of
-    y -a-> z)). Each state's output is built once, from its mask or tuple,
-    after the exploration; state_meaning is a read-only view of them that
-    builds a state's `WeightVec` meaning only when it is read. Over
-    non-idempotent carriers the reachable set can be infinite, so
-    exploration stops with a BudgetExceeded outcome once more than
-    `budget` states appear; a budget below 1 raises ValueError.
+    z -> sum over y of v(y) * trans(y)(a)(z), `_one_step`'s forward step.
+    Over BOOL the vectors are explored as bitmasks, as in `det_subset`; over
+    NAT and RAT as the canonical integer tuples of `weights._linear`. Each
+    state's output is built once, from its mask or tuple, after the
+    exploration; state_meaning is a read-only view of them that builds a
+    state's `WeightVec` meaning only when it is read. Over non-idempotent
+    carriers the reachable set can be infinite, so exploration stops with a
+    BudgetExceeded outcome once more than `budget` states appear; a budget
+    below 1 raises ValueError.
     """
     require_valid(w)
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
-    sr, n, letters = w.semiring, w.n_states, len(w.alphabet)
+    (sr, outs, step), n = _one_step(w, back=False), w.n_states
     # the carrier value of an entry c / d: c itself over BOOL and NAT, where d is always 1
     scale = Fraction if sr.name == "rat" else (lambda c, d: c)
     if sr.name == "bool":
-        acc = sum(1 << y for y, o in enumerate(w.out) if o)
-        masks = [[sum(1 << z for z, _ in vec.items()) for vec in row] for row in w.trans]
-        seeds, step = [1 << x for x in range(n)], _post(masks)
-        output = lambda s: bool(s & acc)
+        seeds, output = [1 << x for x in range(n)], lambda s: bool(s & outs)
     else:
-        into: List[List[List[Tuple[int, Any]]]] = [[[] for _ in range(letters)] for _ in range(n)]
-        for y, row in enumerate(w.trans):
-            for ai, vec in enumerate(row):
-                for z, wt in vec.items():
-                    into[z][ai].append((y, wt))
-        (m, *out), step = _linear(w.out, into, letters)
+        m, *out = outs
         seeds = [(1,) + (0,) * x + (1,) + (0,) * (n - 1 - x) for x in range(n)]
         output = lambda v: scale(sum(map(mul, out, v[1:])), m * v[0])
     found = _lifted_machine(w.alphabet, seeds, step, output, sr, budget)
@@ -371,9 +410,11 @@ def canonical_det_nfa(n: NFA, bound: int = 4) -> Union[DetResult, BudgetExceeded
     S} of a subset S, stepping to the up-set of S's successor set: the
     machine is the disjunctive subset machine, with up-sets as meanings.
     `bound` caps the input size, as a meaning lists up to 2^|states|
-    predicates.
+    predicates; a bound below 0 raises ValueError.
     """
     require_valid(n)
+    if bound < 0:
+        raise ValueError(f"bound must be at least 0, got {bound}")
     if n.n_states > bound:
         return BudgetExceeded("canonical", bound, n.n_states)
     subsets = det_subset(n)

@@ -5,15 +5,16 @@ all states at once, and a step that takes the value of w to that of a.w.
 `determinize._explore` explores the recurrence from its base to the depth, so
 each distinct value is stepped once per letter however many words share it; a
 table's entries are a read-only view (`_ValueView`) of the words' value
-numbers, each distinct value read once, on first access. Values are bitmasks
-for the Boolean kinds, most stepped by `determinize._post` over predecessor
-masks, and, over NAT and RAT, integer tuples (d, n_0, ...) with gcd 1 for the
-vectors n / d: one value per vector. Tree automata are unfolded bottom-up by
-tree height over the shapes of `automata._tree_shapes`: `_tree_step` runs
-once per distinct (op, child value numbers), and the table is a read-only
-view (`_TreeView`) of the trees' value numbers that builds no tree until it
-is iterated. Each table is total on all words (trees) within the requested
-depth, and a negative depth raises ValueError.
+numbers, each distinct value read once, on first access. Every word kind
+but the alternating one takes its base and its preimage step from
+`determinize._one_step`, the one source of both steps. Values are bitmasks
+for the Boolean kinds and, over NAT and RAT, integer tuples (d, n_0, ...)
+with gcd 1 for the vectors n / d: one value per vector. Tree automata are
+unfolded bottom-up by tree height over the shapes of `automata._tree_shapes`:
+`_tree_step` runs once per distinct (op, child value numbers), and the table
+is a read-only view (`_TreeView`) of the trees' value numbers that builds no
+tree until it is iterated. Each table is total on all words (trees) within
+the requested depth, and a negative depth raises ValueError.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .automata import (
     NFA,
     AlternatingAut,
     MooreAut,
-    TERM,
     Shape,
     Tree,
     WeightedAut,
@@ -43,8 +43,8 @@ from .automata import (
     check_state,
     require_valid,
 )
-from .determinize import _alt_masks, _check_mode, _explore, _post
-from .weights import BOOL, RAT, PartialProb, WeightVec, _linear
+from .determinize import _alt_masks, _explore, _one_step
+from .weights import PartialProb, WeightVec
 
 Word = Tuple[str, ...]
 
@@ -290,47 +290,22 @@ def _recurrence(aut, mode: str = "disj") -> Tuple[Any, Callable, Callable[[Any, 
     """The empty-word values, the one-step function and the reader of a word
     automaton; read(v, x) is state x's entry of the value v.
 
-    Values are bitmasks over states for the Boolean kinds: NFA in `mode`,
-    LTS as an NFA whose every state accepts, alternating (`_alt_step`), and
-    weighted and Moore automata over BOOL. Bit x of the others' step(ai, p)
-    is set iff some a-successor of x is in p (`determinize._post` over the
-    predecessor masks) or, for an NFA in conj mode, every one is, vacuously
-    for none. Over NAT and RAT (weighted, GPS, and Moore as weighted with
-    weight one on the a-successor) they are integer tuples (d, n_0, ...)
+    An alternating automaton steps by `_alt_step` on bitmasks. Every other
+    kind takes its outputs and preimage step from `determinize._one_step`,
+    the one source of both steps: bitmasks over states for the Boolean kinds
+    (NFA in `mode`, LTS, and weighted and Moore automata over BOOL), and
+    over NAT and RAT (weighted, GPS and Moore) integer tuples (d, n_0, ...)
     for the vectors n / d, with d > 0 and gcd(d, n_0, ...) = 1: d is the lcm
     of the entries' reduced denominators, one tuple per vector.
     """
-    conj = False
     if isinstance(aut, AlternatingAut):
         out_mask, fams = _alt_masks(aut)
         return out_mask, _alt_step(fams), _bit
-    if isinstance(aut, NFA):
-        _check_mode(mode)
-        aidx, conj = aut.letter_index(), mode == "conj"
-        sr, out = BOOL, [x in aut.accepting for x in range(aut.n_states)]
-        edges = [(x, aidx[a], y) for x, a, y in aut.transitions]
-    elif isinstance(aut, GPS):
-        sr, out = RAT, [d.get(TERM, RAT.zero) for d in aut.dist]
-        rows = [[[(k[1], p) for k, p in d.items() if k is not TERM and k[0] == a] for a in aut.alphabet] for d in aut.dist]
-    elif isinstance(aut, WeightedAut):
-        sr, out, rows = aut.semiring, aut.out, [[vec.items() for vec in row] for row in aut.trans]
-    elif isinstance(aut, MooreAut):
-        sr, out, rows = aut.semiring, aut.outputs, [[((t, 1),) for t in row] for row in aut.delta]
-    elif isinstance(aut, LTS):
-        sr, out, rows = BOOL, [True] * aut.n_states, [[[(y, True) for y in succ] for succ in row] for row in aut.trans]
-    else:
-        raise TypeError(f"not a word automaton: {aut!r}")
+    sr, out, step = _one_step(aut, mode)
     if sr.name == "bool":
-        if not isinstance(aut, NFA):
-            edges = [(x, ai, y) for x, row in enumerate(rows) for ai, pairs in enumerate(row) for y, _ in pairs]
-        pred = [[0] * len(aut.alphabet) for _ in out]  # pred[y][ai]: the states with an a-transition into y
-        for x, ai, y in edges:
-            pred[y][ai] |= 1 << x
-        some, full = _post(pred), (1 << len(out)) - 1
-        step = (lambda ai, p: full ^ some(ai, full ^ p)) if conj else some
-        return sum(1 << x for x, o in enumerate(out) if o), step, _bit
+        return out, step, _bit
     make = (lambda n, d: n) if sr.name == "nat" else (lambda n, d: PartialProb(Fraction(n, d))) if isinstance(aut, GPS) else Fraction
-    return (*_linear(out, rows, len(aut.alphabet)), lambda v, x: make(*_ratio(v, x)))
+    return out, step, lambda v, x: make(*_ratio(v, x))
 
 
 def _trace(aut, x: int, depth: int, mode: str = "disj") -> _ValueView:

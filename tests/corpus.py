@@ -21,6 +21,7 @@ from tracekit import (
     WeightedAut,
     WeightedTreeAut,
 )
+from tests.oracles import succ_sets
 
 LETTERS = ("a", "b", "c")
 
@@ -145,7 +146,7 @@ def rand_gps(rng: random.Random, max_states: int = 4) -> GPS:
 def nfa_as_bool_wa(n: NFA) -> WeightedAut:
     """The same machine presented with Boolean weights."""
     trans = {}
-    for x, row in enumerate(n.succ_sets()):
+    for x, row in enumerate(succ_sets(n)):
         for i, succ in enumerate(row):
             if succ:
                 trans[(x, n.alphabet[i])] = {y: True for y in succ}

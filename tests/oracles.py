@@ -27,6 +27,15 @@ from tracekit import (
 )
 
 
+def succ_sets(n: NFA):
+    """Per state, per letter of n's alphabet in order, the frozenset of its
+    successors, read off n.transitions one transition at a time."""
+    return [
+        [frozenset(q for p, b, q in n.transitions if p == x and b == a) for a in n.alphabet]
+        for x in range(n.n_states)
+    ]
+
+
 def nfa_accepts(n: NFA, x: int, word) -> bool:
     """Existential path search by plain recursion over the word."""
     if not word:

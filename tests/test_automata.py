@@ -36,9 +36,6 @@ import random
 def test_nfa_basics():
     n = NFA(2, ["a"], [(0, "a", 0), (0, "a", 1)], accepting=[1], names=["x", "y"])
     assert validate(n) == []
-    assert n.succ_sets()[0][0] == frozenset({0, 1})
-    assert n.succ_masks() == [[0b11], [0b00]]
-    assert n.accepting_mask() == 0b10
     assert n.names == ("x", "y")
 
 

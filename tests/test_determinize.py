@@ -1,6 +1,7 @@
 """Determinization constructions and their state meanings."""
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracekit import (
+    LTS,
     NFA,
     BOOL,
     NAT,
@@ -30,9 +32,20 @@ from tracekit import (
     unit,
     wa_trace,
 )
+from tracekit import determinize
 from tracekit.determinize import _choice_bits, _explore, _hitting_bits, hitting_unions
-from tests.corpus import LETTERS, nfa_as_bool_wa, rand_alternating, rand_nfa, rand_weighted_nat, rand_weighted_rat
-from tests.oracles import chi_good_bruteforce, double_dual, weight_vectors
+from tests.corpus import (
+    LETTERS,
+    nfa_as_bool_wa,
+    rand_alternating,
+    rand_gps,
+    rand_moore,
+    rand_moore_bool,
+    rand_nfa,
+    rand_weighted_nat,
+    rand_weighted_rat,
+)
+from tests.oracles import chi_good_bruteforce, double_dual, succ_sets, weight_vectors
 
 CLASSIC = NFA(2, ["a"], [(0, "a", 0), (0, "a", 1)], accepting=[1], names=["q0", "q1"])
 
@@ -379,7 +392,7 @@ def test_alt_translation_purely_nondeterministic(seed):
     rng = random.Random(seed)
     n = rand_nfa(rng, max_states=3, max_letters=2)
     trans = {}
-    for x, row in enumerate(n.succ_sets()):
+    for x, row in enumerate(succ_sets(n)):
         for i, succ in enumerate(row):
             if succ:
                 trans[(x, n.alphabet[i])] = [[y] for y in succ]
@@ -402,7 +415,7 @@ def test_alt_translation_purely_conjunctive(seed):
     rng = random.Random(seed)
     n = rand_nfa(rng, max_states=3, max_letters=2)
     trans = {}
-    for x, row in enumerate(n.succ_sets()):
+    for x, row in enumerate(succ_sets(n)):
         for i, succ in enumerate(row):
             trans[(x, n.alphabet[i])] = [list(succ)]
     a = AlternatingAut(
@@ -430,6 +443,16 @@ def test_canonical_respects_bound():
     assert isinstance(outcome, BudgetExceeded)
     assert outcome.method == "canonical"
     assert canonical_det_nfa(big, bound=5).machine is not None
+
+
+@pytest.mark.parametrize("n_states, bound", [(2, -1), (0, -3)])
+def test_canonical_rejects_a_bound_below_zero(n_states, bound):
+    """A negative bound is refused, not reported as exceeded, also for an
+    input with no states; bound 0 still admits the 0-state NFA."""
+    n = NFA(n_states, ["a"], [], accepting=[])
+    with pytest.raises(ValueError, match=f"bound must be at least 0, got {bound}"):
+        canonical_det_nfa(n, bound=bound)
+    assert canonical_det_nfa(NFA(0, ["a"], []), bound=0).machine.n_states == 0
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -509,3 +532,105 @@ def test_explore_to_a_depth_numbers_the_states_within_it(graph):
         assert order == full[1][: len(order)]
         assert rows == full[2][: len(rows)]
     assert _explore(seeds, step, depth=len(adjacency) + 1) == full
+
+
+def _readings(rng):
+    """One automaton of every kind that `_one_step` reads, with its mode."""
+    n = rand_nfa(rng, max_states=5)
+    lts = LTS(n.n_states, n.alphabet, {(x, n.alphabet[i]): succ for x, row in enumerate(succ_sets(n)) for i, succ in enumerate(row)})
+    return [
+        ("nfa-disj", n, "disj"),
+        ("nfa-conj", n, "conj"),
+        ("lts", lts, "disj"),
+        ("moore-bool", rand_moore_bool(rng), "disj"),
+        ("moore-nat", rand_moore(rng, NAT, max_states=5), "disj"),
+        ("moore-rat", rand_moore(rng, RAT, max_states=5), "disj"),
+        ("weighted-bool", nfa_as_bool_wa(rand_nfa(rng, max_states=5)), "disj"),
+        ("weighted-nat", rand_weighted_nat(rng), "disj"),
+        ("weighted-rat", rand_weighted_rat(rng), "disj"),
+        ("gps", rand_gps(rng), "disj"),
+    ]
+
+
+def _unit_points(sr, n):
+    """The singletons of n states as masks over BOOL, else the unit vectors as integer tuples."""
+    return [1 << x for x in range(n)] if sr is BOOL else [(1,) + tuple(int(y == x) for y in range(n)) for x in range(n)]
+
+
+def _pairing_failures(aut, mode, rng, forward=None, back=None, samples=6):
+    """The (letter index, S, p) where <forward_a(S), p> differs from
+    <S, back_a(p)>, for `_one_step`'s steps of aut unless others are given.
+
+    The pairing is "meets" for disj over BOOL, containment for conj, and
+    the Fraction dot product of the decoded tuples over NAT and RAT. S and
+    p range over the unit points (and over BOOL their complements), so that
+    every edge is seen, and a few random points.
+    """
+    sr, _, fwd = determinize._one_step(aut, mode, back=False)
+    forward, back = forward or fwd, back or determinize._one_step(aut, mode)[2]
+    n = aut.n_states
+    points = _unit_points(sr, n)
+    if sr is BOOL:
+        points += [((1 << n) - 1) ^ u for u in points] + [rng.getrandbits(n) for _ in range(samples)]
+        pairing = (lambda s, p: s & ~p == 0) if mode == "conj" else (lambda s, p: s & p != 0)
+    else:
+        for _ in range(samples):
+            v = (rng.randint(1, 1 if sr is NAT else 6),) + tuple(rng.randint(0 if sr is NAT else -3, 3) for _ in range(n))
+            points.append(tuple(c // math.gcd(*v) for c in v))
+        pairing = lambda s, p: sum(Fraction(a, s[0]) * Fraction(b, p[0]) for a, b in zip(s[1:], p[1:]))
+    return [
+        (ai, s, p)
+        for ai in range(len(aut.alphabet))
+        for s in points
+        for p in points
+        if pairing(forward(ai, s), p) != pairing(s, back(ai, p))
+    ]
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_forward_and_preimage_steps_are_paired(seed):
+    """<forward_a(S), p> = <S, back_a(p)>: the determinization step and the
+    logic step of every kind are adjoint, as both come from one edge list."""
+    rng = random.Random(seed)
+    for kind, aut, mode in _readings(rng):
+        assert _pairing_failures(aut, mode, rng) == [], kind
+
+
+def _dropping_one_edge(monkeypatch, aut, mode, back):
+    """`_one_step`'s step of aut in one direction, built from its masks or
+    rows with the first listed edge dropped."""
+    post, linear = determinize._post, determinize._linear
+
+    def dropped_post(masks):
+        masks = [list(row) for row in masks]
+        x, ai = next((x, ai) for x, row in enumerate(masks) for ai, m in enumerate(row) if m)
+        masks[x][ai] &= masks[x][ai] - 1
+        return post(masks)
+
+    def dropped_linear(out, rows, letters):
+        rows = [[list(pairs) for pairs in row] for row in rows]
+        next(pairs for row in rows for pairs in row if pairs).pop(0)
+        return linear(out, rows, letters)
+
+    with monkeypatch.context() as m:
+        m.setattr(determinize, "_post", dropped_post)
+        m.setattr(determinize, "_linear", dropped_linear)
+        return determinize._one_step(aut, mode, back=back)[2]
+
+
+@pytest.mark.parametrize("back", [False, True], ids=["forward", "back"])
+def test_the_pairing_fails_when_one_direction_drops_an_edge(monkeypatch, back):
+    """For every kind, the first automaton of the seeds with an edge."""
+    mutated = set()
+    for seed in range(20):
+        rng = random.Random(seed)
+        for kind, aut, mode in _readings(rng):
+            sr, _, step = determinize._one_step(aut, mode, back=False)
+            zero = 0 if sr is BOOL else (1,) + (0,) * aut.n_states
+            if kind in mutated or all(step(ai, u) == zero for ai in range(len(aut.alphabet)) for u in _unit_points(sr, aut.n_states)):
+                continue  # done, or no edge to drop
+            step = _dropping_one_edge(monkeypatch, aut, mode, back)
+            assert _pairing_failures(aut, mode, rng, **{"back" if back else "forward": step}), kind
+            mutated.add(kind)
+    assert len(mutated) == 10

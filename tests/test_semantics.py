@@ -258,7 +258,7 @@ def test_lts_traces_match_the_all_accepting_nfa(seed):
         n.alphabet,
         {
             (x, n.alphabet[i]): succ
-            for x, row in enumerate(n.succ_sets())
+            for x, row in enumerate(oracles.succ_sets(n))
             for i, succ in enumerate(row)
         },
     )
@@ -460,7 +460,7 @@ def test_prefix_coherence_via_reachability_shadow(seed):
         [int(x in n.accepting) for x in range(n.n_states)],
         {
             (x, n.alphabet[i]): {y: rng.randint(1, 3) for y in succ}
-            for x, row in enumerate(n.succ_sets())
+            for x, row in enumerate(oracles.succ_sets(n))
             for i, succ in enumerate(row)
             if succ
         },
@@ -470,7 +470,7 @@ def test_prefix_coherence_via_reachability_shadow(seed):
         n.alphabet,
         {
             (x, n.alphabet[i]): list(succ)
-            for x, row in enumerate(n.succ_sets())
+            for x, row in enumerate(oracles.succ_sets(n))
             for i, succ in enumerate(row)
         },
     )
@@ -674,7 +674,7 @@ def _assert_step_contract(n: NFA):
     letter and every mask p; the same relation read as an LTS, as a BOOL
     WeightedAut and, when it is deterministic, as a BOOL MooreAut steps as
     disj does."""
-    succ = n.succ_sets()
+    succ = oracles.succ_sets(n)
     readings = [_lts_of(n), nfa_as_bool_wa(n)]
     if all(len(s) == 1 for row in succ for s in row):
         delta = [[min(s) for s in row] for row in succ]
