@@ -21,8 +21,9 @@ Predicates over a finite set of size k are bitmasks over k points, so a
 predicate doubles as its own index; sets of predicates and families of such
 sets are masks over masks. Both sides of a law are compared as masks, read
 from tables indexed by a family mask, or by each of its bytes, rather than
-bit by bit; the branching one-step squares, as they fold bitwise,
-idempotently and commutatively over disjoint fields, field by field.
+bit by bit; the one-step squares field by field, once per set of a
+letter's parts, the subset, conj and weighted fields from
+`determinize._one_step`'s preimage (top) and forward (bottom) steps.
 Naturality, exchange and the action laws judge each distinct argument
 once, so a transformation or a fold must be a function of its arguments,
 and a semiring's add and mul must give equal results on equal arguments:
@@ -46,9 +47,9 @@ from operator import and_, ne, or_
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .automata import NFA, AlternatingAut, ValidationError, WeightedAut, _iter_bits, require_valid
-from .determinize import BudgetExceeded, DetResult, _choice_bits, _hitting_bits, chi_good, chi_wrong
+from .determinize import BudgetExceeded, DetResult, _choice_bits, _hitting_bits, _one_step, chi_good, chi_wrong
 from .semantics import _at_least, _recurrence, _unfold, format_word
-from .weights import Semiring, WeightVec, map_weights, monad_mul, unit
+from .weights import BOOL, Semiring, WeightVec, map_weights, monad_mul, unit
 
 
 @dataclass(frozen=True)
@@ -197,9 +198,12 @@ def check_naturality(
     and the square is judged on `t.masks`, once per distinct family, so t
     must be a function of its argument; one table of t, over the largest
     exhaustive carrier, serves every map. A failing square is rendered from
-    its two sides' masks.
+    its two sides' masks, both carriers lettered a to z, so max_size above
+    13 raises ValueError.
     """
     _at_least(0, max_size=max_size, samples=samples)
+    if max_size > 13:
+        raise ValueError(f"check_naturality can letter failures only up to max_size=13, got {max_size}")
     failures: List[LawFailure] = []
     count = 0
     t_of, fmt = lru_cache(maxsize=None)(t.masks), lru_cache(maxsize=None)(_fmt_family)
@@ -577,7 +581,9 @@ def check_logic_morphism_diagram(
     The top path turns each machine element into its one-step predicate over
     formulas (output, or letter-then-point) and resolves those predicates;
     the bottom path aggregates the machine elements first and takes the
-    one-step predicate of the aggregate. `mutate="flip-output"` corrupts the
+    one-step predicate of the aggregate. For subset, conj and weighted, the
+    top path is `determinize._one_step`'s preimage step and the bottom one
+    its forward step (`_part_sides`). `mutate="flip-output"` corrupts the
     bottom path's output aggregation, as a negative control for the checker.
     The alt square aggregates through every family of predicate sets, and
     subset and conj take every family of up to three elements (22.7 million
@@ -605,38 +611,25 @@ def check_logic_morphism_diagram(
     return _diagram_branching(which, max_phi, tuple(alphabet), samples, seed, mutate)
 
 
-def _diagram_weighted(
-    max_phi: int, alphabet: Tuple[str, ...], mutate: Optional[str]
-) -> LawReport:
+def _diagram_weighted(max_phi: int, alphabet: Tuple[str, ...], mutate: Optional[str]) -> LawReport:
     m = len(alphabet)
     failures: List[LawFailure] = []
     count = 0
     for k in range(max_phi + 1):
         nmask = 1 << k
-        points = 1 + m * nmask
-        rho = [1] + [phi << (1 + ai * k) for ai in range(m) for phi in range(nmask)]
+        top_of, bottom_of = _part_sides("weighted", k)
+        fields = [(top_of(pf), bottom_of(pf)) for pf in range(1 << nmask)]
         lnames = _lpred_names(alphabet, k)
-        for psi in range(1 << points):
+        for psi in range(1 << 1 + m * nmask):
             count += 1
-            top = 0
-            for i in _iter_bits(psi):
-                top |= rho[i]
-            out = psi & 1
+            top = bottom = psi & 1
             if mutate == "flip-output":
-                out ^= 1
-            bottom = out
+                bottom ^= 1
             for ai in range(m):
-                orphi = 0
-                for phi in range(nmask):
-                    if psi >> (1 + ai * nmask + phi) & 1:
-                        orphi |= phi
-                bottom |= orphi << (1 + ai * k)
+                top_f, bottom_f = fields[psi >> 1 + ai * nmask & (1 << nmask) - 1]
+                top, bottom = top | top_f << 1 + ai * k, bottom | bottom_f << 1 + ai * k
             if top != bottom:
-                names = ["*"] + [
-                    f"({alphabet[ai]},{_fmt_points(phi)})"
-                    for ai in range(m)
-                    for phi in range(nmask)
-                ]
+                names = ["*"] + [f"({alphabet[ai]},{_fmt_points(phi)})" for ai in range(m) for phi in range(nmask)]
                 rendered = "{" + ", ".join(names[i] for i in _iter_bits(psi)) + "}"
                 failures.append(LawFailure(
                     f"|Phi|={k}, weighted one-step bag {rendered}",
@@ -670,32 +663,43 @@ def _exchange_bytes(k: int) -> Tuple[list, list, Callable[[int], int]]:
     return [*zip(top_lo, hits_lo)], [*zip(top_hi, hits_hi)], lambda hits: join_lo[hits & 0xFF] | join_hi[hits >> 8]
 
 
-def _exchange_sides(k: int) -> Tuple[Callable[[int], int], Callable[[int], int]]:
-    """Both sides of the exchange law as lookups on a family of predicate
-    sets: the meet of the members' joins, and the join of the meets of the
-    family's hitting sets (`_exchange_bytes`)."""
-    lo, hi, join = _exchange_bytes(k)
-    return lambda fam: lo[fam & 0xFF][0] & hi[fam >> 8][0], lambda fam: join(lo[fam & 0xFF][1] & hi[fam >> 8][1])
+def _part_sides(which: str, k: int) -> Tuple[Callable[[int], int], Callable[[int], int]]:
+    """A letter's top (logic) and bottom (determinization) fields over
+    predicates on k points, as lookups on its set of parts, a mask.
+
+    For alt they are the exchange law's sides (`_exchange_bytes`). The
+    others read both from `_one_step` on one machine of one letter, an NFA
+    (over BOOL for weighted): the parts, each stepping to its points (for
+    conj, to those outside it), then the k points. Top bit j is whether the
+    set meets the preimage of point j (for conj, lies in the box step of
+    every state but point j); the bottom field is the set's forward image,
+    complemented for conj. They agree by the pairing <post(S), p> = <S, pre(p)>.
+    """
+    if which == "alt":
+        lo, hi, join = _exchange_bytes(k)
+        return lambda fam: lo[fam & 0xFF][0] & hi[fam >> 8][0], lambda fam: join(lo[fam & 0xFF][1] & hi[fam >> 8][1])
+    conj, nparts = which == "conj", 1 << k
+    succ = {(t, "a"): {nparts + j: True for j in range(k) if (t >> j & 1) != conj} for t in range(nparts)}
+    aut = (WeightedAut(nparts + k, "a", BOOL, [False] * (nparts + k), succ) if which == "weighted"
+           else NFA(nparts + k, "a", [(t, "a", y) for (t, _), ys in succ.items() for y in ys]))
+    mode, states, flip = ("conj", (1 << nparts + k) - 1, (1 << k) - 1) if conj else ("disj", 0, 0)
+    (*_, post), (*_, pre) = _one_step(aut, mode, back=False), _one_step(aut, mode)
+    marks = [pre(0, states ^ 1 << nparts + j) for j in range(k)]
+    top = lambda s: sum(1 << j for j, m in enumerate(marks) if (s & m == s if conj else s & m))
+    return top, lambda s: flip ^ post(0, s) >> nparts
 
 
 def _diagram_branching(
-    which: str,
-    max_phi: int,
-    alphabet: Tuple[str, ...],
-    samples: int,
-    seed: int,
-    mutate: Optional[str],
+    which: str, max_phi: int, alphabet: Tuple[str, ...], samples: int, seed: int, mutate: Optional[str]
 ) -> LawReport:
     """The powerset-like squares. An element is an output bit plus one part
     per letter: a predicate (subset, conj) or a set of predicates read as
-    its join (alt). The top path folds the elements' one-step predicates;
-    the bottom path folds the outputs and aggregates each letter's parts,
-    by the same fold, or, for alt, as the join of their hitting-set meets.
-    Both fold bitwise, idempotently and commutatively over disjoint fields,
-    so a letter's two fields depend only on the set of its parts (for alt,
-    the exchange law's sides on it), judged once per set. In `combinations`
-    order, a family's head (all but its last member) gives the part bits
-    that break the square: one AND per family.
+    its join (alt). Both paths fold the outputs, and take each letter's
+    field from the set of its parts, read from `_part_sides` once per set:
+    for subset and conj the top field from `_one_step`'s preimage step and
+    the bottom one from its forward step, for alt the exchange law's two
+    sides. In `combinations` order, a family's head (all but its last
+    member) gives the part bits that break the square: one AND per family.
     """
     alt = which == "alt"
     fold = (DIAMOND if which == "subset" else BOX).fold
@@ -704,14 +708,9 @@ def _diagram_branching(
     failures: List[LawFailure] = []
     count = 0
     rng = random.Random(seed)
+    fmt_part = (lambda t: _fmt_predset(_iter_bits(t))) if alt else _fmt_points
     for k in range(max_phi + 1):
-        full_pred = (1 << k) - 1
-        if alt:
-            top_of, bottom_of = _exchange_sides(k)
-            fmt_part = lambda t: _fmt_predset(_iter_bits(t))
-        else:
-            fmt_part = _fmt_points
-            top_of = bottom_of = lambda pf: fold(_iter_bits(pf), full_pred)
+        top_of, bottom_of = _part_sides(which, k)
         nparts, shifts = 1 << (1 << k if alt else k), [1 + ai * k for ai in range(len(alphabet))]
         # packed masks: the output one-hot in bits 0..1, then each letter's part one-hot
         offsets, part_full = [2 + ai * nparts for ai in range(len(alphabet))], (1 << nparts) - 1
@@ -723,9 +722,7 @@ def _diagram_branching(
         @lru_cache(maxsize=None)
         def fmt_elem(i: int) -> str:
             o, ts = base[i]
-            parts = [f"out={_tt(o)}"] + [
-                f"{label}->{fmt_part(t)}" for label, t in zip(alphabet, ts)
-            ]
+            parts = [f"out={_tt(o)}"] + [f"{label}->{fmt_part(t)}" for label, t in zip(alphabet, ts)]
             return "(" + ", ".join(parts) + ")"
 
         def report(idxs: Sequence[int], pk: int) -> None:

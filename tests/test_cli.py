@@ -117,33 +117,182 @@ def test_loading_canonicalizes_loose_documents():
     assert "initial" not in out
 
 
+# one loadable document per kind, with a state x and a letter a
+BASE_DOCS = {
+    "nfa": {"kind": "nfa", "states": ["x"], "alphabet": ["a"], "transitions": [], "accepting": []},
+    "moore": {
+        "kind": "moore", "semiring": "bool", "states": ["x"], "alphabet": ["a"],
+        "outputs": {"x": True}, "delta": {"x": {"a": "x"}},
+    },
+    "weighted": {
+        "kind": "weighted", "semiring": "nat", "states": ["x"], "alphabet": ["a"],
+        "out": {"x": 1}, "transitions": {"x": {"a": {"x": 1}}},
+    },
+    "wta": {
+        "kind": "wta", "signature": {"c": 0, "f": 1}, "semiring": "nat", "states": ["x"],
+        "rules": [{"state": "x", "op": "c", "children": [], "weight": 1}],
+    },
+    "alternating": {
+        "kind": "alternating", "states": ["x"], "alphabet": ["a"],
+        "outputs": {"x": True}, "transitions": {"x": {"a": [["x"]]}},
+    },
+    "lts": {"kind": "lts", "states": ["x"], "alphabet": ["a"], "transitions": [["x", "a", "x"]]},
+    "gps": {
+        "kind": "gps", "states": ["x"], "alphabet": ["a"],
+        "dist": {"x": {"term": "1/2", "moves": [{"label": "a", "to": "x", "prob": "1/2"}]}},
+    },
+}
+
+
+def _rule(**changes):
+    """The wta base document's rules, its one rule changed."""
+    return {"rules": [dict(BASE_DOCS["wta"]["rules"][0], **changes)]}
+
+
+def _move(**changes):
+    """The gps base document's dist, its one move changed (None drops a key)."""
+    move = {k: v for k, v in dict({"label": "a", "to": "x", "prob": "1/2"}, **changes).items() if v is not None}
+    return {"dist": {"x": {"term": "1/2", "moves": [move]}}}
+
+
+# (kind, top-level keys replaced in its base document, exit status, stderr):
+# one case per rejection branch of the loaders
 @pytest.mark.parametrize(
     "breakage",
     [
-        {"kind": "pushdown"},
-        {"bonus": 1},
-        {"states": ["x", "x"]},
-        {"transitions": [["x", "a", "ghost"]]},
-        {"transitions": [["x", "z", "x"]]},
+        ("nfa", {"kind": "pushdown"}, 2,
+         "parse error: unknown kind 'pushdown'; expected one of nfa, moore, weighted, wta, alternating, lts, gps\n"),
+        ("nfa", {"bonus": 1}, 2, "parse error: nfa: unexpected keys ['bonus']\n"),
+        ("nfa", {"states": ["x", "x"]}, 2, "parse error: nfa: duplicate state names\n"),
+        ("nfa", {"transitions": [["x", "a", "ghost"]]}, 3, "validation error: nfa: transition: unknown state 'ghost'\n"),
+        ("nfa", {"transitions": [["x", "z", "x"]]}, 3, "validation error: nfa: transition: unknown label 'z'\n"),
+        ("nfa", {"kind": 7}, 2, "parse error: document: key 'kind' has the wrong type: 7\n"),
+        ("nfa", {"states": "x"}, 2, "parse error: nfa: key 'states' has the wrong type: 'x'\n"),
+        ("nfa", {"alphabet": [1]}, 2, "parse error: nfa: 'alphabet' entries must be strings, got 1\n"),
+        ("nfa", {"alphabet": ["a", "a"]}, 2, "parse error: nfa: duplicate alphabet labels\n"),
+        ("nfa", {"accepting": ["ghost"]}, 3, "validation error: nfa: accepting: unknown state 'ghost'\n"),
+        ("nfa", {"initial": "x"}, 2, "parse error: nfa: key 'initial' has the wrong type: 'x'\n"),
+        ("nfa", {"initial": ["ghost"]}, 3, "validation error: nfa: initial: unknown state 'ghost'\n"),
+        ("nfa", {"initial": ["x", "x"]}, 2, "parse error: nfa: duplicate initial states\n"),
+        ("nfa", {"transitions": [["x", "a"]]}, 2,
+         "parse error: nfa: transitions must be [source, label, target] triples, got ['x', 'a']\n"),
+        ("nfa", {"transitions": [["ghost", "a", "x"]]}, 3, "validation error: nfa: transition: unknown state 'ghost'\n"),
+        ("nfa", {"transitions": [["x", 1, "x"]]}, 3, "validation error: nfa: transition: unknown label 1\n"),
+        ("moore", {"semiring": "real"}, 2, "parse error: moore: unknown semiring 'real'\n"),
+        ("moore", {"outputs": {"ghost": True}}, 3, "validation error: moore: outputs: unknown state 'ghost'\n"),
+        ("moore", {"outputs": {"x": 1}}, 2, "parse error: moore: output of x: expected a boolean, got 1\n"),
+        ("moore", {"outputs": []}, 2, "parse error: moore: key 'outputs' has the wrong type: []\n"),
+        ("moore", {"delta": {"ghost": {"a": "x"}}}, 3, "validation error: moore: delta: unknown state 'ghost'\n"),
+        ("moore", {"delta": {"x": 5}}, 2, "parse error: moore: delta of x must be an object\n"),
+        ("moore", {"delta": {"x": {"z": "x"}}}, 3, "validation error: moore: delta of x: unknown label 'z'\n"),
+        ("moore", {"delta": {"x": {"a": "ghost"}}}, 3, "validation error: moore: delta of x: unknown state 'ghost'\n"),
+        ("moore", {"alphabet": ["a", "b"]}, 3, "validation error: moore: delta of x is missing label 'b'\n"),
+        ("moore", {"initial": ["ghost"]}, 3, "validation error: moore: initial: unknown state 'ghost'\n"),
+        ("weighted", {"out": {"x": -1}}, 2, "parse error: weighted: out of x: expected a natural number, got -1\n"),
+        ("weighted", {"out": {"ghost": 1}}, 3, "validation error: weighted: out: unknown state 'ghost'\n"),
+        ("weighted", {"transitions": {"ghost": {"a": {"x": 1}}}}, 3,
+         "validation error: weighted: transitions: unknown state 'ghost'\n"),
+        ("weighted", {"transitions": {"x": {"z": {"x": 1}}}}, 3,
+         "validation error: weighted: transitions of x: unknown label 'z'\n"),
+        ("weighted", {"transitions": {"x": {"a": 5}}}, 2,
+         "parse error: weighted: successor weights of (x, a) must be an object\n"),
+        ("weighted", {"transitions": {"x": {"a": {"ghost": 1}}}}, 3,
+         "validation error: weighted: transitions of x: unknown state 'ghost'\n"),
+        ("weighted", {"transitions": {"x": {"a": {"x": True}}}}, 2,
+         "parse error: weighted: weight at (x, a, x): expected a natural number, got True\n"),
+        ("weighted", {"semiring": "rat", "out": {"x": True}}, 2,
+         "parse error: weighted: out of x: rationals must be exact, got True\n"),
+        ("weighted", {"semiring": "rat", "out": {"x": "abc"}}, 2,
+         "parse error: weighted: out of x: not a rational: 'abc' (Invalid literal for Fraction: 'abc')\n"),
+        ("weighted", {"semiring": "rat", "out": {"x": [1]}}, 2,
+         'parse error: weighted: out of x: expected a "num/den" string, got [1]\n'),
+        ("weighted", {"semiring": "rat", "out": {"x": "1/0"}}, 2,
+         "parse error: weighted: out of x: not a rational: '1/0' (Fraction(1, 0))\n"),
+        ("wta", {"signature": []}, 2, "parse error: wta: key 'signature' has the wrong type: []\n"),
+        ("wta", {"signature": {"c": -1}}, 2, "parse error: wta: arity of 'c' must be a natural number, got -1\n"),
+        ("wta", {"signature": {"c": True}}, 2, "parse error: wta: arity of 'c' must be a natural number, got True\n"),
+        ("wta", {"rules": 5}, 2, "parse error: wta: key 'rules' has the wrong type: 5\n"),
+        ("wta", {"rules": [5]}, 2, "parse error: wta: rules must be objects, got 5\n"),
+        ("wta", _rule(bonus=1), 2, "parse error: wta: rule: unexpected keys ['bonus']\n"),
+        ("wta", _rule(op="g"), 3, "validation error: wta: rule uses unknown operator 'g'\n"),
+        ("wta", _rule(op=1), 2, "parse error: wta: rule: key 'op' has the wrong type: 1\n"),
+        ("wta", _rule(state="ghost"), 3, "validation error: wta: rule: unknown state 'ghost'\n"),
+        ("wta", _rule(children=["ghost"]), 3, "validation error: wta: rule children: unknown state 'ghost'\n"),
+        ("wta", _rule(op="f"), 3, "validation error: wta: rule for 'f' lists 0 children, arity is 1\n"),
+        ("wta", _rule(weight=-1), 2, "parse error: wta: rule weight: expected a natural number, got -1\n"),
+        ("wta", {"rules": [{"state": "x", "op": "c", "children": []}]}, 2,
+         "parse error: wta: rule: missing key 'weight'\n"),
+        ("wta", {"rules": _rule()["rules"] * 2}, 2, "parse error: wta: duplicate rule for state x, 'c', []\n"),
+        ("alternating", {"outputs": {"x": 1}}, 2, "parse error: alternating: output of x: expected a boolean, got 1\n"),
+        ("alternating", {"transitions": {"ghost": {"a": [["x"]]}}}, 3,
+         "validation error: alternating: transitions: unknown state 'ghost'\n"),
+        ("alternating", {"transitions": {"x": {"z": [["x"]]}}}, 3,
+         "validation error: alternating: transitions of x: unknown label 'z'\n"),
+        ("alternating", {"transitions": {"x": {"a": ["x"]}}}, 2,
+         "parse error: alternating: branch family of (x, a) must be a list of lists\n"),
+        ("alternating", {"transitions": {"x": {"a": "x"}}}, 2,
+         "parse error: alternating: branch family of (x, a) must be a list of lists\n"),
+        ("alternating", {"transitions": {"x": {"a": [["ghost"]]}}}, 3,
+         "validation error: alternating: transitions of x: unknown state 'ghost'\n"),
+        ("lts", {"transitions": [["x", "z", "x"]]}, 3, "validation error: lts: transition: unknown label 'z'\n"),
+        ("lts", {"transitions": {}}, 2, "parse error: lts: key 'transitions' has the wrong type: {}\n"),
+        ("gps", {"dist": {"ghost": {"term": "1"}}}, 3, "validation error: gps: dist: unknown state 'ghost'\n"),
+        ("gps", {"dist": {"x": 5}}, 2, "parse error: gps: distribution of x must be an object\n"),
+        ("gps", {"dist": {"x": {"term": "1", "bonus": 1}}}, 2,
+         "parse error: gps: distribution of x: unexpected keys ['bonus']\n"),
+        ("gps", {"dist": {"x": {"term": "abc"}}}, 2,
+         "parse error: gps: term of x: not a rational: 'abc' (Invalid literal for Fraction: 'abc')\n"),
+        ("gps", {"dist": {"x": {"term": "1", "moves": [5]}}}, 2, "parse error: gps: moves of x must be objects\n"),
+        ("gps", _move(bonus=1), 2, "parse error: gps: move of x: unexpected keys ['bonus']\n"),
+        ("gps", _move(label="z"), 3, "validation error: gps: move of x: unknown label 'z'\n"),
+        ("gps", _move(label=1), 2, "parse error: gps: move of x: key 'label' has the wrong type: 1\n"),
+        ("gps", _move(label=None), 2, "parse error: gps: move of x: missing key 'label'\n"),
+        ("gps", _move(to="ghost"), 3, "validation error: gps: move of x: unknown state 'ghost'\n"),
+        ("gps", _move(to=1), 2, "parse error: gps: move of x: key 'to' has the wrong type: 1\n"),
+        ("gps", _move(prob=None), 2, "parse error: gps: move of x: missing key 'prob'\n"),
+        ("gps", _move(prob="1/0"), 2, "parse error: gps: move of x: not a rational: '1/0' (Fraction(1, 0))\n"),
+        ("gps", _move(prob="-1/2"), 3, "validation error: distribution of x has nonpositive or inexact probability "
+         "Fraction(-1, 2); distribution of x sums to 1/2, not 1\n"),
+        ("gps", _move(prob="3/4"), 3, "validation error: distribution of x sums to 5/4, not 1\n"),
     ],
 )
-def test_bad_documents_are_rejected(tmp_path, breakage):
-    doc = {
-        "kind": "nfa",
-        "states": ["x"],
-        "alphabet": ["a"],
-        "transitions": [],
-        "accepting": [],
-    }
-    doc.update(breakage)
-    path = write_doc(tmp_path, "bad.json", doc)
-    rc = main(["semantics", "--state", "x", "--depth", "1", path])
-    assert rc in (2, 3)
-    # unknown kinds, unknown keys and duplicate names are parse problems
-    if "kind" in breakage or "bonus" in breakage or "states" in breakage:
-        assert rc == 2
-    else:
-        assert rc == 3
+def test_bad_documents_are_rejected(tmp_path, capsys, breakage):
+    kind, changes, status, err = breakage
+    path = write_doc(tmp_path, "bad.json", dict(BASE_DOCS[kind], **changes))
+    assert main(["semantics", "--state", "x", "--depth", "1", path]) == status
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("kind", sorted(BASE_DOCS))
+def test_base_documents_load(tmp_path, capsys, kind):
+    assert main(["semantics", "--state", "x", "--depth", "1", write_doc(tmp_path, "ok.json", BASE_DOCS[kind])]) == 0
+    assert capsys.readouterr().err == ""
+
+
+_TWO_STATE_MOORE = {
+    "kind": "moore", "semiring": "bool", "states": ["x", "y"], "alphabet": ["a"],
+    "outputs": {"x": True, "y": False}, "delta": {"x": {"a": "y"}, "y": {"a": "x"}},
+}
+
+
+@pytest.mark.parametrize(
+    "command, initial, flags, err",
+    [
+        ("minimize", ["x", "y"], [], "error: minimizing a moore file needs exactly one initial state\n"),
+        ("minimize", None, [], 'error: no initial states: pass --initial or add an "initial" list to the file\n'),
+        ("minimize", None, ["--initial", "x,x"], "error: --initial names a state twice\n"),
+        ("minimize", None, ["--initial", "ghost"], "error: unknown state 'ghost'\n"),
+        ("equiv", None, [], 'error: pass --initial1 or give the file a one-element "initial" list\n'),
+        ("equiv", ["x", "y"], ["--initial1", "x"], 'error: pass --initial2 or give the file a one-element "initial" list\n'),
+    ],
+)
+def test_initial_state_checks_exit_6(tmp_path, capsys, command, initial, flags, err):
+    """minimize and equiv refuse a missing, repeated or ambiguous initial
+    state; equiv compares the file with itself."""
+    doc = _TWO_STATE_MOORE if initial is None else dict(_TWO_STATE_MOORE, initial=initial)
+    path = write_doc(tmp_path, "m.json", doc)
+    assert main([command, path] + ([path] if command == "equiv" else []) + flags) == 6
+    assert capsys.readouterr().err == err
 
 
 def test_weight_typing_is_strict(tmp_path):

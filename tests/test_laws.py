@@ -44,7 +44,7 @@ from tracekit import (
     known_counterexample,
 )
 from tracekit.automata import _iter_bits
-from tracekit.cli import _clamped, _law_checks
+from tracekit.cli import _clamped, _law_checks, main
 from tracekit.laws import (
     CHI_GOOD,
     CHI_WRONG,
@@ -54,8 +54,8 @@ from tracekit.laws import (
     LawFailure,
     LawReport,
     _VALUE_POOLS,
-    _exchange_sides,
     _flatten,
+    _part_sides,
 )
 from tests.corpus import RAT_POOL, rand_alternating, rand_nfa
 from tests.law_oracles import action_laws, exchange, naturality, semiring_action_laws
@@ -108,6 +108,20 @@ def test_chi_wrong_counterexample_matches_golden_file():
     assert known.render() == golden
     # the pinned instance is the first one the enumeration finds
     assert report.failures[0].render() == golden
+
+
+def test_naturality_refuses_carriers_too_large_to_letter(monkeypatch):
+    """A failure letters both carriers a..z, so max_size above 13 is refused
+    before any square is judged; 13 itself still runs."""
+    judged = []
+    monkeypatch.setattr(tracekit.laws, "_fold_table", lambda *args: judged.append(args))
+    for t in (CHI_WRONG, CHI_GOOD):
+        with pytest.raises(ValueError, match="^check_naturality can letter failures only up to max_size=13, got 14$"):
+            check_naturality(t, max_size=14)
+    assert judged == []
+    monkeypatch.undo()
+    assert check_naturality(CHI_GOOD, max_size=13, samples=5).ok
+    assert not check_naturality(CHI_WRONG, max_size=13, samples=40).ok
 
 
 def test_chi_wrong_clean_on_tiny_carriers():
@@ -245,13 +259,25 @@ def test_exchange_sides_match_the_bruteforce_hitting_sets(k):
     """On every family of predicate sets, the meet of joins and the join of
     hitting-set meets agree with chi_good_bruteforce's hitting sets."""
     full_pred = (1 << k) - 1
-    meet_of_joins, join_of_meets = _exchange_sides(k)
+    meet_of_joins, join_of_meets = _part_sides("alt", k)
     for fam in range(1 << (1 << (1 << k))):
         members = [frozenset(_iter_bits(u)) for u in _iter_bits(fam)]
         joins = [reduce(or_, u, 0) for u in members]
         assert meet_of_joins(fam) == reduce(and_, joins, full_pred)
         meets = [reduce(and_, v, full_pred) for v in chi_good_bruteforce(members)]
         assert join_of_meets(fam) == reduce(or_, meets, 0)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("which", ["subset", "conj", "weighted"])
+def test_part_sides_are_the_join_or_meet_of_the_parts(which, k):
+    """On every set of predicates on k points, both fields read from the
+    machine's two steps are the set's join (subset, weighted) or meet (conj)."""
+    top, bottom = _part_sides(which, k)
+    for parts in range(1 << (1 << k)):
+        preds = list(_iter_bits(parts))
+        want = reduce(and_, preds, (1 << k) - 1) if which == "conj" else reduce(or_, preds, 0)
+        assert (top(parts), bottom(parts)) == (want, want)
 
 
 def _digest(report):
@@ -412,6 +438,43 @@ def test_diagrams_commute(which):
 def test_diagram_mutation_is_caught(which):
     report = check_logic_morphism_diagram(which, max_phi=2, mutate="flip-output")
     assert not report.ok
+
+
+def _one_step_losing(direction, lost):
+    """The squares' `_one_step`, its step in one direction ("forward" or
+    "back") clearing the states lost(aut) from every result."""
+    real = tracekit.laws._one_step
+
+    def one_step(aut, mode="disj", back=True):
+        sr, out, step = real(aut, mode, back)
+        if back != (direction == "back"):
+            return sr, out, step
+        keep = ~lost(aut)
+        return sr, out, lambda ai, s: step(ai, s) & keep
+
+    return one_step
+
+
+@pytest.mark.parametrize(
+    "direction, lost, counts",
+    [
+        # no forward image reaches the last point: its edges are gone
+        ("forward", lambda aut: 1 << aut.n_states - 1, (5885, 5885, 504)),
+        # no preimage holds the part {0}, state 1
+        ("back", lambda aut: 2, (3114, 1176, 248)),
+    ],
+    ids=["forward", "back"],
+)
+def test_squares_fail_when_one_direction_of_the_step_loses_edges(monkeypatch, capsys, direction, lost, counts):
+    """The subset, conj and weighted squares step the determinization and
+    the logic by `_one_step`'s two directions, so patching one breaks
+    them; the alt square does not read `_one_step` and stays clean."""
+    monkeypatch.setattr(tracekit.laws, "_one_step", _one_step_losing(direction, lost))
+    failures = [len(check_logic_morphism_diagram(which, max_phi=2).failures) for which in ("subset", "conj", "weighted")]
+    assert tuple(failures) == counts
+    assert check_logic_morphism_diagram("alt", max_phi=2).ok
+    assert main(["check", "diagram-subset"]) == 5
+    assert f"\nfailures: {counts[0]}\n" in capsys.readouterr().out
 
 
 def test_diagram_rejects_unknown_inputs():
@@ -851,6 +914,21 @@ def test_correctness_rejects_bad_inputs():
     other = NFA(1, ["b"], [], accepting=[])
     with pytest.raises(ValueError):
         check_correctness(other, result, 3)
+
+
+def test_law_checkers_reject_what_they_cannot_judge():
+    """A non-action, an unknown determinization method, and a weighted
+    machine over another carrier than its source are refused."""
+    with pytest.raises(TypeError, match="^not an action: 'diamond'$"):
+        check_action_laws("diamond")
+    n = NFA(1, ["a"], [(0, "a", 0)], accepting=[0])
+    with pytest.raises(ValueError, match="^unknown determinization method 'mystery'$"):
+        check_correctness(n, replace(det_subset(n), method="mystery"), 2)
+    w_nat = WeightedAut(1, ["a"], NAT, [1], {(0, "a"): {0: 1}})
+    w_bool = WeightedAut(1, ["a"], BOOL, [True], {(0, "a"): {0: True}})
+    with pytest.raises(ValueError, match="^carrier mismatch between source and machine$"):
+        check_correctness(w_nat, det_weighted(w_bool), 2)
+    assert check_correctness(w_bool, det_weighted(w_bool), 2).ok
 
 
 def test_correctness_instance_accounting():
