@@ -516,7 +516,7 @@ class GPS(_Machine):
                     if not (isinstance(y, int) and 0 <= y < self.n_states):
                         out.append(f"distribution of {_name(self, x)} targets unknown state {y!r}")
                 if not (isinstance(p, Fraction) and p > 0):
-                    out.append(f"distribution of {_name(self, x)} has nonpositive or inexact probability {p!r}")
+                    out.append(f"distribution of {_name(self, x)} has nonpositive or inexact probability {p if isinstance(p, Fraction) else repr(p)}")
                 else:
                     total += p
             if total != 1:

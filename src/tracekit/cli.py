@@ -231,11 +231,12 @@ def _unknown(what: str, value: Any, where: str) -> ValidationError:
     return ValidationError(f"{where}: unknown {what} {value!r}")
 
 
-def _states(names: Sequence[Any], index: Dict[str, int], where: str) -> List[int]:
-    """The index of each name, raising at the first that is not a state."""
+def _states(names: Sequence[Any], index: Dict[str, int], where: str, what: str = "state") -> List[int]:
+    """The index of each name, raising at the first that names nothing in
+    index, a string or not."""
     xs = [index.get(name) if isinstance(name, str) else None for name in names]
     if None in xs:
-        raise _unknown("state", names[xs.index(None)], where)
+        raise _unknown(what, names[xs.index(None)], where)
     return xs
 
 
@@ -327,7 +328,7 @@ def _load_nfa(doc):
     _reject_extra(doc, ("kind", "alphabet", "states", "accepting", "transitions", "initial"), where)
     alphabet, letters = _alphabet(doc, where)
     names, index = _state_names(doc, where)
-    accepting = _states(_string_list(doc, "accepting", where), index, f"{where}: accepting")
+    accepting = _states(_expect(doc, "accepting", list, where), index, f"{where}: accepting")
     triples = _triples(doc, index, letters, where)
     aut = NFA(len(names), alphabet, triples, accepting, names=names)
     return aut, _initial_list(doc, index, where)
@@ -407,8 +408,8 @@ def _load_wta(doc):
         op = _expect(entry, "op", str, f"{where}: rule")
         if op not in raw_sig:
             raise ValidationError(f"{where}: rule uses unknown operator {op!r}")
-        (x,) = _states([_expect(entry, "state", str, f"{where}: rule")], index, f"{where}: rule")
-        children = tuple(_states(_string_list(entry, "children", f"{where}: rule"), index, f"{where}: rule children"))
+        (x,) = _states([_expect(entry, "state", object, f"{where}: rule")], index, f"{where}: rule")
+        children = tuple(_states(_expect(entry, "children", list, f"{where}: rule"), index, f"{where}: rule children"))
         if len(children) != raw_sig[op]:
             raise ValidationError(
                 f"{where}: rule for {op!r} lists {len(children)} children, arity is {raw_sig[op]}"
@@ -494,10 +495,8 @@ def _load_gps(doc):
                 # the first failing check raises
                 at = f"{where}: move of {name}"
                 _reject_extra(move, ("label", "to", "prob"), at)
-                if not known:
-                    raise _unknown("label", _expect(move, "label", str, at), at)
-                if y is None:
-                    raise _unknown("state", _expect(move, "to", str, at), at)
+                _states([_expect(move, "label", object, at)], letters, at, "label")
+                _states([_expect(move, "to", object, at)], index, at)
                 _expect(move, "prob", object, at)
             try:
                 p = read(move["prob"])

@@ -13,8 +13,8 @@ constructions and for weighted automata over BOOL, and over NAT and RAT the
 canonical integer tuples of `weights._linear`. Outputs are built from them
 once per discovered state, after the exploration; a weighted meaning is
 built from its state only when it is read. `_one_step` is the one source of
-both steps of a word automaton: the forward step explored here, and the
-preimage step of `semantics._recurrence`.
+both steps of every word automaton, the alternating kind included: the
+forward step explored here, and the preimage step of `semantics._recurrence`.
 """
 
 from __future__ import annotations
@@ -183,7 +183,10 @@ def _one_step(aut, mode: str = "disj", back: bool = True) -> Tuple[Semiring, Any
     predecessor masks (back: bit x is set iff some a-successor of x is in
     p, or in conj mode every one is, vacuously for none). Over NAT and RAT:
     `weights._linear`'s integer tuple of the outputs and its step along the
-    transposed rows (forward) or the rows (back).
+    transposed rows (forward) or the rows (back). An alternating automaton
+    has branch sets, not edges, as bitmasks: its forward step sends a subset
+    to the sorted `hitting_unions` of its members' a-families, and bit x of
+    its back step is set iff some a-branch set of x lies inside p.
     """
     if isinstance(aut, NFA):
         if mode not in BOOL_MODES:
@@ -204,6 +207,23 @@ def _one_step(aut, mode: str = "disj", back: bool = True) -> Tuple[Semiring, Any
     elif isinstance(aut, LTS):
         sr, out = BOOL, [True] * aut.n_states
         edges = [(x, ai, y, True) for x, row in enumerate(aut.trans) for ai, succ in enumerate(row) for y in succ]
+    elif isinstance(aut, AlternatingAut):
+        fams = [[tuple(sum(1 << y for y in inner) for inner in fam) for fam in row] for row in aut.trans]
+        acc = sum(1 << x for x in range(aut.n_states) if aut.outputs[x])
+        if not back:
+            return BOOL, acc, lambda ai, s: sorted(hitting_unions([fams[x][ai] for x in _iter_bits(s)]))
+
+        def step(ai: int, p: int) -> int:
+            miss = ~p
+            q = 0
+            for x, row in enumerate(fams):
+                for inner in row[ai]:
+                    if not inner & miss:
+                        q |= 1 << x
+                        break
+            return q
+
+        return BOOL, acc, step
     else:
         raise TypeError(f"not a word automaton: {aut!r}")
     letters, into = len(aut.alphabet), back == (sr.name == "bool")
@@ -353,8 +373,8 @@ def hitting_unions(fams: Sequence[Iterable[int]]) -> frozenset:
     """The set {union of V | V a hitting set of fams}, on bitmask elements.
 
     Every hitting set is one pick per member set plus arbitrary further
-    members, so the result is each choice-union joined with each union of a
-    subset of all members. Agrees with mapping union over chi_good(fams).
+    members, so the result is the choice-unions closed under joining any
+    member. Agrees with mapping union over chi_good(fams).
     """
     factors = [tuple(f) for f in fams]
     if any(not f for f in factors):
@@ -362,37 +382,26 @@ def hitting_unions(fams: Sequence[Iterable[int]]) -> frozenset:
     choices = {0}
     for f in factors:
         choices = {c | u for c in choices for u in f}
-    members = {u for f in factors for u in f}
-    _, closure, _ = _explore([0], lambda c, intern: [intern(c | u) for u in members])
-    return frozenset(c | d for c in choices for d in closure)
-
-
-def _alt_masks(a: AlternatingAut) -> Tuple[int, List[List[Tuple[int, ...]]]]:
-    """a's accepting states, and its branch sets per state and letter index, as bitmasks."""
-    fams = [[tuple(sum(1 << y for y in inner) for inner in fam) for fam in row] for row in a.trans]
-    return sum(1 << x for x in range(a.n_states) if a.outputs[x]), fams
+    for u in {u for f in factors for u in f}:
+        choices |= {c | u for c in choices}
+    return frozenset(choices)
 
 
 def alt_to_nfa(a: AlternatingAut) -> DetResult:
     """Translate an alternating automaton to an NFA on state subsets.
 
     A subset steps under a to every union of a hitting set of its members'
-    branch families, and accepts iff all its members output true (so the
-    empty subset is an accepting sink). The successor families are the
-    closure-enlarged ones produced by `chi_good`; the textbook translation is
-    deliberately not attempted.
+    branch families, `_one_step`'s forward step, and accepts iff all its
+    members output true (so the empty subset is an accepting sink). The
+    successor families are the closure-enlarged ones produced by `chi_good`;
+    the textbook translation is deliberately not attempted.
     """
     require_valid(a)
-    out_mask, inner = _alt_masks(a)
-
-    def step(s: int, intern: Callable) -> List[Tuple[str, int]]:
-        return [
-            (label, intern(t))
-            for ai, label in enumerate(a.alphabet)
-            for t in sorted(hitting_unions([inner[x][ai] for x in _iter_bits(s)]))
-        ]
-
-    embed, order, rows = _explore([1 << x for x in range(a.n_states)], step)
+    _, out_mask, step = _one_step(a, back=False)
+    embed, order, rows = _explore(
+        [1 << x for x in range(a.n_states)],
+        lambda s, intern: [(label, intern(t)) for ai, label in enumerate(a.alphabet) for t in step(ai, s)],
+    )
     transitions = {(sid, label, t) for sid, row in enumerate(rows) for label, t in row}
     accepting = [i for i, s in enumerate(order) if s & ~out_mask == 0]
     machine = NFA(len(order), a.alphabet, transitions, accepting, names=[f"d{i}" for i in range(len(order))])

@@ -5,8 +5,8 @@ all states at once, and a step that takes the value of w to that of a.w.
 `determinize._explore` explores the recurrence from its base to the depth, so
 each distinct value is stepped once per letter however many words share it; a
 table's entries are a read-only view (`_ValueView`) of the words' value
-numbers, each distinct value read once, on first access. Every word kind
-but the alternating one takes its base and its preimage step from
+numbers, each distinct value read once, on first access. Every word kind,
+the alternating one included, takes its base and its preimage step from
 `determinize._one_step`, the one source of both steps. Values are bitmasks
 for the Boolean kinds and, over NAT and RAT, integer tuples (d, n_0, ...)
 with gcd 1 for the vectors n / d: one value per vector. Tree automata are
@@ -43,7 +43,7 @@ from .automata import (
     check_state,
     require_valid,
 )
-from .determinize import _alt_masks, _explore, _one_step
+from .determinize import _explore, _one_step
 from .weights import PartialProb, WeightVec
 
 Word = Tuple[str, ...]
@@ -258,23 +258,6 @@ def _unfold(alphabet: Sequence[str], base, step: Callable, depth: int) -> Tuple[
     return values, rows
 
 
-def _alt_step(fams: Sequence[Sequence[Sequence[int]]]) -> Callable[[int, int], int]:
-    """Bit x of step(ai, p) is set iff some a-branch set of x (a bitmask in
-    fams[x][ai]) lies inside p."""
-
-    def step(ai: int, p: int) -> int:
-        miss = ~p
-        q = 0
-        for x, row in enumerate(fams):
-            for inner in row[ai]:
-                if not inner & miss:
-                    q |= 1 << x
-                    break
-        return q
-
-    return step
-
-
 def _bit(mask: int, x: int) -> bool:
     return bool(mask >> x & 1)
 
@@ -290,17 +273,14 @@ def _recurrence(aut, mode: str = "disj") -> Tuple[Any, Callable, Callable[[Any, 
     """The empty-word values, the one-step function and the reader of a word
     automaton; read(v, x) is state x's entry of the value v.
 
-    An alternating automaton steps by `_alt_step` on bitmasks. Every other
-    kind takes its outputs and preimage step from `determinize._one_step`,
-    the one source of both steps: bitmasks over states for the Boolean kinds
-    (NFA in `mode`, LTS, and weighted and Moore automata over BOOL), and
-    over NAT and RAT (weighted, GPS and Moore) integer tuples (d, n_0, ...)
-    for the vectors n / d, with d > 0 and gcd(d, n_0, ...) = 1: d is the lcm
-    of the entries' reduced denominators, one tuple per vector.
+    The outputs and the preimage step come from `determinize._one_step`,
+    the one source of both steps, and this adds the reader. Values are
+    bitmasks over states for the Boolean kinds (NFA in `mode`, LTS,
+    alternating, and weighted and Moore automata over BOOL), and over NAT
+    and RAT (weighted, GPS and Moore) integer tuples (d, n_0, ...) for the
+    vectors n / d, with d > 0 and gcd(d, n_0, ...) = 1: d is the lcm of the
+    entries' reduced denominators, one tuple per vector.
     """
-    if isinstance(aut, AlternatingAut):
-        out_mask, fams = _alt_masks(aut)
-        return out_mask, _alt_step(fams), _bit
     sr, out, step = _one_step(aut, mode)
     if sr.name == "bool":
         return out, step, _bit

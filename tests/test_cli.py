@@ -245,15 +245,19 @@ def _move(**changes):
         ("gps", {"dist": {"x": {"term": "1", "moves": [5]}}}, 2, "parse error: gps: moves of x must be objects\n"),
         ("gps", _move(bonus=1), 2, "parse error: gps: move of x: unexpected keys ['bonus']\n"),
         ("gps", _move(label="z"), 3, "validation error: gps: move of x: unknown label 'z'\n"),
-        ("gps", _move(label=1), 2, "parse error: gps: move of x: key 'label' has the wrong type: 1\n"),
+        ("gps", _move(label=1), 3, "validation error: gps: move of x: unknown label 1\n"),
         ("gps", _move(label=None), 2, "parse error: gps: move of x: missing key 'label'\n"),
         ("gps", _move(to="ghost"), 3, "validation error: gps: move of x: unknown state 'ghost'\n"),
-        ("gps", _move(to=1), 2, "parse error: gps: move of x: key 'to' has the wrong type: 1\n"),
+        ("gps", _move(to=1), 3, "validation error: gps: move of x: unknown state 1\n"),
         ("gps", _move(prob=None), 2, "parse error: gps: move of x: missing key 'prob'\n"),
         ("gps", _move(prob="1/0"), 2, "parse error: gps: move of x: not a rational: '1/0' (Fraction(1, 0))\n"),
         ("gps", _move(prob="-1/2"), 3, "validation error: distribution of x has nonpositive or inexact probability "
-         "Fraction(-1, 2); distribution of x sums to 1/2, not 1\n"),
+         "-1/2; distribution of x sums to 1/2, not 1\n"),
         ("gps", _move(prob="3/4"), 3, "validation error: distribution of x sums to 5/4, not 1\n"),
+        # a name that is not a string names nothing, as a string outside the index does
+        ("nfa", {"accepting": [1]}, 3, "validation error: nfa: accepting: unknown state 1\n"),
+        ("wta", _rule(state=1), 3, "validation error: wta: rule: unknown state 1\n"),
+        ("wta", _rule(children=[1]), 3, "validation error: wta: rule children: unknown state 1\n"),
     ],
 )
 def test_bad_documents_are_rejected(tmp_path, capsys, breakage):

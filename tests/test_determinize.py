@@ -549,6 +549,7 @@ def _readings(rng):
         ("weighted-nat", rand_weighted_nat(rng), "disj"),
         ("weighted-rat", rand_weighted_rat(rng), "disj"),
         ("gps", rand_gps(rng), "disj"),
+        ("alternating", rand_alternating(rng, max_states=5), "disj"),
     ]
 
 
@@ -562,28 +563,33 @@ def _pairing_failures(aut, mode, rng, forward=None, back=None, samples=6):
     <S, back_a(p)>, for `_one_step`'s steps of aut unless others are given.
 
     The pairing is "meets" for disj over BOOL, containment for conj, and
-    the Fraction dot product of the decoded tuples over NAT and RAT. S and
-    p range over the unit points (and over BOOL their complements), so that
-    every edge is seen, and a few random points.
+    the Fraction dot product of the decoded tuples over NAT and RAT. An
+    alternating S is read conjunctively, as `alt_to_nfa`'s subsets accept,
+    and its forward step is a list of unions: the pairing asks whether some
+    U in forward_a(S) lies inside p, and whether S lies inside back_a(p). S
+    and p range over the unit points (and over BOOL their complements), so
+    that every edge is seen, and a few random points.
     """
     sr, _, fwd = determinize._one_step(aut, mode, back=False)
     forward, back = forward or fwd, back or determinize._one_step(aut, mode)[2]
     n = aut.n_states
     points = _unit_points(sr, n)
+    alternating = isinstance(aut, AlternatingAut)
     if sr is BOOL:
         points += [((1 << n) - 1) ^ u for u in points] + [rng.getrandbits(n) for _ in range(samples)]
-        pairing = (lambda s, p: s & ~p == 0) if mode == "conj" else (lambda s, p: s & p != 0)
+        pairing = (lambda s, p: s & ~p == 0) if mode == "conj" or alternating else (lambda s, p: s & p != 0)
     else:
         for _ in range(samples):
             v = (rng.randint(1, 1 if sr is NAT else 6),) + tuple(rng.randint(0 if sr is NAT else -3, 3) for _ in range(n))
             points.append(tuple(c // math.gcd(*v) for c in v))
         pairing = lambda s, p: sum(Fraction(a, s[0]) * Fraction(b, p[0]) for a, b in zip(s[1:], p[1:]))
+    paired = (lambda unions, p: any(pairing(u, p) for u in unions)) if alternating else pairing
     return [
         (ai, s, p)
         for ai in range(len(aut.alphabet))
         for s in points
         for p in points
-        if pairing(forward(ai, s), p) != pairing(s, back(ai, p))
+        if paired(forward(ai, s), p) != pairing(s, back(ai, p))
     ]
 
 
@@ -599,7 +605,14 @@ def test_forward_and_preimage_steps_are_paired(seed):
 
 def _dropping_one_edge(monkeypatch, aut, mode, back):
     """`_one_step`'s step of aut in one direction, built from its masks or
-    rows with the first listed edge dropped."""
+    rows with the first listed edge dropped. An alternating automaton drops
+    a smallest branch set of the first state and letter that has one: one
+    that contains another branch set there would change neither step."""
+    if isinstance(aut, AlternatingAut):
+        trans = {(x, aut.alphabet[ai]): list(fam) for x, row in enumerate(aut.trans) for ai, fam in enumerate(row)}
+        fam = next(fam for fam in trans.values() if fam)
+        fam.remove(min(fam, key=len))
+        return determinize._one_step(AlternatingAut(aut.n_states, aut.alphabet, aut.outputs, trans), mode, back=back)[2]
     post, linear = determinize._post, determinize._linear
 
     def dropped_post(masks):
@@ -621,16 +634,17 @@ def _dropping_one_edge(monkeypatch, aut, mode, back):
 
 @pytest.mark.parametrize("back", [False, True], ids=["forward", "back"])
 def test_the_pairing_fails_when_one_direction_drops_an_edge(monkeypatch, back):
-    """For every kind, the first automaton of the seeds with an edge."""
+    """For every kind, the first automaton of the seeds with an edge (for
+    alternating, with a branch set)."""
     mutated = set()
     for seed in range(20):
         rng = random.Random(seed)
         for kind, aut, mode in _readings(rng):
             sr, _, step = determinize._one_step(aut, mode, back=False)
-            zero = 0 if sr is BOOL else (1,) + (0,) * aut.n_states
+            zero = [] if kind == "alternating" else 0 if sr is BOOL else (1,) + (0,) * aut.n_states
             if kind in mutated or all(step(ai, u) == zero for ai in range(len(aut.alphabet)) for u in _unit_points(sr, aut.n_states)):
                 continue  # done, or no edge to drop
             step = _dropping_one_edge(monkeypatch, aut, mode, back)
             assert _pairing_failures(aut, mode, rng, **{"back" if back else "forward": step}), kind
             mutated.add(kind)
-    assert len(mutated) == 10
+    assert len(mutated) == 11
