@@ -201,7 +201,7 @@ def _expect(doc: Dict[str, Any], key: str, types, where: str):
         raise ParseError(f"{where}: missing key {key!r}")
     value = doc[key]
     if not isinstance(value, types):
-        raise ParseError(f"{where}: key {key!r} has the wrong type: {value!r}")
+        raise ParseError(f"{where}: key {key!r} has the wrong type: {json.dumps(value, ensure_ascii=False)}")
     return value
 
 
@@ -209,7 +209,7 @@ def _string_list(doc: Dict[str, Any], key: str, where: str) -> List[str]:
     raw = _expect(doc, key, list, where)
     for item in raw:
         if not isinstance(item, str):
-            raise ParseError(f"{where}: {key!r} entries must be strings, got {item!r}")
+            raise ParseError(f"{where}: {key!r} entries must be strings, got {json.dumps(item, ensure_ascii=False)}")
     return list(raw)
 
 
@@ -228,7 +228,7 @@ def _state_names(doc: Dict[str, Any], where: str) -> Tuple[List[str], Dict[str, 
 
 
 def _unknown(what: str, value: Any, where: str) -> ValidationError:
-    return ValidationError(f"{where}: unknown {what} {value!r}")
+    return ValidationError(f"{where}: unknown {what} {json.dumps(value, ensure_ascii=False)}")
 
 
 def _states(names: Sequence[Any], index: Dict[str, int], where: str, what: str = "state") -> List[int]:
@@ -537,7 +537,10 @@ def load_automaton(doc: Any):
     if kind not in _KINDS:
         raise ParseError(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
     aut, initial = _KINDS[kind][1](doc)
-    require_valid(aut)
+    try:
+        require_valid(aut)
+    except ValidationError as exc:
+        raise ValidationError(f"{kind}: {exc}") from exc
     return aut, initial
 
 

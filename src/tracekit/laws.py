@@ -23,13 +23,15 @@ sets are masks over masks. Both sides of a law are compared as masks, read
 from tables indexed by a family mask, or by each of its bytes, rather than
 bit by bit; the one-step squares field by field, once per set of a
 letter's parts, the subset, conj and weighted fields from
-`determinize._one_step`'s preimage (top) and forward (bottom) steps.
+`determinize._one_step`'s preimage (top) and forward (bottom) steps; a
+square walks a head's last members only when the head has bad part bits.
 Naturality, exchange and the action laws judge each distinct argument
 once, so a transformation or a fold must be a function of its arguments,
 and a semiring's add and mul must give equal results on equal arguments:
 its values are numbered, equal ones alike, and compared by equality; a
 failing family is rendered from the values computed for it. No cache
-outlives one checker call.
+outlives one checker call. Samples are drawn through `_below` from the
+seeded generator's own `getrandbits` stream, as `randrange` draws them.
 Naturality runs a transformation's kernel on masks (`FiniteNatTrans.masks`)
 and builds no frozenset per family. Rendering expands all of this back to
 braces.
@@ -41,7 +43,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain, combinations, compress, islice, product, repeat
+from itertools import chain, combinations, compress, islice, product
 from math import comb
 from operator import and_, ne, or_
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
@@ -101,6 +103,21 @@ def _fold_table(values: Sequence, op: Callable, start) -> list:
     for v in values:
         out += [op(x, v) for x in out]
     return out
+
+
+def _below(rng: random.Random) -> Callable[[int], int]:
+    """below(n) is rng.randrange(n) in one call, drawn as CPython's
+    `Random._randbelow_with_getrandbits` draws it: getrandbits(n.bit_length())
+    until the result is below n. So a + below(b - a + 1) is randint(a, b) and
+    seq[below(len(seq))] is choice(seq), the same values in the same order."""
+    bits = rng.getrandbits
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return r
+    return below
 
 
 def _halves(values: Sequence, op: Callable, start) -> Tuple[list, list]:
@@ -219,15 +236,13 @@ def check_naturality(
                 bad = compress(range(len(lifted)), map(ne, map(t_tab.__getitem__, lifted), map(lifted.__getitem__, t_tab)))
                 failures.extend(_nat_failure(t, nx, ny, f, fam, lifted[t_tab[fam]], t_tab[lifted[fam]], fmt) for fam in bad)
     if max_size > 3:
-        rng = random.Random(seed)
+        below = _below(random.Random(seed))
         for _ in range(samples):
-            nx, ny = rng.randint(1, max_size), rng.randint(1, max_size)
+            nx, ny = 1 + below(max_size), 1 + below(max_size)
             if max(nx, ny) <= 3:
                 nx = max_size
-            f = tuple(rng.randrange(ny) for _ in range(nx))
-            fam = 0
-            for _ in range(rng.randint(0, 4)):
-                fam |= 1 << rng.randrange(1 << nx)
+            f = tuple(map(below, [ny] * nx))
+            fam = reduce(or_, [1 << below(1 << nx) for _ in range(below(5))], 0)
             img = _fold_table([1 << y for y in f], or_, 0)
             lhs, rhs = _image(img, t_of(fam)), t_of(_image(img, fam))
             count += 1
@@ -299,7 +314,8 @@ def check_action_laws(
     numbers, so they must give equal results on equal arguments; values are
     compared by equality, and a failing family is rendered from the values
     computed for it. A semiring other than bool, nat and rat has no pool of
-    values to draw from and raises ValueError.
+    values to draw from and raises ValueError. Samples are drawn through
+    `_below` from the seeded generator's own `getrandbits` stream.
     """
     _at_least(0, max_phi=max_phi, samples=samples)
     if isinstance(action, PredicateAction):
@@ -376,11 +392,15 @@ def _action_laws_bool(
 
         # outer families of up to two members, then samples with repeats
         each([()] + [(fm,) for fm in range(nfam)])
+        row_of: dict = {}
         for a, va in enumerate(fold_of):
-            rhs = list(map(resolve, zip(repeat(va), fold_of[a + 1:])))
-            judge(k, [fold_of[a | b] for b in range(a + 1, nfam)], rhs, lambda i: (a, a + 1 + i))
-        rng = random.Random(seed)
-        each([[rng.randrange(nfam) for _ in range(rng.randint(3, 6))] for _ in range(samples)])
+            later = fold_of[a + 1:]
+            if va not in row_of:  # a value's first row meets every value that its later rows meet
+                row_of[va] = {vb: resolve((va, vb)) for vb in dict.fromkeys(later)}
+            judge(k, list(map(fold_of.__getitem__, map(a.__or__, range(a + 1, nfam)))),
+                  list(map(row_of[va].__getitem__, later)), lambda i: (a, a + 1 + i))
+        below = _below(random.Random(seed))
+        each([list(map(below, [nfam] * (3 + below(4)))) for _ in range(samples)])
     return LawReport(f"action-laws:{action.name}", count, failures)
 
 
@@ -479,17 +499,17 @@ def _action_laws_semiring(
             for r in range(len(vecs) + 1 if k < 2 else 3):
                 for chosen in combinations(vecs, r):
                     check_mult(k, dict.fromkeys(chosen, tt))
-    rng = random.Random(seed)
+    below = _below(random.Random(seed))
     for _ in range(samples):
-        k = rng.randint(0, max_phi)
+        k = below(max_phi + 1)
         inner = []
-        for _ in range(rng.randint(0, 3)):
+        for _ in range(below(4)):
             support = {
-                tuple(rng.choice(pool_nums) for _ in range(k)): rng.choice(nonzero_nums)
-                for _ in range(rng.randint(0, 2))
+                tuple(pool_nums[below(len(pool_nums))] for _ in range(k)): nonzero_nums[below(len(nonzero_nums))]
+                for _ in range(below(3))
             }
             inner.append(tuple(sorted(support.items())))  # distinct keys, nonzero values
-        check_mult(k, {v: rng.choice(nonzero_nums) for v in inner})
+        check_mult(k, {v: nonzero_nums[below(len(nonzero_nums))] for v in inner})
     return LawReport(f"action-laws:{action.name}", count, failures)
 
 
@@ -699,7 +719,9 @@ def _diagram_branching(
     for subset and conj the top field from `_one_step`'s preimage step and
     the bottom one from its forward step, for alt the exchange law's two
     sides. In `combinations` order, a family's head (all but its last
-    member) gives the part bits that break the square: one AND per family.
+    member) gives the part bits that break the square, per letter the parts
+    t whose addition to its part set breaks it (`bad_parts`): one AND per
+    family, and a head without such bits has its last members counted.
     """
     alt = which == "alt"
     fold = (DIAMOND if which == "subset" else BOX).fold
@@ -718,6 +740,7 @@ def _diagram_branching(
         packed = [1 << o | sum(1 << t + w for t, w in zip(ts, offsets)) for o, ts in base]
         lnames = _lpred_names(alphabet, k)
         judged = lru_cache(maxsize=None)(lambda pf: (top_of(pf), bottom_of(pf)))  # a part-family's two fields
+        bad_parts = lru_cache(maxsize=None)(lambda pf: sum(1 << t for t in range(nparts) if ne(*judged(pf | 1 << t))))
 
         @lru_cache(maxsize=None)
         def fmt_elem(i: int) -> str:
@@ -749,9 +772,9 @@ def _diagram_branching(
             ((tuple(idxs[:-1]), idxs[-1:]) for idxs in sampled),
         ):
             pk0 = reduce(or_, map(packed.__getitem__, head), 0)
-            bad = sum(1 << t + w for w in offsets for t in range(nparts) if ne(*judged(pk0 >> w & part_full | 1 << t)))
-            for j in tails:
-                count += 1
+            bad = sum(bad_parts(pk0 >> w & part_full) << w for w in offsets)
+            count += len(tails)
+            for j in tails if flip or bad else ():  # a clean head's last members are counted, not walked
                 if flip or packed[j] & bad:
                     report(head + (j,), pk0 | packed[j])
     return LawReport(f"logic-morphism:{which}", count, failures)

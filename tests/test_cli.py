@@ -164,40 +164,40 @@ def _move(**changes):
          "parse error: unknown kind 'pushdown'; expected one of nfa, moore, weighted, wta, alternating, lts, gps\n"),
         ("nfa", {"bonus": 1}, 2, "parse error: nfa: unexpected keys ['bonus']\n"),
         ("nfa", {"states": ["x", "x"]}, 2, "parse error: nfa: duplicate state names\n"),
-        ("nfa", {"transitions": [["x", "a", "ghost"]]}, 3, "validation error: nfa: transition: unknown state 'ghost'\n"),
-        ("nfa", {"transitions": [["x", "z", "x"]]}, 3, "validation error: nfa: transition: unknown label 'z'\n"),
+        ("nfa", {"transitions": [["x", "a", "ghost"]]}, 3, 'validation error: nfa: transition: unknown state "ghost"\n'),
+        ("nfa", {"transitions": [["x", "z", "x"]]}, 3, 'validation error: nfa: transition: unknown label "z"\n'),
         ("nfa", {"kind": 7}, 2, "parse error: document: key 'kind' has the wrong type: 7\n"),
-        ("nfa", {"states": "x"}, 2, "parse error: nfa: key 'states' has the wrong type: 'x'\n"),
+        ("nfa", {"states": "x"}, 2, "parse error: nfa: key 'states' has the wrong type: \"x\"\n"),
         ("nfa", {"alphabet": [1]}, 2, "parse error: nfa: 'alphabet' entries must be strings, got 1\n"),
         ("nfa", {"alphabet": ["a", "a"]}, 2, "parse error: nfa: duplicate alphabet labels\n"),
-        ("nfa", {"accepting": ["ghost"]}, 3, "validation error: nfa: accepting: unknown state 'ghost'\n"),
-        ("nfa", {"initial": "x"}, 2, "parse error: nfa: key 'initial' has the wrong type: 'x'\n"),
-        ("nfa", {"initial": ["ghost"]}, 3, "validation error: nfa: initial: unknown state 'ghost'\n"),
+        ("nfa", {"accepting": ["ghost"]}, 3, 'validation error: nfa: accepting: unknown state "ghost"\n'),
+        ("nfa", {"initial": "x"}, 2, "parse error: nfa: key 'initial' has the wrong type: \"x\"\n"),
+        ("nfa", {"initial": ["ghost"]}, 3, 'validation error: nfa: initial: unknown state "ghost"\n'),
         ("nfa", {"initial": ["x", "x"]}, 2, "parse error: nfa: duplicate initial states\n"),
         ("nfa", {"transitions": [["x", "a"]]}, 2,
          "parse error: nfa: transitions must be [source, label, target] triples, got ['x', 'a']\n"),
-        ("nfa", {"transitions": [["ghost", "a", "x"]]}, 3, "validation error: nfa: transition: unknown state 'ghost'\n"),
+        ("nfa", {"transitions": [["ghost", "a", "x"]]}, 3, 'validation error: nfa: transition: unknown state "ghost"\n'),
         ("nfa", {"transitions": [["x", 1, "x"]]}, 3, "validation error: nfa: transition: unknown label 1\n"),
         ("moore", {"semiring": "real"}, 2, "parse error: moore: unknown semiring 'real'\n"),
-        ("moore", {"outputs": {"ghost": True}}, 3, "validation error: moore: outputs: unknown state 'ghost'\n"),
+        ("moore", {"outputs": {"ghost": True}}, 3, 'validation error: moore: outputs: unknown state "ghost"\n'),
         ("moore", {"outputs": {"x": 1}}, 2, "parse error: moore: output of x: expected a boolean, got 1\n"),
         ("moore", {"outputs": []}, 2, "parse error: moore: key 'outputs' has the wrong type: []\n"),
-        ("moore", {"delta": {"ghost": {"a": "x"}}}, 3, "validation error: moore: delta: unknown state 'ghost'\n"),
+        ("moore", {"delta": {"ghost": {"a": "x"}}}, 3, 'validation error: moore: delta: unknown state "ghost"\n'),
         ("moore", {"delta": {"x": 5}}, 2, "parse error: moore: delta of x must be an object\n"),
-        ("moore", {"delta": {"x": {"z": "x"}}}, 3, "validation error: moore: delta of x: unknown label 'z'\n"),
-        ("moore", {"delta": {"x": {"a": "ghost"}}}, 3, "validation error: moore: delta of x: unknown state 'ghost'\n"),
+        ("moore", {"delta": {"x": {"z": "x"}}}, 3, 'validation error: moore: delta of x: unknown label "z"\n'),
+        ("moore", {"delta": {"x": {"a": "ghost"}}}, 3, 'validation error: moore: delta of x: unknown state "ghost"\n'),
         ("moore", {"alphabet": ["a", "b"]}, 3, "validation error: moore: delta of x is missing label 'b'\n"),
-        ("moore", {"initial": ["ghost"]}, 3, "validation error: moore: initial: unknown state 'ghost'\n"),
+        ("moore", {"initial": ["ghost"]}, 3, 'validation error: moore: initial: unknown state "ghost"\n'),
         ("weighted", {"out": {"x": -1}}, 2, "parse error: weighted: out of x: expected a natural number, got -1\n"),
-        ("weighted", {"out": {"ghost": 1}}, 3, "validation error: weighted: out: unknown state 'ghost'\n"),
+        ("weighted", {"out": {"ghost": 1}}, 3, 'validation error: weighted: out: unknown state "ghost"\n'),
         ("weighted", {"transitions": {"ghost": {"a": {"x": 1}}}}, 3,
-         "validation error: weighted: transitions: unknown state 'ghost'\n"),
+         'validation error: weighted: transitions: unknown state "ghost"\n'),
         ("weighted", {"transitions": {"x": {"z": {"x": 1}}}}, 3,
-         "validation error: weighted: transitions of x: unknown label 'z'\n"),
+         'validation error: weighted: transitions of x: unknown label "z"\n'),
         ("weighted", {"transitions": {"x": {"a": 5}}}, 2,
          "parse error: weighted: successor weights of (x, a) must be an object\n"),
         ("weighted", {"transitions": {"x": {"a": {"ghost": 1}}}}, 3,
-         "validation error: weighted: transitions of x: unknown state 'ghost'\n"),
+         'validation error: weighted: transitions of x: unknown state "ghost"\n'),
         ("weighted", {"transitions": {"x": {"a": {"x": True}}}}, 2,
          "parse error: weighted: weight at (x, a, x): expected a natural number, got True\n"),
         ("weighted", {"semiring": "rat", "out": {"x": True}}, 2,
@@ -216,8 +216,8 @@ def _move(**changes):
         ("wta", _rule(bonus=1), 2, "parse error: wta: rule: unexpected keys ['bonus']\n"),
         ("wta", _rule(op="g"), 3, "validation error: wta: rule uses unknown operator 'g'\n"),
         ("wta", _rule(op=1), 2, "parse error: wta: rule: key 'op' has the wrong type: 1\n"),
-        ("wta", _rule(state="ghost"), 3, "validation error: wta: rule: unknown state 'ghost'\n"),
-        ("wta", _rule(children=["ghost"]), 3, "validation error: wta: rule children: unknown state 'ghost'\n"),
+        ("wta", _rule(state="ghost"), 3, 'validation error: wta: rule: unknown state "ghost"\n'),
+        ("wta", _rule(children=["ghost"]), 3, 'validation error: wta: rule children: unknown state "ghost"\n'),
         ("wta", _rule(op="f"), 3, "validation error: wta: rule for 'f' lists 0 children, arity is 1\n"),
         ("wta", _rule(weight=-1), 2, "parse error: wta: rule weight: expected a natural number, got -1\n"),
         ("wta", {"rules": [{"state": "x", "op": "c", "children": []}]}, 2,
@@ -225,18 +225,18 @@ def _move(**changes):
         ("wta", {"rules": _rule()["rules"] * 2}, 2, "parse error: wta: duplicate rule for state x, 'c', []\n"),
         ("alternating", {"outputs": {"x": 1}}, 2, "parse error: alternating: output of x: expected a boolean, got 1\n"),
         ("alternating", {"transitions": {"ghost": {"a": [["x"]]}}}, 3,
-         "validation error: alternating: transitions: unknown state 'ghost'\n"),
+         'validation error: alternating: transitions: unknown state "ghost"\n'),
         ("alternating", {"transitions": {"x": {"z": [["x"]]}}}, 3,
-         "validation error: alternating: transitions of x: unknown label 'z'\n"),
+         'validation error: alternating: transitions of x: unknown label "z"\n'),
         ("alternating", {"transitions": {"x": {"a": ["x"]}}}, 2,
          "parse error: alternating: branch family of (x, a) must be a list of lists\n"),
         ("alternating", {"transitions": {"x": {"a": "x"}}}, 2,
          "parse error: alternating: branch family of (x, a) must be a list of lists\n"),
         ("alternating", {"transitions": {"x": {"a": [["ghost"]]}}}, 3,
-         "validation error: alternating: transitions of x: unknown state 'ghost'\n"),
-        ("lts", {"transitions": [["x", "z", "x"]]}, 3, "validation error: lts: transition: unknown label 'z'\n"),
+         'validation error: alternating: transitions of x: unknown state "ghost"\n'),
+        ("lts", {"transitions": [["x", "z", "x"]]}, 3, 'validation error: lts: transition: unknown label "z"\n'),
         ("lts", {"transitions": {}}, 2, "parse error: lts: key 'transitions' has the wrong type: {}\n"),
-        ("gps", {"dist": {"ghost": {"term": "1"}}}, 3, "validation error: gps: dist: unknown state 'ghost'\n"),
+        ("gps", {"dist": {"ghost": {"term": "1"}}}, 3, 'validation error: gps: dist: unknown state "ghost"\n'),
         ("gps", {"dist": {"x": 5}}, 2, "parse error: gps: distribution of x must be an object\n"),
         ("gps", {"dist": {"x": {"term": "1", "bonus": 1}}}, 2,
          "parse error: gps: distribution of x: unexpected keys ['bonus']\n"),
@@ -244,20 +244,24 @@ def _move(**changes):
          "parse error: gps: term of x: not a rational: 'abc' (Invalid literal for Fraction: 'abc')\n"),
         ("gps", {"dist": {"x": {"term": "1", "moves": [5]}}}, 2, "parse error: gps: moves of x must be objects\n"),
         ("gps", _move(bonus=1), 2, "parse error: gps: move of x: unexpected keys ['bonus']\n"),
-        ("gps", _move(label="z"), 3, "validation error: gps: move of x: unknown label 'z'\n"),
+        ("gps", _move(label="z"), 3, 'validation error: gps: move of x: unknown label "z"\n'),
         ("gps", _move(label=1), 3, "validation error: gps: move of x: unknown label 1\n"),
         ("gps", _move(label=None), 2, "parse error: gps: move of x: missing key 'label'\n"),
-        ("gps", _move(to="ghost"), 3, "validation error: gps: move of x: unknown state 'ghost'\n"),
+        ("gps", _move(to="ghost"), 3, 'validation error: gps: move of x: unknown state "ghost"\n'),
         ("gps", _move(to=1), 3, "validation error: gps: move of x: unknown state 1\n"),
         ("gps", _move(prob=None), 2, "parse error: gps: move of x: missing key 'prob'\n"),
         ("gps", _move(prob="1/0"), 2, "parse error: gps: move of x: not a rational: '1/0' (Fraction(1, 0))\n"),
-        ("gps", _move(prob="-1/2"), 3, "validation error: distribution of x has nonpositive or inexact probability "
+        ("gps", _move(prob="-1/2"), 3, "validation error: gps: distribution of x has nonpositive or inexact probability "
          "-1/2; distribution of x sums to 1/2, not 1\n"),
-        ("gps", _move(prob="3/4"), 3, "validation error: distribution of x sums to 5/4, not 1\n"),
+        ("gps", _move(prob="3/4"), 3, "validation error: gps: distribution of x sums to 5/4, not 1\n"),
         # a name that is not a string names nothing, as a string outside the index does
         ("nfa", {"accepting": [1]}, 3, "validation error: nfa: accepting: unknown state 1\n"),
         ("wta", _rule(state=1), 3, "validation error: wta: rule: unknown state 1\n"),
         ("wta", _rule(children=[1]), 3, "validation error: wta: rule children: unknown state 1\n"),
+        # a name is spelled as the document spells it, in JSON
+        ("nfa", {"accepting": [None]}, 3, "validation error: nfa: accepting: unknown state null\n"),
+        ("nfa", {"accepting": [True]}, 3, "validation error: nfa: accepting: unknown state true\n"),
+        ("nfa", {"initial": ["gh\u00f6st"]}, 3, 'validation error: nfa: initial: unknown state "gh\u00f6st"\n'),
     ],
 )
 def test_bad_documents_are_rejected(tmp_path, capsys, breakage):

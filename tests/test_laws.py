@@ -54,6 +54,7 @@ from tracekit.laws import (
     LawFailure,
     LawReport,
     _VALUE_POOLS,
+    _below,
     _flatten,
     _part_sides,
 )
@@ -122,6 +123,19 @@ def test_naturality_refuses_carriers_too_large_to_letter(monkeypatch):
     monkeypatch.undo()
     assert check_naturality(CHI_GOOD, max_size=13, samples=5).ok
     assert not check_naturality(CHI_WRONG, max_size=13, samples=40).ok
+
+
+def test_below_draws_the_randrange_stream():
+    """The checkers' one-call draws give randrange, randint and choice's
+    values, interleaved and in order, from the generator's own bit stream."""
+    for seed in (1, 7, 2026):
+        below, twin = _below(random.Random(seed)), random.Random(seed)
+        for n in [*range(1, 301), 2 ** 40, 3 ** 30]:
+            assert below(n) == twin.randrange(n)
+            a, b = n % 7 - 3, n % 7 - 3 + n
+            assert a + below(b - a + 1) == twin.randint(a, b)
+            seq = range(n % 11, n % 11 + n)
+            assert seq[below(len(seq))] == twin.choice(seq)
 
 
 def test_chi_wrong_clean_on_tiny_carriers():
