@@ -52,21 +52,6 @@ from .determinize import (
     det_subset,
     det_weighted,
 )
-from .laws import (
-    BOX,
-    CHI_GOOD,
-    CHI_WRONG,
-    DIAMOND,
-    IDENTITY_NAT,
-    SemiringAction,
-    check_action_laws,
-    check_exchange,
-    check_logic_morphism_diagram,
-    check_monad_morphism,
-    check_naturality,
-    format_report,
-    known_counterexample,
-)
 from .minimize import Certificates, brzozowski_minimal, dfa_equiv, partition_refine
 from .semantics import (
     _joined_texts,
@@ -139,6 +124,15 @@ def encode_weight(value: Any) -> Any:
     return _weight_json(carrier, value.numerator, value.denominator)
 
 
+def _json(value: Any) -> str:
+    """A document's value as the document spells it, in JSON; a value that
+    JSON cannot spell, in a document built in Python, as its repr."""
+    try:
+        return json.dumps(value, ensure_ascii=False)
+    except TypeError:
+        return repr(value)
+
+
 class _BadWeight(ParseError):
     """A value outside its carrier; the loader that read it says where."""
 
@@ -146,16 +140,16 @@ class _BadWeight(ParseError):
 def _read_weight(semiring_name: str, value: Any) -> Any:
     if semiring_name == "bool":
         if not isinstance(value, bool):
-            raise _BadWeight(f"expected a boolean, got {value!r}")
+            raise _BadWeight(f"expected a boolean, got {_json(value)}")
         return value
     if semiring_name == "nat":
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise _BadWeight(f"expected a natural number, got {value!r}")
+            raise _BadWeight(f"expected a natural number, got {_json(value)}")
         return value
     if semiring_name != "rat":
-        raise _BadWeight(f"unknown semiring {semiring_name!r}")
+        raise _BadWeight(f"unknown semiring {_json(semiring_name)}")
     if isinstance(value, bool) or isinstance(value, float):
-        raise _BadWeight(f"rationals must be exact, got {value!r}")
+        raise _BadWeight(f"rationals must be exact, got {_json(value)}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
@@ -165,8 +159,8 @@ def _read_weight(semiring_name: str, value: Any) -> Any:
                 raise ValueError(f"numerator or denominator passes {MAX_DIGITS} digits")
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise _BadWeight(f"not a rational: {value!r} ({exc})") from exc
-    raise _BadWeight(f"expected a \"num/den\" string, got {value!r}")
+            raise _BadWeight(f"not a rational: {_json(value)} ({exc})") from exc
+    raise _BadWeight(f"expected a \"num/den\" string, got {_json(value)}")
 
 
 def _reader(semiring_name: str) -> Callable[[Any], Any]:
@@ -201,7 +195,7 @@ def _expect(doc: Dict[str, Any], key: str, types, where: str):
         raise ParseError(f"{where}: missing key {key!r}")
     value = doc[key]
     if not isinstance(value, types):
-        raise ParseError(f"{where}: key {key!r} has the wrong type: {json.dumps(value, ensure_ascii=False)}")
+        raise ParseError(f"{where}: key {key!r} has the wrong type: {_json(value)}")
     return value
 
 
@@ -209,7 +203,7 @@ def _string_list(doc: Dict[str, Any], key: str, where: str) -> List[str]:
     raw = _expect(doc, key, list, where)
     for item in raw:
         if not isinstance(item, str):
-            raise ParseError(f"{where}: {key!r} entries must be strings, got {json.dumps(item, ensure_ascii=False)}")
+            raise ParseError(f"{where}: {key!r} entries must be strings, got {_json(item)}")
     return list(raw)
 
 
@@ -228,7 +222,7 @@ def _state_names(doc: Dict[str, Any], where: str) -> Tuple[List[str], Dict[str, 
 
 
 def _unknown(what: str, value: Any, where: str) -> ValidationError:
-    return ValidationError(f"{where}: unknown {what} {json.dumps(value, ensure_ascii=False)}")
+    return ValidationError(f"{where}: unknown {what} {_json(value)}")
 
 
 def _states(names: Sequence[Any], index: Dict[str, int], where: str, what: str = "state") -> List[int]:
@@ -278,7 +272,7 @@ def _by_label(x: Optional[int], name: Any, row: Any, letters: Dict[str, int], ke
 def _semiring(doc: Dict[str, Any], where: str):
     name = _expect(doc, "semiring", str, where)
     if name not in SEMIRINGS:
-        raise ParseError(f"{where}: unknown semiring {name!r}")
+        raise ParseError(f"{where}: unknown semiring {_json(name)}")
     return SEMIRINGS[name]
 
 
@@ -305,7 +299,7 @@ def _triples(doc: Dict[str, Any], index: Dict[str, int], letters: Dict[str, int]
     out = []
     for entry in raw:
         if not (isinstance(entry, list) and len(entry) == 3):
-            raise ParseError(f"{where}: transitions must be [source, label, target] triples, got {entry!r}")
+            raise ParseError(f"{where}: transitions must be [source, label, target] triples, got {_json(entry)}")
         src, label, dst = entry
         p = index.get(src) if isinstance(src, str) else None
         if p is None:
@@ -355,7 +349,7 @@ def _load_moore(doc):
             delta[x][i] = y
     for x, row in enumerate(delta):
         if -1 in row:
-            raise ValidationError(f"{where}: delta of {names[x]} is missing label {alphabet[row.index(-1)]!r}")
+            raise ValidationError(f"{where}: delta of {names[x]} is missing label {_json(alphabet[row.index(-1)])}")
     aut = MooreAut(alphabet, outputs, delta, semiring=semiring, names=names)
     return aut, _initial_list(doc, index, where)
 
@@ -394,7 +388,7 @@ def _load_wta(doc):
     signature = []
     for op, arity in raw_sig.items():
         if not isinstance(arity, int) or isinstance(arity, bool) or arity < 0:
-            raise ParseError(f"{where}: arity of {op!r} must be a natural number, got {arity!r}")
+            raise ParseError(f"{where}: arity of {_json(op)} must be a natural number, got {_json(arity)}")
         signature.append((op, arity))
     semiring = _semiring(doc, where)
     names, index = _state_names(doc, where)
@@ -403,16 +397,16 @@ def _load_wta(doc):
     rules: Dict[Tuple[int, str, Tuple[int, ...]], Any] = {}
     for entry in raw_rules:
         if not isinstance(entry, dict):
-            raise ParseError(f"{where}: rules must be objects, got {entry!r}")
+            raise ParseError(f"{where}: rules must be objects, got {_json(entry)}")
         _reject_extra(entry, ("state", "op", "children", "weight"), f"{where}: rule")
         op = _expect(entry, "op", str, f"{where}: rule")
         if op not in raw_sig:
-            raise ValidationError(f"{where}: rule uses unknown operator {op!r}")
+            raise ValidationError(f"{where}: rule uses unknown operator {_json(op)}")
         (x,) = _states([_expect(entry, "state", object, f"{where}: rule")], index, f"{where}: rule")
         children = tuple(_states(_expect(entry, "children", list, f"{where}: rule"), index, f"{where}: rule children"))
         if len(children) != raw_sig[op]:
             raise ValidationError(
-                f"{where}: rule for {op!r} lists {len(children)} children, arity is {raw_sig[op]}"
+                f"{where}: rule for {_json(op)} lists {len(children)} children, arity is {raw_sig[op]}"
             )
         try:
             weight = read(_expect(entry, "weight", object, f"{where}: rule"))
@@ -420,7 +414,7 @@ def _load_wta(doc):
             raise ParseError(f"{where}: rule weight: {exc}") from exc
         key = (x, op, children)
         if key in rules:
-            raise ParseError(f"{where}: duplicate rule for state {names[x]}, {op!r}, {entry['children']}")
+            raise ParseError(f"{where}: duplicate rule for state {names[x]}, {_json(op)}, {_json(entry['children'])}")
         rules[key] = weight
     aut = WeightedTreeAut(len(names), signature, semiring, rules, names=names)
     return aut, None
@@ -535,7 +529,7 @@ def load_automaton(doc: Any):
         raise ParseError("the document must be a JSON object")
     kind = _expect(doc, "kind", str, "document")
     if kind not in _KINDS:
-        raise ParseError(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
+        raise ParseError(f"unknown kind {_json(kind)}; expected one of {', '.join(KINDS)}")
     aut, initial = _KINDS[kind][1](doc)
     try:
         require_valid(aut)
@@ -958,6 +952,10 @@ def _clamped(value: Optional[int], default: int, cap: int) -> int:
 
 
 def _law_checks(max_size: Optional[int]):
+    # the law checkers are loaded here, not at import, as only `check` runs them
+    from .laws import (BOX, CHI_GOOD, CHI_WRONG, DIAMOND, IDENTITY_NAT, SemiringAction, check_action_laws,
+                       check_exchange, check_logic_morphism_diagram, check_monad_morphism, check_naturality)
+
     nat = _clamped(max_size, 3, 6)
     phi = _clamped(max_size, 3, 3)
     small = _clamped(max_size, 2, 2)
@@ -983,6 +981,8 @@ def _law_checks(max_size: Optional[int]):
 def _cmd_check(args) -> int:
     if args.max_size is not None and args.max_size < 1:
         raise QueryError(f"--max-size must be at least 1, got {args.max_size}")
+    from .laws import format_report, known_counterexample
+
     checks = _law_checks(args.max_size)
     runner = checks.get(args.law)
     if runner is None:

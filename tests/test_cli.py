@@ -161,7 +161,7 @@ def _move(**changes):
     "breakage",
     [
         ("nfa", {"kind": "pushdown"}, 2,
-         "parse error: unknown kind 'pushdown'; expected one of nfa, moore, weighted, wta, alternating, lts, gps\n"),
+         "parse error: unknown kind \"pushdown\"; expected one of nfa, moore, weighted, wta, alternating, lts, gps\n"),
         ("nfa", {"bonus": 1}, 2, "parse error: nfa: unexpected keys ['bonus']\n"),
         ("nfa", {"states": ["x", "x"]}, 2, "parse error: nfa: duplicate state names\n"),
         ("nfa", {"transitions": [["x", "a", "ghost"]]}, 3, 'validation error: nfa: transition: unknown state "ghost"\n'),
@@ -175,10 +175,10 @@ def _move(**changes):
         ("nfa", {"initial": ["ghost"]}, 3, 'validation error: nfa: initial: unknown state "ghost"\n'),
         ("nfa", {"initial": ["x", "x"]}, 2, "parse error: nfa: duplicate initial states\n"),
         ("nfa", {"transitions": [["x", "a"]]}, 2,
-         "parse error: nfa: transitions must be [source, label, target] triples, got ['x', 'a']\n"),
+         "parse error: nfa: transitions must be [source, label, target] triples, got [\"x\", \"a\"]\n"),
         ("nfa", {"transitions": [["ghost", "a", "x"]]}, 3, 'validation error: nfa: transition: unknown state "ghost"\n'),
         ("nfa", {"transitions": [["x", 1, "x"]]}, 3, "validation error: nfa: transition: unknown label 1\n"),
-        ("moore", {"semiring": "real"}, 2, "parse error: moore: unknown semiring 'real'\n"),
+        ("moore", {"semiring": "real"}, 2, 'parse error: moore: unknown semiring "real"\n'),
         ("moore", {"outputs": {"ghost": True}}, 3, 'validation error: moore: outputs: unknown state "ghost"\n'),
         ("moore", {"outputs": {"x": 1}}, 2, "parse error: moore: output of x: expected a boolean, got 1\n"),
         ("moore", {"outputs": []}, 2, "parse error: moore: key 'outputs' has the wrong type: []\n"),
@@ -186,7 +186,7 @@ def _move(**changes):
         ("moore", {"delta": {"x": 5}}, 2, "parse error: moore: delta of x must be an object\n"),
         ("moore", {"delta": {"x": {"z": "x"}}}, 3, 'validation error: moore: delta of x: unknown label "z"\n'),
         ("moore", {"delta": {"x": {"a": "ghost"}}}, 3, 'validation error: moore: delta of x: unknown state "ghost"\n'),
-        ("moore", {"alphabet": ["a", "b"]}, 3, "validation error: moore: delta of x is missing label 'b'\n"),
+        ("moore", {"alphabet": ["a", "b"]}, 3, 'validation error: moore: delta of x is missing label "b"\n'),
         ("moore", {"initial": ["ghost"]}, 3, 'validation error: moore: initial: unknown state "ghost"\n'),
         ("weighted", {"out": {"x": -1}}, 2, "parse error: weighted: out of x: expected a natural number, got -1\n"),
         ("weighted", {"out": {"ghost": 1}}, 3, 'validation error: weighted: out: unknown state "ghost"\n'),
@@ -199,30 +199,30 @@ def _move(**changes):
         ("weighted", {"transitions": {"x": {"a": {"ghost": 1}}}}, 3,
          'validation error: weighted: transitions of x: unknown state "ghost"\n'),
         ("weighted", {"transitions": {"x": {"a": {"x": True}}}}, 2,
-         "parse error: weighted: weight at (x, a, x): expected a natural number, got True\n"),
+         "parse error: weighted: weight at (x, a, x): expected a natural number, got true\n"),
         ("weighted", {"semiring": "rat", "out": {"x": True}}, 2,
-         "parse error: weighted: out of x: rationals must be exact, got True\n"),
+         "parse error: weighted: out of x: rationals must be exact, got true\n"),
         ("weighted", {"semiring": "rat", "out": {"x": "abc"}}, 2,
-         "parse error: weighted: out of x: not a rational: 'abc' (Invalid literal for Fraction: 'abc')\n"),
+         "parse error: weighted: out of x: not a rational: \"abc\" (Invalid literal for Fraction: 'abc')\n"),
         ("weighted", {"semiring": "rat", "out": {"x": [1]}}, 2,
          'parse error: weighted: out of x: expected a "num/den" string, got [1]\n'),
         ("weighted", {"semiring": "rat", "out": {"x": "1/0"}}, 2,
-         "parse error: weighted: out of x: not a rational: '1/0' (Fraction(1, 0))\n"),
+         'parse error: weighted: out of x: not a rational: "1/0" (Fraction(1, 0))\n'),
         ("wta", {"signature": []}, 2, "parse error: wta: key 'signature' has the wrong type: []\n"),
-        ("wta", {"signature": {"c": -1}}, 2, "parse error: wta: arity of 'c' must be a natural number, got -1\n"),
-        ("wta", {"signature": {"c": True}}, 2, "parse error: wta: arity of 'c' must be a natural number, got True\n"),
+        ("wta", {"signature": {"c": -1}}, 2, 'parse error: wta: arity of "c" must be a natural number, got -1\n'),
+        ("wta", {"signature": {"c": True}}, 2, 'parse error: wta: arity of "c" must be a natural number, got true\n'),
         ("wta", {"rules": 5}, 2, "parse error: wta: key 'rules' has the wrong type: 5\n"),
         ("wta", {"rules": [5]}, 2, "parse error: wta: rules must be objects, got 5\n"),
         ("wta", _rule(bonus=1), 2, "parse error: wta: rule: unexpected keys ['bonus']\n"),
-        ("wta", _rule(op="g"), 3, "validation error: wta: rule uses unknown operator 'g'\n"),
+        ("wta", _rule(op="g"), 3, 'validation error: wta: rule uses unknown operator "g"\n'),
         ("wta", _rule(op=1), 2, "parse error: wta: rule: key 'op' has the wrong type: 1\n"),
         ("wta", _rule(state="ghost"), 3, 'validation error: wta: rule: unknown state "ghost"\n'),
         ("wta", _rule(children=["ghost"]), 3, 'validation error: wta: rule children: unknown state "ghost"\n'),
-        ("wta", _rule(op="f"), 3, "validation error: wta: rule for 'f' lists 0 children, arity is 1\n"),
+        ("wta", _rule(op="f"), 3, 'validation error: wta: rule for "f" lists 0 children, arity is 1\n'),
         ("wta", _rule(weight=-1), 2, "parse error: wta: rule weight: expected a natural number, got -1\n"),
         ("wta", {"rules": [{"state": "x", "op": "c", "children": []}]}, 2,
          "parse error: wta: rule: missing key 'weight'\n"),
-        ("wta", {"rules": _rule()["rules"] * 2}, 2, "parse error: wta: duplicate rule for state x, 'c', []\n"),
+        ("wta", {"rules": _rule()["rules"] * 2}, 2, 'parse error: wta: duplicate rule for state x, "c", []\n'),
         ("alternating", {"outputs": {"x": 1}}, 2, "parse error: alternating: output of x: expected a boolean, got 1\n"),
         ("alternating", {"transitions": {"ghost": {"a": [["x"]]}}}, 3,
          'validation error: alternating: transitions: unknown state "ghost"\n'),
@@ -241,7 +241,7 @@ def _move(**changes):
         ("gps", {"dist": {"x": {"term": "1", "bonus": 1}}}, 2,
          "parse error: gps: distribution of x: unexpected keys ['bonus']\n"),
         ("gps", {"dist": {"x": {"term": "abc"}}}, 2,
-         "parse error: gps: term of x: not a rational: 'abc' (Invalid literal for Fraction: 'abc')\n"),
+         "parse error: gps: term of x: not a rational: \"abc\" (Invalid literal for Fraction: 'abc')\n"),
         ("gps", {"dist": {"x": {"term": "1", "moves": [5]}}}, 2, "parse error: gps: moves of x must be objects\n"),
         ("gps", _move(bonus=1), 2, "parse error: gps: move of x: unexpected keys ['bonus']\n"),
         ("gps", _move(label="z"), 3, 'validation error: gps: move of x: unknown label "z"\n'),
@@ -250,7 +250,7 @@ def _move(**changes):
         ("gps", _move(to="ghost"), 3, 'validation error: gps: move of x: unknown state "ghost"\n'),
         ("gps", _move(to=1), 3, "validation error: gps: move of x: unknown state 1\n"),
         ("gps", _move(prob=None), 2, "parse error: gps: move of x: missing key 'prob'\n"),
-        ("gps", _move(prob="1/0"), 2, "parse error: gps: move of x: not a rational: '1/0' (Fraction(1, 0))\n"),
+        ("gps", _move(prob="1/0"), 2, 'parse error: gps: move of x: not a rational: "1/0" (Fraction(1, 0))\n'),
         ("gps", _move(prob="-1/2"), 3, "validation error: gps: distribution of x has nonpositive or inexact probability "
          "-1/2; distribution of x sums to 1/2, not 1\n"),
         ("gps", _move(prob="3/4"), 3, "validation error: gps: distribution of x sums to 5/4, not 1\n"),
@@ -275,6 +275,14 @@ def test_bad_documents_are_rejected(tmp_path, capsys, breakage):
 def test_base_documents_load(tmp_path, capsys, kind):
     assert main(["semantics", "--state", "x", "--depth", "1", write_doc(tmp_path, "ok.json", BASE_DOCS[kind])]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_a_value_json_cannot_spell_is_named_by_its_repr():
+    # a document built in Python may hold values that no JSON text parses to
+    with pytest.raises(cli.ParseError, match=r'^weighted: out of x: expected a "num/den" string, got Fraction\(1, 2\)$'):
+        load_automaton(dict(BASE_DOCS["weighted"], semiring="rat", out={"x": Fraction(1, 2)}))
+    with pytest.raises(cli.ValidationError, match=r"^nfa: accepting: unknown state \{1\}$"):
+        load_automaton(dict(BASE_DOCS["nfa"], accepting=[{1}]))
 
 
 _TWO_STATE_MOORE = {
@@ -1210,7 +1218,7 @@ def test_a_cached_weight_string_does_not_answer_for_another_type(tmp_path, capsy
     doc = {"kind": "weighted", "semiring": "rat", "states": ["x", "y", "z"], "alphabet": ["a"],
            "out": {"x": "1", "y": 1, "z": True}, "transitions": {}}
     assert main(["semantics", "--state", "x", "--depth", "0", write_doc(tmp_path, "mixed.json", doc)]) == 2
-    assert capsys.readouterr().err == "parse error: weighted: out of z: rationals must be exact, got True\n"
+    assert capsys.readouterr().err == "parse error: weighted: out of z: rationals must be exact, got true\n"
 
 
 @pytest.mark.parametrize("argv, digests", [
