@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product, repeat
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .weights import BOOL, Semiring, WeightVec
@@ -75,6 +75,13 @@ def _name(aut, x: int) -> str:
     return f"<{x}>"
 
 
+def _all_values(semiring: Semiring, values: Sequence[Any]) -> bool:
+    """Whether _check_value holds for every value, by whole-column checks
+    that fail on a subclass of the carrier's type, which it accepts."""
+    types = {"bool": {bool}, "nat": {int}, "rat": {Fraction}}.get(semiring.name, set())
+    return set(map(type, values)) <= types and (semiring.name != "nat" or min(values, default=0) >= 0)
+
+
 def _check_value(semiring: Semiring, v: Any) -> bool:
     if semiring.name == "bool":
         return isinstance(v, bool)
@@ -102,9 +109,9 @@ class _Machine:
     def letter_index(self) -> Dict[Label, int]:
         return self._aidx
 
-    def _rows(self, trans: Mapping[Tuple[int, Label], Any], empty: Callable[[], Any], convert: Callable[[Any], Any]):
-        """The dense [state][letter index] table of trans; absent pairs hold empty()."""
-        rows = [[empty() for _ in self.alphabet] for _ in range(self.n_states)]
+    def _rows(self, trans: Mapping[Tuple[int, Label], Any], empty: Any, convert: Callable[[Any], Any]):
+        """The dense [state][letter index] table of trans; absent pairs share the immutable empty."""
+        rows = [[empty] * len(self.alphabet) for _ in range(self.n_states)]
         for (x, a), entry in trans.items():
             rows[x][self._aidx[a]] = convert(entry)
         return tuple(tuple(row) for row in rows)
@@ -146,16 +153,17 @@ class NFA(_Machine):
     def _violations(self) -> List[str]:
         out = _common_violations(self)
         labels = set(self.alphabet)
-        for p, a, q in sorted(self.transitions, key=repr):
-            if not (isinstance(p, int) and 0 <= p < self.n_states):
+        state = lambda x: isinstance(x, int) and 0 <= x < self.n_states
+        bad = [(p, a, q) for p, a, q in self.transitions if not (state(p) and state(q) and a in labels)]
+        for p, a, q in sorted(bad, key=repr):
+            if not state(p):
                 out.append(f"transition ({p!r}, {a!r}, {q!r}): unknown source state")
-            if not (isinstance(q, int) and 0 <= q < self.n_states):
+            if not state(q):
                 out.append(f"transition ({_name(self, p) if isinstance(p, int) else p!r}, {a!r}, {q!r}): unknown target state")
             if a not in labels:
                 out.append(f"transition ({_name(self, p) if isinstance(p, int) else p!r}, {a!r}, ...): unknown label")
-        for x in sorted(self.accepting, key=repr):
-            if not (isinstance(x, int) and 0 <= x < self.n_states):
-                out.append(f"accepting state {x!r} is not a state")
+        for x in sorted([x for x in self.accepting if not state(x)], key=repr):
+            out.append(f"accepting state {x!r} is not a state")
         return out
 
 
@@ -177,7 +185,7 @@ class MooreAut(_Machine):
     ):
         self.outputs = tuple(outputs)
         super().__init__(len(self.outputs), alphabet, names)
-        self.delta = tuple(tuple(row) for row in delta)
+        self.delta = tuple(map(tuple, delta))
         self.semiring = semiring
 
     def step(self, x: int, word: Iterable[Label]) -> int:
@@ -193,16 +201,21 @@ class MooreAut(_Machine):
         out = _common_violations(self)
         if len(self.delta) != self.n_states:
             out.append(f"delta has {len(self.delta)} rows for {self.n_states} states")
-        for x, row in enumerate(self.delta):
-            if len(row) != len(self.alphabet):
-                out.append(f"delta row for {_name(self, x)} is not total on the alphabet")
-                continue
-            for i, t in enumerate(row):
-                if not (isinstance(t, int) and 0 <= t < self.n_states):
-                    out.append(f"delta({_name(self, x)}, {self.alphabet[i]!r}) leads to unknown state {t!r}")
-        for x, o in enumerate(self.outputs):
-            if not _check_value(self.semiring, o):
-                out.append(f"output of {_name(self, x)} is not a {self.semiring.name} value: {o!r}")
+        # the rows and outputs are walked only when a whole-column check fails
+        ts = tuple(chain.from_iterable(self.delta))
+        if not (set(map(len, self.delta)) <= {len(self.alphabet)} and all(map(isinstance, ts, repeat(int)))
+                and (not ts or 0 <= min(ts) and max(ts) < self.n_states)):
+            for x, row in enumerate(self.delta):
+                if len(row) != len(self.alphabet):
+                    out.append(f"delta row for {_name(self, x)} is not total on the alphabet")
+                    continue
+                for i, t in enumerate(row):
+                    if not (isinstance(t, int) and 0 <= t < self.n_states):
+                        out.append(f"delta({_name(self, x)}, {self.alphabet[i]!r}) leads to unknown state {t!r}")
+        if not _all_values(self.semiring, self.outputs):
+            for x, o in enumerate(self.outputs):
+                if not _check_value(self.semiring, o):
+                    out.append(f"output of {_name(self, x)} is not a {self.semiring.name} value: {o!r}")
         return out
 
 
@@ -223,7 +236,7 @@ class WeightedAut(_Machine):
         self.out = tuple(out)
         self.trans = self._rows(
             trans,
-            lambda: WeightVec(semiring),
+            WeightVec(semiring),
             lambda v: v if isinstance(v, WeightVec) else WeightVec(semiring, v),
         )
 
@@ -429,7 +442,7 @@ class AlternatingAut(_Machine):
     ):
         super().__init__(n_states, alphabet, names)
         self.outputs = tuple(outputs)
-        self.trans = self._rows(trans, frozenset, lambda fam: frozenset(frozenset(s) for s in fam))
+        self.trans = self._rows(trans, frozenset(), lambda fam: frozenset(frozenset(s) for s in fam))
 
     def __repr__(self) -> str:
         return f"AlternatingAut({self.n_states} states, alphabet {''.join(self.alphabet)!r})"
@@ -461,7 +474,7 @@ class LTS(_Machine):
         names: Optional[Sequence[str]] = None,
     ):
         super().__init__(n_states, alphabet, names)
-        self.trans = self._rows(trans, frozenset, frozenset)
+        self.trans = self._rows(trans, frozenset(), frozenset)
 
     def __repr__(self) -> str:
         return f"LTS({self.n_states} states, alphabet {''.join(self.alphabet)!r})"

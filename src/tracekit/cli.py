@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import suppress
 from fractions import Fraction
 from functools import cache, partial
 from itertools import accumulate, chain, repeat
@@ -39,6 +40,7 @@ from .automata import (
     ValidationError,
     WeightedAut,
     WeightedTreeAut,
+    _all_values,
     _fold_shapes,
     _node_text,
     require_valid,
@@ -334,22 +336,32 @@ def _load_moore(doc):
     alphabet, letters = _alphabet(doc, where)
     semiring = _semiring(doc, where)
     names, index = _state_names(doc, where)
-    # both objects are type-checked before either one's entries are read
-    raw_outputs = _by_state(doc, "outputs", index, where)
-    raw_delta = _by_state(doc, "delta", index, where)
-    outputs = _weights(raw_outputs, _reader(semiring.name), [semiring.zero] * len(names), "outputs", "output", where)
-    delta = [[-1] * len(alphabet) for _ in names]
-    for x, name, row in raw_delta:
-        for i, label, target in _by_label(x, name, row, letters, "delta", where):
-            if i is None:
-                raise _unknown("label", label, f"{where}: delta of {name}")
-            y = index.get(target) if isinstance(target, str) else None
-            if y is None:
-                raise _unknown("state", target, f"{where}: delta of {name}")
-            delta[x][i] = y
-    for x, row in enumerate(delta):
-        if -1 in row:
-            raise ValidationError(f"{where}: delta of {names[x]} is missing label {_json(alphabet[row.index(-1)])}")
+    # both objects are type-checked before either one's entries are read; clean
+    # ones are read whole, and the loops run for an error, rat or no letters
+    raw_outputs, raw_delta = _expect(doc, "outputs", dict, where), _expect(doc, "delta", dict, where)
+    if semiring.name != "rat" and raw_outputs.keys() <= index.keys() and _all_values(semiring, raw_outputs.values()):
+        outputs = list(map(raw_outputs.get, names, repeat(semiring.zero)))  # bool and nat values read as they are
+    else:
+        outputs = _weights(_by_state(doc, "outputs", index, where), _reader(semiring.name), [semiring.zero] * len(names), "outputs", "output", where)
+    rows, k, delta = raw_delta.values(), len(alphabet), None
+    if k and len(rows) == len(names) and set(map(type, rows)) <= {dict} and sum(map(len, rows)) == k * len(names):
+        # each state's row in state order, its targets in alphabet order
+        targets = map(itemgetter(*alphabet), map(raw_delta.__getitem__, names))
+        with suppress(KeyError, TypeError):  # a state without a row, a missing label, a target that names no state
+            delta = list(zip(*[map(index.__getitem__, chain.from_iterable(targets) if k > 1 else targets)] * k))
+    if delta is None:
+        delta = [[-1] * len(alphabet) for _ in names]
+        for x, name, row in _by_state(doc, "delta", index, where):
+            for i, label, target in _by_label(x, name, row, letters, "delta", where):
+                if i is None:
+                    raise _unknown("label", label, f"{where}: delta of {name}")
+                y = index.get(target) if isinstance(target, str) else None
+                if y is None:
+                    raise _unknown("state", target, f"{where}: delta of {name}")
+                delta[x][i] = y
+        for x, row in enumerate(delta):
+            if -1 in row:
+                raise ValidationError(f"{where}: delta of {names[x]} is missing label {_json(alphabet[row.index(-1)])}")
     aut = MooreAut(alphabet, outputs, delta, semiring=semiring, names=names)
     return aut, _initial_list(doc, index, where)
 
@@ -538,18 +550,33 @@ def load_automaton(doc: Any):
     return aut, initial
 
 
+def _unique_keys(pairs: List[Tuple[str, Any]]) -> Dict[str, Any]:
+    """The object of pairs; a repeated key, which json.loads reads as its last value, is a ParseError."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen: set = set()
+        raise ParseError(f"duplicate key {_json(next(k for k, _ in pairs if k in seen or seen.add(k)))}")
+    return obj
+
+
 def parse_document(text: str) -> Any:
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except ParseError:
+        raise
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ParseError(f"not valid JSON: {exc}") from exc
 
 
 def load_file(path: str):
+    # one unbuffered read; the newline translation gives read_text's text
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb", buffering=0) as f:
+            text = f.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return load_automaton(parse_document(text))
 
 

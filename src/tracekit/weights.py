@@ -75,7 +75,7 @@ class WeightVec:
     __slots__ = ("semiring", "_map", "_items", "_hash")
 
     def __init__(self, semiring: Semiring, entries: EntriesLike = ()):
-        if isinstance(entries, Mapping):
+        if type(entries) is dict or isinstance(entries, Mapping):
             entries = entries.items()
         acc: dict = {}
         add = semiring.add

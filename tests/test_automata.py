@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tracekit import (
+    BOOL,
     GPS,
     LTS,
     NFA,
@@ -63,6 +64,60 @@ def test_moore_total_and_step():
     assert even.step(0, "") == 0
     partial = MooreAut(["a", "b"], [True], [[0]])
     assert any("total" in problem for problem in validate(partial))
+
+
+def _walked_violations(aut):
+    """NFA and Moore violations found by walking every entry, transitions in
+    repr order: the reference for the whole-column checks."""
+    from tracekit.automata import _check_value, _common_violations, _name
+
+    out = _common_violations(aut)
+    state = lambda x: isinstance(x, int) and 0 <= x < aut.n_states
+    if isinstance(aut, NFA):
+        for p, a, q in sorted(aut.transitions, key=repr):
+            if not state(p):
+                out.append(f"transition ({p!r}, {a!r}, {q!r}): unknown source state")
+            if not state(q):
+                out.append(f"transition ({_name(aut, p) if isinstance(p, int) else p!r}, {a!r}, {q!r}): unknown target state")
+            if a not in aut.alphabet:
+                out.append(f"transition ({_name(aut, p) if isinstance(p, int) else p!r}, {a!r}, ...): unknown label")
+        return out + [f"accepting state {x!r} is not a state" for x in sorted(aut.accepting, key=repr) if not state(x)]
+    if len(aut.delta) != aut.n_states:
+        out.append(f"delta has {len(aut.delta)} rows for {aut.n_states} states")
+    for x, row in enumerate(aut.delta):
+        if len(row) != len(aut.alphabet):
+            out.append(f"delta row for {_name(aut, x)} is not total on the alphabet")
+            continue
+        out += [f"delta({_name(aut, x)}, {aut.alphabet[i]!r}) leads to unknown state {t!r}" for i, t in enumerate(row) if not state(t)]
+    return out + [f"output of {_name(aut, x)} is not a {aut.semiring.name} value: {o!r}"
+                  for x, o in enumerate(aut.outputs) if not _check_value(aut.semiring, o)]
+
+
+class _Small(int):
+    """An int subclass: a carrier value that the whole-column checks pass to the walk."""
+
+
+STATE_LIKE = st.sampled_from([0, 1, 2, -1, 3, True, 1.0, "x", None, _Small(1)])
+VALUE_LIKE = st.sampled_from([True, False, 0, 2, -1, _Small(3), Fraction(1, 2), Fraction(-1), 0.5, "1", None])
+
+
+@given(
+    st.lists(st.tuples(STATE_LIKE, st.sampled_from(["a", "b", "z", 1]), STATE_LIKE), max_size=6),
+    st.lists(STATE_LIKE, max_size=3),
+)
+def test_nfa_violations_are_the_walked_ones_in_order(transitions, accepting):
+    aut = NFA(3, ["a", "b"], transitions, accepting)
+    assert validate(aut) == _walked_violations(aut)
+
+
+@given(
+    st.lists(st.lists(STATE_LIKE, min_size=1, max_size=3), min_size=1, max_size=4),
+    st.lists(VALUE_LIKE, min_size=1, max_size=4),
+    st.sampled_from([BOOL, NAT, RAT]),
+)
+def test_moore_violations_are_the_walked_ones_in_order(delta, outputs, semiring):
+    aut = MooreAut(["a", "b"], outputs, delta, semiring=semiring)
+    assert validate(aut) == _walked_violations(aut)
 
 
 def test_weighted_fills_missing_rows_with_zero():

@@ -262,6 +262,26 @@ def _move(**changes):
         ("nfa", {"accepting": [None]}, 3, "validation error: nfa: accepting: unknown state null\n"),
         ("nfa", {"accepting": [True]}, 3, "validation error: nfa: accepting: unknown state true\n"),
         ("nfa", {"initial": ["gh\u00f6st"]}, 3, 'validation error: nfa: initial: unknown state "gh\u00f6st"\n'),
+        # a target or a row that fails a whole-column check is reported by
+        # the first entry, in document order, that breaks it
+        ("moore", {"delta": {"x": {"a": ["x"]}}}, 3, 'validation error: moore: delta of x: unknown state ["x"]\n'),
+        ("moore", {"delta": {"x": {"a": None}}}, 3, "validation error: moore: delta of x: unknown state null\n"),
+        ("moore", {"delta": {"x": {"a": 1}}}, 3, "validation error: moore: delta of x: unknown state 1\n"),
+        ("moore", {"delta": {"x": {"a": "x", "z": "x"}}}, 3, 'validation error: moore: delta of x: unknown label "z"\n'),
+        ("moore", {"states": ["x", "y"], "delta": {"x": {"a": "ghost"}, "y": {"z": "x"}}}, 3,
+         'validation error: moore: delta of x: unknown state "ghost"\n'),
+        ("moore", {"states": ["x", "y"], "delta": {"x": {"z": "x"}, "y": {"a": "ghost"}}}, 3,
+         'validation error: moore: delta of x: unknown label "z"\n'),
+        ("moore", {"states": ["x", "y"], "delta": {"x": {}, "y": {"a": "ghost"}}}, 3,
+         'validation error: moore: delta of y: unknown state "ghost"\n'),
+        ("moore", {"outputs": {"ghost": 1, "x": True}}, 3, 'validation error: moore: outputs: unknown state "ghost"\n'),
+        ("moore", {"outputs": {"x": 1, "zz": True}}, 2, "parse error: moore: output of x: expected a boolean, got 1\n"),
+        # a state that "outputs" omits outputs zero (test_moore_outputs_may_omit_a_state)
+        ("moore", {"outputs": {}}, 0, ""),
+        ("moore", {"alphabet": [""], "delta": {"x": {"": "x"}}}, 3,
+         "validation error: moore: alphabet labels must be nonempty strings\n"),
+        ("nfa", {"transitions": [["x", "a", ["x"]]]}, 3, 'validation error: nfa: transition: unknown state ["x"]\n'),
+        ("nfa", {"alphabet": [""]}, 3, "validation error: nfa: alphabet labels must be nonempty strings\n"),
     ],
 )
 def test_bad_documents_are_rejected(tmp_path, capsys, breakage):
@@ -339,6 +359,77 @@ def test_parse_errors_exit_2(tmp_path):
                  str(tmp_path / "missing.json")]) == 2
     listing = write_doc(tmp_path, "list.json", "[1, 2]")
     assert main(["semantics", "--state", "x", "--depth", "1", listing]) == 2
+
+
+@pytest.mark.parametrize("semiring, outputs", [("bool", (False, True)), ("nat", (0, 3)), ("rat", (Fraction(0), Fraction(1, 2)))])
+def test_moore_outputs_may_omit_a_state(semiring, outputs):
+    """A state missing from "outputs" outputs the carrier's zero."""
+    doc = dict(_TWO_STATE_MOORE, semiring=semiring, outputs={"y": cli.encode_weight(outputs[1])})
+    aut, _ = load_automaton(doc)
+    assert aut.outputs == outputs and list(map(type, aut.outputs)) == list(map(type, outputs))
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES.glob("*.json")), ids=lambda path: path.stem)
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_any_line_ending_prints_as_the_lf_file(tmp_path, capsys, name, newline):
+    copy = tmp_path / name.name
+    copy.write_bytes(name.read_bytes().replace(b"\n", newline))
+    results = []
+    for path in (name, copy):
+        status = main(["semantics", str(path), "--state", "0", "--depth", "2"])
+        results.append((status, capsys.readouterr()))
+    assert results[0][0] == 0 and results[0] == results[1]
+
+
+def test_a_crlf_syntax_error_keeps_its_position(tmp_path, capsys):
+    """Line ends are read as "\\n", so positions count one character each."""
+    path = tmp_path / "crlf.json"
+    path.write_bytes(
+        b'{"kind": "moore", "semiring": "bool",\r\n'
+        b' "states": ["x"], "alphabet": ["a"], "outputs": {"x": true}, "delta": {"x": {"a": "x"}}\r\n, }'
+    )
+    assert main(["semantics", str(path), "--state", "x", "--depth", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "parse error: not valid JSON: Expecting property name enclosed in double quotes: line 3 column 3 (char 128)\n"
+    )
+
+
+@pytest.mark.parametrize("case", ["not-utf8", "missing", "directory", "file-as-directory", "empty-path"])
+def test_unreadable_files_exit_2_with_their_error(tmp_path, capsys, case):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff{}")
+    missing, directory = str(tmp_path / "missing.json"), str(tmp_path)
+    file_as_dir = str(EXAMPLES / "nfa-classic.json") + "/"
+    path, error = {
+        "not-utf8": (str(bad), "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        "missing": (missing, f"[Errno 2] No such file or directory: '{missing}'"),
+        "directory": (directory, f"[Errno 21] Is a directory: '{directory}'"),
+        # the path is opened as given, not normalized: a trailing slash and
+        # the empty path are not read as the file and as "."
+        "file-as-directory": (file_as_dir, f"[Errno 20] Not a directory: '{file_as_dir}'"),
+        "empty-path": ("", "[Errno 2] No such file or directory: ''"),
+    }[case]
+    assert main(["semantics", path, "--state", "x", "--depth", "1"]) == 2
+    assert capsys.readouterr() == ("", f"parse error: cannot read {path}: {error}\n")
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"kind": "nfa", "kind": "nfa", "states": [], "alphabet": [], "transitions": [], "accepting": []}', "kind"),
+        (json.dumps(dict(BASE_DOCS["moore"], outputs="@1", delta="@2"))
+         .replace('"@1"', '{"x": true, "x": false}').replace('"@2"', '{"x": {"a": "y", "a": "x"}}'), "x"),
+        ('{"kind": "nfa", "states": ["x"], "alphabet": ["a"], "transitions": [], "accepting": [],'
+         ' "bonus": {"\\u00e9": 1, "é": 2}}', "é"),
+    ],
+    ids=["top-level", "moore-outputs-and-delta", "escaped-spelling"],
+)
+def test_duplicate_keys_exit_2(tmp_path, capsys, text, key):
+    """json.loads would keep the last value; the file format rejects the
+    document instead, naming the first key repeated in an object."""
+    path = write_doc(tmp_path, "dup.json", text)
+    assert main(["semantics", path, "--state", "x", "--depth", "1"]) == 2
+    assert capsys.readouterr() == ("", f"parse error: duplicate key {json.dumps(key, ensure_ascii=False)}\n")
 
 
 def _gps_with_moves(moves):
