@@ -10,8 +10,8 @@ re-parsing a serialized file gives back the same automaton.
 Exit statuses: 0 success, 2 parse error, 3 validation error, 4 budget
 exceeded, 5 law failure, 6 query error (unknown state, unknown law, a
 method/kind mismatch, a negative --depth, a --budget or --max-size below
-1), 7 a computed value too long to print or an --out file that cannot be
-written.
+1, a --budget for a method that takes none), 7 a computed value too long to
+print or an --out file that cannot be written.
 """
 
 from __future__ import annotations
@@ -201,25 +201,22 @@ def _expect(doc: Dict[str, Any], key: str, types, where: str):
     return value
 
 
-def _string_list(doc: Dict[str, Any], key: str, where: str) -> List[str]:
-    raw = _expect(doc, key, list, where)
-    for item in raw:
-        if not isinstance(item, str):
-            raise ParseError(f"{where}: {key!r} entries must be strings, got {_json(item)}")
-    return list(raw)
-
-
 def _reject_extra(doc: Dict[str, Any], allowed: Sequence[str], where: str) -> None:
     extra = sorted(set(doc) - set(allowed))
     if extra:
         raise ParseError(f"{where}: unexpected keys {extra}")
 
 
-def _state_names(doc: Dict[str, Any], where: str) -> Tuple[List[str], Dict[str, int]]:
-    names = _string_list(doc, "states", where)
+def _names(doc: Dict[str, Any], key: str, what: str, where: str) -> Tuple[List[str], Dict[str, int]]:
+    """The names listed in doc[key], each a string, and each name's
+    position; what names them in the error for a repeated one."""
+    names = list(_expect(doc, key, list, where))
+    for name in names:
+        if not isinstance(name, str):
+            raise ParseError(f"{where}: {key!r} entries must be strings, got {_json(name)}")
     index = {name: i for i, name in enumerate(names)}
     if len(index) != len(names):
-        raise ParseError(f"{where}: duplicate state names")
+        raise ParseError(f"{where}: duplicate {what}")
     return names, index
 
 
@@ -236,39 +233,49 @@ def _states(names: Sequence[Any], index: Dict[str, int], where: str, what: str =
     return xs
 
 
-# The loaders resolve names in plain loops over index.get, in the order the
-# document lists them, and build an error's text only once a check fails.
+def _named(obj: Dict[str, Any], index: Dict[str, int], where: str, key: str, row: Any = None, what: str = "state"):
+    """Iterate (i, name, value) over the entries of obj, i the index of name,
+    as _states resolves a list of names. A name outside index raises the
+    unknown-name error of doc[key] (of the row of state row, when one is
+    given) once the entries before it have been iterated, so that an earlier
+    entry's fault reports first."""
+    try:
+        return zip(list(map(index.__getitem__, obj)), obj, obj.values())
+    except KeyError:  # some name is outside index
+        pass
+
+    def entries():
+        for name, value in obj.items():
+            if name not in index:
+                raise _unknown(what, name, f"{where}: {key}" + ("" if row is None else f" of {row}"))
+            yield index[name], name, value
+
+    return entries()
 
 
 def _by_state(doc: Dict[str, Any], key: str, index: Dict[str, int], where: str):
     """Check that doc[key] is an object keyed by state name, then iterate
-    (x, name, value) over its entries, x None for a name that is no state."""
-    raw = _expect(doc, key, dict, where)
-    return zip(map(index.get, raw), raw, raw.values())
+    (x, name, value) over its entries (_named)."""
+    return _named(_expect(doc, key, dict, where), index, where, key)
 
 
-def _weights(entries, read: Callable[[Any], Any], into: List[Any], key: str, what: str, where: str) -> List[Any]:
-    """into[x] = read(value) for the (x, name, value) entries of doc[key]
-    (_by_state), in order; returns into."""
+def _weights(entries, read: Callable[[Any], Any], into: List[Any], what: str, where: str) -> List[Any]:
+    """into[x] = read(value) for the (x, name, value) entries of an object
+    keyed by state name (_by_state), in order; returns into."""
     try:
         for x, name, value in entries:
-            if x is None:
-                raise _unknown("state", name, f"{where}: {key}")
             into[x] = read(value)
     except _BadWeight as exc:
         raise ParseError(f"{where}: {what} of {name}: {exc}") from exc
     return into
 
 
-def _by_label(x: Optional[int], name: Any, row: Any, letters: Dict[str, int], key: str, where: str):
-    """The entries (i, label, value) of the row of state name in doc[key],
-    i None for a label outside the alphabet, once name is a state and row an
-    object."""
-    if x is None:
-        raise _unknown("state", name, f"{where}: {key}")
+def _by_label(name: Any, row: Any, letters: Dict[str, int], key: str, where: str):
+    """The entries (i, label, value) of the row of state name in doc[key]
+    (_named), once row is an object."""
     if not isinstance(row, dict):
         raise ParseError(f"{where}: {key} of {name} must be an object")
-    return zip(map(letters.get, row), row, row.values())
+    return _named(row, letters, where, key, name, "label")
 
 
 def _semiring(doc: Dict[str, Any], where: str):
@@ -276,15 +283,6 @@ def _semiring(doc: Dict[str, Any], where: str):
     if name not in SEMIRINGS:
         raise ParseError(f"{where}: unknown semiring {_json(name)}")
     return SEMIRINGS[name]
-
-
-def _alphabet(doc: Dict[str, Any], where: str) -> Tuple[List[str], Dict[str, int]]:
-    """The labels and each label's position."""
-    letters = _string_list(doc, "alphabet", where)
-    position = {a: i for i, a in enumerate(letters)}
-    if len(position) != len(letters):
-        raise ParseError(f"{where}: duplicate alphabet labels")
-    return letters, position
 
 
 def _initial_list(doc: Dict[str, Any], index: Dict[str, int], where: str) -> Optional[List[int]]:
@@ -299,6 +297,8 @@ def _initial_list(doc: Dict[str, Any], index: Dict[str, int], where: str) -> Opt
 def _triples(doc: Dict[str, Any], index: Dict[str, int], letters: Dict[str, int], where: str) -> List[Tuple[int, str, int]]:
     raw = _expect(doc, "transitions", list, where)
     out = []
+    # names resolve inline, not through _states: a call per name made this
+    # loop more than twice as slow on the bench's nfa files
     for entry in raw:
         if not (isinstance(entry, list) and len(entry) == 3):
             raise ParseError(f"{where}: transitions must be [source, label, target] triples, got {_json(entry)}")
@@ -322,8 +322,8 @@ def _triples(doc: Dict[str, Any], index: Dict[str, int], letters: Dict[str, int]
 def _load_nfa(doc):
     where = "nfa"
     _reject_extra(doc, ("kind", "alphabet", "states", "accepting", "transitions", "initial"), where)
-    alphabet, letters = _alphabet(doc, where)
-    names, index = _state_names(doc, where)
+    alphabet, letters = _names(doc, "alphabet", "alphabet labels", where)
+    names, index = _names(doc, "states", "state names", where)
     accepting = _states(_expect(doc, "accepting", list, where), index, f"{where}: accepting")
     triples = _triples(doc, index, letters, where)
     aut = NFA(len(names), alphabet, triples, accepting, names=names)
@@ -333,16 +333,16 @@ def _load_nfa(doc):
 def _load_moore(doc):
     where = "moore"
     _reject_extra(doc, ("kind", "alphabet", "semiring", "states", "outputs", "delta", "initial"), where)
-    alphabet, letters = _alphabet(doc, where)
+    alphabet, letters = _names(doc, "alphabet", "alphabet labels", where)
     semiring = _semiring(doc, where)
-    names, index = _state_names(doc, where)
+    names, index = _names(doc, "states", "state names", where)
     # both objects are type-checked before either one's entries are read; clean
     # ones are read whole, and the loops run for an error, rat or no letters
     raw_outputs, raw_delta = _expect(doc, "outputs", dict, where), _expect(doc, "delta", dict, where)
     if semiring.name != "rat" and raw_outputs.keys() <= index.keys() and _all_values(semiring, raw_outputs.values()):
         outputs = list(map(raw_outputs.get, names, repeat(semiring.zero)))  # bool and nat values read as they are
     else:
-        outputs = _weights(_by_state(doc, "outputs", index, where), _reader(semiring.name), [semiring.zero] * len(names), "outputs", "output", where)
+        outputs = _weights(_named(raw_outputs, index, where, "outputs"), _reader(semiring.name), [semiring.zero] * len(names), "output", where)
     rows, k, delta = raw_delta.values(), len(alphabet), None
     if k and len(rows) == len(names) and set(map(type, rows)) <= {dict} and sum(map(len, rows)) == k * len(names):
         # each state's row in state order, its targets in alphabet order
@@ -351,14 +351,9 @@ def _load_moore(doc):
             delta = list(zip(*[map(index.__getitem__, chain.from_iterable(targets) if k > 1 else targets)] * k))
     if delta is None:
         delta = [[-1] * len(alphabet) for _ in names]
-        for x, name, row in _by_state(doc, "delta", index, where):
-            for i, label, target in _by_label(x, name, row, letters, "delta", where):
-                if i is None:
-                    raise _unknown("label", label, f"{where}: delta of {name}")
-                y = index.get(target) if isinstance(target, str) else None
-                if y is None:
-                    raise _unknown("state", target, f"{where}: delta of {name}")
-                delta[x][i] = y
+        for x, name, row in _named(raw_delta, index, where, "delta"):
+            for i, label, target in _by_label(name, row, letters, "delta", where):
+                (delta[x][i],) = _states([target], index, f"{where}: delta of {name}")
         for x, row in enumerate(delta):
             if -1 in row:
                 raise ValidationError(f"{where}: delta of {names[x]} is missing label {_json(alphabet[row.index(-1)])}")
@@ -369,23 +364,19 @@ def _load_moore(doc):
 def _load_weighted(doc):
     where = "weighted"
     _reject_extra(doc, ("kind", "alphabet", "semiring", "states", "out", "transitions"), where)
-    alphabet, letters = _alphabet(doc, where)
+    alphabet, letters = _names(doc, "alphabet", "alphabet labels", where)
     semiring = _semiring(doc, where)
-    names, index = _state_names(doc, where)
+    names, index = _names(doc, "states", "state names", where)
     read = _reader(semiring.name)
-    out = _weights(_by_state(doc, "out", index, where), read, [semiring.zero] * len(names), "out", "out", where)
+    out = _weights(_by_state(doc, "out", index, where), read, [semiring.zero] * len(names), "out", where)
     trans: Dict[Tuple[int, str], Dict[int, Any]] = {}
     try:
         for x, name, row in _by_state(doc, "transitions", index, where):
-            for i, label, vec in _by_label(x, name, row, letters, "transitions", where):
-                if i is None:
-                    raise _unknown("label", label, f"{where}: transitions of {name}")
+            for _, label, vec in _by_label(name, row, letters, "transitions", where):
                 if not isinstance(vec, dict):
                     raise ParseError(f"{where}: successor weights of ({name}, {label}) must be an object")
                 trans[(x, label)] = successors = {}
-                for y, target, value in zip(map(index.get, vec), vec, vec.values()):
-                    if y is None:
-                        raise _unknown("state", target, f"{where}: transitions of {name}")
+                for y, target, value in _named(vec, index, where, "transitions", name):
                     successors[y] = read(value)
     except _BadWeight as exc:
         raise ParseError(f"{where}: weight at ({name}, {label}, {target}): {exc}") from exc
@@ -403,7 +394,7 @@ def _load_wta(doc):
             raise ParseError(f"{where}: arity of {_json(op)} must be a natural number, got {_json(arity)}")
         signature.append((op, arity))
     semiring = _semiring(doc, where)
-    names, index = _state_names(doc, where)
+    names, index = _names(doc, "states", "state names", where)
     read = _reader(semiring.name)
     raw_rules = _expect(doc, "rules", list, where)
     rules: Dict[Tuple[int, str, Tuple[int, ...]], Any] = {}
@@ -435,23 +426,18 @@ def _load_wta(doc):
 def _load_alternating(doc):
     where = "alternating"
     _reject_extra(doc, ("kind", "alphabet", "states", "outputs", "transitions"), where)
-    alphabet, letters = _alphabet(doc, where)
-    names, index = _state_names(doc, where)
-    outputs = _weights(_by_state(doc, "outputs", index, where), partial(_read_weight, "bool"), [False] * len(names), "outputs", "output", where)
+    alphabet, letters = _names(doc, "alphabet", "alphabet labels", where)
+    names, index = _names(doc, "states", "state names", where)
+    outputs = _weights(_by_state(doc, "outputs", index, where), partial(_read_weight, "bool"), [False] * len(names), "output", where)
     trans: Dict[Tuple[int, str], List[List[int]]] = {}
     for x, name, row in _by_state(doc, "transitions", index, where):
-        for i, label, family in _by_label(x, name, row, letters, "transitions", where):
-            if i is None:
-                raise _unknown("label", label, f"{where}: transitions of {name}")
+        for _, label, family in _by_label(name, row, letters, "transitions", where):
             trans[(x, label)] = sets = []
             # a family that is not a list fails as a list of one non-list would
             for member in family if isinstance(family, list) else [None]:
                 if not isinstance(member, list):
                     raise ParseError(f"{where}: branch family of ({name}, {label}) must be a list of lists")
-                ys = [index.get(target) if isinstance(target, str) else None for target in member]
-                if None in ys:
-                    raise _unknown("state", member[ys.index(None)], f"{where}: transitions of {name}")
-                sets.append(ys)
+                sets.append(_states(member, index, f"{where}: transitions of {name}"))
     aut = AlternatingAut(len(names), alphabet, outputs, trans, names=names)
     return aut, None
 
@@ -459,8 +445,8 @@ def _load_alternating(doc):
 def _load_lts(doc):
     where = "lts"
     _reject_extra(doc, ("kind", "alphabet", "states", "transitions"), where)
-    alphabet, letters = _alphabet(doc, where)
-    names, index = _state_names(doc, where)
+    alphabet, letters = _names(doc, "alphabet", "alphabet labels", where)
+    names, index = _names(doc, "states", "state names", where)
     trans: Dict[Tuple[int, str], List[int]] = {}
     for p, a, q in _triples(doc, index, letters, where):
         trans.setdefault((p, a), []).append(q)
@@ -471,13 +457,11 @@ def _load_lts(doc):
 def _load_gps(doc):
     where = "gps"
     _reject_extra(doc, ("kind", "alphabet", "states", "dist"), where)
-    alphabet, letters = _alphabet(doc, where)
-    names, index = _state_names(doc, where)
+    alphabet, letters = _names(doc, "alphabet", "alphabet labels", where)
+    names, index = _names(doc, "states", "state names", where)
     read = _reader("rat")
     dist: Dict[int, Dict[Any, Fraction]] = {}
     for x, name, row in _by_state(doc, "dist", index, where):
-        if x is None:
-            raise _unknown("state", name, f"{where}: dist")
         if not isinstance(row, dict):
             raise ParseError(f"{where}: distribution of {name} must be an object")
         if not row.keys() <= {"term", "moves"}:
@@ -498,7 +482,7 @@ def _load_gps(doc):
             known = isinstance(label, str) and label in letters
             y = index.get(target) if isinstance(target, str) else None
             if not (move.keys() <= {"label", "to", "prob"} and known and y is not None and "prob" in move):
-                # the first failing check raises
+                # the first failing check raises; the names resolve inline, as in _triples
                 at = f"{where}: move of {name}"
                 _reject_extra(move, ("label", "to", "prob"), at)
                 _states([_expect(move, "label", object, at)], letters, at, "label")
@@ -849,13 +833,14 @@ def _cmd_semantics(args) -> int:
     return EXIT_OK
 
 
-# method -> (kind of the source file, construction of (automaton, --budget))
+# method -> (kind of the source file, default --budget or None for a method
+# that takes none, construction of (automaton, budget))
 _METHODS = {
-    "subset": ("nfa", lambda aut, budget: det_subset(aut, "disj")),
-    "conj": ("nfa", lambda aut, budget: det_subset(aut, "conj")),
-    "canonical": ("nfa", lambda aut, budget: canonical_det_nfa(aut, bound=budget or 4)),
-    "weighted": ("weighted", lambda aut, budget: det_weighted(aut, budget=budget or 500)),
-    "alt": ("alternating", lambda aut, budget: alt_to_nfa(aut)),
+    "subset": ("nfa", None, lambda aut, budget: det_subset(aut, "disj")),
+    "conj": ("nfa", None, lambda aut, budget: det_subset(aut, "conj")),
+    "canonical": ("nfa", 4, lambda aut, budget: canonical_det_nfa(aut, bound=budget)),
+    "weighted": ("weighted", 500, lambda aut, budget: det_weighted(aut, budget=budget)),
+    "alt": ("alternating", None, lambda aut, budget: alt_to_nfa(aut)),
 }
 
 
@@ -884,19 +869,23 @@ def _embedding_text(result: DetResult, source, pad: str) -> str:
 
 
 def _cmd_determinize(args) -> int:
+    needed, default, construct = _METHODS[args.method]
+    if args.budget is not None and default is None:
+        budgeted = " and ".join(method for method, (_, budget, _) in _METHODS.items() if budget)
+        raise QueryError(f"--budget applies to the {budgeted} methods only, not {args.method!r}")
     if args.budget is not None and args.budget <= 0:
         raise QueryError(f"--budget must be positive, got {args.budget}")
     aut, _ = load_file(args.file)
     kind = _KIND_OF[type(aut)]
-    needed, construct = _METHODS[args.method]
     if kind != needed:
         # "an" where the kind is spoken from a vowel sound: an alternating, an nfa, an lts, a moore
         raise QueryError(f"method {args.method!r} needs {'an' if needed[0] in 'aeilnou' else 'a'} {needed} file, got {kind}")
-    result = construct(aut, args.budget)
+    result = construct(aut, args.budget or default)
     if isinstance(result, BudgetExceeded):
+        # canonical's bound is on the size of its input, which it refuses before exploring
+        found = f"an input of {result.discovered} states" if result.method == "canonical" else f"{result.discovered} states discovered"
         print(
-            f"budget exceeded: {result.method} determinization passed "
-            f"{result.budget} with {result.discovered} states discovered",
+            f"budget exceeded: {result.method} determinization passed {result.budget} with {found}",
             file=sys.stderr,
         )
         return EXIT_BUDGET
@@ -1018,11 +1007,7 @@ def _cmd_check(args) -> int:
     print(format_report(report))
     if args.law == "chi-wrong":
         known = known_counterexample()
-        reproduced = known is not None and any(
-            f.instance == known.instance and f.lhs == known.lhs and f.rhs == known.rhs
-            for f in report.failures
-        )
-        if reproduced:
+        if known in report.failures:
             print("known counterexample reproduced:")
             print(known.render())
             return EXIT_OK

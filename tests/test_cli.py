@@ -282,6 +282,27 @@ def _move(**changes):
          "validation error: moore: alphabet labels must be nonempty strings\n"),
         ("nfa", {"transitions": [["x", "a", ["x"]]]}, 3, 'validation error: nfa: transition: unknown state ["x"]\n'),
         ("nfa", {"alphabet": [""]}, 3, "validation error: nfa: alphabet labels must be nonempty strings\n"),
+        # a document with several faults reports the first entry, in document
+        # order, that breaks a check: a name that resolves to nothing raises
+        # only after the entries before it have been read (the documents are
+        # written with sorted keys, so the extra names sort after x)
+        ("weighted", {"transitions": {"x": {"a": {"x": True, "zz": 1}}}}, 2,
+         "parse error: weighted: weight at (x, a, x): expected a natural number, got true\n"),
+        ("weighted", {"transitions": {"x": {"a": 5, "z": {"x": 1}}}}, 2,
+         "parse error: weighted: successor weights of (x, a) must be an object\n"),
+        ("weighted", {"out": {"x": -1, "zz": 1}}, 2, "parse error: weighted: out of x: expected a natural number, got -1\n"),
+        ("weighted", {"transitions": {"x": {"z": {"x": 1}}, "zz": {}}}, 3,
+         'validation error: weighted: transitions of x: unknown label "z"\n'),
+        ("alternating", {"transitions": {"x": {"a": ["x"], "z": [["x"]]}}}, 2,
+         "parse error: alternating: branch family of (x, a) must be a list of lists\n"),
+        ("alternating", {"outputs": {"x": 1, "zz": True}}, 2,
+         "parse error: alternating: output of x: expected a boolean, got 1\n"),
+        ("gps", {"dist": {"x": {"term": "abc"}, "zz": {}}}, 2,
+         "parse error: gps: term of x: not a rational: \"abc\" (Invalid literal for Fraction: 'abc')\n"),
+        ("moore", {"semiring": "rat", "outputs": {"x": "1"}, "delta": {"x": {"a": "ghost", "z": "x"}}}, 3,
+         'validation error: moore: delta of x: unknown state "ghost"\n'),
+        ("moore", {"semiring": "rat", "outputs": {"x": "abc", "zz": "1"}}, 2,
+         "parse error: moore: output of x: not a rational: \"abc\" (Invalid literal for Fraction: 'abc')\n"),
     ],
 )
 def test_bad_documents_are_rejected(tmp_path, capsys, breakage):
@@ -740,6 +761,14 @@ def test_determinize_budget_exceeded(tmp_path, capsys):
     assert "4 states discovered" in err
 
 
+def test_canonical_budget_names_the_input_size(tmp_path, capsys):
+    # canonical's bound is on its input, two states here, which it refuses before exploring anything
+    assert main(["determinize", "--method", "canonical", "--budget", "1", classic_file(tmp_path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "budget exceeded: canonical determinization passed 1 with an input of 2 states\n"
+
+
 # acyclic, so the weight vectors are finite; digests of stdout, the --out
 # machine and its .embed.json, measured before det_weighted ran on the
 # shared lifted-machine builder
@@ -795,6 +824,16 @@ def test_determinize_rejects_a_non_positive_budget(tmp_path, capsys, method, kin
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"--budget must be positive, got {budget}" in captured.err
+
+
+@pytest.mark.parametrize("method, kind", [("subset", "nfa"), ("conj", "nfa"), ("alt", "alternating")])
+@pytest.mark.parametrize("budget", ["1", "0"])
+def test_determinize_refuses_a_budget_for_a_method_without_one(tmp_path, capsys, method, kind, budget):
+    path = write_doc(tmp_path, f"{kind}.json", KINDS[kind])
+    assert main(["determinize", "--method", method, "--budget", budget, path]) == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --budget applies to the canonical and weighted methods only, not {method!r}\n"
 
 
 def test_determinize_method_kind_mismatch(tmp_path):
