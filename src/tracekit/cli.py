@@ -189,51 +189,62 @@ def _spelled_digits(text: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# document helpers
+# document helpers; each one's `at` is the place it reads ("rule: ", or ""
+# at the top level), and load_automaton names the kind in front of it
 
 
-def _expect(doc: Dict[str, Any], key: str, types, where: str):
+def _expect(doc: Dict[str, Any], key: str, types, at: str = ""):
     if key not in doc:
-        raise ParseError(f"{where}: missing key {key!r}")
+        raise ParseError(f"{at}missing key {key!r}")
     value = doc[key]
     if not isinstance(value, types):
-        raise ParseError(f"{where}: key {key!r} has the wrong type: {_json(value)}")
+        raise ParseError(f"{at}key {key!r} has the wrong type: {_json(value)}")
     return value
 
 
-def _reject_extra(doc: Dict[str, Any], allowed: Sequence[str], where: str) -> None:
+def _reject_extra(doc: Dict[str, Any], allowed: Sequence[str], at: str = "") -> None:
     extra = sorted(set(doc) - set(allowed))
     if extra:
-        raise ParseError(f"{where}: unexpected keys {extra}")
+        raise ParseError(f"{at}unexpected keys {extra}")
 
 
-def _names(doc: Dict[str, Any], key: str, what: str, where: str) -> Tuple[List[str], Dict[str, int]]:
+def _names(doc: Dict[str, Any], key: str, what: str) -> Tuple[List[str], Dict[str, int]]:
     """The names listed in doc[key], each a string, and each name's
     position; what names them in the error for a repeated one."""
-    names = list(_expect(doc, key, list, where))
+    names = list(_expect(doc, key, list))
     for name in names:
         if not isinstance(name, str):
-            raise ParseError(f"{where}: {key!r} entries must be strings, got {_json(name)}")
+            raise ParseError(f"{key!r} entries must be strings, got {_json(name)}")
     index = {name: i for i, name in enumerate(names)}
     if len(index) != len(names):
-        raise ParseError(f"{where}: duplicate {what}")
+        raise ParseError(f"duplicate {what}")
     return names, index
 
 
-def _unknown(what: str, value: Any, where: str) -> ValidationError:
-    return ValidationError(f"{where}: unknown {what} {_json(value)}")
+def _signature(doc: Dict[str, Any]) -> Tuple[List[Tuple[str, int]], Dict[str, int]]:
+    """The (operator, arity) pairs of doc["signature"], and each operator's
+    arity: a wta's alphabet, read as _names reads the others."""
+    arities = _expect(doc, "signature", dict)
+    for op, arity in arities.items():
+        if not isinstance(arity, int) or isinstance(arity, bool) or arity < 0:
+            raise ParseError(f"arity of {_json(op)} must be a natural number, got {_json(arity)}")
+    return list(arities.items()), arities
 
 
-def _states(names: Sequence[Any], index: Dict[str, int], where: str, what: str = "state") -> List[int]:
+def _unknown(what: str, value: Any, at: str) -> ValidationError:
+    return ValidationError(f"{at}unknown {what} {_json(value)}")
+
+
+def _states(names: Sequence[Any], index: Dict[str, int], at: str, what: str = "state") -> List[int]:
     """The index of each name, raising at the first that names nothing in
     index, a string or not."""
     xs = [index.get(name) if isinstance(name, str) else None for name in names]
     if None in xs:
-        raise _unknown(what, names[xs.index(None)], where)
+        raise _unknown(what, names[xs.index(None)], at)
     return xs
 
 
-def _named(obj: Dict[str, Any], index: Dict[str, int], where: str, key: str, row: Any = None, what: str = "state"):
+def _named(obj: Dict[str, Any], index: Dict[str, int], key: str, row: Any = None, what: str = "state"):
     """Iterate (i, name, value) over the entries of obj, i the index of name,
     as _states resolves a list of names. A name outside index raises the
     unknown-name error of doc[key] (of the row of state row, when one is
@@ -247,102 +258,78 @@ def _named(obj: Dict[str, Any], index: Dict[str, int], where: str, key: str, row
     def entries():
         for name, value in obj.items():
             if name not in index:
-                raise _unknown(what, name, f"{where}: {key}" + ("" if row is None else f" of {row}"))
+                raise _unknown(what, name, f"{key}: " if row is None else f"{key} of {row}: ")
             yield index[name], name, value
 
     return entries()
 
 
-def _by_state(doc: Dict[str, Any], key: str, index: Dict[str, int], where: str):
+def _by_state(doc: Dict[str, Any], key: str, index: Dict[str, int]):
     """Check that doc[key] is an object keyed by state name, then iterate
     (x, name, value) over its entries (_named)."""
-    return _named(_expect(doc, key, dict, where), index, where, key)
+    return _named(_expect(doc, key, dict), index, key)
 
 
-def _weights(entries, read: Callable[[Any], Any], into: List[Any], what: str, where: str) -> List[Any]:
+def _weights(entries, read: Callable[[Any], Any], into: List[Any], what: str) -> List[Any]:
     """into[x] = read(value) for the (x, name, value) entries of an object
     keyed by state name (_by_state), in order; returns into."""
     try:
         for x, name, value in entries:
             into[x] = read(value)
     except _BadWeight as exc:
-        raise ParseError(f"{where}: {what} of {name}: {exc}") from exc
+        raise ParseError(f"{what} of {name}: {exc}") from exc
     return into
 
 
-def _by_label(name: Any, row: Any, letters: Dict[str, int], key: str, where: str):
+def _by_label(name: Any, row: Any, letters: Dict[str, int], key: str):
     """The entries (i, label, value) of the row of state name in doc[key]
     (_named), once row is an object."""
     if not isinstance(row, dict):
-        raise ParseError(f"{where}: {key} of {name} must be an object")
-    return _named(row, letters, where, key, name, "label")
+        raise ParseError(f"{key} of {name} must be an object")
+    return _named(row, letters, key, name, "label")
 
 
-def _semiring(doc: Dict[str, Any], where: str):
-    name = _expect(doc, "semiring", str, where)
-    if name not in SEMIRINGS:
-        raise ParseError(f"{where}: unknown semiring {_json(name)}")
-    return SEMIRINGS[name]
-
-
-def _initial_list(doc: Dict[str, Any], index: Dict[str, int], where: str) -> Optional[List[int]]:
-    if "initial" not in doc:
-        return None
-    initial = _states(_expect(doc, "initial", list, where), index, f"{where}: initial")
-    if len(set(initial)) != len(initial):
-        raise ParseError(f"{where}: duplicate initial states")
-    return initial
-
-
-def _triples(doc: Dict[str, Any], index: Dict[str, int], letters: Dict[str, int], where: str) -> List[Tuple[int, str, int]]:
-    raw = _expect(doc, "transitions", list, where)
+def _triples(doc: Dict[str, Any], index: Dict[str, int], letters: Dict[str, int]) -> List[Tuple[int, str, int]]:
+    raw = _expect(doc, "transitions", list)
     out = []
     # names resolve inline, not through _states: a call per name made this
     # loop more than twice as slow on the bench's nfa files
     for entry in raw:
         if not (isinstance(entry, list) and len(entry) == 3):
-            raise ParseError(f"{where}: transitions must be [source, label, target] triples, got {_json(entry)}")
+            raise ParseError(f"transitions must be [source, label, target] triples, got {_json(entry)}")
         src, label, dst = entry
         p = index.get(src) if isinstance(src, str) else None
         if p is None:
-            raise _unknown("state", src, f"{where}: transition")
+            raise _unknown("state", src, "transition: ")
         if not isinstance(label, str) or label not in letters:
-            raise _unknown("label", label, f"{where}: transition")
+            raise _unknown("label", label, "transition: ")
         q = index.get(dst) if isinstance(dst, str) else None
         if q is None:
-            raise _unknown("state", dst, f"{where}: transition")
+            raise _unknown("state", dst, "transition: ")
         out.append((p, label, q))
     return out
 
 
 # ---------------------------------------------------------------------------
-# loaders, one per kind
+# loaders, one per kind: each reads its kind's own keys and returns the
+# machine, given the alphabet and its letters' positions (for wta the
+# signature and the arities), the semiring (None for a kind without one)
+# and the states with their positions, as load_automaton has read them
 
 
-def _load_nfa(doc):
-    where = "nfa"
-    _reject_extra(doc, ("kind", "alphabet", "states", "accepting", "transitions", "initial"), where)
-    alphabet, letters = _names(doc, "alphabet", "alphabet labels", where)
-    names, index = _names(doc, "states", "state names", where)
-    accepting = _states(_expect(doc, "accepting", list, where), index, f"{where}: accepting")
-    triples = _triples(doc, index, letters, where)
-    aut = NFA(len(names), alphabet, triples, accepting, names=names)
-    return aut, _initial_list(doc, index, where)
+def _load_nfa(doc, alphabet, letters, semiring, names, index):
+    accepting = _states(_expect(doc, "accepting", list), index, "accepting: ")
+    return NFA(len(names), alphabet, _triples(doc, index, letters), accepting, names=names)
 
 
-def _load_moore(doc):
-    where = "moore"
-    _reject_extra(doc, ("kind", "alphabet", "semiring", "states", "outputs", "delta", "initial"), where)
-    alphabet, letters = _names(doc, "alphabet", "alphabet labels", where)
-    semiring = _semiring(doc, where)
-    names, index = _names(doc, "states", "state names", where)
+def _load_moore(doc, alphabet, letters, semiring, names, index):
     # both objects are type-checked before either one's entries are read; clean
     # ones are read whole, and the loops run for an error, rat or no letters
-    raw_outputs, raw_delta = _expect(doc, "outputs", dict, where), _expect(doc, "delta", dict, where)
+    raw_outputs, raw_delta = _expect(doc, "outputs", dict), _expect(doc, "delta", dict)
     if semiring.name != "rat" and raw_outputs.keys() <= index.keys() and _all_values(semiring, raw_outputs.values()):
         outputs = list(map(raw_outputs.get, names, repeat(semiring.zero)))  # bool and nat values read as they are
     else:
-        outputs = _weights(_named(raw_outputs, index, where, "outputs"), _reader(semiring.name), [semiring.zero] * len(names), "output", where)
+        outputs = _weights(_named(raw_outputs, index, "outputs"), _reader(semiring.name), [semiring.zero] * len(names), "output")
     rows, k, delta = raw_delta.values(), len(alphabet), None
     if k and len(rows) == len(names) and set(map(type, rows)) <= {dict} and sum(map(len, rows)) == k * len(names):
         # each state's row in state order, its targets in alphabet order
@@ -351,139 +338,104 @@ def _load_moore(doc):
             delta = list(zip(*[map(index.__getitem__, chain.from_iterable(targets) if k > 1 else targets)] * k))
     if delta is None:
         delta = [[-1] * len(alphabet) for _ in names]
-        for x, name, row in _named(raw_delta, index, where, "delta"):
-            for i, label, target in _by_label(name, row, letters, "delta", where):
-                (delta[x][i],) = _states([target], index, f"{where}: delta of {name}")
+        for x, name, row in _named(raw_delta, index, "delta"):
+            for i, label, target in _by_label(name, row, letters, "delta"):
+                (delta[x][i],) = _states([target], index, f"delta of {name}: ")
         for x, row in enumerate(delta):
             if -1 in row:
-                raise ValidationError(f"{where}: delta of {names[x]} is missing label {_json(alphabet[row.index(-1)])}")
-    aut = MooreAut(alphabet, outputs, delta, semiring=semiring, names=names)
-    return aut, _initial_list(doc, index, where)
+                raise ValidationError(f"delta of {names[x]} is missing label {_json(alphabet[row.index(-1)])}")
+    return MooreAut(alphabet, outputs, delta, semiring=semiring, names=names)
 
 
-def _load_weighted(doc):
-    where = "weighted"
-    _reject_extra(doc, ("kind", "alphabet", "semiring", "states", "out", "transitions"), where)
-    alphabet, letters = _names(doc, "alphabet", "alphabet labels", where)
-    semiring = _semiring(doc, where)
-    names, index = _names(doc, "states", "state names", where)
+def _load_weighted(doc, alphabet, letters, semiring, names, index):
     read = _reader(semiring.name)
-    out = _weights(_by_state(doc, "out", index, where), read, [semiring.zero] * len(names), "out", where)
+    out = _weights(_by_state(doc, "out", index), read, [semiring.zero] * len(names), "out")
     trans: Dict[Tuple[int, str], Dict[int, Any]] = {}
     try:
-        for x, name, row in _by_state(doc, "transitions", index, where):
-            for _, label, vec in _by_label(name, row, letters, "transitions", where):
+        for x, name, row in _by_state(doc, "transitions", index):
+            for _, label, vec in _by_label(name, row, letters, "transitions"):
                 if not isinstance(vec, dict):
-                    raise ParseError(f"{where}: successor weights of ({name}, {label}) must be an object")
+                    raise ParseError(f"successor weights of ({name}, {label}) must be an object")
                 trans[(x, label)] = successors = {}
-                for y, target, value in _named(vec, index, where, "transitions", name):
+                for y, target, value in _named(vec, index, "transitions", name):
                     successors[y] = read(value)
     except _BadWeight as exc:
-        raise ParseError(f"{where}: weight at ({name}, {label}, {target}): {exc}") from exc
-    aut = WeightedAut(len(names), alphabet, semiring, out, trans, names=names)
-    return aut, None
+        raise ParseError(f"weight at ({name}, {label}, {target}): {exc}") from exc
+    return WeightedAut(len(names), alphabet, semiring, out, trans, names=names)
 
 
-def _load_wta(doc):
-    where = "wta"
-    _reject_extra(doc, ("kind", "signature", "semiring", "states", "rules"), where)
-    raw_sig = _expect(doc, "signature", dict, where)
-    signature = []
-    for op, arity in raw_sig.items():
-        if not isinstance(arity, int) or isinstance(arity, bool) or arity < 0:
-            raise ParseError(f"{where}: arity of {_json(op)} must be a natural number, got {_json(arity)}")
-        signature.append((op, arity))
-    semiring = _semiring(doc, where)
-    names, index = _names(doc, "states", "state names", where)
+def _load_wta(doc, signature, arities, semiring, names, index):
     read = _reader(semiring.name)
-    raw_rules = _expect(doc, "rules", list, where)
     rules: Dict[Tuple[int, str, Tuple[int, ...]], Any] = {}
-    for entry in raw_rules:
+    for entry in _expect(doc, "rules", list):
         if not isinstance(entry, dict):
-            raise ParseError(f"{where}: rules must be objects, got {_json(entry)}")
-        _reject_extra(entry, ("state", "op", "children", "weight"), f"{where}: rule")
-        op = _expect(entry, "op", str, f"{where}: rule")
-        if op not in raw_sig:
-            raise ValidationError(f"{where}: rule uses unknown operator {_json(op)}")
-        (x,) = _states([_expect(entry, "state", object, f"{where}: rule")], index, f"{where}: rule")
-        children = tuple(_states(_expect(entry, "children", list, f"{where}: rule"), index, f"{where}: rule children"))
-        if len(children) != raw_sig[op]:
-            raise ValidationError(
-                f"{where}: rule for {_json(op)} lists {len(children)} children, arity is {raw_sig[op]}"
-            )
+            raise ParseError(f"rules must be objects, got {_json(entry)}")
+        _reject_extra(entry, ("state", "op", "children", "weight"), "rule: ")
+        op = _expect(entry, "op", str, "rule: ")
+        if op not in arities:
+            raise ValidationError(f"rule uses unknown operator {_json(op)}")
+        (x,) = _states([_expect(entry, "state", object, "rule: ")], index, "rule: ")
+        children = tuple(_states(_expect(entry, "children", list, "rule: "), index, "rule children: "))
+        if len(children) != arities[op]:
+            raise ValidationError(f"rule for {_json(op)} lists {len(children)} children, arity is {arities[op]}")
         try:
-            weight = read(_expect(entry, "weight", object, f"{where}: rule"))
+            weight = read(_expect(entry, "weight", object, "rule: "))
         except _BadWeight as exc:
-            raise ParseError(f"{where}: rule weight: {exc}") from exc
+            raise ParseError(f"rule weight: {exc}") from exc
         key = (x, op, children)
         if key in rules:
-            raise ParseError(f"{where}: duplicate rule for state {names[x]}, {_json(op)}, {_json(entry['children'])}")
+            raise ParseError(f"duplicate rule for state {names[x]}, {_json(op)}, {_json(entry['children'])}")
         rules[key] = weight
-    aut = WeightedTreeAut(len(names), signature, semiring, rules, names=names)
-    return aut, None
+    return WeightedTreeAut(len(names), signature, semiring, rules, names=names)
 
 
-def _load_alternating(doc):
-    where = "alternating"
-    _reject_extra(doc, ("kind", "alphabet", "states", "outputs", "transitions"), where)
-    alphabet, letters = _names(doc, "alphabet", "alphabet labels", where)
-    names, index = _names(doc, "states", "state names", where)
-    outputs = _weights(_by_state(doc, "outputs", index, where), partial(_read_weight, "bool"), [False] * len(names), "output", where)
+def _load_alternating(doc, alphabet, letters, semiring, names, index):
+    outputs = _weights(_by_state(doc, "outputs", index), partial(_read_weight, "bool"), [False] * len(names), "output")
     trans: Dict[Tuple[int, str], List[List[int]]] = {}
-    for x, name, row in _by_state(doc, "transitions", index, where):
-        for _, label, family in _by_label(name, row, letters, "transitions", where):
+    for x, name, row in _by_state(doc, "transitions", index):
+        for _, label, family in _by_label(name, row, letters, "transitions"):
             trans[(x, label)] = sets = []
             # a family that is not a list fails as a list of one non-list would
             for member in family if isinstance(family, list) else [None]:
                 if not isinstance(member, list):
-                    raise ParseError(f"{where}: branch family of ({name}, {label}) must be a list of lists")
-                sets.append(_states(member, index, f"{where}: transitions of {name}"))
-    aut = AlternatingAut(len(names), alphabet, outputs, trans, names=names)
-    return aut, None
+                    raise ParseError(f"branch family of ({name}, {label}) must be a list of lists")
+                sets.append(_states(member, index, f"transitions of {name}: "))
+    return AlternatingAut(len(names), alphabet, outputs, trans, names=names)
 
 
-def _load_lts(doc):
-    where = "lts"
-    _reject_extra(doc, ("kind", "alphabet", "states", "transitions"), where)
-    alphabet, letters = _names(doc, "alphabet", "alphabet labels", where)
-    names, index = _names(doc, "states", "state names", where)
+def _load_lts(doc, alphabet, letters, semiring, names, index):
     trans: Dict[Tuple[int, str], List[int]] = {}
-    for p, a, q in _triples(doc, index, letters, where):
+    for p, a, q in _triples(doc, index, letters):
         trans.setdefault((p, a), []).append(q)
-    aut = LTS(len(names), alphabet, trans, names=names)
-    return aut, None
+    return LTS(len(names), alphabet, trans, names=names)
 
 
-def _load_gps(doc):
-    where = "gps"
-    _reject_extra(doc, ("kind", "alphabet", "states", "dist"), where)
-    alphabet, letters = _names(doc, "alphabet", "alphabet labels", where)
-    names, index = _names(doc, "states", "state names", where)
+def _load_gps(doc, alphabet, letters, semiring, names, index):
     read = _reader("rat")
     dist: Dict[int, Dict[Any, Fraction]] = {}
-    for x, name, row in _by_state(doc, "dist", index, where):
+    for x, name, row in _by_state(doc, "dist", index):
         if not isinstance(row, dict):
-            raise ParseError(f"{where}: distribution of {name} must be an object")
+            raise ParseError(f"distribution of {name} must be an object")
         if not row.keys() <= {"term", "moves"}:
-            _reject_extra(row, ("term", "moves"), f"{where}: distribution of {name}")
+            _reject_extra(row, ("term", "moves"), f"distribution of {name}: ")
         dist[x] = entries = {}
         try:
             p = read(row.get("term", 0))
         except _BadWeight as exc:
-            raise ParseError(f"{where}: term of {name}: {exc}") from exc
+            raise ParseError(f"term of {name}: {exc}") from exc
         if p != 0:
             entries[TERM] = p
         moves = row.get("moves", [])
         # moves that are not a list fail as a list of one non-object would
         for move in moves if isinstance(moves, list) else [None]:
             if not isinstance(move, dict):
-                raise ParseError(f"{where}: moves of {name} must be objects")
+                raise ParseError(f"moves of {name} must be objects")
             label, target = move.get("label"), move.get("to")
             known = isinstance(label, str) and label in letters
             y = index.get(target) if isinstance(target, str) else None
             if not (move.keys() <= {"label", "to", "prob"} and known and y is not None and "prob" in move):
                 # the first failing check raises; the names resolve inline, as in _triples
-                at = f"{where}: move of {name}"
+                at = f"move of {name}: "
                 _reject_extra(move, ("label", "to", "prob"), at)
                 _states([_expect(move, "label", object, at)], letters, at, "label")
                 _states([_expect(move, "to", object, at)], index, at)
@@ -491,46 +443,61 @@ def _load_gps(doc):
             try:
                 p = read(move["prob"])
             except _BadWeight as exc:
-                raise ParseError(f"{where}: move of {name}: {exc}") from exc
+                raise ParseError(f"move of {name}: {exc}") from exc
             if p != 0:
                 key = (label, y)
                 entries[key] = entries.get(key, 0) + p
-    aut = GPS(len(names), alphabet, dist, names=names)
-    return aut, None
+    return GPS(len(names), alphabet, dist, names=names)
 
 
-# kind -> (class, loader, trace function of (automaton, state, depth)). The
-# trace functions are called through lambdas, so the module global is looked
-# up at each call and a wrapper bound over it later (bench/spans.py) is seen.
+# kind -> (class, loader, trace function of (automaton, state, depth), the
+# document's keys in the order they are read). The trace functions are
+# called through lambdas, so the module global is looked up at each call and
+# a wrapper bound over it later (bench/spans.py) is seen.
 _KINDS = {
-    "nfa": (NFA, _load_nfa, lambda *query: nfa_trace(*query)),
-    "moore": (MooreAut, _load_moore, lambda *query: moore_trace(*query)),
-    "weighted": (WeightedAut, _load_weighted, lambda *query: wa_trace(*query)),
-    "wta": (WeightedTreeAut, _load_wta, lambda *query: wta_trace(*query)),
-    "alternating": (AlternatingAut, _load_alternating, lambda *query: alt_trace(*query)),
-    "lts": (LTS, _load_lts, lambda *query: lts_traces(*query)),
-    "gps": (GPS, _load_gps, lambda *query: gps_trace(*query)),
+    "nfa": (NFA, _load_nfa, lambda *query: nfa_trace(*query), ("kind", "alphabet", "states", "accepting", "transitions", "initial")),
+    "moore": (MooreAut, _load_moore, lambda *query: moore_trace(*query), ("kind", "alphabet", "semiring", "states", "outputs", "delta", "initial")),
+    "weighted": (WeightedAut, _load_weighted, lambda *query: wa_trace(*query), ("kind", "alphabet", "semiring", "states", "out", "transitions")),
+    "wta": (WeightedTreeAut, _load_wta, lambda *query: wta_trace(*query), ("kind", "signature", "semiring", "states", "rules")),
+    "alternating": (AlternatingAut, _load_alternating, lambda *query: alt_trace(*query), ("kind", "alphabet", "states", "outputs", "transitions")),
+    "lts": (LTS, _load_lts, lambda *query: lts_traces(*query), ("kind", "alphabet", "states", "transitions")),
+    "gps": (GPS, _load_gps, lambda *query: gps_trace(*query), ("kind", "alphabet", "states", "dist")),
 }
 KINDS = tuple(_KINDS)
-_KIND_OF = {cls: kind for kind, (cls, _, _) in _KINDS.items()}
+_KIND_OF = {cls: kind for kind, (cls, *_) in _KINDS.items()}
 
 
 def load_automaton(doc: Any):
     """Build and validate an automaton from a parsed document.
 
     Returns (automaton, initial-or-None); the initial set is index-resolved
-    when the document carries one.
+    when the document carries one. The keys that kinds share are read here:
+    unexpected keys first, then the alphabet (a wta's signature), the
+    semiring, the states, the kind's own keys by its loader, the initial
+    list and the checks on the whole machine. Every ParseError and
+    ValidationError raised on the way names the kind first.
     """
     if not isinstance(doc, dict):
         raise ParseError("the document must be a JSON object")
-    kind = _expect(doc, "kind", str, "document")
+    kind = _expect(doc, "kind", str, "document: ")
     if kind not in _KINDS:
         raise ParseError(f"unknown kind {_json(kind)}; expected one of {', '.join(KINDS)}")
-    aut, initial = _KINDS[kind][1](doc)
+    _, load, _, keys = _KINDS[kind]
     try:
+        _reject_extra(doc, keys)
+        alphabet, letters = _signature(doc) if "signature" in keys else _names(doc, "alphabet", "alphabet labels")
+        if "semiring" in keys and _expect(doc, "semiring", str) not in SEMIRINGS:
+            raise ParseError(f"unknown semiring {_json(doc['semiring'])}")
+        semiring = SEMIRINGS.get(doc.get("semiring"))  # None for a kind without one
+        names, index = _names(doc, "states", "state names")
+        aut = load(doc, alphabet, letters, semiring, names, index)
+        # _reject_extra lets an "initial" list through for nfa and moore only
+        initial = _states(_expect(doc, "initial", list), index, "initial: ") if "initial" in doc else None
+        if initial and len(set(initial)) != len(initial):
+            raise ParseError("duplicate initial states")
         require_valid(aut)
-    except ValidationError as exc:
-        raise ValidationError(f"{kind}: {exc}") from exc
+    except (ParseError, ValidationError) as exc:
+        raise type(exc)(f"{kind}: {exc}") from exc
     return aut, initial
 
 
@@ -588,24 +555,23 @@ def dump_automaton(aut, initial: Optional[Sequence[int]] = None) -> Dict[str, An
         doc["signature"] = {op: ar for op, ar in aut.signature}
     else:
         doc["alphabet"] = list(aut.alphabet)
+    if "semiring" in _KINDS[kind][3]:
+        doc["semiring"] = aut.semiring.name
     if kind == "nfa":
         doc["accepting"] = [names[x] for x in sorted(aut.accepting)]
         doc["transitions"] = [[names[p], a, names[q]] for p, a, q in sorted(aut.transitions)]
     elif kind == "moore":
-        doc["semiring"] = aut.semiring.name
         doc["outputs"] = {names[x]: encode_weight(o) for x, o in enumerate(aut.outputs)}
         doc["delta"] = {
             names[x]: {a: names[row[i]] for i, a in enumerate(aut.alphabet)}
             for x, row in enumerate(aut.delta)
         }
     elif kind == "weighted":
-        doc["semiring"] = aut.semiring.name
         doc["out"] = {names[x]: encode_weight(o) for x, o in enumerate(aut.out)}
         doc["transitions"] = _label_rows(
             aut, aut.trans, lambda vec: {names[y]: encode_weight(w) for y, w in vec.items()}
         )
     elif kind == "wta":
-        doc["semiring"] = aut.semiring.name
         rules = []
         for x, per_state in enumerate(aut.rules):
             for (op, children), w in per_state.items():
@@ -765,11 +731,14 @@ def _resolve_cli_state(aut, spec: str) -> int:
 def _write(*files: Tuple[Any, Sequence[str]]) -> None:
     """Write the texts of each (path, texts) file, or of none: each file is
     opened before any is truncated, and when one cannot be, the files that
-    did not exist before are removed."""
-    made = [path for path, _ in files if not os.path.lexists(path)]
+    this call created are removed."""
+    made = []
     try:
         for path, _ in files:
+            existed = os.path.lexists(path)
             open(path, "a").close()
+            if not existed:
+                made.append(path)
         for path, texts in files:
             with open(path, "w", encoding="utf-8") as f:
                 f.writelines(texts)
@@ -786,8 +755,9 @@ def _emit(out: Optional[str], machine: Callable[[str], str], key: str, side: Cal
     --out, write the machine to out and the side document to out with its
     suffix replaced by suffix. Everything is rendered before the first
     write."""
-    if out:
-        _write((out, [machine(""), "\n"]), (Path(out).with_suffix(suffix), [side(""), "\n"]))
+    if out is not None:
+        # a path without a name ("", "." or "/") has no suffix to replace, and fails to open first
+        _write((out, [machine(""), "\n"]), (Path(out).with_suffix(suffix) if Path(out).name else out, [side(""), "\n"]))
     else:
         side_text, machine_text = side("  "), machine("  ")
         # key ("certificates" or "embedding") sorts before "machine"
@@ -819,7 +789,7 @@ def _cmd_semantics(args) -> int:
     pairs = list(map(entries.ratio, entries.raw)) if entries.ratio else [(v.numerator, v.denominator) for v in entries.distinct]
     shown = [("\tff\n", "\ttt\n")[bool(n)] if carrier == "bool" else f"\t{_weight_json(carrier, n, d)}\n" for n, d in pairs]
     text = "".join(chain.from_iterable(zip(chain.from_iterable(keys), map(shown.__getitem__, chain.from_iterable(entries.layers)))))
-    if args.out:
+    if args.out is not None:
         # the rows document as serialize_document writes it, column by column: the value texts by value
         # number, and the trees' texts or each word's quoted letters, in the order of _word_texts
         values = list(_json_texts([_weight_json(carrier, n, d) for n, d in pairs], " " * 6))

@@ -1316,6 +1316,82 @@ def test_an_out_pair_is_written_all_or_nothing(tmp_path, capsys, argv, suffix, b
         assert other.read_text(encoding="utf-8") == before
 
 
+OUT_COMMANDS = [
+    ["semantics", "--state", "x", "--depth", "2"],
+    ["determinize", "--method", "subset"],
+    ["minimize"],
+]
+
+
+@pytest.mark.parametrize("argv", OUT_COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("out, error", [("", "[Errno 2] No such file or directory: ''"), (".", "[Errno 21] Is a directory: '.'")],
+                         ids=["empty", "dot"])
+def test_an_out_path_without_a_name_exits_7(tmp_path, capsys, monkeypatch, argv, out, error):
+    """An empty --out is a path that cannot be opened, not a missing --out;
+    like ".", it has no name whose suffix the side file could replace."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + [str(EXAMPLES / "nfa-classic.json"), "--out", out]) == 7
+    assert capsys.readouterr() == ("", f"error: cannot write {out}: {error}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", OUT_COMMANDS, ids=lambda argv: argv[0])
+def test_a_failed_write_removes_only_the_files_it_made(tmp_path, capsys, argv):
+    """--out m.json/ names no file, and the m.json that exists is kept."""
+    kept = tmp_path / "m.json"
+    kept.write_text("old bytes\n", encoding="utf-8")
+    out = f"{kept}/"
+    assert main(argv + [str(EXAMPLES / "nfa-classic.json"), "--out", out]) == 7
+    assert capsys.readouterr() == ("", f"error: cannot write {out}: [Errno 21] Is a directory: '{out}'\n")
+    assert kept.read_text(encoding="utf-8") == "old bytes\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["m.json"]
+
+
+EDIT_KEYS = ("kind", "alphabet", "signature", "semiring", "states", "initial", "transitions", "outputs", "rules", "dist", "to", "zz")
+EDIT_VALUES = (None, True, 0, -1, 2, 0.5, "", "x", "zz", "1/2", "rat", [], {}, ["x"], ["x", "x"], {"x": 1}, "dfa", *cli.KINDS)
+
+
+def _edited(rng, doc):
+    """doc after one edit at a random place in it: a value replaced by junk,
+    an entry deleted, or a key inserted at a random position."""
+    path = rng.choice(list(_paths(doc)))
+    holder, node = None, doc
+    for key in path:
+        holder, node = node, node[key]
+    junk, edit = json.loads(json.dumps(rng.choice(EDIT_VALUES))), rng.randrange(3)
+    if edit == 1 and node and isinstance(node, (dict, list)):
+        del node[rng.choice(list(node)) if isinstance(node, dict) else rng.randrange(len(node))]
+        return doc
+    if edit == 2 and isinstance(node, list):
+        node.insert(rng.randrange(len(node) + 1), junk)
+        return doc
+    if edit == 2 and isinstance(node, dict):
+        items = list(node.items())
+        items.insert(rng.randrange(len(items) + 1), (rng.choice(EDIT_KEYS), junk))
+        junk = dict(items)
+    if not path:
+        return junk
+    holder[path[-1]] = junk
+    return doc
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_every_error_in_a_document_of_a_known_kind_names_it_first(seed):
+    """Examples edited at random load, or raise ParseError or ValidationError;
+    while the kind is a known one, the error text names it first, once."""
+    rng = random.Random(seed)
+    for _ in range(1500):
+        doc = json.loads(json.dumps(EXAMPLE_DOCS[rng.choice(sorted(EXAMPLE_DOCS))]))
+        for _ in range(rng.randint(1, 3)):
+            doc = _edited(rng, doc)
+        try:
+            load_automaton(doc)
+        except (cli.ParseError, cli.ValidationError) as exc:
+            kind = doc.get("kind") if isinstance(doc, dict) else None
+            if isinstance(kind, str) and kind in cli.KINDS:
+                assert str(exc).startswith(f"{kind}: ") and not str(exc).startswith(f"{kind}: {kind}: "), (doc, exc)
+
+
 def _repeated_weights(kind):
     """A rat document of each kind whose weights repeat the string "1/2"."""
     half, states = "1/2", ["x", "y"]
