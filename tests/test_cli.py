@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -44,7 +45,7 @@ from tracekit.cli import (
     main,
     serialize_document,
 )
-from tests import corpus
+from tests import cli_pins, corpus
 
 GOLDEN = Path(__file__).parent / "data" / "chi_wrong_counterexample.txt"
 EXAMPLES = Path(__file__).parent.parent / "docs" / "examples"
@@ -1427,32 +1428,47 @@ def test_a_cached_weight_string_does_not_answer_for_another_type(tmp_path, capsy
     assert capsys.readouterr().err == "parse error: weighted: out of z: rationals must be exact, got true\n"
 
 
-@pytest.mark.parametrize("argv, digests", [
-    # measured before the CLI wrote its documents at their final indent and
-    # certificates row by row
-    (["minimize", "nfa-nth-letter-5.json"],
-     {"stdout": "27756da1a53cffd77fd65cc1943f3711e8bdedd3efa4b3e5fa2b8306e26c6fb6",
-      "out.json": "5fc28a4e6b3e01373d046da6e83a85857537a6082b6d468df35f98187be5a25e",
-      "out.certs.json": "b82577aebd9f115bd8f7683a102a89837267e8a524925f7af922b66658cfbddf"}),
-    (["determinize", "--method", "weighted", "weighted-rat-cancel.json"],
-     {"stdout": "f11786f45bf5ea9859b82f47a45822df57446e3525d6ed82b07d5fa5b270d71b",
-      "out.json": "6cf34ee4750613129ec35a91d769c883c023fc4573ee20649038f6a6229b03f8",
-      "out.embed.json": "5bb8b685abf66a6504091699ceeb82157e979e8d370eec3e379277fb5c9baf45"}),
-    # measured before det_weighted's meanings became a view rendered from
-    # integer tuples: a finishing nat run whose state d5 means {y: 2, z: 3}
-    (["determinize", "--method", "weighted", "weighted-nat-branching.json"],
-     {"stdout": "65a123dcf67e830b1d503fd43af22c8c58c99850a4a48dad8e9249d27327e476",
-      "out.json": "40242dbcc5424435c6508d1a5ce87f4eac8ef46d02caec6a47da924f8ed9e4e3",
-      "out.embed.json": "a25711b58d0e31e2bfd72a5c85192f1bf165aa9f3a8712c9d2e8a0f07ca9e969"}),
+PINS = cli_pins.rows()
+
+
+def run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    return status, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("row", PINS, ids=[f"{i:02d}-{row['argv'][0]}" for i, row in enumerate(PINS)])
+def test_pinned_command_lines_hold(tmp_path, monkeypatch, row):
+    monkeypatch.chdir(cli_pins.ROOT)
+    assert cli_pins.mismatches(row, run_in_process, tmp_path) == []
+
+
+def _flip(text):
+    return chr(ord(text[0]) ^ 1) + text[1:]
+
+
+@pytest.mark.parametrize("field, corrupt", [
+    ("status", lambda status: status + 1),
+    ("stdout", _flip),
+    ("stdout_sha256", _flip),
+    ("stderr", _flip),
+    ("out", lambda out: {**out, min(out): _flip(out[min(out)])}),
 ])
-def test_fixture_outputs_are_pinned(tmp_path, capsys, argv, digests):
-    argv = argv[:-1] + [str(EXAMPLES / argv[-1])]
-    assert main(argv) == 0
-    got = {"stdout": hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()}
-    assert main(argv + ["--out", str(tmp_path / "out.json")]) == 0
-    assert capsys.readouterr().out == ""
-    got.update((path.name, hashlib.sha256(path.read_bytes()).hexdigest()) for path in tmp_path.iterdir())
-    assert got == digests
+def test_a_pin_broken_on_purpose_fails(tmp_path, monkeypatch, field, corrupt):
+    monkeypatch.chdir(cli_pins.ROOT)
+    row = next(row for row in PINS if row.get(field) not in (None, "", {}))
+    held, broken = tmp_path / "held", tmp_path / "broken"
+    held.mkdir()
+    broken.mkdir()
+    assert cli_pins.mismatches(row, run_in_process, held) == []
+    assert len(cli_pins.mismatches(dict(row, **{field: corrupt(row[field])}), run_in_process, broken)) == 1
+
+
+def test_the_console_script_runner_fails_without_the_script(tmp_path):
+    done = subprocess.run([sys.executable, cli_pins.__file__], env={**os.environ, "PATH": str(tmp_path)},
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", "tracekit is not on PATH\n")
 
 
 def test_nth_letter_fixture_minimizes_to_every_pair_of_32_states():
