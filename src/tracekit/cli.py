@@ -11,7 +11,7 @@ Exit statuses: 0 success, 2 parse error, 3 validation error, 4 budget
 exceeded, 5 law failure, 6 query error (unknown state, unknown law, a
 method/kind mismatch, a negative --depth, a --budget or --max-size below
 1, a --budget for a method that takes none), 7 a computed value too long to
-print or an --out file that cannot be written.
+print, an --out file that cannot be written or a stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -1034,18 +1034,50 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _command_tables() -> Dict[str, Tuple[List[str], Dict[str, argparse.Action], Dict[str, Any], set]]:
+    """Per command, read from build_parser()'s tree: its positionals' dests in
+    order, its one-value options under their exact strings, the defaults that
+    argparse sets (a string one through its type) and its required dests."""
+    (commands,) = [a.choices for a in build_parser()._actions if a.dest == "command"]
+    tables = {}
+    for name, sub in commands.items():
+        options = {s: a for a in sub._actions if a.option_strings and a.nargs is None for s in a.option_strings}
+        defaults = {a.dest: a.type(a.default) if isinstance(a.default, str) and a.type else a.default
+                    for a in sub._actions if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS}
+        tables[name] = ([a.dest for a in sub._actions if not a.option_strings], options,
+                        {**sub._defaults, **defaults}, {a.dest for a in options.values() if a.required})
+    return tables
+
+
 def _parse_args(argv: List[str]) -> argparse.Namespace:
-    """build_parser().parse_args(argv). When argv[0] names a command, its
-    subparser alone parses the rest, as the full parser would hand it on;
-    anything else, leftovers included, goes to the full parser, with its own
-    usage lines and errors."""
-    parser = build_parser()
-    command = next(a.choices for a in parser._actions if a.dest == "command").get(argv[0]) if argv else None
-    args, rest = command.parse_known_args(argv[1:]) if command else (None, True)
-    if rest:
-        return parser.parse_args(argv)
-    args.command = argv[0]
-    return args
+    """build_parser().parse_args(argv). A plain line, each option an exact
+    option string given once with a value that its type and choices take, is
+    walked over its command's table; any other goes whole to the full parser,
+    the one source of help, usage and error texts."""
+    table = _command_tables().get(argv[0]) if argv else None
+    if table is not None:
+        positionals, options, defaults, required = table
+        given, chosen, tokens = [], {}, iter(argv[1:])
+        for token in tokens:
+            if not token.startswith("-"):
+                given.append(token)
+                continue
+            # a missing value reads as "-", as one that starts with "-" does
+            action, value = options.get(token), next(tokens, "-")
+            if action is None or value.startswith("-") or action.dest in chosen:
+                break
+            try:
+                value = action.type(value) if action.type else value
+            except (TypeError, ValueError, argparse.ArgumentTypeError):  # a bad value, which argparse reports
+                break
+            if action.choices is not None and value not in action.choices:
+                break
+            chosen[action.dest] = value
+        else:
+            if len(given) == len(positionals) and required <= chosen.keys():
+                return argparse.Namespace(**{**defaults, **chosen, **dict(zip(positionals, given))}, command=argv[0])
+    return build_parser().parse_args(argv)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -1070,7 +1102,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()  # a reader that has gone raises here, not in the flush at exit
+    except BrokenPipeError:  # `tracekit ... | head`: stdout to devnull keeps the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = EXIT_OUTPUT
+    sys.exit(status)
 
 
 if __name__ == "__main__":

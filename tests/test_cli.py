@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -1208,6 +1209,17 @@ PARSER_ARGVS = [
     [],
     ["--foo", "semantics", "f.json", "--state", "x", "--depth", "1"],
     ["minimize", "--", "f.json"],
+    # one row for each kind of line that the command tables leave to the full parser
+    ["semantics", "f.json", "--state=x", "--depth", "1"],
+    ["check", "-1"],
+    ["minimize", "-"],
+    ["semantics", "f.json", "--state", "x", "--depth", "-3"],
+    ["minimize", "f.json", "--initial", "a", "--initial", "b"],
+    ["minimize", "f.json", "--initial"],
+    ["equiv", "a.json"],
+    # and plain lines with empty strings
+    ["minimize", ""],
+    ["semantics", "f.json", "--state", "x", "--depth", "1", "--out", ""],
 ]
 
 
@@ -1226,6 +1238,61 @@ def parsed(parse, argv):
 def test_command_lines_parse_as_the_full_parser_parses_them(argv):
     """main's parse gives the namespace, output and exit status of
     build_parser().parse_args on every argv."""
+    assert parsed(cli._parse_args, argv) == parsed(cli.build_parser().parse_args, argv)
+
+
+def test_command_tables_read_the_parser_tree():
+    """Each command's positionals, option strings, defaults and required
+    options, read from the argparse tree's own fields."""
+    tables = {name: (positionals, sorted(options), defaults, sorted(required))
+              for name, (positionals, options, defaults, required) in cli._command_tables().items()}
+    assert tables == {
+        "semantics": (["file"], ["--depth", "--mode", "--out", "--state"],
+                      dict(file=None, state=None, depth=None, mode=None, out=None, func=cli._cmd_semantics), ["depth", "state"]),
+        "determinize": (["file"], ["--budget", "--method", "--out"],
+                        dict(file=None, method=None, budget=None, out=None, func=cli._cmd_determinize), ["method"]),
+        "minimize": (["file"], ["--initial", "--out"], dict(file=None, initial=None, out=None, func=cli._cmd_minimize), []),
+        "equiv": (["file1", "file2"], ["--initial1", "--initial2"],
+                  dict(file1=None, file2=None, initial1=None, initial2=None, func=cli._cmd_equiv), []),
+        "check": (["law"], ["--max-size"], dict(law=None, max_size=None, func=cli._cmd_check), []),
+    }
+
+
+# per command: the values of each of its positionals and of each option, a good one first
+PARSER_VALUES = {
+    "semantics": ([["f.json", ""]], {"--state": ["x", "0", ""], "--depth": ["3", "0", "x", "-1", " 2"],
+                                   "--mode": ["conj", "disj", "nope"], "--out": ["o.json", "", "a=b"]}),
+    "determinize": ([["f.json"]], {"--method": ["weighted", "subset", "nope"], "--budget": ["7", "-5", "1.5"],
+                                 "--out": ["d.json"]}),
+    "minimize": ([["f.json", "-"]], {"--initial": ["a,b", "-a"], "--out": ["m.json"]}),
+    "equiv": ([["a.json"], ["b.json", ""]], {"--initial1": ["p"], "--initial2": ["q", "--initial1"]}),
+    "check": ([["chi-good", "-1"]], {"--max-size": ["2", "x", "-3"]}),
+}
+
+
+@st.composite
+def command_lines(draw):
+    """A command with most of its positionals and options, mostly with good
+    values, in any order, sometimes with an extra positional, a repeat, an
+    abbreviation, an option without a value or a token that starts with "-".
+    About half of these lines are plain ones, which the command tables walk."""
+    command = draw(st.sampled_from(sorted(PARSER_VALUES)))
+    positionals, options = PARSER_VALUES[command]
+    good = lambda values: values[0] if draw(st.integers(0, 3)) else draw(st.sampled_from(values))
+    pieces = [[good(values)] for values in positionals if draw(st.integers(0, 9))]
+    pieces += [[option, good(values)] for option, values in options.items() if draw(st.integers(0, 3))]
+    extra = st.sampled_from(["positional", "repeat", "abbreviated", "bare", "-h", "--", "-", "-1", "--out=o.json", "--foo"])
+    extras = draw(st.lists(extra, max_size=2)) if draw(st.integers(0, 2)) == 0 else []
+    for kind in extras:
+        option = draw(st.sampled_from(sorted(options)))
+        pieces.append({"positional": ["x"], "repeat": [option, good(options[option])],
+                       "abbreviated": [option[:4], good(options[option])], "bare": [option]}.get(kind, [kind]))
+    return [command, *chain.from_iterable(draw(st.permutations(pieces)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=command_lines())
+def test_drawn_command_lines_parse_as_the_full_parser_parses_them(argv):
     assert parsed(cli._parse_args, argv) == parsed(cli.build_parser().parse_args, argv)
 
 
@@ -1590,9 +1657,32 @@ def test_cli_entry_point_runs_as_a_subprocess(tmp_path):
     assert proc.stdout == "ε\tff\na\ttt\n"
 
 
+def test_a_stdout_closed_by_its_reader_ends_quietly_with_status_7(tmp_path):
+    """`tracekit minimize nth-8.json | head -c 100`: the reader leaves after a
+    few bytes of the 3.3 MB of certificates, and the command exits 7 with
+    nothing on stderr, no traceback."""
+    n = 8
+    steps = [[f"q{i}", a, f"q{i + 1}"] for i in range(1, n) for a in "ab"]
+    doc = {"kind": "nfa", "alphabet": ["a", "b"], "states": [f"q{i}" for i in range(n + 1)], "accepting": [f"q{n}"],
+           "transitions": [["q0", "a", "q0"], ["q0", "a", "q1"], ["q0", "b", "q0"], *steps], "initial": ["q0"]}
+    path = write_doc(tmp_path, "nth-8.json", doc)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "tracekit.cli", "minimize", path],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.read(100).startswith(b'{\n  "certificates": [')
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == cli.EXIT_OUTPUT
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()
+
+
 def test_one_parser_serves_every_call(capsys):
-    """main builds its argparse tree once; every call prints the usage,
-    errors and help, and returns the exit status, of a freshly built tree."""
+    """main builds its argparse tree and its command tables once; every call
+    prints the usage, errors and help, and returns the exit status, of a
+    freshly built tree."""
     argvs = [
         [],
         ["semantics"],
@@ -1609,11 +1699,16 @@ def test_one_parser_serves_every_call(capsys):
         captured = capsys.readouterr()
         return status, captured.out, captured.err
 
+    def clear():
+        cli.build_parser.cache_clear()
+        cli._command_tables.cache_clear()
+
     fresh = []
     for argv in argvs:
-        cli.build_parser.cache_clear()
+        clear()
         fresh.append(run(argv))
-    cli.build_parser.cache_clear()
+    clear()
     assert [run(argv) for argv in argvs + argvs] == fresh + fresh
     assert cli.build_parser.cache_info().misses == 1
+    assert cli._command_tables.cache_info().misses == 1
     assert {status for status, _, _ in fresh} == {0, 2, 6}
