@@ -68,7 +68,7 @@ from .semantics import (
     wa_trace,
     wta_trace,
 )
-from .weights import BOOL, NAT, PartialProb, RAT, SEMIRINGS
+from .weights import BOOL, NAT, PartialProb, RAT, SEMIRINGS, _entries
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -688,7 +688,8 @@ def _keyed(quoted: Sequence[str], order: Sequence[int], pad: str, texts: Sequenc
 def _moore_text(m: MooreAut, initial: Optional[Sequence[int]], pad: str) -> str:
     """_json_text(dump_automaton(m, initial), pad), written from m's tables:
     each delta row joined column by column over the sorted letters, and
-    outputs by encode_weight's rules."""
+    outputs by encode_weight's rules: BOOL ones from a two-entry table, as
+    the digit cap applies to NAT and RAT ones only."""
     i1, quoted = pad + "  ", list(map(encode_basestring, m.names))
     keyed = partial(_keyed, quoted, sorted(range(len(quoted)), key=m.names.__getitem__), i1)
     letters = sorted(range(len(m.alphabet)), key=m.alphabet.__getitem__)
@@ -696,7 +697,8 @@ def _moore_text(m: MooreAut, initial: Optional[Sequence[int]], pad: str) -> str:
     fields = {"alphabet": _block(map(encode_basestring, m.alphabet), i1),
               "delta": keyed(list(_rows([m.alphabet[i] for i in letters], targets, i1 + "  ", len(quoted)))),
               "initial": _block(map(quoted.__getitem__, initial or ()), i1), "kind": '"moore"',
-              "outputs": keyed(list(_json_texts(list(map(encode_weight, m.outputs)), i1))),
+              "outputs": keyed(list(map(("false", "true").__getitem__, m.outputs)) if m.semiring.name == "bool"
+                               else list(_json_texts(list(map(encode_weight, m.outputs)), i1))),
               "semiring": encode_basestring(m.semiring.name), "states": _block(quoted, i1)}
     if initial is None:
         del fields["initial"]
@@ -816,23 +818,30 @@ _METHODS = {
 
 def _embedding_text(result: DetResult, source, pad: str) -> str:
     """_json_text of the {"embed", "method", "stateMeaning"} document of a
-    determinization of source, without its objects: a weighted meaning is
-    one join per state over the view's row, a set a list of names and a
-    canonical meaning a list of lists."""
-    names, det_names, meanings = source.names, result.machine.names, result.state_meaning
+    determinization of source, written from its explored states without
+    building a meaning: a set (or a weighted meaning over BOOL) is one join
+    per state over (bit, quoted name) pairs in name order, a canonical
+    meaning one over its predicates' texts, and a NAT or RAT weighted
+    meaning one over the entries of its row."""
+    names, det_names, states = source.names, result.machine.names, result.state_meaning._states
     quoted, det_quoted = list(map(encode_basestring, names)), list(map(encode_basestring, det_names))
     order, det_order = (sorted(range(len(ns)), key=ns.__getitem__) for ns in (names, det_names))
     i1, i2 = pad + "  ", pad + "    "
-    if result.method == "weighted":
+    weighted = result.method == "weighted"
+    carrier = source.semiring.name if weighted else "bool"
+    if carrier != "bool":
         # rows list their entries in state order, which is name order when the names are sorted
-        carrier, by_name = source.semiring.name, None if order == sorted(order) else (lambda e: names[e[0]])
-        entry = {"bool": "{}: true", "nat": "{}: {}", "rat": '{}: "{}"'}[carrier].format
-        texts = [_block([entry(quoted[y], _weight_json(carrier, n, d)) for y, n, d in sorted(meanings._row(i), key=by_name)], i2, "{}")
-                 for i in range(len(meanings))]
+        by_name = None if order == sorted(order) else (lambda e: names[e[0]])
+        entry = {"nat": "{}: {}", "rat": '{}: "{}"'}[carrier].format
+        texts = [_block([entry(quoted[y], _weight_json(carrier, n, d)) for y, n, d in sorted(_entries(s), key=by_name)], i2, "{}")
+                 for s in states]
     else:
-        listed = lambda ys: sorted(map(names.__getitem__, ys))
-        meanings = [sorted(map(listed, m)) for m in meanings.values()] if result.method == "canonical" else map(listed, meanings.values())
-        texts = list(_json_texts(list(meanings), i2))
+        pairs = [(1 << y, f"{quoted[y]}: true" if weighted else quoted[y]) for y in order]
+        if result.method == "canonical":
+            # the predicates, nonzero masks, each written once, in the order of their name lists
+            preds = sorted(range(1, 1 << len(names)), key=lambda phi: [names[y] for y in order if phi >> y & 1])
+            pairs = [(phi, _block([q for b, q in pairs if phi & b], i2 + "  ")) for phi in preds]
+        texts = [_block([q for b, q in pairs if s & b], i2, "{}" if weighted else "[]") for s in states]
     embed = [det_quoted[result.embed[x]] for x in range(len(names))]
     return _block((f'"embed": {_keyed(quoted, order, i1, embed)}', f'"method": {encode_basestring(result.method)}',
                    f'"stateMeaning": {_keyed(det_quoted, det_order, i1, texts)}'), pad, "{}")

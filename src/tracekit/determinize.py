@@ -11,10 +11,12 @@ of predicates), so tests can assert against meanings rather than opaque ids.
 The explored states themselves are plain: bitmasks of states for the subset
 constructions and for weighted automata over BOOL, and over NAT and RAT the
 canonical integer tuples of `weights._linear`. Outputs are built from them
-once per discovered state, after the exploration; a weighted meaning is
-built from its state only when it is read. `_one_step` is the one source of
-both steps of every word automaton, the alternating kind included: the
-forward step explored here, and the preimage step of `semantics._recurrence`.
+once per discovered state, after the exploration; `state_meaning` is, for
+every method, a read-only view over them that builds a meaning only when it
+is read, and writers read the masks and tuples themselves. `_one_step` is
+the one source of both steps of every word automaton, the alternating kind
+included: the forward step explored here, and the preimage step of
+`semantics._recurrence`.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ BOOL_MODES = ("disj", "conj")
 @dataclass
 class DetResult:
     """A determinized machine, the embedding of old states, and state
-    meanings by state number: a dict, or for `det_weighted` a read-only view
-    that builds a meaning when it is read."""
+    meanings by state number: for every method a read-only view that builds
+    a meaning when it is read and compares equal to the dict of its items."""
 
     machine: Union[MooreAut, NFA]
     embed: Dict[int, int]
@@ -54,27 +56,22 @@ class DetResult:
     method: str
 
 
-class _WeightedMeanings(Mapping):
-    """The read-only mapping from each state number of a weighted
-    determinization, in order, to its `WeightVec`, built on read from the
-    explored state: a mask over BOOL, a `weights._linear` tuple over NAT and
-    RAT. scale(n, d) is the carrier value of an entry n / d. It compares
-    equal to the dict of its items."""
+class _Meanings(Mapping):
+    """The read-only mapping from each state number of a determinization, in
+    order, to meaning(s) of its explored state s, built when it is read: s is
+    a mask for the subset, alternating and canonical methods, and for the
+    weighted one a mask over BOOL and a `weights._linear` tuple over NAT and
+    RAT. It compares equal to the dict of its items."""
 
-    __slots__ = ("_states", "_semiring", "_scale")
+    __slots__ = ("_states", "_meaning")
 
-    def __init__(self, states: Sequence[Any], semiring: Semiring, scale: Callable[[Any, int], Any]):
-        self._states, self._semiring, self._scale = states, semiring, scale
+    def __init__(self, states: Sequence[Any], meaning: Callable[[Any], Any]):
+        self._states, self._meaning = states, meaning
 
-    def _row(self, i: int) -> List[Tuple[int, int, int]]:
-        """State i's nonzero entries, as reduced (source state, numerator, denominator)."""
-        s = self._states[i]
-        return [(y, True, 1) for y in _iter_bits(s)] if self._semiring.name == "bool" else _entries(s)
-
-    def __getitem__(self, i: int) -> WeightVec:
+    def __getitem__(self, i: int) -> Any:
         if i not in range(len(self._states)):  # the keys a dict of 0..n-1 would find
             raise KeyError(i)
-        return WeightVec(self._semiring, [(y, self._scale(n, d)) for y, n, d in self._row(int(i))])
+        return self._meaning(self._states[int(i)])
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(len(self._states)))
@@ -253,8 +250,7 @@ def det_subset(n: NFA, mode: str = "disj") -> DetResult:
     _, acc, step = _one_step(n, mode, back=False)
     output = (lambda s: bool(s & acc)) if mode == "disj" else (lambda s: s & ~acc == 0)
     embed, order, machine = _lifted_machine(n.alphabet, [1 << x for x in range(n.n_states)], step, output)
-    meanings = {i: frozenset(_iter_bits(s)) for i, s in enumerate(order)}
-    return DetResult(machine, dict(enumerate(embed)), meanings, f"subset-{mode}")
+    return DetResult(machine, dict(enumerate(embed)), _Meanings(order, lambda s: frozenset(_iter_bits(s))), f"subset-{mode}")
 
 
 def det_weighted(w: WeightedAut, budget: int = 500) -> Union[DetResult, BudgetExceeded]:
@@ -266,30 +262,30 @@ def det_weighted(w: WeightedAut, budget: int = 500) -> Union[DetResult, BudgetEx
     Over BOOL the vectors are explored as bitmasks, as in `det_subset`; over
     NAT and RAT as the canonical integer tuples of `weights._linear`. Each
     state's output is built once, from its mask or tuple, after the
-    exploration; state_meaning is a read-only view of them that builds a
-    state's `WeightVec` meaning only when it is read. Over non-idempotent
-    carriers the reachable set can be infinite, so exploration stops with a
-    BudgetExceeded outcome once more than `budget` states appear; a budget
-    below 1 raises ValueError.
+    exploration, and its `WeightVec` meaning only when it is read. Over
+    non-idempotent carriers the reachable set can be infinite, so
+    exploration stops with a BudgetExceeded outcome once more than `budget`
+    states appear; a budget below 1 raises ValueError.
     """
     require_valid(w)
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     (sr, outs, step), n = _one_step(w, back=False), w.n_states
-    # the carrier value of an entry c / d: c itself over BOOL and NAT, where d is always 1
-    scale = Fraction if sr.name == "rat" else (lambda c, d: c)
     if sr.name == "bool":
         seeds, output = [1 << x for x in range(n)], lambda s: bool(s & outs)
+        meaning = lambda s: WeightVec(sr, [(y, True) for y in _iter_bits(s)])
     else:
-        m, *out = outs
+        # the carrier value of an entry c / d: c itself over NAT, where d is always 1
+        scale, (m, *out) = Fraction if sr.name == "rat" else (lambda c, d: c), outs
         seeds = [(1,) + (0,) * x + (1,) + (0,) * (n - 1 - x) for x in range(n)]
         output = lambda v: scale(sum(map(mul, out, v[1:])), m * v[0])
+        meaning = lambda v: WeightVec(sr, [(y, scale(c, d)) for y, c, d in _entries(v)])
     found = _lifted_machine(w.alphabet, seeds, step, output, sr, budget)
     if found is None:
         # the states within the budget plus the one that overflowed it
         return BudgetExceeded("weighted", budget, budget + 1)
     embed, order, machine = found
-    return DetResult(machine, dict(enumerate(embed)), _WeightedMeanings(order, sr, scale), "weighted")
+    return DetResult(machine, dict(enumerate(embed)), _Meanings(order, meaning), "weighted")
 
 
 def _submask_bits(mask: int) -> int:
@@ -405,8 +401,7 @@ def alt_to_nfa(a: AlternatingAut) -> DetResult:
     transitions = {(sid, label, t) for sid, row in enumerate(rows) for label, t in row}
     accepting = [i for i, s in enumerate(order) if s & ~out_mask == 0]
     machine = NFA(len(order), a.alphabet, transitions, accepting, names=[f"d{i}" for i in range(len(order))])
-    meanings = {i: frozenset(_iter_bits(s)) for i, s in enumerate(order)}
-    return DetResult(machine, dict(enumerate(embed)), meanings, "alt")
+    return DetResult(machine, dict(enumerate(embed)), _Meanings(order, lambda s: frozenset(_iter_bits(s))), "alt")
 
 
 def canonical_det_nfa(n: NFA, bound: int = 4) -> Union[DetResult, BudgetExceeded]:
@@ -426,7 +421,6 @@ def canonical_det_nfa(n: NFA, bound: int = 4) -> Union[DetResult, BudgetExceeded
         raise ValueError(f"bound must be at least 0, got {bound}")
     if n.n_states > bound:
         return BudgetExceeded("canonical", bound, n.n_states)
-    subsets = det_subset(n)
-    preds = [frozenset(_iter_bits(phi)) for phi in range(1 << n.n_states)]
-    meanings = {i: frozenset(phi for phi in preds if phi & s) for i, s in subsets.state_meaning.items()}
-    return DetResult(subsets.machine, subsets.embed, meanings, "canonical")
+    subsets, preds = det_subset(n), range(1, 1 << n.n_states)
+    meaning = lambda s: frozenset(frozenset(_iter_bits(phi)) for phi in preds if phi & s)
+    return DetResult(subsets.machine, subsets.embed, _Meanings(subsets.state_meaning._states, meaning), "canonical")

@@ -1136,8 +1136,7 @@ def meaning_docs(result, source):
     them before it wrote the embedding without documents."""
     names, meanings = source.names, result.state_meaning
     if result.method == "weighted":
-        carrier = source.semiring.name
-        return [{names[y]: cli._weight_json(carrier, n, d) for y, n, d in meanings._row(i)} for i in range(len(meanings))]
+        return [{names[y]: cli.encode_weight(w) for y, w in meaning.items()} for meaning in meanings.values()]
     if result.method == "canonical":
         return [sorted(sorted(names[y] for y in phi) for phi in meaning) for meaning in meanings.values()]
     return [sorted(names[y] for y in meaning) for meaning in meanings.values()]
@@ -1185,6 +1184,54 @@ def test_embedding_text_orders_weighted_entries_by_source_name():
     text = cli._embedding_text(result, aut, "")
     assert text == cli._json_text(embedding_doc(result, aut), "")
     assert text.index('"s10": 11') < text.index('"s2": 3')
+
+
+def pinned_names(size):
+    """x0, x1, ...: x10 sorts before x2, and x7 holds a quote, a backslash
+    and an é, which JSON escapes."""
+    return [f"x{i}" if i != 7 else 'x"\\é7' for i in range(size)]
+
+
+# a steps x to x + 1, and every third x also to x + 8; b steps x > 0 to x // 2 and 0 nowhere, to the empty set
+PINNED_NFA = NFA(12, ["a", "b"], {(x, "a", (x + 1) % 12) for x in range(12)} | {(x, "a", (x + 8) % 12) for x in range(0, 12, 3)}
+                 | {(x, "b", x // 2) for x in range(1, 12)}, [1, 5, 9], names=pinned_names(12))
+# a deterministic cycle on a, and b stays put but at 0: canonical meanings of 1,024 predicates, on 12 states
+PINNED_CYCLE = NFA(11, ["a", "b"], {(x, "a", (x + 1) % 11) for x in range(11)} | {(x, "b", x) for x in range(1, 11)}, [1, 10],
+                   names=pinned_names(11))
+# 3's b-family holds the empty branch set, so the translation reaches the empty subset, its accepting sink
+PINNED_ALT = AlternatingAut(11, ["a", "b"], [x % 3 == 0 for x in range(11)],
+                            {**{(x, "a"): [[(x + 1) % 11]] + [[(x + 9) % 11, (x + 2) % 11]] * (x % 4 == 0) for x in range(11)},
+                             **{(x, "b"): [[x // 2]] for x in range(4, 11)}, (3, "b"): [[]]}, names=pinned_names(11))
+PINNED_DETERMINIZATIONS = {
+    "subset": (PINNED_NFA, lambda aut: det_subset(aut, "disj")),
+    "conj": (PINNED_NFA, lambda aut: det_subset(aut, "conj")),
+    "alt": (PINNED_ALT, alt_to_nfa),
+    "canonical": (PINNED_CYCLE, lambda aut: canonical_det_nfa(aut, bound=11)),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_DETERMINIZATIONS))
+def test_embedding_text_writes_sets_in_name_order(case):
+    """On 11 and 12 states, meanings list names in their string order (x10
+    before x2), not in index order; the escaped name is quoted right; and
+    the empty subset, conj's accepting [] and alt's accepting sink, lists
+    no name."""
+    aut, construct = PINNED_DETERMINIZATIONS[case]
+    result = construct(aut)
+    meanings = list(result.state_meaning.values())
+    sets = [phi for meaning in meanings for phi in meaning] if case == "canonical" else meanings
+    assert any({2, 7, 10} <= s for s in sets)
+    empty = meanings.index(frozenset())
+    if case in ("conj", "alt"):
+        assert empty in result.machine.accepting if case == "alt" else result.machine.outputs[empty]
+    for pad in ("", "  "):
+        text, expected = cli._embedding_text(result, aut, pad), cli._json_text(embedding_doc(result, aut), pad)
+        # line by line, so a failure names a line rather than diffing a megabyte of text
+        assert len(text.splitlines()) == len(expected.splitlines())
+        for i, (line, want) in enumerate(zip(text.splitlines(), expected.splitlines())):
+            assert line == want, f"line {i + 1}"
+        assert text == expected
+        assert f'"d{empty}": []' in text and '"x\\"\\\\é7"' in text
 
 
 # argvs that every path of the parser sees: valid ones, help, bad values,

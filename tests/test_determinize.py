@@ -33,6 +33,7 @@ from tracekit import (
     wa_trace,
 )
 from tracekit import determinize
+from tracekit.automata import _iter_bits
 from tracekit.determinize import _choice_bits, _explore, _hitting_bits, hitting_unions
 from tests.corpus import (
     LETTERS,
@@ -233,11 +234,42 @@ BRANCHING = WeightedAut(
 )
 
 
-@pytest.mark.parametrize("w", [WEIGHTED_SOURCES["bool"](random.Random(0)), BRANCHING,
-                               WEIGHTED_SOURCES["rat-signed"](random.Random(0))], ids=["bool", "nat", "rat"])
-def test_weighted_meanings_are_a_read_only_view_like_the_old_dict(w):
-    result = det_weighted(w)
-    view, old = result.state_meaning, weight_vectors(w, 500)[3]
+def weighted_view(w):
+    """det_weighted(w) and the dict of the oracle's weight vectors."""
+    return det_weighted(w), weight_vectors(w, 500)[3]
+
+
+def boolean_view(result, n=None):
+    """result and the dict its state meanings were before they became a
+    view: frozensets built eagerly from the explored masks, and for
+    canonical_det_nfa (on n states) each subset's predicates."""
+    sets = {i: frozenset(_iter_bits(s)) for i, s in enumerate(result.state_meaning._states)}
+    if n is None:
+        return result, sets
+    preds = [frozenset(_iter_bits(phi)) for phi in range(1 << n)]
+    return result, {i: frozenset(phi for phi in preds if phi & s) for i, s in sets.items()}
+
+
+# 2 has no a-successor and 3 no b-successor, so the subset machines reach the empty set
+VIEW_NFA = NFA(4, ["a", "b"], [(0, "a", 0), (0, "b", 1), (0, "a", 1), (1, "a", 2), (1, "b", 2), (2, "b", 3), (3, "a", 0)], [3])
+VIEW_ALT = AlternatingAut(3, ["a", "b"], [False, True, True], {(0, "a"): [[0, 1], [2]], (1, "b"): [[2]], (2, "a"): [[]]})
+VIEWS = {
+    "bool": lambda: weighted_view(WEIGHTED_SOURCES["bool"](random.Random(0))),
+    "nat": lambda: weighted_view(BRANCHING),
+    "rat": lambda: weighted_view(WEIGHTED_SOURCES["rat-signed"](random.Random(0))),
+    "subset-disj": lambda: boolean_view(det_subset(VIEW_NFA, "disj")),
+    "subset-conj": lambda: boolean_view(det_subset(VIEW_NFA, "conj")),
+    "alt": lambda: boolean_view(alt_to_nfa(VIEW_ALT)),
+    "canonical": lambda: boolean_view(canonical_det_nfa(VIEW_NFA), VIEW_NFA.n_states),
+}
+
+
+@pytest.mark.parametrize("case", list(VIEWS))
+def test_weighted_meanings_are_a_read_only_view_like_the_old_dict(case):
+    """Every method's state meanings, the weighted ones included, are a
+    read-only view that reads like the dict the method built before."""
+    result, old = VIEWS[case]()
+    view = result.state_meaning
     n = len(old)
     assert n > 1 and len(view) == n
     assert list(view) == list(range(n)) == list(old)
@@ -252,6 +284,7 @@ def test_weighted_meanings_are_a_read_only_view_like_the_old_dict(w):
     with pytest.raises(TypeError):
         view[0] = old[0]
     assert repr(result) == repr(dataclasses.replace(result, state_meaning=old))
+    assert result == dataclasses.replace(result, state_meaning=old)
 
 
 def test_weighted_cancelling_weights_reach_the_zero_vector():
