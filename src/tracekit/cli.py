@@ -23,7 +23,7 @@ import sys
 from contextlib import suppress
 from fractions import Fraction
 from functools import cache, partial
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring
 from operator import add, itemgetter
 from pathlib import Path
@@ -119,9 +119,12 @@ def _weight_json(carrier: str, n: int, d: int) -> Any:
 
 def encode_weight(value: Any) -> Any:
     """The JSON value of a carrier value: a bool or an int as itself, a
-    Fraction (or a PartialProb's probability) as its string."""
+    Fraction (or a PartialProb's probability) as its string. Any other
+    value, a float among them, raises TypeError: documents are exact."""
     if isinstance(value, PartialProb):
         value = value.value
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"not an exact carrier value, and not written: {value!r}")
     carrier = "bool" if isinstance(value, bool) else "nat" if isinstance(value, int) else "rat"
     return _weight_json(carrier, value.numerator, value.denominator)
 
@@ -547,7 +550,10 @@ def _label_rows(aut, rows, encode) -> Dict[str, Dict[str, Any]]:
 
 
 def dump_automaton(aut, initial: Optional[Sequence[int]] = None) -> Dict[str, Any]:
-    """Serialize an automaton to its canonical document."""
+    """Serialize an automaton to its canonical document, whose canonical
+    text is json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False)
+    plus a newline. The writers below build that text at pad (every line
+    after the first indented by pad) straight from a machine's tables."""
     kind = _KIND_OF[type(aut)]
     names = aut.names
     doc: Dict[str, Any] = {"kind": kind, "states": list(names)}
@@ -617,28 +623,6 @@ def dump_automaton(aut, initial: Optional[Sequence[int]] = None) -> Dict[str, An
     return doc
 
 
-_SCALARS = {str, bool, int, type(None)}
-
-
-def _json_text(value: Any, pad: str) -> str:
-    """json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False), with
-    every line after the first indented by pad."""
-    if type(value) is list:
-        keys, items = None, value
-    elif type(value) is dict:
-        keys = sorted(value)
-        if set(map(type, keys)) - {str}:
-            raise TypeError(f"keys must be strings, got {keys!r}")
-        items = list(map(value.__getitem__, keys))
-    else:
-        (text,) = _json_texts([value], pad)
-        return text
-    texts = _json_texts(items, pad + "  ")
-    if keys is None:
-        return _block(texts, pad)
-    return _block(map("{}: {}".format, map(encode_basestring, keys), texts), pad, "{}")
-
-
 def _block(texts: Iterable[str], pad: str, brackets: str = "[]") -> str:
     """The list, or with brackets "{}" the object, at pad whose item (or
     "key": value) texts, rendered at pad + "  ", are texts."""
@@ -647,27 +631,9 @@ def _block(texts: Iterable[str], pad: str, brackets: str = "[]") -> str:
     return f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}" if body else brackets
 
 
-def _json_texts(items: List[Any], pad: str) -> Iterable[str]:
-    """_json_text(item, pad) of each item. Strings, or bools and ints, are
-    rendered by one map, and other scalars in one pass; the elements of
-    lists by one call, then cut back into lists. Objects, and items that
-    mix lists, objects and scalars, recurse one by one. Documents are
-    exact: a float, a non-str key or any other type raises TypeError."""
-    kinds = set(map(type, items))
-    if kinds == {str}:
-        return map(encode_basestring, items)
-    if kinds <= {bool, int}:
-        return map(str.lower, map(str, items))
-    if kinds <= _SCALARS:
-        return [encode_basestring(v) if type(v) is str else "null" if v is None else str(v).lower() for v in items]
-    inner = pad + "  "
-    if kinds == {list}:
-        flat, sep, ends = list(_json_texts([*chain.from_iterable(items)], inner)), ",\n" + inner, [*accumulate(map(len, items))]
-        return [f"[\n{inner}{sep.join(flat[a:b])}\n{pad}]" if a < b else "[]" for a, b in zip([0, *ends], ends)]
-    unknown = kinds - _SCALARS - {list, dict}
-    if unknown:
-        raise TypeError(f"a {unknown.pop().__name__} is not written: documents are exact")
-    return [_json_text(item, pad) for item in items]
+def _value_texts(values: Sequence[Any]) -> Iterable[str]:
+    """The JSON texts of carrier values as _weight_json gives them: all strings, or all bools and ints."""
+    return map(encode_basestring, values) if values and type(values[0]) is str else map(str.lower, map(str, values))
 
 
 def _rows(keys: Sequence[str], columns: Sequence[Iterable[str]], pad: str, count: int) -> Iterable[str]:
@@ -686,10 +652,10 @@ def _keyed(quoted: Sequence[str], order: Sequence[int], pad: str, texts: Sequenc
 
 
 def _moore_text(m: MooreAut, initial: Optional[Sequence[int]], pad: str) -> str:
-    """_json_text(dump_automaton(m, initial), pad), written from m's tables:
-    each delta row joined column by column over the sorted letters, and
-    outputs by encode_weight's rules: BOOL ones from a two-entry table, as
-    the digit cap applies to NAT and RAT ones only."""
+    """The canonical text of dump_automaton(m, initial) at pad, written from
+    m's tables: each delta row joined column by column over the sorted
+    letters, and outputs by encode_weight's rules: BOOL ones from a
+    two-entry table, as the digit cap applies to NAT and RAT ones only."""
     i1, quoted = pad + "  ", list(map(encode_basestring, m.names))
     keyed = partial(_keyed, quoted, sorted(range(len(quoted)), key=m.names.__getitem__), i1)
     letters = sorted(range(len(m.alphabet)), key=m.alphabet.__getitem__)
@@ -698,16 +664,22 @@ def _moore_text(m: MooreAut, initial: Optional[Sequence[int]], pad: str) -> str:
               "delta": keyed(list(_rows([m.alphabet[i] for i in letters], targets, i1 + "  ", len(quoted)))),
               "initial": _block(map(quoted.__getitem__, initial or ()), i1), "kind": '"moore"',
               "outputs": keyed(list(map(("false", "true").__getitem__, m.outputs)) if m.semiring.name == "bool"
-                               else list(_json_texts(list(map(encode_weight, m.outputs)), i1))),
+                               else list(_value_texts(list(map(encode_weight, m.outputs))))),
               "semiring": encode_basestring(m.semiring.name), "states": _block(quoted, i1)}
     if initial is None:
         del fields["initial"]
     return _block(map('"{}": {}'.format, fields, fields.values()), pad, "{}")
 
 
-def serialize_document(doc: Any, pad: str = "") -> str:
-    """The canonical text of doc (see _json_text), followed by a newline."""
-    return _json_text(doc, pad) + "\n"
+def _nfa_text(n: NFA, pad: str) -> str:
+    """The canonical text of dump_automaton(n) at pad: accepting names in
+    state order, the alphabet and the states as declared, and the sorted
+    transition triples."""
+    i1, i2, quoted = pad + "  ", pad + "    ", list(map(encode_basestring, n.names))
+    fields = {"accepting": _block(map(quoted.__getitem__, sorted(n.accepting)), i1),
+              "alphabet": _block(map(encode_basestring, n.alphabet), i1), "kind": '"nfa"', "states": _block(quoted, i1),
+              "transitions": _block([_block((quoted[p], encode_basestring(a), quoted[q]), i2) for p, a, q in sorted(n.transitions)], i1)}
+    return _block(map('"{}": {}'.format, fields, fields.values()), pad, "{}")
 
 
 # ---------------------------------------------------------------------------
@@ -751,12 +723,12 @@ def _write(*files: Tuple[Any, Sequence[str]]) -> None:
 
 
 def _emit(out: Optional[str], machine: Callable[[str], str], key: str, side: Callable[[str], str], suffix: str) -> None:
-    """Print {"machine": ..., key: ...} as serialize_document would, where
-    machine(pad) and side(pad) render the two documents (a Moore machine by
-    `_moore_text`) with every line after the first indented by pad; with
-    --out, write the machine to out and the side document to out with its
-    suffix replaced by suffix. Everything is rendered before the first
-    write."""
+    """Print the canonical text of {"machine": ..., key: ...}, where
+    machine(pad) and side(pad) render the two documents (a machine by
+    `_moore_text` or `_nfa_text`) with every line after the first indented
+    by pad; with --out, write the machine to out and the side document to
+    out with its suffix replaced by suffix. Everything is rendered before
+    the first write."""
     if out is not None:
         # a path without a name ("", "." or "/") has no suffix to replace, and fails to open first
         _write((out, [machine(""), "\n"]), (Path(out).with_suffix(suffix) if Path(out).name else out, [side(""), "\n"]))
@@ -792,9 +764,9 @@ def _cmd_semantics(args) -> int:
     shown = [("\tff\n", "\ttt\n")[bool(n)] if carrier == "bool" else f"\t{_weight_json(carrier, n, d)}\n" for n, d in pairs]
     text = "".join(chain.from_iterable(zip(chain.from_iterable(keys), map(shown.__getitem__, chain.from_iterable(entries.layers)))))
     if args.out is not None:
-        # the rows document as serialize_document writes it, column by column: the value texts by value
-        # number, and the trees' texts or each word's quoted letters, in the order of _word_texts
-        values = list(_json_texts([_weight_json(carrier, n, d) for n, d in pairs], " " * 6))
+        # the rows document's canonical text, column by column: the value texts by value number,
+        # and the trees' texts or each word's quoted letters, in the order of _word_texts
+        values = list(_value_texts([_weight_json(carrier, n, d) for n, d in pairs]))
         words = () if wta else _joined_texts(list(map(encode_basestring, entries.alphabet)), args.depth, ",\n        ")
         named = map(encode_basestring, chain.from_iterable(keys)) if wta else chain(["[]"], map("[\n        {}\n      ]".format, chain.from_iterable(words)))
         columns = [map(values.__getitem__, chain.from_iterable(entries.layers)), named]
@@ -817,12 +789,12 @@ _METHODS = {
 
 
 def _embedding_text(result: DetResult, source, pad: str) -> str:
-    """_json_text of the {"embed", "method", "stateMeaning"} document of a
-    determinization of source, written from its explored states without
-    building a meaning: a set (or a weighted meaning over BOOL) is one join
-    per state over (bit, quoted name) pairs in name order, a canonical
-    meaning one over its predicates' texts, and a NAT or RAT weighted
-    meaning one over the entries of its row."""
+    """The canonical text of the {"embed", "method", "stateMeaning"}
+    document of a determinization of source, at pad, written from its
+    explored states without building a meaning: a set (or a weighted meaning
+    over BOOL) is one join per state over (bit, quoted name) pairs in name
+    order, a canonical meaning one over its predicates' texts, and a NAT or
+    RAT weighted meaning one over the entries of its row."""
     names, det_names, states = source.names, result.machine.names, result.state_meaning._states
     quoted, det_quoted = list(map(encode_basestring, names)), list(map(encode_basestring, det_names))
     order, det_order = (sorted(range(len(ns)), key=ns.__getitem__) for ns in (names, det_names))
@@ -870,16 +842,16 @@ def _cmd_determinize(args) -> int:
         return EXIT_BUDGET
     machine = result.machine
     # only alt's result, an nfa, is not a Moore machine
-    text = partial(_moore_text, machine, None) if isinstance(machine, MooreAut) else partial(_json_text, dump_automaton(machine))
+    text = partial(_moore_text, machine, None) if isinstance(machine, MooreAut) else partial(_nfa_text, machine)
     _emit(args.out, text, "embedding", partial(_embedding_text, result, aut), ".embed.json")
     return EXIT_OK
 
 
 def _certificate_text(names: Sequence[str], certificates: Optional[Certificates], pad: str) -> str:
     """The list of {"pair": [p, q], "word": [...]} objects, one per
-    certificate in (p, q) order, as _json_text(..., pad) writes it, built
-    without those objects: one str.join per row p, over the texts of each q
-    and of its word, and each word rendered once per first-pass state."""
+    certificate in (p, q) order, as canonical text at pad, built without
+    those objects: one str.join per row p, over the texts of each q and of
+    its word, and each word rendered once per first-pass state."""
     if not certificates:
         return "[]"
     i1, i2, i3 = pad + "  ", pad + "    ", pad + "      "

@@ -216,16 +216,22 @@ def dfa_equiv(
 
     Runs a breadth-first product walk, so a negative answer comes with a
     shortest word on which the outputs differ, the least of them with letters
-    ordered as the alphabet declares them (not by their text).
+    ordered as d1's alphabet declares them (not by their text). The two
+    alphabets must hold the same letters, in any order: d2's rows are
+    stepped in d1's letter order.
     """
     require_valid(d1)
     require_valid(d2)
     check_state(d1, i1)
     check_state(d2, i2)
-    if d1.alphabet != d2.alphabet:
+    if set(d1.alphabet) != set(d2.alphabet):
         raise ValidationError(
             f"alphabets differ: {list(d1.alphabet)} vs {list(d2.alphabet)}"
         )
+    delta2 = d2.delta
+    if d2.alphabet != d1.alphabet:
+        columns = list(map(d2.letter_index().__getitem__, d1.alphabet))
+        delta2 = [[row[i] for i in columns] for row in delta2]
     if d1.semiring.name != d2.semiring.name:
         raise ValidationError(
             f"output carriers differ: {d1.semiring.name} vs {d2.semiring.name}"
@@ -237,7 +243,7 @@ def dfa_equiv(
         p, q = pair
         if not differ and d1.outputs[p] != d2.outputs[q]:
             differ.append(pair)
-        return () if differ else zip(d1.delta[p], d2.delta[q])
+        return () if differ else zip(d1.delta[p], delta2[q])
 
     links = _first_links(d1.alphabet, (i1, i2), successors)
     if not differ:

@@ -14,6 +14,11 @@ Each row of ``data/cli_pins.json`` is one command line and what it must do:
 - ``out`` (optional): name -> sha256 of every file the command leaves in
   ``{tmp}`` beside its inputs; without it the command must leave none.
 
+Every JSON document a row writes must also be canonical text, the text of
+``json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False)`` and a
+newline: the stdout of a ``determinize`` or ``minimize`` that exits 0
+without ``--out``, and every ``.json`` file it leaves in ``{tmp}``.
+
 ``tests/test_cli.py`` runs every row through ``cli.main`` in-process. Run as a
 script from anywhere, with the package installed, this module runs every row
 through the installed ``tracekit`` console script instead, with the standard
@@ -44,6 +49,15 @@ def _sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def _canonical(data):
+    """Whether the bytes data are the canonical text of a JSON document."""
+    try:
+        text = data.decode("utf-8")
+        return text == json.dumps(json.loads(text), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    except ValueError:
+        return False
+
+
 def mismatches(row, run, tmp):
     """Run one row in the empty directory tmp; list how it differs from its pins.
 
@@ -59,17 +73,18 @@ def mismatches(row, run, tmp):
     for name, text in inputs.items():
         (tmp / name).write_bytes(text.encode("utf-8"))
     status, stdout, stderr = run([arg.replace("{tmp}", str(tmp)) for arg in row["argv"]])
-    got = {
-        "status": status,
-        "stderr": stderr,
-        "out": {p.name: _sha256(p.read_bytes()) for p in sorted(tmp.iterdir()) if p.name not in inputs},
-    }
+    left = {p.name: p.read_bytes() for p in sorted(tmp.iterdir()) if p.name not in inputs}
+    got = {"status": status, "stderr": stderr, "out": {name: _sha256(data) for name, data in left.items()}}
     if "stdout" in row:
         got["stdout"] = stdout
     else:
         got["stdout_sha256"] = _sha256(stdout.encode("utf-8"))
+    documents = {name: data for name, data in left.items() if name.endswith(".json")}
+    if status == 0 and row["argv"][0] in ("determinize", "minimize") and not any(a.startswith("--out") for a in row["argv"]):
+        documents["stdout"] = stdout.encode("utf-8")
     return [f"{key}: expected {row.get(key, {})!r}, got {value!r}"
-            for key, value in got.items() if value != row.get(key, {})]
+            for key, value in got.items() if value != row.get(key, {})] + [
+        f"{name}: not the canonical text of its JSON document" for name, data in documents.items() if not _canonical(data)]
 
 
 def main():

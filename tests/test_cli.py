@@ -40,12 +40,7 @@ from tracekit import (
 from tracekit import cli, semantics
 from tracekit.automata import TERM, format_tree
 from tracekit.weights import BOOL, PartialProb
-from tracekit.cli import (
-    dump_automaton,
-    load_automaton,
-    main,
-    serialize_document,
-)
+from tracekit.cli import dump_automaton, load_automaton, main
 from tests import cli_pins, corpus
 
 GOLDEN = Path(__file__).parent / "data" / "chi_wrong_counterexample.txt"
@@ -55,7 +50,7 @@ EXAMPLES = Path(__file__).parent.parent / "docs" / "examples"
 def write_doc(tmp_path, name, doc):
     path = tmp_path / name
     if not isinstance(doc, str):
-        doc = serialize_document(doc)
+        doc = json_text(doc)
     path.write_text(doc, encoding="utf-8")
     return str(path)
 
@@ -97,10 +92,10 @@ KINDS = {
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_round_trip_is_the_identity_on_canonical_documents(kind):
     doc = KINDS[kind]
-    text = serialize_document(doc)
+    text = json_text(doc)
     loaded, initial = load_automaton(json.loads(text))
     again = dump_automaton(loaded, initial=initial)
-    assert serialize_document(again) == text
+    assert json_text(again) == text
 
 
 def test_loading_canonicalizes_loose_documents():
@@ -114,9 +109,20 @@ def test_loading_canonicalizes_loose_documents():
     loaded, initial = load_automaton(doc)
     assert loaded.names == ("y", "x")
     out = dump_automaton(loaded, initial=initial)
-    # canonical order is by state/letter/target index, and y has index 0 here
+    # nfa triples sort by (source index, label text, target index), and y has index 0 here
     assert out["transitions"] == [["x", "a", "y"], ["x", "a", "x"]]
     assert "initial" not in out
+
+
+def test_nfa_triples_sort_by_index_and_label_text_but_lts_triples_by_name():
+    """An nfa sorts its triples by (source index, label text, target index),
+    so over the alphabet ["b", "a"] the a rows come first; an lts sorts them
+    by (source name, label, target name), so with states ["z", "y"] the
+    moves of y come first."""
+    nfa = NFA(2, ["b", "a"], [(0, "b", 1), (0, "a", 1), (1, "a", 0)], names=["z", "y"])
+    lts = LTS(2, ["b", "a"], {(0, "b"): [1], (0, "a"): [1], (1, "a"): [0]}, names=["z", "y"])
+    assert dump_automaton(nfa)["transitions"] == [["z", "a", "y"], ["z", "b", "y"], ["y", "a", "z"]]
+    assert dump_automaton(lts)["transitions"] == [["y", "a", "z"], ["z", "a", "y"], ["z", "b", "y"]]
 
 
 # one loadable document per kind, with a state x and a letter a
@@ -367,9 +373,8 @@ def test_weight_typing_is_strict(tmp_path):
                  write_doc(tmp_path, "w.json", doc)]) == 2
     doc["semiring"] = "rat"
     doc["out"] = {"x": 0.5}
-    # serialize_document writes no float, so this file is written by json
     assert main(["semantics", "--state", "x", "--depth", "1",
-                 write_doc(tmp_path, "w2.json", json.dumps(doc))]) == 2
+                 write_doc(tmp_path, "w2.json", doc)]) == 2
     doc["out"] = {"x": "1/2"}
     assert main(["semantics", "--state", "x", "--depth", "1",
                  write_doc(tmp_path, "w3.json", doc)]) == 0
@@ -626,6 +631,22 @@ def test_gps_values_outside_the_unit_interval_raise_as_partial_prob_does(v):
     assert cli._weight_json("gps", 1, 4) == cli.encode_weight(PartialProb(Fraction(1, 4))) == "1/4"
 
 
+@pytest.mark.parametrize("value", [0.5, float("nan"), None])
+def test_encode_weight_refuses_what_is_not_an_exact_carrier_value(value):
+    with pytest.raises(TypeError, match="not an exact carrier value"):
+        cli.encode_weight(value)
+
+
+def test_a_float_output_is_not_written():
+    """The guard sits where every carrier value is encoded, so neither the
+    document nor the Moore writer writes a float."""
+    machine = MooreAut(["a"], [Fraction(1, 2), 0.5], [[1], [0]], semiring=RAT)
+    with pytest.raises(TypeError, match="0.5"):
+        dump_automaton(machine)
+    with pytest.raises(TypeError, match="0.5"):
+        cli._moore_text(machine, None, "")
+
+
 def test_semantics_out_file(tmp_path):
     path = classic_file(tmp_path)
     out = tmp_path / "rows.json"
@@ -665,18 +686,18 @@ RANDOM_TABLES = {
 @settings(max_examples=80, deadline=None)
 def test_semantics_out_file_matches_the_row_documents(tmp_path_factory, case, seed, depth, conj):
     """Word and tree tables, from the examples and random machines: the
-    --out file is serialize_document of the row dicts, byte for byte."""
+    --out file is json_text of the row dicts, byte for byte."""
     rng = random.Random(seed)
     aut = load_automaton(EXAMPLE_DOCS[case])[0] if case in EXAMPLE_DOCS else RANDOM_TABLES[case](rng)
     x = rng.randrange(aut.n_states)
     mode = "conj" if conj and isinstance(aut, NFA) else None
     base = tmp_path_factory.mktemp("rows")
     path, out = base / "in.json", base / "rows.json"
-    path.write_text(serialize_document(dump_automaton(aut)), encoding="utf-8")
+    path.write_text(json_text(dump_automaton(aut)), encoding="utf-8")
     argv = ["semantics", str(path), "--state", aut.names[x], "--depth", str(depth), "--out", str(out)]
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv + (["--mode", mode] if mode else [])) == 0
-    assert out.read_bytes() == serialize_document(rows_document(aut, x, depth, mode)).encode("utf-8")
+    assert out.read_bytes() == json_text(rows_document(aut, x, depth, mode)).encode("utf-8")
 
 
 def test_semantics_weighted_and_gps_values(tmp_path, capsys):
@@ -970,6 +991,12 @@ def json_text(doc):
     return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
+def nested(doc, pad):
+    """json_text(doc) at pad: every line after the first indented by pad,
+    without the final newline, as the CLI's writers render a document."""
+    return json_text(doc)[:-1].replace("\n", "\n" + pad)
+
+
 @given(seed=st.integers(0, 2**32 - 1), letters=st.lists(st.sampled_from(ODD_LETTERS), min_size=1, max_size=4, unique=True),
        moore=st.booleans())
 @example(seed=0, letters=list(ODD_LETTERS), moore=False)
@@ -991,7 +1018,7 @@ def test_minimize_output_is_byte_identical_to_json_dumps(tmp_path_factory, seed,
         assert certs == []
     base = tmp_path_factory.mktemp("parity")
     path = base / "in.json"
-    path.write_text(serialize_document(dump_automaton(aut, initial=initial)), encoding="utf-8")
+    path.write_text(json_text(dump_automaton(aut, initial=initial)), encoding="utf-8")
 
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
@@ -1072,7 +1099,7 @@ def test_determinize_output_is_byte_identical_to_json_dumps(tmp_path_factory, se
     machine_doc, embedding = determinize_oracle(aut, method)
     base = tmp_path_factory.mktemp("det")
     path = base / "in.json"
-    path.write_text(serialize_document(dump_automaton(aut)), encoding="utf-8")
+    path.write_text(json_text(dump_automaton(aut)), encoding="utf-8")
 
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
@@ -1127,7 +1154,7 @@ def test_moore_text_is_the_dumped_document(case):
     states in index order, and the same OutputError past the digit cap."""
     machine, initial = case
     for pad in ("", "  "):
-        expected = rendered_or_error(lambda: cli._json_text(dump_automaton(machine, initial), pad))
+        expected = rendered_or_error(lambda: nested(dump_automaton(machine, initial), pad))
         assert rendered_or_error(cli._moore_text, machine, initial, pad) == expected
 
 
@@ -1171,7 +1198,7 @@ def test_embedding_text_is_the_embedding_document(seed, case, letters):
               "canonical": lambda: canonical_det_nfa(aut, bound=4), "alt": lambda: alt_to_nfa(aut),
               "weighted": lambda: det_weighted(aut)}[method]()
     for pad in ("", "  "):
-        assert cli._embedding_text(result, aut, pad) == cli._json_text(embedding_doc(result, aut), pad)
+        assert cli._embedding_text(result, aut, pad) == nested(embedding_doc(result, aut), pad)
 
 
 def test_embedding_text_orders_weighted_entries_by_source_name():
@@ -1182,7 +1209,7 @@ def test_embedding_text_orders_weighted_entries_by_source_name():
     aut = WeightedAut(size, ["a"], NAT, [1] * size, {(0, "a"): {y: y + 1 for y in range(1, size)}}, names=names)
     result = det_weighted(aut)
     text = cli._embedding_text(result, aut, "")
-    assert text == cli._json_text(embedding_doc(result, aut), "")
+    assert text == nested(embedding_doc(result, aut), "")
     assert text.index('"s10": 11') < text.index('"s2": 3')
 
 
@@ -1225,13 +1252,34 @@ def test_embedding_text_writes_sets_in_name_order(case):
     if case in ("conj", "alt"):
         assert empty in result.machine.accepting if case == "alt" else result.machine.outputs[empty]
     for pad in ("", "  "):
-        text, expected = cli._embedding_text(result, aut, pad), cli._json_text(embedding_doc(result, aut), pad)
+        text, expected = cli._embedding_text(result, aut, pad), nested(embedding_doc(result, aut), pad)
         # line by line, so a failure names a line rather than diffing a megabyte of text
         assert len(text.splitlines()) == len(expected.splitlines())
         for i, (line, want) in enumerate(zip(text.splitlines(), expected.splitlines())):
             assert line == want, f"line {i + 1}"
         assert text == expected
         assert f'"d{empty}": []' in text and '"x\\"\\\\é7"' in text
+
+
+PINNED_NFA_TEXTS = {
+    # x10 and x11 sort before x2, and x7's name needs escapes
+    "twelve-states": PINNED_NFA,
+    "eleven-states": PINNED_CYCLE,
+    "escaped-labels": NFA(3, ['"', "\\", "é", "\n", ""], [(2, "\n", 0), (0, '"', 1), (1, "", 2), (0, "é", 0), (2, "\\", 2)],
+                          [2, 0], names=["n\n", "", 'q"\\']),
+    "no-accepting-and-no-transitions": NFA(2, ["a"], [], names=["y", "x"]),
+    "alphabet-out-of-text-order": NFA(2, ["b", "a", "ab"], [(1, "ab", 0), (1, "a", 1), (0, "b", 1), (0, "a", 0)], [1]),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_NFA_TEXTS))
+def test_nfa_text_is_the_dumped_document(case):
+    """alt's machine writer writes the text of dump_automaton's document:
+    accepting names in state order, alphabet and states as declared, and
+    the triples in sorted order."""
+    n = PINNED_NFA_TEXTS[case]
+    for pad in ("", "  "):
+        assert cli._nfa_text(n, pad) == nested(dump_automaton(n), pad)
 
 
 # argvs that every path of the parser sees: valid ones, help, bad values,
@@ -1341,58 +1389,6 @@ def command_lines(draw):
 @given(argv=command_lines())
 def test_drawn_command_lines_parse_as_the_full_parser_parses_them(argv):
     assert parsed(cli._parse_args, argv) == parsed(cli.build_parser().parse_args, argv)
-
-
-def nested(text):
-    """A document's text as the value of a top-level key: every line after
-    the first indented by two more spaces, without the final newline."""
-    return text[:-1].replace("\n", "\n  ")
-
-
-ODD_TEXT = st.text(alphabet=ODD_LETTERS, max_size=4)
-JSON_LEAVES = (st.none() | st.booleans() | st.integers(max_value=-1) | st.integers()
-               | st.integers(10**4299, 10**4300 - 1) | st.integers(-(10**4300) + 1, -(10**4299)) | ODD_TEXT)
-
-
-def same_shape(inner):
-    """Lists of objects with one key set, which the writer renders column by
-    column, or of lists of one length, as lists and as the values of an
-    object."""
-    objects = st.lists(ODD_TEXT, max_size=3, unique=True).flatmap(
-        lambda keys: st.lists(st.fixed_dictionaries({key: inner for key in keys}), min_size=1, max_size=4))
-    lists = st.integers(0, 3).flatmap(lambda n: st.lists(st.lists(inner, min_size=n, max_size=n), min_size=1, max_size=4))
-    rows = objects | lists
-    return rows | rows.map(lambda items: {f"k{i}": item for i, item in enumerate(items)})
-
-
-JSON_DOCS = st.recursive(
-    JSON_LEAVES | st.lists(ODD_TEXT, max_size=4) | st.lists(st.booleans() | st.integers(), max_size=4),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(ODD_TEXT, inner, max_size=4)
-    | st.dictionaries(ODD_TEXT, st.dictionaries(ODD_TEXT, inner, max_size=3), max_size=3) | same_shape(inner),
-    max_leaves=12,
-)
-
-
-@given(doc=JSON_DOCS)
-@example(doc={"": [], "a": {}, "\u2028": [[True, -1, "é"], {"\n": None}], '"': [False, 3, True]})
-@example(doc=[10**4299, -(10**4299), [], {}])
-@example(doc={"x": [{"a": [1, "b"], "b": {}}, {"b": {}, "a": [None, 2]}], "y": [[[], True], [[], False]]})
-@example(doc=[{"k": [[1, 2], [3, 4]], "é": {"a": {"q": None}}}, {"é": {"a": {"q": "\n"}}, "k": [[5, 6], [7, 8]]}])
-@settings(max_examples=400, deadline=None)
-def test_serialize_document_is_json_dumps_at_any_pad(doc):
-    text = json_text(doc)
-    assert serialize_document(doc) == text
-    assert serialize_document(doc, "  ") == nested(text) + "\n"
-
-
-@pytest.mark.parametrize("doc", [0.5, [1, 2.0], {"a": {"b": [True, -0.0]}}, {"a": float("nan")},
-                                 {1: "a"}, {"a": {2: True}}, {True: 1}, {None: []}, [{"a": 1, 2: 3}],
-                                 [{"a": 1}, {"a": 0.5}], [[1, 2], [3, 4.0]], [{1: "a"}, {1: "b"}], [(1,), (2,)]])
-def test_serialize_document_writes_no_float_and_no_non_string_key(doc):
-    with pytest.raises(TypeError):
-        serialize_document(doc)
-    with pytest.raises(TypeError):
-        serialize_document(doc, "  ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -1579,6 +1575,27 @@ def test_a_pin_broken_on_purpose_fails(tmp_path, monkeypatch, field, corrupt):
     assert len(cli_pins.mismatches(dict(row, **{field: corrupt(row[field])}), run_in_process, broken)) == 1
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["minimize", "docs/examples/nfa-ends-in-a.json"], "stdout"),
+    (["minimize", "docs/examples/nfa-ends-in-a.json", "--out", "{tmp}/m.json"], "m.json"),
+])
+def test_a_non_canonical_document_is_reported(tmp_path, monkeypatch, argv, name):
+    """A run that writes a valid document as other text than json.dumps's
+    canonical text fails its row, on stdout and in a file it leaves."""
+    monkeypatch.chdir(cli_pins.ROOT)
+    row = next(row for row in PINS if row["argv"] == argv)
+
+    def compact(argv):
+        status, stdout, stderr = run_in_process(argv)
+        out = tmp_path / "m.json"
+        if out.exists():
+            out.write_text(json.dumps(json.loads(out.read_text(encoding="utf-8"))), encoding="utf-8")
+        return status, json.dumps(json.loads(stdout)) if stdout else stdout, stderr
+
+    found = cli_pins.mismatches(row, compact, tmp_path)
+    assert [line for line in found if "canonical" in line] == [f"{name}: not the canonical text of its JSON document"]
+
+
 def test_the_console_script_runner_fails_without_the_script(tmp_path):
     done = subprocess.run([sys.executable, cli_pins.__file__], env={**os.environ, "PATH": str(tmp_path)},
                           capture_output=True, text=True)
@@ -1688,7 +1705,7 @@ def test_shipped_fixtures_are_canonical():
         text = path.read_text(encoding="utf-8")
         loaded, initial = load_automaton(json.loads(text))
         kinds.add(json.loads(text)["kind"])
-        assert serialize_document(dump_automaton(loaded, initial=initial)) == text
+        assert json_text(dump_automaton(loaded, initial=initial)) == text
     assert kinds == {"nfa", "moore", "weighted", "wta", "alternating", "lts", "gps"}
 
 

@@ -322,6 +322,20 @@ def test_dfa_equiv_spells_a_three_thousand_letter_witness():
     assert dfa_equiv(chain, flipped, 0, 0) == (False, ("a",) * (n - 1))
 
 
+def test_dfa_equiv_reads_one_alphabet_declared_in_two_orders():
+    """d2's rows step in d1's letter order, so a witness is the least
+    shortest word with letters ordered as d1 declares them."""
+    # one machine, declared twice: a leads to the accepting 1, b to 2
+    ab = MooreAut(["a", "b"], [False, True, False], [[1, 2], [1, 1], [2, 2]])
+    ba = MooreAut(["b", "a"], [False, True, False], [[2, 1], [1, 1], [2, 2]])
+    assert dfa_equiv(ab, ba, 0, 0) == dfa_equiv(ba, ab, 0, 0) == (True, None)
+    # both letters tell these two apart
+    never = MooreAut(["a", "b"], [False], [[0, 0]])
+    always_after = MooreAut(["b", "a"], [False, True], [[1, 1], [1, 1]])
+    assert dfa_equiv(never, always_after, 0, 0) == (False, ("a",))
+    assert dfa_equiv(always_after, never, 0, 0) == (False, ("b",))
+
+
 def test_dfa_equiv_rejects_mismatched_alphabets():
     d1 = MooreAut(["a"], [True], [[0]])
     d2 = MooreAut(["a", "b"], [True], [[0, 0]])
